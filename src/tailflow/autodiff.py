@@ -2,13 +2,14 @@
 
 A :class:`Tape` is an append-only list of nodes (operation id, parent
 indices, saved payload); construction order is topological order, so a
-single reversed sweep computes every adjoint.  Node values are numpy
-scalars, vectors, or matrices: a value axis batches independent
-observations, which keeps the masked MLPs and per-dimension transforms fast
-without a general broadcasting engine.  Binary operations require operands
-of identical shape or a true scalar; everything structural goes through
-dedicated fused primitives (``matmul``, row/column broadcast variants,
-column slicing/stacking, per-row gathers) with hand-written backward rules.
+single reversed sweep computes every adjoint.  Node values are numpy arrays,
+and a :class:`Var` follows the subset of numpy semantics the package uses:
+arithmetic broadcasts between operands and against constants, ``@`` is a
+matrix product of 1-d and 2-d operands, ``x[key]`` takes basic slices, ints
+and integer-array gathers, ``x.T`` transposes and ``x.sum(axis, keepdims)``
+reduces.  One formula therefore serves numpy arrays and tape variables.
+Backward looks up one rule per op in ``_RULES`` and sums each adjoint back
+to its operand's shape, undoing any broadcast.
 
 Domain violations never raise mid-graph: offending values propagate as NaN
 and the tape records the first offending node ("poisoning"); the training
@@ -49,7 +50,7 @@ class Tape:
         self.parents: list[tuple] = []
         self.payloads: list = []
         self.values: list = []
-        # Persistent adjoints; repeated backward calls accumulate here.
+        # Persistent param adjoints; repeated backward calls accumulate here.
         self.grad_store: dict[int, np.ndarray] = {}
         self.param_nodes: dict[int, str] = {}
         self.poisoned: int | None = None
@@ -79,6 +80,12 @@ class Tape:
         return x if isinstance(x, Var) else self.lift(x)
 
 
+def _is_gather(key) -> bool:
+    """Whether an index holds an integer array (advanced indexing)."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return any(isinstance(k, (np.ndarray, list)) for k in parts)
+
+
 class Var:
     """Handle to one tape node: (tape, node index, value)."""
 
@@ -102,6 +109,7 @@ class Var:
 
     @property
     def grad(self) -> np.ndarray:
+        """Accumulated adjoint of a param; zeros for any other node."""
         g = self.tape.grad_store.get(self.idx)
         return np.zeros_like(self.value) if g is None else g
 
@@ -109,12 +117,9 @@ class Var:
         return self.tape._push(op, (self.idx,), value, payload)
 
     def _binary(self, op: str, other: "Var", value, payload=None) -> "Var":
-        a, b = self.value, other.value
-        if a.shape != b.shape and a.shape != () and b.shape != ():
-            raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
         return self.tape._push(op, (self.idx, other.idx), value, payload)
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic (broadcasting) ------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Var):
@@ -157,6 +162,14 @@ class Var:
                 return self._binary("pow", other, self.value ** other.value)
         with np.errstate(all="ignore"):
             return self._unary("pow_const", self.value ** other, payload=other)
+
+    def __matmul__(self, other):
+        """Matrix product of 1-d or 2-d operands, as numpy's ``@``."""
+        other = self.tape.as_var(other)
+        return self._binary("matmul", other, self.value @ other.value)
+
+    def __rmatmul__(self, other):
+        return self.tape.lift(other) @ self
 
     # -- elementwise functions ----------------------------------------------
 
@@ -228,66 +241,17 @@ class Var:
 
     # -- reductions and structure -------------------------------------------
 
-    def sum(self):
-        return self._unary("sum", np.sum(self.value))
+    def sum(self, axis=None, keepdims: bool = False):
+        value = np.sum(self.value, axis=axis, keepdims=keepdims)
+        return self._unary("sum", value, payload=(axis, keepdims))
 
-    def rowsum(self):
-        return self._unary("rowsum", np.sum(self.value, axis=1))
+    def __getitem__(self, key):
+        """Basic slices and ints, or an integer-array gather, as numpy."""
+        return self._unary("getitem", self.value[key], payload=(key, _is_gather(key)))
 
-    def colsum(self):
-        return self._unary("colsum", np.sum(self.value, axis=0))
-
-    def dot(self, other: "Var"):
-        return self._binary("dot", other, np.dot(self.value, other.value))
-
-    def matvec(self, v: "Var"):
-        """Matrix (m, k) times vector (k,) -> (m,)."""
-        return self.tape._push("matvec", (self.idx, v.idx), self.value @ v.value)
-
-    def matmul(self, other: "Var"):
-        return self.tape._push("matmul", (self.idx, other.idx), self.value @ other.value)
-
-    def matmul_tb(self, other: "Var"):
-        """A @ B.T for matrices A (n, k), B (m, k)."""
-        return self.tape._push("matmul_tb", (self.idx, other.idx), self.value @ other.value.T)
-
-    def add_rowvec(self, b: "Var"):
-        """Add a (m,) vector to every row of an (n, m) matrix."""
-        return self.tape._push("add_rowvec", (self.idx, b.idx), self.value + b.value[None, :])
-
-    def sub_colvec(self, c: "Var"):
-        return self.tape._push("sub_colvec", (self.idx, c.idx), self.value - c.value[:, None])
-
-    def mul_colvec(self, c: "Var"):
-        return self.tape._push("mul_colvec", (self.idx, c.idx), self.value * c.value[:, None])
-
-    def div_colvec(self, c: "Var"):
-        with np.errstate(all="ignore"):
-            return self.tape._push("div_colvec", (self.idx, c.idx), self.value / c.value[:, None])
-
-    def mul_rowvec(self, r: "Var"):
-        return self.tape._push("mul_rowvec", (self.idx, r.idx), self.value * r.value[None, :])
-
-    def div_rowvec(self, r: "Var"):
-        with np.errstate(all="ignore"):
-            return self.tape._push("div_rowvec", (self.idx, r.idx), self.value / r.value[None, :])
-
-    def col(self, j: int):
-        """Extract column j of an (n, m) matrix as an (n,) vector."""
-        return self._unary("slice_cols", self.value[:, j], payload=j)
-
-    def cols(self, key: slice):
-        """Extract a column slice (possibly strided) of an (n, m) matrix."""
-        return self._unary("slice_cols", self.value[:, key], payload=key)
-
-    def select_cols(self, idx: np.ndarray):
-        """Per-row gather: out[i] = self[i, idx[i]] for an (n,) index array."""
-        n = self.value.shape[0]
-        return self._unary("select_cols", self.value[np.arange(n), idx], payload=idx)
-
-    def elem(self, j: int):
-        """Extract element j of a 1-d vector as a scalar."""
-        return self._unary("elem", self.value[j], payload=j)
+    @property
+    def T(self):
+        return self._unary("transpose", self.value.T)
 
     def cumsum_cols(self):
         return self._unary("cumsum_cols", np.cumsum(self.value, axis=1))
@@ -400,6 +364,10 @@ def lgamma(x):
     return x.lgamma() if _is_var(x) else sp.gammaln(x)
 
 
+def relu(x):
+    return x.relu() if _is_var(x) else np.maximum(x, 0.0)
+
+
 def softplus(x):
     return x.softplus() if _is_var(x) else np.logaddexp(0.0, x)
 
@@ -425,11 +393,102 @@ def value_of(x) -> np.ndarray:
     return x.value if _is_var(x) else np.asarray(x, dtype=float)
 
 
-# -- backward pass ------------------------------------------------------------
+# -- backward rules -----------------------------------------------------------
+#
+# Each rule maps (adjoint g of the node, node value v, parent values, payload)
+# to one adjoint per parent, in the node's output shape or the parent's;
+# backward sums away whatever broadcasting added.
 
 
-def _scalar_reduce(g: np.ndarray, shape) -> np.ndarray:
-    return np.sum(g) if shape == () and np.ndim(g) else g
+def _unbroadcast(g, shape) -> np.ndarray:
+    """Sum an adjoint over the axes that broadcasting added or stretched."""
+    if np.shape(g) == shape:
+        return g
+    g = np.sum(g, axis=tuple(range(np.ndim(g) - len(shape))))
+    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return np.sum(g, axis=stretched, keepdims=True) if stretched else g
+
+
+def _sum_rule(g, v, ins, pay):
+    axis, keepdims = pay
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return (np.broadcast_to(g, ins[0].shape),)
+
+
+def _getitem_rule(g, v, ins, pay):
+    key, gather = pay
+    full = np.zeros_like(ins[0])
+    if gather:
+        np.add.at(full, key, g)  # a repeated index receives every adjoint
+    else:
+        full[key] = g
+    return (full,)
+
+
+def _matmul_rule(g, v, ins, pay):
+    a, b = ins
+    a2 = a[None, :] if a.ndim == 1 else a
+    b2 = b[:, None] if b.ndim == 1 else b
+    g2 = np.reshape(g, (a2.shape[0], b2.shape[1]))
+    return (g2 @ b2.T).reshape(a.shape), (a2.T @ g2).reshape(b.shape)
+
+
+def _solve_tri_right_rule(g, v, ins, lower):
+    t = ins[1]
+    gx = solve_triangular(t, g.T, lower=lower, trans="T").T
+    # d/dT of Y = X T^{-T} is -gx^T Y, restricted to the triangle the solve
+    # actually reads; the other half is never touched.
+    gt = -(gx.T @ v)
+    return gx, (np.tril(gt) if lower else np.triu(gt))
+
+
+_RULES = {
+    "add": lambda g, v, ins, pay: (g, g),
+    "add_const": lambda g, v, ins, pay: (g,),
+    "sub": lambda g, v, ins, pay: (g, -g),
+    "rsub_const": lambda g, v, ins, pay: (-g,),
+    "mul": lambda g, v, ins, pay: (g * ins[1], g * ins[0]),
+    "mul_const": lambda g, v, ins, pay: (g * pay,),
+    "div": lambda g, v, ins, pay: (g / ins[1], -g * v / ins[1]),
+    "rdiv_const": lambda g, v, ins, pay: (-g * v / ins[0],),
+    "neg": lambda g, v, ins, pay: (-g,),
+    "pow": lambda g, v, ins, pay: (
+        g * ins[1] * ins[0] ** (ins[1] - 1.0), g * v * np.log(ins[0])
+    ),
+    "pow_const": lambda g, v, ins, pay: (g * pay * ins[0] ** (pay - 1.0),),
+    "exp": lambda g, v, ins, pay: (g * v,),
+    "log": lambda g, v, ins, pay: (g / ins[0],),
+    "log1p": lambda g, v, ins, pay: (g / (1.0 + ins[0]),),
+    "expm1": lambda g, v, ins, pay: (g * (v + 1.0),),
+    "sqrt": lambda g, v, ins, pay: (0.5 * g / v,),
+    "tanh": lambda g, v, ins, pay: (g * (1.0 - v * v),),
+    "sigmoid": lambda g, v, ins, pay: (g * v * (1.0 - v),),
+    "relu": lambda g, v, ins, pay: (g * (ins[0] > 0.0),),
+    "softplus": lambda g, v, ins, pay: (g * sp.expit(ins[0]),),
+    "abs_split": lambda g, v, ins, pay: (g * pay,),
+    "erfc_node": lambda g, v, ins, pay: (
+        g * (-2.0 / np.sqrt(np.pi)) * np.exp(-ins[0] * ins[0]),
+    ),
+    "log_erfc": lambda g, v, ins, pay: (g * special.dlog_erfc(ins[0]),),
+    "erfc_inv_node": lambda g, v, ins, pay: (g * (-np.sqrt(np.pi) / 2.0) * np.exp(v * v),),
+    "lgamma": lambda g, v, ins, pay: (g * sp.digamma(ins[0]),),
+    "maximum_const": lambda g, v, ins, pay: (g * (ins[0] >= pay),),
+    "minimum_const": lambda g, v, ins, pay: (g * (ins[0] <= pay),),
+    "sum": _sum_rule,
+    "getitem": _getitem_rule,
+    "transpose": lambda g, v, ins, pay: (g.T,),
+    "matmul": _matmul_rule,
+    "cumsum_cols": lambda g, v, ins, pay: (np.cumsum(g[:, ::-1], axis=1)[:, ::-1],),
+    "stack_cols": lambda g, v, ins, pay: tuple(g[:, k] for k in range(len(ins))),
+    "where_mask": lambda g, v, ins, pay: (g * pay, g * ~pay),
+    "where_mask_const": lambda g, v, ins, pay: (g * pay,),
+    "sample_gamma": lambda g, v, ins, pay: (np.sum(g * special.gamma_dsample_dshape(pay, v)),),
+    "solve_tri_right": _solve_tri_right_rule,
+    "tril_strict": lambda g, v, ins, pay: (np.tril(g, -1),),
+    "triu_strict": lambda g, v, ins, pay: (np.triu(g, 1),),
+    "diag_embed": lambda g, v, ins, pay: (np.diag(g),),
+}
 
 
 def backward(out: Var) -> dict[str, np.ndarray]:
@@ -451,188 +510,26 @@ def backward(out: Var) -> dict[str, np.ndarray]:
     adj: list = [None] * n
     adj[out.idx] = np.asarray(1.0)
 
-    def acc(idx: int, g) -> None:
-        if ops[idx] == "lift":
-            return  # constants carry zero gradient by definition
-        g = _scalar_reduce(g, values[idx].shape)
-        if adj[idx] is None:
-            adj[idx] = np.array(g, dtype=float) if np.ndim(g) == 0 else g.astype(float, copy=True)
-        else:
-            adj[idx] = adj[idx] + g
-
     with np.errstate(all="ignore"):
         for i in range(n - 1, -1, -1):
             g = adj[i]
-            if g is None:
-                continue
-            op = ops[i]
-            if op in ("lift", "param"):
-                continue
             par = parents[i]
-            v = values[i]
-            pay = payloads[i]
-            if op == "add":
-                acc(par[0], g)
-                acc(par[1], g)
-            elif op == "add_const":
-                acc(par[0], g)
-            elif op == "sub":
-                acc(par[0], g)
-                acc(par[1], -g)
-            elif op == "rsub_const":
-                acc(par[0], -g)
-            elif op == "mul":
-                a, b = values[par[0]], values[par[1]]
-                acc(par[0], g * b)
-                acc(par[1], g * a)
-            elif op == "mul_const":
-                acc(par[0], g * pay)
-            elif op == "div":
-                a, b = values[par[0]], values[par[1]]
-                acc(par[0], g / b)
-                acc(par[1], -g * v / b)
-            elif op == "rdiv_const":
-                a = values[par[0]]
-                acc(par[0], -g * v / a)
-            elif op == "neg":
-                acc(par[0], -g)
-            elif op == "pow":
-                a, b = values[par[0]], values[par[1]]
-                acc(par[0], g * b * a ** (b - 1.0))
-                acc(par[1], g * v * np.log(a))
-            elif op == "pow_const":
-                a = values[par[0]]
-                acc(par[0], g * pay * a ** (pay - 1.0))
-            elif op == "exp":
-                acc(par[0], g * v)
-            elif op == "log":
-                acc(par[0], g / values[par[0]])
-            elif op == "log1p":
-                acc(par[0], g / (1.0 + values[par[0]]))
-            elif op == "expm1":
-                acc(par[0], g * (v + 1.0))
-            elif op == "sqrt":
-                acc(par[0], 0.5 * g / v)
-            elif op == "tanh":
-                acc(par[0], g * (1.0 - v * v))
-            elif op == "sigmoid":
-                acc(par[0], g * v * (1.0 - v))
-            elif op == "relu":
-                acc(par[0], g * (values[par[0]] > 0.0))
-            elif op == "softplus":
-                acc(par[0], g * sp.expit(values[par[0]]))
-            elif op == "abs_split":
-                acc(par[0], g * pay)
-            elif op == "erfc_node":
-                a = values[par[0]]
-                acc(par[0], g * (-2.0 / np.sqrt(np.pi)) * np.exp(-a * a))
-            elif op == "log_erfc":
-                acc(par[0], g * special.dlog_erfc(values[par[0]]))
-            elif op == "erfc_inv_node":
-                acc(par[0], g * (-np.sqrt(np.pi) / 2.0) * np.exp(v * v))
-            elif op == "lgamma":
-                acc(par[0], g * sp.digamma(values[par[0]]))
-            elif op == "maximum_const":
-                acc(par[0], g * (values[par[0]] >= pay))
-            elif op == "minimum_const":
-                acc(par[0], g * (values[par[0]] <= pay))
-            elif op == "sum":
-                a = values[par[0]]
-                acc(par[0], np.broadcast_to(g, a.shape))
-            elif op == "rowsum":
-                acc(par[0], np.broadcast_to(np.asarray(g)[:, None], values[par[0]].shape))
-            elif op == "colsum":
-                acc(par[0], np.broadcast_to(np.asarray(g)[None, :], values[par[0]].shape))
-            elif op == "dot":
-                a, b = values[par[0]], values[par[1]]
-                acc(par[0], g * b)
-                acc(par[1], g * a)
-            elif op == "matvec":
-                w, x = values[par[0]], values[par[1]]
-                acc(par[0], np.outer(g, x))
-                acc(par[1], w.T @ g)
-            elif op == "matmul":
-                a, b = values[par[0]], values[par[1]]
-                acc(par[0], g @ b.T)
-                acc(par[1], a.T @ g)
-            elif op == "matmul_tb":
-                a, b = values[par[0]], values[par[1]]
-                acc(par[0], g @ b)
-                acc(par[1], g.T @ a)
-            elif op == "add_rowvec":
-                acc(par[0], g)
-                acc(par[1], g.sum(axis=0))
-            elif op == "sub_colvec":
-                acc(par[0], g)
-                acc(par[1], -g.sum(axis=1))
-            elif op == "mul_colvec":
-                m, c = values[par[0]], values[par[1]]
-                acc(par[0], g * c[:, None])
-                acc(par[1], (g * m).sum(axis=1))
-            elif op == "div_colvec":
-                c = values[par[1]]
-                acc(par[0], g / c[:, None])
-                acc(par[1], -(g * v).sum(axis=1) / c)
-            elif op == "mul_rowvec":
-                m, r = values[par[0]], values[par[1]]
-                acc(par[0], g * r[None, :])
-                acc(par[1], (g * m).sum(axis=0))
-            elif op == "div_rowvec":
-                r = values[par[1]]
-                acc(par[0], g / r[None, :])
-                acc(par[1], -(g * v).sum(axis=0) / r)
-            elif op == "slice_cols":
-                full = np.zeros_like(values[par[0]])
-                full[:, pay] = g
-                acc(par[0], full)
-            elif op == "elem":
-                full = np.zeros_like(values[par[0]])
-                full[pay] = g
-                acc(par[0], full)
-            elif op == "select_cols":
-                full = np.zeros_like(values[par[0]])
-                np.add.at(full, (np.arange(full.shape[0]), pay), g)
-                acc(par[0], full)
-            elif op == "cumsum_cols":
-                acc(par[0], np.cumsum(g[:, ::-1], axis=1)[:, ::-1])
-            elif op == "stack_cols":
-                for k, p in enumerate(par):
-                    acc(p, g[:, k])
-            elif op == "where_mask":
-                acc(par[0], g * pay)
-                acc(par[1], g * ~pay)
-            elif op == "where_mask_const":
-                acc(par[0], g * pay)
-            elif op == "sample_gamma":
-                acc(par[0], np.sum(g * special.gamma_dsample_dshape(pay, v)))
-            elif op == "solve_tri_right":
-                t = values[par[1]]
-                gx = solve_triangular(t, g.T, lower=pay, trans="T").T
-                acc(par[0], gx)
-                # d/dT of Y = X T^{-T} is -gx^T Y, restricted to the triangle
-                # the solve actually reads; the other half is never touched.
-                gt = -(gx.T @ v)
-                acc(par[1], np.tril(gt) if pay else np.triu(gt))
-            elif op == "tril_strict":
-                acc(par[0], np.tril(g, -1))
-            elif op == "triu_strict":
-                acc(par[0], np.triu(g, 1))
-            elif op == "diag_embed":
-                acc(par[0], np.diag(g))
-            else:  # pragma: no cover - construction and backward stay in sync
-                raise NotImplementedError(f"no backward rule for op {op!r}")
+            if g is None or not par:  # unreached, or a leaf
+                continue
+            grads = _RULES[ops[i]](g, values[i], [values[p] for p in par], payloads[i])
+            for p, gp in zip(par, grads):
+                if ops[p] == "lift":
+                    continue  # constants carry zero gradient by definition
+                # Adjoints are never written in place, so views can be shared.
+                gp = _unbroadcast(gp, values[p].shape)
+                adj[p] = gp if adj[p] is None else adj[p] + gp
 
     grads: dict[str, np.ndarray] = {}
     for idx, name in tape.param_nodes.items():
         if idx < n and adj[idx] is not None:
             prev = tape.grad_store.get(idx)
-            tape.grad_store[idx] = adj[idx] if prev is None else prev + adj[idx]
+            tape.grad_store[idx] = np.array(adj[idx], dtype=float) if prev is None \
+                else prev + adj[idx]
         g = tape.grad_store.get(idx)
         grads[name] = np.zeros_like(values[idx]) if g is None else g
-    # Non-param nodes keep their pass adjoints visible for inspection too.
-    for idx in range(n):
-        if idx in tape.param_nodes or adj[idx] is None:
-            continue
-        prev = tape.grad_store.get(idx)
-        tape.grad_store[idx] = adj[idx] if prev is None else prev + adj[idx]
     return grads

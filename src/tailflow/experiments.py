@@ -70,9 +70,7 @@ def _log_student_t(z, nu: float):
         float(gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0))
         - 0.5 * math.log(nu * math.pi)
     )
-    if isinstance(z, ad.Var):
-        return (z * z * (1.0 / nu)).log1p() * (-(nu + 1.0) / 2.0) + c
-    return -(nu + 1.0) / 2.0 * np.log1p(z * z / nu) + c
+    return ad.log1p(z * z / nu) * (-(nu + 1.0) / 2.0) + c
 
 
 def vi_target_log_density(x, d: int, nu: float):
@@ -82,18 +80,13 @@ def vi_target_log_density(x, d: int, nu: float):
     freedom; the last is Gaussian around coordinate d-1.  Accepts an
     (n, d) matrix (Var or array) or a single length-d vector.
     """
-    if not isinstance(x, ad.Var):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return float(vi_target_log_density(x[None, :], d, nu)[0])
+    if ad.value_of(x).ndim == 1:
+        return float(vi_target_log_density(ad.value_of(x)[None, :], d, nu)[0])
     if x.shape[1] != d:
         raise ValueError(f"expected {d} columns, got {x.shape[1]}")
-    cols = [x.col(j) if isinstance(x, ad.Var) else x[:, j] for j in range(d)]
-    total = _log_student_t(cols[0], nu)
-    for j in range(1, d - 1):
-        total = total + _log_student_t(cols[j], nu)
-    gap = cols[d - 1] - cols[d - 2]
-    return total + (gap * gap) * (-0.5) - 0.5 * _LOG_2PI
+    gap = x[:, d - 1] - x[:, d - 2]
+    return _log_student_t(x[:, :d - 1], nu).sum(axis=1) + (gap * gap) * (-0.5) \
+        - 0.5 * _LOG_2PI
 
 
 def gen_synthetic_de(spec: SyntheticDeSpec):
@@ -518,18 +511,7 @@ def _mlp_init(d: int, rng: special.Rng) -> dict:
 
 def _mlp_predict(params: dict, x: np.ndarray, activation: str):
     """Forward pass; params may hold Vars (training) or arrays (eval)."""
-    varp = isinstance(params["w1"], ad.Var)
-
-    def act(h):
-        if activation == "sigmoid":
-            return h.sigmoid() if varp else expit(h)
-        return h.relu() if varp else np.maximum(h, 0.0)
-
-    if varp:
-        xx = params["w1"].tape.lift(x)
-        h = act(xx.matmul(params["w1"]).add_rowvec(params["b1"]))
-        h = act(h.matmul(params["w2"]).add_rowvec(params["b2"]))
-        return h.matmul(params["w3"]).add_rowvec(params["b3"]).col(0)
+    act = ad.sigmoid if activation == "sigmoid" else ad.relu
     h = act(x @ params["w1"] + params["b1"])
     h = act(h @ params["w2"] + params["b2"])
     return (h @ params["w3"] + params["b3"])[:, 0]

@@ -4,8 +4,10 @@ Layers are stored in generative order: ``forward`` maps base-space z toward
 data and ``inverse`` maps data back to the base.  Autoregressive layers
 condition on the data-side variable, so the inverse (the density-estimation
 direction) is a single vectorized pass while the forward direction fills one
-dimension at a time.  Every formula is written against dispatch helpers so
-plain numpy arrays and tape variables flow through the same code path.
+dimension at a time.  Formulas use numpy syntax (broadcasting, ``@``,
+slices and gathers) and the elementwise functions of ``autodiff``; a tape
+``Var`` follows the same syntax, so plain numpy arrays and tape variables
+flow through the same code path.
 
 Parameters live in one flat name -> array dict owned by the model; layer
 objects hold only structure (masks, sizes, key prefixes).  Positivity is
@@ -66,7 +68,7 @@ def softplus_inv(y):
     return y + np.log(-np.expm1(-y))
 
 
-# -- dispatch helpers ----------------------------------------------------------
+# -- tape helpers ----------------------------------------------------------------
 
 
 def _tape(*xs) -> Tape | None:
@@ -74,71 +76,6 @@ def _tape(*xs) -> Tape | None:
         if isinstance(x, Var):
             return x.tape
     return None
-
-
-def _pair(a, b):
-    """Promote mixed ndarray/Var operands onto the shared tape."""
-    t = _tape(a, b)
-    if t is None:
-        return np.asarray(a, dtype=float), np.asarray(b, dtype=float), None
-    return t.as_var(a), t.as_var(b), t
-
-
-def _mm_tb(a, b):
-    """a @ b.T."""
-    a, b, t = _pair(a, b)
-    return a.matmul_tb(b) if t else a @ b.T
-
-
-def _mm(a, b):
-    a, b, t = _pair(a, b)
-    return a.matmul(b) if t else a @ b
-
-
-def _add_rowvec(m, v):
-    m, v, t = _pair(m, v)
-    return m.add_rowvec(v) if t else m + v[None, :]
-
-
-def _mul_rowvec(m, v):
-    m, v, t = _pair(m, v)
-    return m.mul_rowvec(v) if t else m * v[None, :]
-
-
-def _div_rowvec(m, v):
-    m, v, t = _pair(m, v)
-    return m.div_rowvec(v) if t else m / v[None, :]
-
-
-def _div_colvec(m, v):
-    m, v, t = _pair(m, v)
-    return m.div_colvec(v) if t else m / v[:, None]
-
-
-def _rowsum(m):
-    return m.rowsum() if isinstance(m, Var) else np.sum(m, axis=1)
-
-
-def _col(m, j):
-    return m.col(j) if isinstance(m, Var) else m[:, j]
-
-
-def _cols(m, sl):
-    return m.cols(sl) if isinstance(m, Var) else m[:, sl]
-
-
-def _select(m, idx):
-    if isinstance(m, Var):
-        return m.select_cols(idx)
-    return m[np.arange(m.shape[0]), idx]
-
-
-def _elem(v, j):
-    return v.elem(j) if isinstance(v, Var) else float(v[j])
-
-
-def _relu(x):
-    return x.relu() if isinstance(x, Var) else np.maximum(x, 0.0)
 
 
 def _stack_cols(cols):
@@ -151,7 +88,7 @@ def _stack_cols(cols):
 def _softmax_rows(m):
     c = np.max(value_of(m), axis=1, keepdims=True)
     e = ad.exp(m - c)
-    return _div_colvec(e, _rowsum(e))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _zeros_col(like, n):
@@ -172,8 +109,6 @@ class MaskedConditioner:
     slice [b*d:(b+1)*d].  Degrees are assigned so the block for dimension i
     depends only on inputs strictly before i; dimension 0 sees biases alone.
     """
-
-    ACTIVATION = "relu"
 
     def __init__(self, d: int, n_out: int, prefix: str):
         self.d = d
@@ -211,17 +146,17 @@ class MaskedConditioner:
     def forward(self, params, x):
         """(n, d) -> (n, d*n_out) respecting the autoregressive masks."""
         k1, b1, k2, b2, k3, b3 = self._keys()
-        h1 = _relu(_add_rowvec(_mm_tb(x, params[k1] * self.mask1), params[b1]))
-        h2 = _relu(_add_rowvec(_mm_tb(h1, params[k2] * self.mask2), params[b2]))
-        return _add_rowvec(_mm_tb(h2, params[k3] * self.mask3), params[b3])
+        h1 = ad.relu(x @ (params[k1] * self.mask1).T + params[b1])
+        h2 = ad.relu(h1 @ (params[k2] * self.mask2).T + params[b2])
+        return h2 @ (params[k3] * self.mask3).T + params[b3]
 
     def dim_block(self, out, i: int):
         """All n_out parameters for dimension i, in parameter order."""
-        return _cols(out, slice(i, None, self.d))
+        return out[:, i::self.d]
 
     def param_block(self, out, b: int):
         """Parameter b for every dimension, in dimension order."""
-        return _cols(out, slice(b * self.d, (b + 1) * self.d))
+        return out[:, b * self.d:(b + 1) * self.d]
 
 
 # -- rational quadratic spline --------------------------------------------------
@@ -240,7 +175,7 @@ def _spline_eval(x, cumw, cumh, deriv, bound: float, inverse: bool):
     cumw/cumh are (n, K+1) knot coordinates, deriv the (n, K+1) knot slopes.
     Returns (y, elementwise log |dy/dx|).
 
-    The forward map is written relative to the identity: y is x plus terms
+    Both directions are written relative to the identity: y is x plus terms
     that each vanish when a bin lies on the diagonal with unit slope and unit
     knot derivatives, and the log-det numerator is the bin slope plus the
     deviations of the knot derivatives from it.  This is the same spline,
@@ -255,39 +190,42 @@ def _spline_eval(x, cumw, cumh, deriv, bound: float, inverse: bool):
         (value_of(x_safe)[:, None] >= knots_v[:, :-1]).sum(axis=1) - 1, 0, k_bins - 1
     )
 
-    xk = _select(cumw, idx)
-    wk = _select(cumw, idx + 1) - xk
-    yk = _select(cumh, idx)
-    hk = _select(cumh, idx + 1) - yk
-    dk = _select(deriv, idx)
-    dk1 = _select(deriv, idx + 1)
+    rows = np.arange(xv.shape[0])
+    xk = cumw[rows, idx]
+    wk = cumw[rows, idx + 1] - xk
+    yk = cumh[rows, idx]
+    hk = cumh[rows, idx + 1] - yk
+    dk = deriv[rows, idx]
+    dk1 = deriv[rows, idx + 1]
     sk = hk / wk
 
+    ddk = dk - sk
+    ddk1 = dk1 - sk
     if not inverse:
         dx = x_safe - xk
         th = dx / wk
         om = 1.0 - th
         q = th * om
-        ddk = dk - sk
-        ddk1 = dk1 - sk
         den = sk + (ddk + ddk1) * q
         y = x_safe + (yk - xk) + (sk - 1.0) * dx + hk * q * (ddk * om - ddk1 * th) / den
-        ld = 2.0 * ad.log(sk) + ad.log(sk + ddk1 * th * th + ddk * om * om) \
-            - 2.0 * ad.log(den)
     else:
+        # theta is the root of a theta^2 + b theta + c = 0 that lies in the
+        # bin, taken in the form that does not cancel.
         dlt = x_safe - yk
-        r = dk + dk1 - 2.0 * sk
+        r = ddk + ddk1
         a = dlt * r + hk * (sk - dk)
         b = hk * dk - dlt * r
         c = -(sk * dlt)
-        disc = ad.maximum_const(b * b - 4.0 * a * c, 0.0)
-        th = (2.0 * c) / (-(b + ad.sqrt(disc)))
+        root = b + ad.sqrt(ad.maximum_const(b * b - 4.0 * a * c, 0.0))
+        th = 2.0 * sk * dlt / root
         om = 1.0 - th
         q = th * om
-        y = th * wk + xk
+        # th * wk + xk, with wk * sk = hk
+        y = x_safe + (xk - yk) + dlt * (2.0 * hk - root) / root
         den = sk + r * q
-        ld = -(2.0 * ad.log(sk) + ad.log(dk1 * th * th + 2.0 * sk * q + dk * om * om)
-               - 2.0 * ad.log(den))
+    ld = 2.0 * ad.log(sk) + ad.log(sk + ddk1 * th * th + ddk * om * om) - 2.0 * ad.log(den)
+    if inverse:
+        ld = -ld
 
     y = ad.where_mask(inside, y, x)
     ld = ad.where_mask(inside, ld, 0.0)
@@ -301,22 +239,24 @@ def _raw_to_knots(w_raw, h_raw, d_raw, bound: float):
     knots are pinned exactly to the box corners, boundary slopes exactly to 1.
     """
     k_bins = value_of(w_raw).shape[1]
-    n = value_of(w_raw).shape[0]
+    embed = np.eye(k_bins - 1, k_bins + 1, k=1)
+
+    def padded(inner, first, last):
+        # The K-1 inner knots go to columns 1..K-1 and the end knots are
+        # added as constants.  Every product with the 0/1 matrix is exact,
+        # so the knots equal the inner values bit for bit.
+        ends = np.zeros(k_bins + 1)
+        ends[0], ends[-1] = first, last
+        return inner @ embed + ends
 
     def cum_knots(raw, min_size):
         rel = _softmax_rows(raw) * (1.0 - min_size * k_bins) + min_size
         cum = rel.cumsum_cols() if isinstance(rel, Var) else np.cumsum(rel, axis=1)
-        inner = _cols(cum * (2.0 * bound) - bound, slice(0, k_bins - 1))
-        cols = [_zeros_col(inner, n) - bound]
-        cols += [_col(inner, j) for j in range(k_bins - 1)]
-        cols += [_zeros_col(inner, n) + bound]
-        return _stack_cols(cols)
+        return padded((cum * (2.0 * bound) - bound)[:, :k_bins - 1], -bound, bound)
 
     cumw = cum_knots(w_raw, _MIN_BIN_WIDTH)
     cumh = cum_knots(h_raw, _MIN_BIN_HEIGHT)
-    d_int = ad.softplus(d_raw) + _MIN_DERIVATIVE
-    ones = [_zeros_col(d_int, n) + 1.0]
-    deriv = _stack_cols(ones + [_col(d_int, j) for j in range(k_bins - 1)] + ones)
+    deriv = padded(ad.softplus(d_raw) + _MIN_DERIVATIVE, 1.0, 1.0)
     return cumw, cumh, deriv
 
 
@@ -386,10 +326,7 @@ class RqsArLayer:
         block = self.cond.dim_block(out, i)
         k = self.bins
         return _raw_to_knots(
-            _cols(block, slice(0, k)),
-            _cols(block, slice(k, 2 * k)),
-            _cols(block, slice(2 * k, 3 * k - 1)),
-            self.bound,
+            block[:, :k], block[:, k:2 * k], block[:, 2 * k:3 * k - 1], self.bound
         )
 
     def inverse(self, params, x):
@@ -397,7 +334,7 @@ class RqsArLayer:
         z_cols, ld = [], 0.0
         for i in range(self.d):
             cumw, cumh, deriv = self._dim_knots(out, i)
-            zi, ldi = _spline_eval(_col(x, i), cumw, cumh, deriv, self.bound, inverse=True)
+            zi, ldi = _spline_eval(x[:, i], cumw, cumh, deriv, self.bound, inverse=True)
             z_cols.append(zi)
             ld = ldi + ld
         return _stack_cols(z_cols), ld
@@ -409,7 +346,7 @@ class RqsArLayer:
         for i in range(self.d):
             out = self.cond.forward(params, _stack_cols(cols))
             cumw, cumh, deriv = self._dim_knots(out, i)
-            xi, ldi = _spline_eval(_col(z, i), cumw, cumh, deriv, self.bound, inverse=False)
+            xi, ldi = _spline_eval(z[:, i], cumw, cumh, deriv, self.bound, inverse=False)
             cols[i] = xi
             ld = ldi + ld
         return _stack_cols(cols), ld
@@ -431,7 +368,7 @@ class AffineArLayer:
         shift = self.cond.param_block(out, 0)
         logs = self.cond.param_block(out, 1)
         z = (x - shift) * ad.exp(-logs)
-        return z, -_rowsum(logs)
+        return z, -logs.sum(axis=1)
 
     def forward(self, params, z):
         n = value_of(z).shape[0]
@@ -439,9 +376,9 @@ class AffineArLayer:
         ld = 0.0
         for i in range(self.d):
             out = self.cond.forward(params, _stack_cols(cols))
-            shift_i = _col(out, i)
-            logs_i = _col(out, self.d + i)
-            cols[i] = shift_i + ad.exp(logs_i) * _col(z, i)
+            shift_i = out[:, i]
+            logs_i = out[:, self.d + i]
+            cols[i] = shift_i + ad.exp(logs_i) * z[:, i]
             ld = logs_i + ld
         return _stack_cols(cols), ld
 
@@ -475,10 +412,9 @@ class LuLinearLayer:
 
     def forward(self, params, z):
         lo, up, dg = self._factors(params)
-        x = _mm_tb(z, _mm(lo, up))
+        x = z @ (lo @ up).T
         # log-det is row-independent; scalar broadcasts against the (n,) sums
-        ld = dg.sum() if isinstance(dg, Var) else float(np.sum(dg))
-        return x, ld
+        return x, dg.sum()
 
     def inverse(self, params, x):
         lo, up, dg = self._factors(params)
@@ -491,8 +427,7 @@ class LuLinearLayer:
             # z = x @ (LU)^{-T} = (x @ L^{-T}) @ U^{-T}
             z = solve_triangular(lo, x.T, lower=True).T
             z = solve_triangular(up, z.T, lower=False).T
-        ld = dg.sum() if isinstance(dg, Var) else float(np.sum(dg))
-        return z, -ld
+        return z, -dg.sum()
 
 
 class MarginalTtfLayer:
@@ -514,33 +449,27 @@ class MarginalTtfLayer:
             f"{p}.ln_raw": softplus_inv(lam_n),
         }
 
-    def _dim_params(self, params, j):
+    def _row_params(self, params):
+        """The (d,) rows of mu, sigma, lambda+ and lambda-."""
         p = self.prefix
-        mu = _elem(params[f"{p}.mu"], j)
-        sigma = ad.softplus(_elem(params[f"{p}.sigma_raw"], j))
-        lam_p = ad.softplus(_elem(params[f"{p}.lp_raw"], j))
-        lam_n = ad.softplus(_elem(params[f"{p}.ln_raw"], j))
+        mu = params[f"{p}.mu"]
+        sigma = ad.softplus(params[f"{p}.sigma_raw"])
+        lam_p = ad.softplus(params[f"{p}.lp_raw"])
+        lam_n = ad.softplus(params[f"{p}.ln_raw"])
         return mu, sigma, lam_p, lam_n
 
     def forward(self, params, z):
-        cols, ld = [], 0.0
-        for j in range(self.d):
-            mu, sigma, lam_p, lam_n = self._dim_params(params, j)
-            zj = _col(z, j)
-            cols.append(tt._forward_core(zj, mu, sigma, lam_p, lam_n))
-            ld = tt.ttf_log_deriv(zj, mu=mu, sigma=sigma, lambda_pos=lam_p, lambda_neg=lam_n) + ld
-        return _stack_cols(cols), ld
+        mu, sigma, lam_p, lam_n = self._row_params(params)
+        x = tt._forward_core(z, mu, sigma, lam_p, lam_n)
+        ld = tt.ttf_log_deriv(z, mu=mu, sigma=sigma, lambda_pos=lam_p, lambda_neg=lam_n)
+        return x, ld.sum(axis=1)
 
     def inverse(self, params, x):
-        cols, ld = [], 0.0
-        for j in range(self.d):
-            mu, sigma, lam_p, lam_n = self._dim_params(params, j)
-            zj, ldj = tt.ttf_inverse_with_log_deriv(
-                _col(x, j), mu=mu, sigma=sigma, lambda_pos=lam_p, lambda_neg=lam_n
-            )
-            cols.append(zj)
-            ld = ldj + ld
-        return _stack_cols(cols), ld
+        mu, sigma, lam_p, lam_n = self._row_params(params)
+        z, ld = tt.ttf_inverse_with_log_deriv(
+            x, mu=mu, sigma=sigma, lambda_pos=lam_p, lambda_neg=lam_n
+        )
+        return z, ld.sum(axis=1)
 
 
 # -- base distributions -----------------------------------------------------------
@@ -554,7 +483,7 @@ class StdNormalBase:
         return {}
 
     def log_prob(self, params, z):
-        return -0.5 * _rowsum(z * z) - 0.5 * self.d * _LOG_2PI
+        return -0.5 * (z * z).sum(axis=1) - 0.5 * self.d * _LOG_2PI
 
     def sample(self, params, rng: special.Rng, n: int) -> np.ndarray:
         return rng.normal((n, self.d))
@@ -583,8 +512,8 @@ class StudentTBase:
             ad.lgamma((nu + 1.0) * 0.5) - ad.lgamma(nu * 0.5)
             - 0.5 * (ad.log(nu) + np.log(np.pi))
         )
-        e = ad.log1p(_div_rowvec(z * z, nu))
-        tail = _rowsum(_mul_rowvec(e, (nu + 1.0) * 0.5))
+        e = ad.log1p(z * z / nu)
+        tail = (e * ((nu + 1.0) * 0.5)).sum(axis=1)
         return -tail + const.sum()
 
     def sample(self, params, rng: special.Rng, n: int) -> np.ndarray:
@@ -595,7 +524,7 @@ class StudentTBase:
         nu_raw = params["base.nu_raw"]
         cols = []
         for j in range(self.d):
-            nu_j = ad.softplus(_elem(nu_raw, j))
+            nu_j = ad.softplus(nu_raw[j])
             if isinstance(nu_j, Var):
                 cols.append(ad.sample_student_t_node(nu_j, rng.child(j), n))
             else:
@@ -623,20 +552,13 @@ class GaussianMixtureBase:
         c = float(np.max(value_of(logits)))
         lse = ad.log(ad.exp(logits - c).sum()) + c
         logw = logits - lse
-        comps = []
-        for k in range(self.k):
-            m_k = _col(means, k)
-            ls_k = _col(logstd, k)
-            diff = _add_rowvec(z, -m_k)
-            scaled = _div_rowvec(diff, ad.exp(ls_k))
-            comps.append(
-                -0.5 * _rowsum(scaled * scaled) - ls_k.sum() - 0.5 * self.d * _LOG_2PI
-            )
-        mat = _add_rowvec(_stack_cols(comps), logw)
+        # (n, d, k): every point against every component
+        scaled = (z[:, :, None] - means) / ad.exp(logstd)
+        comps = -0.5 * (scaled * scaled).sum(axis=1) - logstd.sum(axis=0) \
+            - 0.5 * self.d * _LOG_2PI
+        mat = comps + logw
         rowmax = np.max(value_of(mat), axis=1)
-        if isinstance(mat, Var):
-            return ad.log(_rowsum(ad.exp(mat - rowmax[:, None]))) + rowmax
-        return np.log(np.sum(np.exp(mat - rowmax[:, None]), axis=1)) + rowmax
+        return ad.log(ad.exp(mat - rowmax[:, None]).sum(axis=1)) + rowmax
 
     def sample(self, params, rng: special.Rng, n: int) -> np.ndarray:
         logits = value_of(params["base.logits"])
@@ -679,10 +601,10 @@ class GenNormalBase:
     def log_prob(self, params, z):
         beta, alpha = self._beta_alpha(params)
         const = ad.log(beta) - np.log(2.0) - ad.log(alpha) - ad.lgamma(1.0 / beta)
-        a = _div_rowvec(ad.absolute(_add_rowvec(z, -params["base.loc"])), alpha)
+        a = ad.absolute(z - params["base.loc"]) / alpha
         # a^beta via exp(beta log a); a is floored away from 0 to keep logs finite
-        powed = ad.exp(_mul_rowvec(ad.log(ad.maximum_const(a, 1e-300)), beta))
-        return -_rowsum(powed) + const.sum()
+        powed = ad.exp(ad.log(ad.maximum_const(a, 1e-300)) * beta)
+        return -powed.sum(axis=1) + const.sum()
 
     def sample(self, params, rng: special.Rng, n: int) -> np.ndarray:
         beta = value_of(ad.softplus(params["base.shape_raw"])) + self.SHAPE_FLOOR
@@ -753,9 +675,7 @@ def flow_forward(z, model: FlowModel, params: dict | None = None):
 def flow_sample(model: FlowModel, rng: special.Rng, n: int,
                 params: dict | None = None) -> np.ndarray:
     params = model.params if params is None else params
-    z = model.base.sample(params, rng, n)
-    x, _ = flow_forward(z, model, params)
-    return x
+    return flow_sample_with_log_prob(None, model, params, rng, n)[0]
 
 
 def flow_sample_with_log_prob(tape: Tape | None, model: FlowModel, params: dict,
@@ -790,8 +710,7 @@ def build_architecture(name: str, d: int, options: dict | None = None,
         raise ValueError(f"unknown architecture {name!r}; expected one of {ARCHITECTURES}")
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    opts = {"bins": 5, "bound": 2.5, "lu": False, "nu_init": 30.0,
-            "activation": MaskedConditioner.ACTIVATION}
+    opts = {"bins": 5, "bound": 2.5, "lu": False, "nu_init": 30.0}
     opts.update(options or {})
     rng = special.Rng(seed)
 

@@ -41,7 +41,6 @@ class TrainConfig:
     patience: int = 100
     clip_norm: float | None = None
     seed: int = 0
-    lambda_init: tuple[float, float] = (0.05, 1.0)
 
     def __post_init__(self) -> None:
         if self.lr <= 0.0:
@@ -166,8 +165,8 @@ def elbo_gradient_step(
         tape = ad.Tape()
         tp = model.tape_params(tape)
         x, logq = flows.flow_sample_with_log_prob(tape, model, tp, rng, M)
-        xv = x.value if isinstance(x, ad.Var) else x
-        lqv = logq.value if isinstance(logq, ad.Var) else logq
+        xv = ad.value_of(x)
+        lqv = ad.value_of(logq)
         target_vals = np.asarray(log_unnorm_target(xv), dtype=float)
         good = (
             np.all(np.isfinite(xv), axis=1)
@@ -180,7 +179,7 @@ def elbo_gradient_step(
         if n_good == 0:
             return ElboStep(None, float("nan"), M)
         if n_good < M:
-            x = ad.where_mask(np.broadcast_to(good[:, None], xv.shape), x, 0.0)
+            x = ad.where_mask(good[:, None], x, 0.0)
         lp = log_unnorm_target(x)
         gap = logq - lp
         if n_good < M:

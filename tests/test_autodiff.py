@@ -3,6 +3,7 @@ differences, accumulation semantics, and NaN poisoning."""
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from tailflow import autodiff as ad
 from tailflow import special
@@ -33,11 +34,12 @@ def assert_grad_close(tape_grad, fd, tol=1e-5):
     assert np.all(rel <= tol), f"max rel err {rel.max():.3e}"
 
 
-def check_against_fd(build, inputs, tol=1e-5):
+def check_against_fd(build, inputs, tol=1e-5, reference=None):
     """Compare tape gradients of build(tape, vars) with finite differences.
 
     ``build`` must construct a scalar Var from the named param Vars; the
-    same construction rerun through plain values drives the differencing.
+    same construction rerun through plain values drives the differencing,
+    unless ``reference`` (a function of the named values) is given.
     """
     tape = ad.Tape()
     pvars = {k: tape.param(np.asarray(v, dtype=float), k) for k, v in inputs.items()}
@@ -45,12 +47,11 @@ def check_against_fd(build, inputs, tol=1e-5):
     grads = ad.backward(out)
     for name in inputs:
         def f(x, _name=name):
+            vals = {k: np.asarray(x if k == _name else v, dtype=float) for k, v in inputs.items()}
+            if reference is not None:
+                return reference(vals)
             t2 = ad.Tape()
-            vs = {
-                k: t2.param(np.asarray(x if k == _name else v, dtype=float), k)
-                for k, v in inputs.items()
-            }
-            return float(build(t2, vs).value)
+            return float(build(t2, {k: t2.param(v, k) for k, v in vals.items()}).value)
 
         assert_grad_close(grads[name], fd_grad(f, inputs[name]), tol=tol)
 
@@ -145,25 +146,23 @@ class TestUnaryPrimitives:
         np.testing.assert_allclose(grads["x"], w)
 
 
-class TestBinaryPrimitives:
-    @pytest.mark.parametrize(
-        "name,op",
-        [
-            ("add", lambda a, b: a + b),
-            ("sub", lambda a, b: a - b),
-            ("mul", lambda a, b: a * b),
-            ("div", lambda a, b: a / b),
-            ("pow", lambda a, b: a ** b),
-        ],
-    )
-    def test_matches_finite_differences(self, name, op):
-        a = np.array([0.4, 1.1, 2.3])
-        b = np.array([1.7, 0.5, -0.8])
+BINARY_CASES = [
+    ("add", lambda a, b: a + b),
+    ("sub", lambda a, b: a - b),
+    ("mul", lambda a, b: a * b),
+    ("div", lambda a, b: a / b),
+    ("pow", lambda a, b: a ** b),
+]
+BINARY_INPUTS = {"a": np.array([0.4, 1.1, 2.3]), "b": np.array([1.7, 0.5, -0.8])}
 
+
+class TestBinaryPrimitives:
+    @pytest.mark.parametrize("name,op", BINARY_CASES)
+    def test_matches_finite_differences(self, name, op):
         def build(tape, pv):
             return (op(pv["a"], pv["b"]) * tape.lift(np.array([1.0, -2.0, 0.5]))).sum()
 
-        check_against_fd(build, {"a": a, "b": b})
+        check_against_fd(build, BINARY_INPUTS)
 
     def test_shape_mismatch_rejected(self):
         tape = ad.Tape()
@@ -181,113 +180,243 @@ class TestBinaryPrimitives:
         assert grads["s"] == 6.0
 
 
-class TestStructuredOps:
-    A = np.array([[0.5, -1.2, 0.3], [2.0, 0.1, -0.7]])
-    B = np.array([[1.1, 0.4], [-0.6, 0.9], [0.2, -1.5]])
-    X = np.array([[0.5, -1.2, 0.3], [2.0, 0.1, -0.7]])
+A = np.array([[0.5, -1.2, 0.3], [2.0, 0.1, -0.7]])
+B = np.array([[1.1, 0.4], [-0.6, 0.9], [0.2, -1.5]])
+X = np.array([[0.5, -1.2, 0.3], [2.0, 0.1, -0.7]])
+U3 = np.array([0.2, -1.0, 0.7])
 
-    def _weighted_sum(self, tape, v):
-        w = np.linspace(0.5, 1.5, v.value.size).reshape(v.value.shape)
-        return (v * tape.lift(w)).sum()
+
+def weighted_sum(tape, v):
+    w = np.linspace(0.5, 1.5, v.value.size).reshape(v.value.shape)
+    return (v * tape.lift(w)).sum()
+
+
+def _gamma_case():
+    """The gamma node against differences taken at fixed CDF levels.
+
+    The node's adjoint is the implicit derivative holding each draw's
+    quantile fixed, so the reference moves the draws along their quantiles
+    rather than rerunning the sampler.
+    """
+    a0, size = 3.0, 16
+    draws = np.asarray(special.sample_gamma(a0, special.Rng(11), size=size))
+    levels = sp.gammainc(a0, draws)
+    w = np.linspace(0.5, 1.5, size)
+
+    def build(t, pv):
+        return (ad.sample_gamma_node(pv["a"], special.Rng(11), size) * t.lift(w)).sum()
+
+    def reference(vals):
+        return float(np.sum(w * sp.gammaincinv(vals["a"], levels)))
+
+    return dict(build=build, inputs={"a": a0}, reference=reference, tol=1e-6)
+
+
+def _tri(lower):
+    return np.array([[2.0, 0.0], [0.6, 1.5]]) if lower else np.array([[2.0, 0.6], [0.0, 1.5]])
+
+
+_MASK = np.array([[True, False, True], [False, True, True]])
+
+# Every structural op, and each shape-specialised op the tape used to have in
+# its broadcasting or indexing form, checked against central differences.
+STRUCTURED_CASES = {
+    "dot": dict(
+        build=lambda t, pv: (pv["a"] * pv["b"]).sum(),
+        inputs={"a": np.array([1.0, -2.0, 0.5]), "b": np.array([0.3, 1.1, -0.4])},
+    ),
+    "matvec": dict(
+        build=lambda t, pv: weighted_sum(t, (pv["A"] * pv["v"]).sum(axis=1)),
+        inputs={"A": A, "v": U3},
+    ),
+    "matmul": dict(
+        build=lambda t, pv: weighted_sum(t, pv["A"] @ pv["B"]),
+        inputs={"A": A, "B": B},
+    ),
+    "matmul_vector_operands": dict(
+        build=lambda t, pv: weighted_sum(t, pv["A"] @ pv["v"])
+        + weighted_sum(t, pv["u"] @ pv["A"]) + pv["v"] @ pv["v"],
+        inputs={"A": A, "v": U3, "u": np.array([0.4, -0.9])},
+    ),
+    "matmul_constant_operands": dict(
+        build=lambda t, pv: weighted_sum(t, B @ pv["A"]) + weighted_sum(t, pv["A"] @ B),
+        inputs={"A": A},
+    ),
+    "matmul_tb": dict(
+        build=lambda t, pv: weighted_sum(t, pv["A"] @ pv["C"].T),
+        inputs={"A": A, "C": A + 0.3},
+    ),
+    "add_rowvec": dict(
+        build=lambda t, pv: weighted_sum(t, pv["X"] + pv["b"]),
+        inputs={"X": X, "b": np.array([0.1, -0.4, 0.9])},
+    ),
+    "sub_colvec": dict(
+        build=lambda t, pv: weighted_sum(t, pv["X"] - pv["c"][:, None]),
+        inputs={"X": X, "c": np.array([0.7, -1.3])},
+    ),
+    "mul_colvec": dict(
+        build=lambda t, pv: weighted_sum(t, pv["X"] * pv["c"][:, None]),
+        inputs={"X": X, "c": np.array([0.7, -1.3])},
+    ),
+    "div_colvec": dict(
+        build=lambda t, pv: weighted_sum(t, pv["X"] / pv["c"][:, None]),
+        inputs={"X": X, "c": np.array([0.7, -1.3])},
+    ),
+    "mul_rowvec": dict(
+        build=lambda t, pv: weighted_sum(t, pv["X"] * pv["r"]),
+        inputs={"X": X, "r": np.array([0.7, -1.3, 2.1])},
+    ),
+    "div_rowvec": dict(
+        build=lambda t, pv: weighted_sum(t, pv["X"] / pv["r"]),
+        inputs={"X": X, "r": np.array([0.7, -1.3, 2.1])},
+    ),
+    "col_and_elem": dict(
+        build=lambda t, pv: pv["X"][:, 1].sum() + pv["v"][2] * 3.0,
+        inputs={"X": X, "v": np.array([1.0, 2.0, 3.0, 4.0])},
+    ),
+    "strided_column_slice": dict(
+        build=lambda t, pv: weighted_sum(t, pv["X"][:, ::2]),
+        inputs={"X": np.arange(12.0).reshape(3, 4) / 7.0},
+    ),
+    "select_cols": dict(
+        build=lambda t, pv: weighted_sum(t, pv["X"][np.arange(2), np.array([2, 0])]),
+        inputs={"X": X},
+    ),
+    "gather_repeated_index": dict(
+        build=lambda t, pv: weighted_sum(t, pv["X"][np.array([0, 0, 1]), np.array([2, 2, 0])])
+        + weighted_sum(t, pv["v"][[1, 1, 3]]),
+        inputs={"X": X, "v": np.array([1.0, 2.0, 3.0, 4.0])},
+    ),
+    "rowsum_colsum": dict(
+        build=lambda t, pv: weighted_sum(t, pv["X"].sum(axis=1))
+        + weighted_sum(t, pv["X"].sum(axis=0))
+        + weighted_sum(t, pv["X"].sum(axis=1, keepdims=True))
+        + weighted_sum(t, pv["X"].sum(axis=0, keepdims=True))
+        + weighted_sum(t, pv["X"].sum(keepdims=True)),
+        inputs={"X": X},
+    ),
+    "cumsum_cols": dict(
+        build=lambda t, pv: weighted_sum(t, pv["X"].cumsum_cols()),
+        inputs={"X": X},
+    ),
+    "stack_cols": dict(
+        build=lambda t, pv: weighted_sum(t, ad.stack_cols([pv["a"], pv["b"]])),
+        inputs={"a": np.array([1.0, -0.5]), "b": np.array([0.3, 2.0])},
+    ),
+    "where_mask": dict(
+        build=lambda t, pv: weighted_sum(t, pv["a"].where_mask(_MASK, pv["b"])),
+        inputs={"a": X, "b": X[::-1] + 1.0},
+    ),
+    "where_mask_broadcast": dict(
+        build=lambda t, pv: weighted_sum(t, pv["a"].where_mask(_MASK, pv["b"]))
+        + weighted_sum(t, pv["b"].where_mask(_MASK, 2.0)),
+        inputs={"a": X, "b": np.array([0.3, -1.0, 2.0])},
+    ),
+    "solve_tri_right_lower": dict(
+        build=lambda t, pv: weighted_sum(t, pv["Y"].solve_tri_right(pv["T"], lower=True)),
+        inputs={"Y": np.array([[1.0, -0.5], [0.3, 2.0], [0.0, 1.0]]), "T": _tri(True)},
+        tol=2e-5,
+    ),
+    "solve_tri_right_upper": dict(
+        build=lambda t, pv: weighted_sum(t, pv["Y"].solve_tri_right(pv["T"], lower=False)),
+        inputs={"Y": np.array([[1.0, -0.5], [0.3, 2.0], [0.0, 1.0]]), "T": _tri(False)},
+        tol=2e-5,
+    ),
+    "triangle_masks_and_diag_embed": dict(
+        build=lambda t, pv: weighted_sum(t, pv["M"].tril_strict())
+        + weighted_sum(t, pv["M"].triu_strict())
+        + weighted_sum(t, pv["v"].diag_embed()),
+        inputs={"M": np.array([[1.0, 2.0], [3.0, 4.0]]), "v": np.array([0.5, -1.5])},
+    ),
+    "sample_gamma": _gamma_case(),
+}
+
+
+def check_case(name):
+    case = STRUCTURED_CASES[name]
+    check_against_fd(case["build"], case["inputs"], tol=case.get("tol", 1e-5),
+                     reference=case.get("reference"))
+
+
+class TestStructuredOps:
+    """The tape's structural ops, and the broadcasting and indexing forms of
+    the shape-specialised ops it used to have (dot, matvec, matmul_tb, the
+    row and column vector ops, col/elem/cols/select_cols, rowsum/colsum)."""
 
     def test_dot(self):
-        check_against_fd(
-            lambda t, pv: pv["a"].dot(pv["b"]),
-            {"a": np.array([1.0, -2.0, 0.5]), "b": np.array([0.3, 1.1, -0.4])},
-        )
+        check_case("dot")
 
     def test_matvec(self):
-        check_against_fd(
-            lambda t, pv: self._weighted_sum(t, pv["A"].matvec(pv["v"])),
-            {"A": self.A, "v": np.array([0.2, -1.0, 0.7])},
-        )
+        check_case("matvec")
 
     def test_matmul(self):
-        check_against_fd(
-            lambda t, pv: self._weighted_sum(t, pv["A"].matmul(pv["B"])),
-            {"A": self.A, "B": self.B},
-        )
+        check_case("matmul")
+
+    def test_matmul_vector_operands(self):
+        check_case("matmul_vector_operands")
+
+    def test_matmul_constant_operands(self):
+        check_case("matmul_constant_operands")
 
     def test_matmul_tb(self):
-        check_against_fd(
-            lambda t, pv: self._weighted_sum(t, pv["A"].matmul_tb(pv["C"])),
-            {"A": self.A, "C": self.A + 0.3},
-        )
+        check_case("matmul_tb")
 
     def test_add_rowvec(self):
-        check_against_fd(
-            lambda t, pv: self._weighted_sum(t, pv["X"].add_rowvec(pv["b"])),
-            {"X": self.X, "b": np.array([0.1, -0.4, 0.9])},
-        )
+        check_case("add_rowvec")
 
     @pytest.mark.parametrize("name", ["sub_colvec", "mul_colvec", "div_colvec"])
     def test_colvec_ops(self, name):
-        check_against_fd(
-            lambda t, pv: self._weighted_sum(t, getattr(pv["X"], name)(pv["c"])),
-            {"X": self.X, "c": np.array([0.7, -1.3])},
-        )
+        check_case(name)
 
     @pytest.mark.parametrize("name", ["mul_rowvec", "div_rowvec"])
     def test_rowvec_ops(self, name):
-        check_against_fd(
-            lambda t, pv: self._weighted_sum(t, getattr(pv["X"], name)(pv["r"])),
-            {"X": self.X, "r": np.array([0.7, -1.3, 2.1])},
-        )
+        check_case(name)
 
     def test_col_and_elem(self):
-        check_against_fd(
-            lambda t, pv: pv["X"].col(1).sum() + pv["v"].elem(2) * 3.0,
-            {"X": self.X, "v": np.array([1.0, 2.0, 3.0, 4.0])},
-        )
+        check_case("col_and_elem")
 
     def test_strided_column_slice(self):
-        X = np.arange(12.0).reshape(3, 4) / 7.0
-        check_against_fd(
-            lambda t, pv: self._weighted_sum(t, pv["X"].cols(slice(0, None, 2))),
-            {"X": X},
-        )
+        check_case("strided_column_slice")
 
     def test_select_cols(self):
-        idx = np.array([2, 0])
-        check_against_fd(
-            lambda t, pv: pv["X"].select_cols(idx).sum(),
-            {"X": self.X},
-        )
+        check_case("select_cols")
+
+    def test_gather_repeated_index(self):
+        check_case("gather_repeated_index")
+        tape = ad.Tape()
+        v = tape.param(np.zeros(4), "v")
+        grads = ad.backward(v[[1, 1, 3]].sum())
+        np.testing.assert_array_equal(grads["v"], [0.0, 2.0, 0.0, 1.0])
+
+    def test_indexing_matches_numpy(self):
+        tape = ad.Tape()
+        v = tape.lift(X)
+        for key in (1, (1, 2), (slice(None), 1), (slice(None), slice(None, None, 2)),
+                    (slice(None), slice(None), None), (np.arange(2), np.array([2, 0]))):
+            np.testing.assert_array_equal(v[key].value, X[key])
+        np.testing.assert_array_equal(v.T.value, X.T)
 
     def test_cumsum_cols(self):
-        check_against_fd(
-            lambda t, pv: self._weighted_sum(t, pv["X"].cumsum_cols()),
-            {"X": self.X},
-        )
+        check_case("cumsum_cols")
 
     def test_stack_cols(self):
-        def build(t, pv):
-            m = ad.stack_cols([pv["a"], pv["b"]])
-            return self._weighted_sum(t, m)
-
-        check_against_fd(build, {"a": np.array([1.0, -0.5]), "b": np.array([0.3, 2.0])})
+        check_case("stack_cols")
 
     def test_rowsum_colsum(self):
-        check_against_fd(
-            lambda t, pv: self._weighted_sum(t, pv["X"].rowsum())
-            + self._weighted_sum(t, pv["X"].colsum()),
-            {"X": self.X},
-        )
+        check_case("rowsum_colsum")
 
     def test_where_mask_var_branches(self):
         mask = np.array([True, False, True])
-
-        def build(t, pv):
-            return (pv["a"].where_mask(mask, pv["b"])).sum()
-
-        a = np.array([1.0, 2.0, 3.0])
-        b = np.array([10.0, 20.0, 30.0])
         tape = ad.Tape()
-        av, bv = tape.param(a, "a"), tape.param(b, "b")
+        av = tape.param(np.array([1.0, 2.0, 3.0]), "a")
+        bv = tape.param(np.array([10.0, 20.0, 30.0]), "b")
         grads = ad.backward(av.where_mask(mask, bv).sum())
         np.testing.assert_allclose(grads["a"], [1.0, 0.0, 1.0])
         np.testing.assert_allclose(grads["b"], [0.0, 1.0, 0.0])
-        check_against_fd(build, {"a": a, "b": b})
+        check_case("where_mask")
+
+    def test_where_mask_broadcasts(self):
+        check_case("where_mask_broadcast")
 
     def test_where_mask_keeps_bad_lane_out_of_gradient(self):
         # The inactive branch may hold values whose op would NaN elsewhere;
@@ -301,27 +430,104 @@ class TestStructuredOps:
 
     @pytest.mark.parametrize("lower", [True, False])
     def test_solve_tri_right(self, lower):
-        T = np.array([[2.0, 0.0], [0.6, 1.5]]) if lower else np.array([[2.0, 0.6], [0.0, 1.5]])
-        Y = np.array([[1.0, -0.5], [0.3, 2.0], [0.0, 1.0]])
-        check_against_fd(
-            lambda t, pv: self._weighted_sum(t, pv["Y"].solve_tri_right(pv["T"], lower=lower)),
-            {"Y": Y, "T": T},
-            tol=2e-5,
-        )
+        check_case("solve_tri_right_lower" if lower else "solve_tri_right_upper")
 
     def test_triangle_masks_and_diag_embed(self):
-        M = np.array([[1.0, 2.0], [3.0, 4.0]])
-        check_against_fd(
-            lambda t, pv: self._weighted_sum(t, pv["M"].tril_strict())
-            + self._weighted_sum(t, pv["M"].triu_strict())
-            + self._weighted_sum(t, pv["v"].diag_embed()),
-            {"M": M, "v": np.array([0.5, -1.5])},
-        )
+        check_case("triangle_masks_and_diag_embed")
+
+    def test_sample_gamma_at_fixed_quantiles(self):
+        check_case("sample_gamma")
+
+
+BIG = np.array([[0.5, -1.2, 0.3], [2.0, 0.1, -0.7]])
+SMALL = {
+    "(3,)": np.array([0.7, -1.3, 2.1]),
+    "(1,3)": np.array([[0.7, -1.3, 2.1]]),
+    "(2,1)": np.array([[0.7], [-1.3]]),
+    "()": np.array(1.6),
+}
+BROADCAST_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+}
+
+
+def _broadcast_case(op, shape, small_left, kind):
+    """BIG (2, 3) against a smaller operand; kind says which side is a Var.
+
+    "var": both operands on the tape; "const_small": the small operand is a
+    constant; "const_big": the (2, 3) operand is a constant, so the small
+    Var's adjoint must be summed back from the broadcast shape.
+    """
+    fn = BROADCAST_OPS[op]
+    small = SMALL[shape]
+
+    def build(t, pv):
+        big_v = BIG if kind == "const_big" else pv["big"]
+        small_v = small if kind == "const_small" else pv["small"]
+        left, right = (small_v, big_v) if small_left else (big_v, small_v)
+        return weighted_sum(t, fn(left, right))
+
+    inputs = {}
+    if kind != "const_big":
+        inputs["big"] = BIG
+    if kind != "const_small":
+        inputs["small"] = small
+    return dict(build=build, inputs=inputs)
+
+
+BROADCAST_CASES = [
+    (f"{op}-{shape}-{'small_left' if left else 'small_right'}-{kind}",
+     _broadcast_case(op, shape, left, kind))
+    for op in BROADCAST_OPS
+    for shape in SMALL
+    for left in (True, False)
+    for kind in ("var", "const_small", "const_big")
+]
+
+
+class TestBroadcasting:
+    @pytest.mark.parametrize("case", [c for _, c in BROADCAST_CASES],
+                             ids=[i for i, _ in BROADCAST_CASES])
+    def test_binary_ops_match_finite_differences(self, case):
+        check_against_fd(case["build"], case["inputs"])
+
+    def test_adjoint_takes_operand_shape(self):
+        tape = ad.Tape()
+        b = tape.param(np.array([[1.0], [2.0]]), "b")
+        grads = ad.backward((BIG * b).sum())
+        assert grads["b"].shape == (2, 1)
+        np.testing.assert_allclose(grads["b"][:, 0], BIG.sum(axis=1))
+
+
+def _all_fd_cases():
+    """Every (build, inputs) pair this module checks against differences."""
+    for _, op, x in UNARY_CASES:
+        yield (lambda tape, pv, _op=op, _n=x.size: (_op(pv["x"]) * tape.lift(np.ones(_n))).sum(),
+               {"x": x})
+    for _, op in BINARY_CASES:
+        yield (lambda tape, pv, _op=op: _op(pv["a"], pv["b"]).sum(), BINARY_INPUTS)
+    for case in STRUCTURED_CASES.values():
+        yield case["build"], case["inputs"]
+    for _, case in BROADCAST_CASES:
+        yield case["build"], case["inputs"]
+
+
+class TestRuleTable:
+    def test_every_rule_has_a_central_difference_case(self):
+        covered = set()
+        for build, inputs in _all_fd_cases():
+            tape = ad.Tape()
+            build(tape, {k: tape.param(np.asarray(v, dtype=float), k) for k, v in inputs.items()})
+            covered.update(tape.ops)
+        assert set(ad._RULES) - covered == set()
 
 
 class TestComposedExpressions:
     def test_three_layer_network_gradient(self):
-        """Two matvec layers with nonlinearities, then a weighted reduction."""
+        """Two matrix-vector layers with nonlinearities, then a weighted reduction."""
         rng = np.random.default_rng(7)
         inputs = {
             "W1": rng.normal(size=(4, 3)) * 0.5,
@@ -332,9 +538,9 @@ class TestComposedExpressions:
         }
 
         def build(tape, pv):
-            h = (pv["W1"].matvec(pv["x"]) + pv["b1"]).tanh()
-            y = (pv["W2"].matvec(h) + pv["b2"]).sigmoid()
-            return y.dot(tape.lift(np.array([1.0, -2.0]))).log1p().exp()
+            h = (pv["W1"] @ pv["x"] + pv["b1"]).tanh()
+            y = (pv["W2"] @ h + pv["b2"]).sigmoid()
+            return (y @ np.array([1.0, -2.0])).log1p().exp()
 
         check_against_fd(build, inputs)
 

@@ -1,6 +1,8 @@
 """Flow layer tests: autoregressive masking, spline algebra, invertibility,
 log-det consistency, base densities, architecture assembly, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -153,19 +155,21 @@ class TestSplineKnots:
 
 class TestRqsArLayer:
     def test_identity_at_init(self):
-        # init_params promises the exact identity: bit for bit, on numpy and tape.
+        # init_params promises the exact identity: bit for bit, in both
+        # directions, on numpy and tape.
         for d in (1, 3, 20):
             layer = flows.RqsArLayer(d, "rqs")
             params = layer.init_params(special.Rng(0))
             z = np.random.default_rng(1).normal(size=(20, d)) * 2.0
-            x, ld = layer.forward(params, z)
-            assert np.array_equal(x, z), d
-            assert np.all(np.asarray(ld) == 0.0), d
-            tape = ad.Tape()
-            tp = {k: tape.param(v, k) for k, v in params.items()}
-            xt, ldt = layer.forward(tp, tape.lift(z))
-            assert np.array_equal(ad.value_of(xt), z), d
-            assert np.all(ad.value_of(ldt) == 0.0), d
+            for direction in (layer.forward, layer.inverse):
+                x, ld = direction(params, z)
+                assert np.array_equal(x, z), (d, direction.__name__)
+                assert np.all(np.asarray(ld) == 0.0), (d, direction.__name__)
+                tape = ad.Tape()
+                tp = {k: tape.param(v, k) for k, v in params.items()}
+                xt, ldt = direction(tp, tape.lift(z))
+                assert np.array_equal(ad.value_of(xt), z), (d, direction.__name__)
+                assert np.all(ad.value_of(ldt) == 0.0), (d, direction.__name__)
 
     def _perturbed(self, d=3, seed=4):
         layer = flows.RqsArLayer(d, "rqs")
@@ -616,6 +620,20 @@ class TestSerialization:
             np.asarray(flows.flow_log_prob(x, model)),
             np.asarray(flows.flow_log_prob(x, loaded)),
         )
+
+    def test_loads_record_with_retired_activation_option(self, tmp_path):
+        # Files written while build_architecture still stored an (unused)
+        # "activation" option must keep loading.
+        model = perturb(flows.build_architecture("TTF", 3, seed=2), seed=3)
+        path = tmp_path / "model.json"
+        flows.save_model(model, str(path))
+        rec = json.loads(path.read_text())
+        rec["options"]["activation"] = "relu"
+        path.write_text(json.dumps(rec))
+        loaded = flows.load_model(str(path))
+        x = np.random.default_rng(4).normal(size=(5, 3))
+        np.testing.assert_array_equal(flows.flow_log_prob(x, loaded),
+                                      flows.flow_log_prob(x, model))
 
     def test_rejects_foreign_record(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -15,7 +15,7 @@ def quad_target(c):
 
     def tgt(x):
         if isinstance(x, ad.Var):
-            return (x * x).rowsum() * (-c)
+            return (x * x).sum(axis=1) * (-c)
         return -c * np.sum(np.asarray(x) ** 2, axis=1)
 
     return tgt
@@ -93,6 +93,26 @@ class TestDeLoss:
         cfg = training.TrainConfig(lr=5e-3, max_epochs=50, patience=100, seed=0)
         res = training.fit_density(model, data[:200], data[200:], cfg)
         assert res.trace[-1, 0] < res.trace[0, 0]
+
+
+class TestTapeNodeCounts:
+    """Tape sizes are deterministic, so they are gated.  Each bound is the
+    count the code reached when the gate was set; lower it when a change
+    shrinks the tape, never raise it."""
+
+    @pytest.mark.parametrize("d,bound", [(5, 575), (20, 2035)])
+    def test_ttf_de_loss_tape(self, d, bound):
+        model = flows.build_architecture("TTF", d, seed=0)
+        x = special.Rng(1).student_t(2.0, (2000, d))
+        tape = ad.Tape()
+        training.de_loss(model, x, model.tape_params(tape))
+        assert len(tape.ops) <= bound
+
+    def test_ttf_elbo_sampling_tape(self):
+        model = flows.build_architecture("TTF", 5, seed=0)
+        tape = ad.Tape()
+        flows.flow_sample_with_log_prob(tape, model, model.tape_params(tape), special.Rng(2), 100)
+        assert len(tape.ops) <= 669
 
 
 class TestAdam:
