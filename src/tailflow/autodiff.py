@@ -6,8 +6,10 @@ single reversed sweep computes every adjoint.  Node values are numpy arrays,
 and a :class:`Var` follows the subset of numpy semantics the package uses:
 arithmetic broadcasts between operands and against constants, ``@`` is a
 matrix product of 1-d and 2-d operands, ``x[key]`` takes basic slices, ints
-and integer-array gathers, ``x.T`` transposes and ``x.sum(axis, keepdims)``
-reduces.  One formula therefore serves numpy arrays and tape variables.
+and integer-array gathers, ``x.T``, ``x.reshape`` and ``x.swapaxes`` move
+entries, and ``x.sum(axis, keepdims)`` reduces.  Each op computes exactly
+what numpy computes (``x / c`` is a true division, not ``x * (1 / c)``), so
+one formula gives the same bits on numpy arrays and on tape variables.
 Backward looks up one rule per op in ``_RULES`` and sums each adjoint back
 to its operand's shape, undoing any broadcast.
 
@@ -147,7 +149,8 @@ class Var:
         if isinstance(other, Var):
             with np.errstate(all="ignore"):
                 return self._binary("div", other, self.value / other.value)
-        return self._unary("mul_const", self.value * (1.0 / other), payload=1.0 / other)
+        with np.errstate(all="ignore"):
+            return self._unary("div_const", self.value / other, payload=other)
 
     def __rtruediv__(self, other):
         with np.errstate(all="ignore"):
@@ -252,6 +255,12 @@ class Var:
     @property
     def T(self):
         return self._unary("transpose", self.value.T)
+
+    def reshape(self, *shape):
+        return self._unary("reshape", self.value.reshape(*shape))
+
+    def swapaxes(self, a: int, b: int):
+        return self._unary("swapaxes", self.value.swapaxes(a, b), payload=(a, b))
 
     def cumsum_cols(self):
         return self._unary("cumsum_cols", np.cumsum(self.value, axis=1))
@@ -451,6 +460,7 @@ _RULES = {
     "mul": lambda g, v, ins, pay: (g * ins[1], g * ins[0]),
     "mul_const": lambda g, v, ins, pay: (g * pay,),
     "div": lambda g, v, ins, pay: (g / ins[1], -g * v / ins[1]),
+    "div_const": lambda g, v, ins, pay: (g / pay,),
     "rdiv_const": lambda g, v, ins, pay: (-g * v / ins[0],),
     "neg": lambda g, v, ins, pay: (-g,),
     "pow": lambda g, v, ins, pay: (
@@ -478,6 +488,8 @@ _RULES = {
     "sum": _sum_rule,
     "getitem": _getitem_rule,
     "transpose": lambda g, v, ins, pay: (g.T,),
+    "reshape": lambda g, v, ins, pay: (np.reshape(g, ins[0].shape),),
+    "swapaxes": lambda g, v, ins, pay: (np.swapaxes(g, *pay),),
     "matmul": _matmul_rule,
     "cumsum_cols": lambda g, v, ins, pay: (np.cumsum(g[:, ::-1], axis=1)[:, ::-1],),
     "stack_cols": lambda g, v, ins, pay: tuple(g[:, k] for k in range(len(ins))),

@@ -4,7 +4,9 @@ Layers are stored in generative order: ``forward`` maps base-space z toward
 data and ``inverse`` maps data back to the base.  Autoregressive layers
 condition on the data-side variable, so the inverse (the density-estimation
 direction) is a single vectorized pass while the forward direction fills one
-dimension at a time.  Formulas use numpy syntax (broadcasting, ``@``,
+dimension at a time.  The spline layer's inverse evaluates all d splines in
+one pass on knot matrices with one row per entry, (n*d) rows in all; its
+forward stays sequential.  Formulas use numpy syntax (broadcasting, ``@``,
 slices and gathers) and the elementwise functions of ``autodiff``; a tape
 ``Var`` follows the same syntax, so plain numpy arrays and tape variables
 flow through the same code path.
@@ -158,6 +160,12 @@ class MaskedConditioner:
         """Parameter b for every dimension, in dimension order."""
         return out[:, b * self.d:(b + 1) * self.d]
 
+    def entry_rows(self, out):
+        """All n_out parameters of every entry, one row each: (n, d*n_out) ->
+        (n*d, n_out), where row r*d + i equals dim_block(out, i)[r]."""
+        n = out.shape[0]
+        return out.reshape(n, self.n_out, self.d).swapaxes(1, 2).reshape(n * self.d, self.n_out)
+
 
 # -- rational quadratic spline --------------------------------------------------
 
@@ -169,17 +177,15 @@ _MIN_DERIVATIVE = 1e-3
 _BOUNDARY_DERIV_RAW = float(softplus_inv(1.0 - _MIN_DERIVATIVE))
 
 
-def _spline_eval(x, cumw, cumh, deriv, bound: float, inverse: bool):
-    """Monotone rational-quadratic spline on [-bound, bound], identity outside.
+def _locate_bin(x, cumw, cumh, deriv, bound: float, inverse: bool):
+    """Each entry's bin and the knot values around it.
 
-    cumw/cumh are (n, K+1) knot coordinates, deriv the (n, K+1) knot slopes.
-    Returns (y, elementwise log |dy/dx|).
-
-    Both directions are written relative to the identity: y is x plus terms
-    that each vanish when a bin lies on the diagonal with unit slope and unit
-    knot derivatives, and the log-det numerator is the bin slope plus the
-    deviations of the knot derivatives from it.  This is the same spline,
-    but it returns x and a log-det of 0 bit for bit at the identity.
+    x is (m,); cumw/cumh are (m, K+1) knot coordinates and deriv the
+    (m, K+1) knot slopes, one row per entry.  Returns the in-box mask, x
+    with out-of-box entries zeroed, and per entry the left knot xk, bin
+    width wk, left height yk, bin height hk and the slopes dk, dk1 at the
+    bin's two ends.  Only this half reads the knot matrices, so a caller
+    can drop them before the spline arithmetic makes its temporaries.
     """
     k_bins = value_of(cumw).shape[1] - 1
     xv = value_of(x)
@@ -195,10 +201,19 @@ def _spline_eval(x, cumw, cumh, deriv, bound: float, inverse: bool):
     wk = cumw[rows, idx + 1] - xk
     yk = cumh[rows, idx]
     hk = cumh[rows, idx + 1] - yk
-    dk = deriv[rows, idx]
-    dk1 = deriv[rows, idx + 1]
-    sk = hk / wk
+    return inside, x_safe, xk, wk, yk, hk, deriv[rows, idx], deriv[rows, idx + 1]
 
+
+def _spline_arith(x, inside, x_safe, xk, wk, yk, hk, dk, dk1, inverse: bool):
+    """The spline at each entry of x, given its bin from ``_locate_bin``.
+
+    Both directions are written relative to the identity: y is x plus terms
+    that each vanish when a bin lies on the diagonal with unit slope and unit
+    knot derivatives, and the log-det numerator is the bin slope plus the
+    deviations of the knot derivatives from it.  This is the same spline,
+    but it returns x and a log-det of 0 bit for bit at the identity.
+    """
+    sk = hk / wk
     ddk = dk - sk
     ddk1 = dk1 - sk
     if not inverse:
@@ -230,6 +245,16 @@ def _spline_eval(x, cumw, cumh, deriv, bound: float, inverse: bool):
     y = ad.where_mask(inside, y, x)
     ld = ad.where_mask(inside, ld, 0.0)
     return y, ld
+
+
+def _spline_eval(x, cumw, cumh, deriv, bound: float, inverse: bool):
+    """Monotone rational-quadratic spline on [-bound, bound], identity outside.
+
+    x is (m,); cumw/cumh are (m, K+1) knot coordinates, deriv the (m, K+1)
+    knot slopes, one row of knots per entry.  Returns (y, elementwise
+    log |dy/dx|).
+    """
+    return _spline_arith(x, *_locate_bin(x, cumw, cumh, deriv, bound, inverse), inverse)
 
 
 def _raw_to_knots(w_raw, h_raw, d_raw, bound: float):
@@ -307,7 +332,15 @@ class SplineKnots:
 
 
 class RqsArLayer:
-    """Autoregressive rational quadratic spline layer."""
+    """Autoregressive rational quadratic spline layer.
+
+    The inverse makes one conditioner pass and then evaluates all d splines
+    at once: every entry x[r, i] gets its own row of raw knot values, so
+    the knots, the bin search and the spline run on (n*d)-row arrays and
+    the tape nodes the layer adds do not depend on d.  The forward stays
+    sequential, one conditioner pass and one dimension's spline at a time,
+    because dimension i needs x_<i; both directions share ``_spline``.
+    """
 
     def __init__(self, d: int, prefix: str, bins: int = 5, bound: float = 2.5):
         self.d = d
@@ -322,22 +355,22 @@ class RqsArLayer:
         bias[2 * self.bins * self.d:] = _BOUNDARY_DERIV_RAW
         return self.cond.init_params(rng, out_bias=bias)
 
-    def _dim_knots(self, out, i: int):
-        block = self.cond.dim_block(out, i)
+    def _spline(self, raw, x, inverse: bool):
+        """Spline each entry of the (m,) x under the knots set by its own row
+        of the (m, 3K-1) raw conditioner values; returns (y, log |dy/dx|)."""
         k = self.bins
-        return _raw_to_knots(
-            block[:, :k], block[:, k:2 * k], block[:, 2 * k:3 * k - 1], self.bound
-        )
+        knots = _raw_to_knots(raw[:, :k], raw[:, k:2 * k], raw[:, 2 * k:], self.bound)
+        located = _locate_bin(x, *knots, self.bound, inverse)
+        # On numpy inputs the raw rows and the (m, K+1) knot matrices are
+        # the largest arrays; free them before the arithmetic's temporaries.
+        del raw, knots
+        return _spline_arith(x, *located, inverse)
 
     def inverse(self, params, x):
-        out = self.cond.forward(params, x)
-        z_cols, ld = [], 0.0
-        for i in range(self.d):
-            cumw, cumh, deriv = self._dim_knots(out, i)
-            zi, ldi = _spline_eval(x[:, i], cumw, cumh, deriv, self.bound, inverse=True)
-            z_cols.append(zi)
-            ld = ldi + ld
-        return _stack_cols(z_cols), ld
+        n, d = x.shape
+        z, ld = self._spline(self.cond.entry_rows(self.cond.forward(params, x)),
+                             x.reshape(n * d), inverse=True)
+        return z.reshape(n, d), ld.reshape(n, d).sum(axis=1)
 
     def forward(self, params, z):
         n = value_of(z).shape[0]
@@ -345,9 +378,7 @@ class RqsArLayer:
         ld = 0.0
         for i in range(self.d):
             out = self.cond.forward(params, _stack_cols(cols))
-            cumw, cumh, deriv = self._dim_knots(out, i)
-            xi, ldi = _spline_eval(z[:, i], cumw, cumh, deriv, self.bound, inverse=False)
-            cols[i] = xi
+            cols[i], ldi = self._spline(self.cond.dim_block(out, i), z[:, i], inverse=False)
             ld = ldi + ld
         return _stack_cols(cols), ld
 

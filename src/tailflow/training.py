@@ -205,6 +205,26 @@ def _snapshot(model: flows.FlowModel) -> dict:
     return {k: v.copy() for k, v in model.trainable_params().items()}
 
 
+def _de_gradient(model: flows.FlowModel, batch: np.ndarray):
+    """(loss, parameter gradients) of one DE batch, built on a fresh tape.
+
+    The gradients are None when the loss is non-finite or the tape is
+    poisoned.  The tape is dropped on return, so the training loop never
+    holds two batch tapes (or one tape through the validation pass).
+    """
+    # NaN poisoning is the designed failure mode here; keep the console
+    # clear of the float warnings it necessarily raises.
+    with np.errstate(all="ignore"):
+        loss = de_loss(model, batch, model.tape_params(ad.Tape()))
+        value = float(loss.value)
+        if not np.isfinite(value):
+            return value, None
+        try:
+            return value, ad.backward(loss)
+        except ad.PoisonedTapeError:
+            return value, None
+
+
 def fit_density(
     model: flows.FlowModel,
     train: np.ndarray,
@@ -240,26 +260,15 @@ def fit_density(
             ]
         losses = []
         for idx in batches:
-            try:
-                # NaN poisoning is the designed failure mode here; keep the
-                # console clear of the float warnings it necessarily raises.
-                with np.errstate(all="ignore"):
-                    tape = ad.Tape()
-                    tp = model.tape_params(tape)
-                    loss = de_loss(model, train[idx], tp)
-                    bad = not np.isfinite(loss.value)
-                    grads = None if bad else ad.backward(loss)
-            except ad.PoisonedTapeError:
-                bad = True
-                grads = None
-            if bad:
+            loss, grads = _de_gradient(model, train[idx])
+            if grads is None:
                 model.params.update({k: v.copy() for k, v in last_good.items()})
                 budget //= 2
                 if budget == 0:
                     exhausted = True
                     break
                 continue
-            losses.append(float(loss.value) / idx.size)
+            losses.append(loss / idx.size)
             last_good = _snapshot(model)
             model.params.update(
                 adam_step(model.trainable_params(), grads, state, cfg.lr, cfg.clip_norm)

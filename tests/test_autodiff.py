@@ -328,6 +328,19 @@ STRUCTURED_CASES = {
         + weighted_sum(t, pv["v"].diag_embed()),
         inputs={"M": np.array([[1.0, 2.0], [3.0, 4.0]]), "v": np.array([0.5, -1.5])},
     ),
+    "reshape": dict(
+        build=lambda t, pv: weighted_sum(t, pv["X"].reshape(3, 2))
+        + weighted_sum(t, pv["X"].reshape(6))
+        + weighted_sum(t, pv["X"].T.reshape(2, 3)),
+        inputs={"X": X},
+    ),
+    # The RQS inverse's regrouping: (n, k*d) -> (n, k, d) -> (n, d, k) ->
+    # (n*d, k), a reshape of a swapped, non-contiguous value.
+    "swapaxes": dict(
+        build=lambda t, pv: weighted_sum(t, pv["Y"].swapaxes(0, 2))
+        + weighted_sum(t, pv["Y"].reshape(2, 3, 2).swapaxes(1, 2).reshape(4, 3)),
+        inputs={"Y": np.arange(12.0).reshape(2, 2, 3) / 5.0 - 1.0},
+    ),
     "sample_gamma": _gamma_case(),
 }
 
@@ -395,6 +408,16 @@ class TestStructuredOps:
                     (slice(None), slice(None), None), (np.arange(2), np.array([2, 0]))):
             np.testing.assert_array_equal(v[key].value, X[key])
         np.testing.assert_array_equal(v.T.value, X.T)
+
+    def test_reshape(self):
+        check_case("reshape")
+
+    def test_swapaxes(self):
+        check_case("swapaxes")
+        y = np.arange(12.0).reshape(2, 3, 2)
+        np.testing.assert_array_equal(
+            ad.Tape().lift(y).swapaxes(1, 2).reshape(4, 3).value, y.swapaxes(1, 2).reshape(4, 3)
+        )
 
     def test_cumsum_cols(self):
         check_case("cumsum_cols")

@@ -100,13 +100,25 @@ class TestTapeNodeCounts:
     count the code reached when the gate was set; lower it when a change
     shrinks the tape, never raise it."""
 
-    @pytest.mark.parametrize("d,bound", [(5, 575), (20, 2035)])
+    @pytest.mark.parametrize("d,bound", [(5, 190), (20, 195)])
     def test_ttf_de_loss_tape(self, d, bound):
         model = flows.build_architecture("TTF", d, seed=0)
         x = special.Rng(1).student_t(2.0, (2000, d))
         tape = ad.Tape()
         training.de_loss(model, x, model.tape_params(tape))
         assert len(tape.ops) <= bound
+
+    def test_rqs_inverse_tape_does_not_grow_with_d(self):
+        added = []
+        for d in (5, 20):
+            layer = flows.RqsArLayer(d, "rqs")
+            tape = ad.Tape()
+            params = {k: tape.param(v, k) for k, v in layer.init_params(special.Rng(0)).items()}
+            x = tape.lift(special.Rng(1).student_t(2.0, (200, d)))
+            before = len(tape.ops)
+            layer.inverse(params, x)
+            added.append(len(tape.ops) - before)
+        assert added[0] == added[1]
 
     def test_ttf_elbo_sampling_tape(self):
         model = flows.build_architecture("TTF", 5, seed=0)
