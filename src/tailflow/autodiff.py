@@ -389,6 +389,10 @@ def maximum_const(x, c):
     return x.maximum(c) if _is_var(x) else np.maximum(x, c)
 
 
+def minimum_const(x, c):
+    return x.minimum(c) if _is_var(x) else np.minimum(x, c)
+
+
 def where_mask(mask, a, b):
     if _is_var(a):
         return a.where_mask(mask, b)

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
+import functools
 import logging
 import os
 import sys
@@ -333,30 +335,16 @@ def _run_de_csv_seed(cfg, seed, tc, trace_path) -> list[dict]:
     mean, std = fit_part.mean(axis=0), fit_part.std(axis=0)
     std = np.where(std > 0, std, 1.0)
     train, valid, test = ((s - mean) / std for s in (train, valid, test))
-    fit_part = np.concatenate([train, valid])
-
-    if cfg.flow == "COMET":
-        marg = [ex.comet_marginal_fit(fit_part[:, j]) for j in range(d)]
-        u_tr, _ = ex.comet_logit(train, marg)
-        u_va, _ = ex.comet_logit(valid, marg)
-        u_te, jac_te = ex.comet_logit(test, marg)
-        model = flows.build_architecture(cfg.flow, d, seed=seed)
-        result = training.fit_density(model, u_tr, u_va, tc, trace_path=trace_path)
-        test_lp = flows.flow_log_prob(u_te, model) + jac_te
-    else:
-        model = flows.build_architecture(cfg.flow, d, seed=seed)
-        if cfg.flow in ("TTFfix", "mTAF"):
-            est = tailest.estimate_marginal_tails(fit_part, rng.child(7))
-            lam = est.shape
-            if cfg.flow == "TTFfix":
-                flows.set_frozen_tails(model, lam)
-            else:
-                nu_est = np.where(lam > tailest.LIGHT_TAIL_SHAPE, 1.0 / lam, 30.0)
-                flows.set_frozen_nu(model, nu_est)
-        result = training.fit_density(model, train, valid, tc, trace_path=trace_path)
-        test_lp = flows.flow_log_prob(test, model)
-
-    nll = float(-np.mean(test_lp)) / d
+    model = flows.build_architecture(cfg.flow, d, seed=seed)
+    if cfg.flow in ("TTFfix", "mTAF"):
+        est = tailest.estimate_marginal_tails(np.concatenate([train, valid]), rng.child(7))
+        lam = est.shape
+        if cfg.flow == "TTFfix":
+            flows.set_frozen_tails(model, lam)
+        else:
+            nu_est = np.where(lam > tailest.LIGHT_TAIL_SHAPE, 1.0 / lam, 30.0)
+            flows.set_frozen_nu(model, nu_est)
+    result, nll = ex.fit_de_on_splits(model, train, valid, test, tc, trace_path)
     head = dict(flow=cfg.flow, d=d, nu=float("nan"), seed=seed,
                 diverged=result.diverged)
     rows = [dict(head, metric_name="nll_per_dim", value=nll),
@@ -393,29 +381,25 @@ def run(cfg: ExperimentConfig) -> int:
         return 0
 
     failures = 0
-    if cfg.jobs == 1:
-        for seed in cfg.seeds:
+    with contextlib.ExitStack() as stack:
+        # rows go out in seed order whatever the job count, so the results
+        # file does not depend on which worker finishes first
+        if cfg.jobs == 1:
+            runs = [functools.partial(_run_one_seed, cfg, s) for s in cfg.seeds]
+        else:
+            pool = stack.enter_context(
+                concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs)
+            )
+            runs = [pool.submit(_run_one_seed, cfg, s).result for s in cfg.seeds]
+        for seed, get_rows in zip(cfg.seeds, runs):
             try:
-                rows = _run_one_seed(cfg, seed)
+                rows = get_rows()
             except Exception:
                 logger.exception("seed %d failed", seed)
                 failures += 1
                 continue
             _append_rows(results_path, rows, header_needed)
             header_needed = False
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futs = {pool.submit(_run_one_seed, cfg, s): s for s in cfg.seeds}
-            for fut in concurrent.futures.as_completed(futs):
-                seed = futs[fut]
-                try:
-                    rows = fut.result()
-                except Exception:
-                    logger.exception("seed %d failed", seed)
-                    failures += 1
-                    continue
-                _append_rows(results_path, rows, header_needed)
-                header_needed = False
     if failures == len(cfg.seeds):
         logger.error("all %d seeds failed", failures)
         return 1

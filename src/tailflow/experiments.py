@@ -148,25 +148,6 @@ def _kernel_pdf(m: CometMarginal, x: np.ndarray) -> np.ndarray:
     return np.mean(np.exp(-0.5 * z * z), axis=1) / (m.bandwidth * _SQRT_2PI)
 
 
-def _gpd_log_survivor(e: np.ndarray, shape: float, scale: float) -> np.ndarray:
-    """log(1 - cdf) of a GPD at excess e >= 0; -inf beyond bounded support."""
-    e = np.asarray(e, dtype=float)
-    if shape == 0.0:
-        return -e / scale
-    arg = 1.0 + shape * e / scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(arg > 0.0, -np.log(np.maximum(arg, 1e-300)) / shape, -np.inf)
-    return out
-
-
-def _gpd_quantile(q: np.ndarray, shape: float, scale: float) -> np.ndarray:
-    """Excess with survivor probability 1-q; handles shape of either sign."""
-    q = np.asarray(q, dtype=float)
-    if shape == 0.0:
-        return -scale * np.log1p(-q)
-    return scale * np.expm1(-shape * np.log1p(-q)) / shape
-
-
 def _scale_for_shape(excesses: np.ndarray, shape: float) -> float:
     """ML scale of a GPD with the shape held fixed.
 
@@ -251,13 +232,13 @@ def comet_marginal_cdf(m: CometMarginal, x: np.ndarray) -> np.ndarray:
     hi = x > m.t_hi
     mid = ~(lo | hi)
     if lo.any():
-        sv = np.exp(_gpd_log_survivor(m.t_lo - x[lo], m.shape_lo, m.scale_lo))
+        sv = np.exp(tailest.gpd_log_survivor(m.t_lo - x[lo], m.shape_lo, m.scale_lo))
         out[lo] = _TAIL_MASS * sv
     if mid.any():
         k = _kernel_cdf(m, x[mid])
         out[mid] = _TAIL_MASS + _BODY_MASS * (k - m.k_lo) / (m.k_hi - m.k_lo)
     if hi.any():
-        sv = np.exp(_gpd_log_survivor(x[hi] - m.t_hi, m.shape_hi, m.scale_hi))
+        sv = np.exp(tailest.gpd_log_survivor(x[hi] - m.t_hi, m.shape_hi, m.scale_hi))
         out[hi] = 1.0 - _TAIL_MASS * sv
     return out
 
@@ -296,11 +277,11 @@ def comet_marginal_inv_cdf(m: CometMarginal, u: np.ndarray) -> np.ndarray:
     hi = u > 1.0 - _TAIL_MASS
     mid = ~(lo | hi)
     if lo.any():
-        q = 1.0 - u[lo] / _TAIL_MASS  # survivor target
-        out[lo] = m.t_lo - _gpd_quantile(q, m.shape_lo, m.scale_lo)
+        log_s = np.log(u[lo] / _TAIL_MASS)
+        out[lo] = m.t_lo - tailest.gpd_excess_at_log_survivor(log_s, m.shape_lo, m.scale_lo)
     if hi.any():
-        q = (u[hi] - (1.0 - _TAIL_MASS)) / _TAIL_MASS
-        out[hi] = m.t_hi + _gpd_quantile(q, m.shape_hi, m.scale_hi)
+        log_s = np.log((1.0 - u[hi]) / _TAIL_MASS)
+        out[hi] = m.t_hi + tailest.gpd_excess_at_log_survivor(log_s, m.shape_hi, m.scale_hi)
     for i in np.nonzero(mid)[0]:
         out[i] = _body_quantile(m, float(u[i]))
     return out
@@ -345,11 +326,11 @@ def comet_logit(x: np.ndarray, marginals: list) -> tuple[np.ndarray, np.ndarray]
         lo = xj < m.t_lo
         hi = xj > m.t_hi
         if lo.any():
-            ls = _gpd_log_survivor(m.t_lo - xj[lo], m.shape_lo, m.scale_lo)
+            ls = tailest.gpd_log_survivor(m.t_lo - xj[lo], m.shape_lo, m.scale_lo)
             log_f[lo] = math.log(_TAIL_MASS) + ls
             log_1mf[lo] = np.log1p(-np.exp(log_f[lo]))
         if hi.any():
-            ls = _gpd_log_survivor(xj[hi] - m.t_hi, m.shape_hi, m.scale_hi)
+            ls = tailest.gpd_log_survivor(xj[hi] - m.t_hi, m.shape_hi, m.scale_hi)
             log_1mf[hi] = math.log(_TAIL_MASS) + ls
             log_f[hi] = np.log1p(-np.exp(log_1mf[hi]))
         u[:, j] = log_f - log_1mf
@@ -374,20 +355,13 @@ def comet_push(u: np.ndarray, marginals: list) -> tuple[np.ndarray, np.ndarray]:
         hi = log_1ms < math.log(_TAIL_MASS)
         mid = ~(lo | hi)
         if lo.any():
-            # survivor target q with log(1-q) = log_s - log(tail mass)
-            log_q1m = log_s[lo] - math.log(_TAIL_MASS)
-            e = m.scale_lo * (
-                np.expm1(-m.shape_lo * log_q1m) / m.shape_lo
-                if m.shape_lo != 0.0
-                else -log_q1m
+            e = tailest.gpd_excess_at_log_survivor(
+                log_s[lo] - math.log(_TAIL_MASS), m.shape_lo, m.scale_lo
             )
             xj[lo] = m.t_lo - e
         if hi.any():
-            log_q1m = log_1ms[hi] - math.log(_TAIL_MASS)
-            e = m.scale_hi * (
-                np.expm1(-m.shape_hi * log_q1m) / m.shape_hi
-                if m.shape_hi != 0.0
-                else -log_q1m
+            e = tailest.gpd_excess_at_log_survivor(
+                log_1ms[hi] - math.log(_TAIL_MASS), m.shape_hi, m.scale_hi
             )
             xj[hi] = m.t_hi + e
         if mid.any():
@@ -645,6 +619,37 @@ def _lambda_rows(model: flows.FlowModel, head: dict) -> list[dict]:
     return rows
 
 
+def fit_de_on_splits(
+    model: flows.FlowModel,
+    train: np.ndarray,
+    valid: np.ndarray,
+    test: np.ndarray,
+    cfg: training.TrainConfig,
+    trace_path: str | None = None,
+    comet_tail_shape: float | None = None,
+) -> tuple[training.TrainResult, float]:
+    """Fit a built model on train/valid; returns (result, test NLL per dimension).
+
+    A COMET model trains on the logits of marginals fit to train+valid, with
+    both tail shapes pinned to ``comet_tail_shape`` when given (ML-fit
+    otherwise); its test density carries the marginal Jacobian back to data
+    space.
+    """
+    jac_te = 0.0
+    if model.name == "COMET":
+        fit_data = np.concatenate([train, valid], axis=0)
+        marg = [
+            comet_marginal_fit(fit_data[:, j], tail_shape=comet_tail_shape)
+            for j in range(model.d)
+        ]
+        train, _ = comet_logit(train, marg)
+        valid, _ = comet_logit(valid, marg)
+        test, jac_te = comet_logit(test, marg)
+    result = training.fit_density(model, train, valid, cfg, trace_path=trace_path)
+    test_lp = flows.flow_log_prob(test, model) + jac_te
+    return result, float(-np.mean(test_lp)) / model.d
+
+
 def run_de_cell(
     flow: str,
     d: int,
@@ -661,25 +666,10 @@ def run_de_cell(
     spec = SyntheticDeSpec(d=d, nu=nu, seed=seed)
     train, valid, test, log_density = gen_synthetic_de(spec)
     cfg = cfg if cfg is not None else de_train_config(seed)
-
-    if flow == "COMET":
-        fit_data = np.concatenate([train, valid], axis=0)
-        marg = [
-            comet_marginal_fit(fit_data[:, j], tail_shape=true_tail_shape(nu))
-            for j in range(d)
-        ]
-        u_tr, _ = comet_logit(train, marg)
-        u_va, _ = comet_logit(valid, marg)
-        u_te, jac_te = comet_logit(test, marg)
-        model = flows.build_architecture(flow, d, seed=seed)
-        result = training.fit_density(model, u_tr, u_va, cfg, trace_path=trace_path)
-        test_lp = flows.flow_log_prob(u_te, model) + jac_te
-    else:
-        model = _build_for_synthetic(flow, d, nu, seed)
-        result = training.fit_density(model, train, valid, cfg, trace_path=trace_path)
-        test_lp = flows.flow_log_prob(test, model)
-
-    nll = float(-np.mean(test_lp)) / d
+    model = _build_for_synthetic(flow, d, nu, seed)
+    result, nll = fit_de_on_splits(
+        model, train, valid, test, cfg, trace_path, comet_tail_shape=true_tail_shape(nu)
+    )
     true_nll = float(-np.mean(log_density(test))) / d
     head = dict(flow=flow, d=d, nu=nu, seed=seed, diverged=result.diverged)
     rows = [

@@ -491,7 +491,7 @@ class MarginalTtfLayer:
 
     def forward(self, params, z):
         mu, sigma, lam_p, lam_n = self._row_params(params)
-        x = tt._forward_core(z, mu, sigma, lam_p, lam_n)
+        x = tt.ttf_forward(z, mu=mu, sigma=sigma, lambda_pos=lam_p, lambda_neg=lam_n)
         ld = tt.ttf_log_deriv(z, mu=mu, sigma=sigma, lambda_pos=lam_p, lambda_neg=lam_n)
         return x, ld.sum(axis=1)
 
@@ -552,15 +552,18 @@ class StudentTBase:
         return np.stack([rng.student_t(nu[j], n) for j in range(self.d)], axis=1)
 
     def sample_node(self, tape: Tape, params, rng: special.Rng, n: int):
+        """Reparameterized draws; a frozen nu enters the tape as constant draws."""
         nu_raw = params["base.nu_raw"]
-        cols = []
-        for j in range(self.d):
-            nu_j = ad.softplus(nu_raw[j])
-            if isinstance(nu_j, Var):
-                cols.append(ad.sample_student_t_node(nu_j, rng.child(j), n))
-            else:
-                cols.append(tape.lift(rng.child(j).student_t(nu_j, n)))
-        return _stack_cols([tape.as_var(c) for c in cols])
+        if not self.trainable:
+            nu = ad.softplus(value_of(nu_raw))
+            return tape.lift(np.stack(
+                [special.sample_student_t(nu[j], rng.child(j), size=n) for j in range(self.d)],
+                axis=1,
+            ))
+        return _stack_cols([
+            ad.sample_student_t_node(ad.softplus(nu_raw[j]), rng.child(j), n)
+            for j in range(self.d)
+        ])
 
 
 class GaussianMixtureBase:

@@ -276,6 +276,36 @@ def gpd_log_density(x: np.ndarray, shape: float, scale: float) -> np.ndarray:
     return (-1.0 / shape - 1.0) * np.log(out) - np.log(scale)
 
 
+def gpd_log_survivor(e: np.ndarray, shape: float, scale: float) -> np.ndarray:
+    """log(1 - cdf) of the GPD with location 0 at excess e >= 0.
+
+    Returns -inf beyond the bounded support of a negative shape.
+    """
+    e = np.asarray(e, dtype=float)
+    if scale <= 0.0:
+        raise ValueError("scale must be positive")
+    if shape == 0.0:
+        return -e / scale
+    arg = 1.0 + shape * e / scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(arg > 0.0, -np.log(np.maximum(arg, 1e-300)) / shape, -np.inf)
+
+
+def gpd_excess_at_log_survivor(log_s: np.ndarray, shape: float, scale: float) -> np.ndarray:
+    """Inverse of ``gpd_log_survivor``: the excess whose log survivor is log_s <= 0.
+
+    expm1 keeps the small-shape limit -scale * log_s accurate.
+    """
+    log_s = np.asarray(log_s, dtype=float)
+    if scale <= 0.0:
+        raise ValueError("scale must be positive")
+    if np.any(log_s > 0.0):
+        raise ValueError("log survivor must be nonpositive")
+    if shape == 0.0:
+        return -scale * log_s
+    return scale * (np.expm1(-shape * log_s) / shape)
+
+
 def estimate_marginal_tails(
     data: np.ndarray, rng: special.Rng | None = None
 ) -> TailEstimate:

@@ -1,4 +1,4 @@
-"""The tail transform and its relatives.
+"""The tail transform (TTF): the elementwise final layer of a tail transform flow.
 
 The forward map sends a Gaussian-tailed variable z to
 
@@ -9,12 +9,16 @@ powers of erfc are taken as exp(-lambda * log erfc), never by direct
 powering: the tail probability itself underflows long before its logarithm
 loses accuracy.  Every function here is written against dispatch helpers so
 the same formula serves plain numpy arrays and tape variables.
+
+Three functions make up the API, each taking keyword-only ``mu, sigma,
+lambda_pos, lambda_neg`` that broadcast against the input:
+
+- ``ttf_forward``: z -> x;
+- ``ttf_log_deriv``: log dx/dz at z;
+- ``ttf_inverse_with_log_deriv``: x -> (z, log |dz/dx|) in one pass.
 """
 
 from __future__ import annotations
-
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,19 +26,7 @@ from . import autodiff as ad
 from . import special
 from .autodiff import value_of
 
-__all__ = [
-    "TailParams",
-    "MarginalTailLayer",
-    "ttf_forward",
-    "ttf_log_deriv",
-    "ttf_inverse",
-    "ttf_inverse_log_deriv",
-    "ttf_alt_forward",
-    "gpd_quantile",
-    "two_tailed_quantile",
-    "marginal_layer_forward",
-    "marginal_layer_inverse",
-]
+__all__ = ["ttf_forward", "ttf_log_deriv", "ttf_inverse_with_log_deriv"]
 
 _SQRT2 = np.sqrt(2.0)
 # Correctly rounded literals; the np.log(2.0 / np.pi) forms are 1 ulp off.
@@ -50,54 +42,6 @@ _MAX_EXPONENT = 690.0
 _MAX_VALUE = 1e300
 
 
-@dataclass
-class TailParams:
-    """Location, scale and the two tail-shape parameters of one marginal."""
-
-    mu: float = 0.0
-    sigma: float = 1.0
-    lambda_pos: float = 1.0
-    lambda_neg: float = 1.0
-
-    def __post_init__(self):
-        if not (self.sigma > 0.0):
-            raise ValueError("TailParams: sigma must be positive")
-        if not (self.lambda_pos > 0.0 and self.lambda_neg > 0.0):
-            raise ValueError("TailParams: tail shapes must be positive")
-
-
-class MarginalTailLayer:
-    """Elementwise tail transform: one set of TailParams per dimension.
-
-    ``frozen`` marks dimensions whose tail shapes stay fixed during training
-    (the two-stage variant).  Light-tailed dimensions use the small-shape
-    convention lambda = 1/1000 rather than an identity bypass.
-    """
-
-    LIGHT_TAIL_LAMBDA = 1e-3
-
-    def __init__(self, params: list[TailParams], frozen=None):
-        self.mu = np.array([p.mu for p in params], dtype=float)
-        self.sigma = np.array([p.sigma for p in params], dtype=float)
-        self.lambda_pos = np.array([p.lambda_pos for p in params], dtype=float)
-        self.lambda_neg = np.array([p.lambda_neg for p in params], dtype=float)
-        if frozen is None:
-            frozen = [False] * len(params)
-        self.frozen = np.asarray(frozen, dtype=bool)
-        if self.frozen.shape != self.mu.shape:
-            raise ValueError("MarginalTailLayer: frozen flags must match dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.mu.size
-
-    def params(self) -> list[TailParams]:
-        return [
-            TailParams(self.mu[i], self.sigma[i], self.lambda_pos[i], self.lambda_neg[i])
-            for i in range(self.dim)
-        ]
-
-
 def _split_lambda(sign_mask, lambda_pos, lambda_neg):
     """Per-lane tail shape: lambda_pos where z >= 0, lambda_neg otherwise."""
     if lambda_pos is lambda_neg:
@@ -105,47 +49,29 @@ def _split_lambda(sign_mask, lambda_pos, lambda_neg):
     return ad.where_mask(sign_mask, lambda_pos, lambda_neg)
 
 
-def _clamp_max(x, hi):
-    if isinstance(x, ad.Var):
-        return x.minimum(hi)
-    return np.minimum(x, hi)
+def ttf_forward(z, *, mu, sigma, lambda_pos, lambda_neg):
+    """Map base-space z to data space; strictly increasing, C1 at z = 0.
 
-
-def _forward_core(z, mu, sigma, lambda_pos, lambda_neg, saturate_warn=False):
+    Extreme inputs saturate to a large finite value rather than overflowing.
+    """
     zv = value_of(z)
     pos = zv >= 0.0
     s = np.where(pos, 1.0, -1.0)
     lam = _split_lambda(pos, lambda_pos, lambda_neg)
     log_tail = ad.log_erfc(ad.absolute(z) * (1.0 / _SQRT2))
-    expo = -lam * log_tail
-    if saturate_warn and np.any(value_of(expo) > _MAX_EXPONENT):
-        warnings.warn("ttf_forward: saturated at extreme input", RuntimeWarning, stacklevel=3)
-    bracket = ad.expm1(_clamp_max(expo, _MAX_EXPONENT))
+    bracket = ad.expm1(ad.minimum_const(-lam * log_tail, _MAX_EXPONENT))
     x = mu + sigma * ((bracket / lam) * s)
     # scale/shape can push the saturated bracket past the float range; keep the
     # output a large finite value rather than letting inf poison downstream
-    return -_clamp_max(-_clamp_max(x, _MAX_VALUE), _MAX_VALUE)
+    return -ad.minimum_const(-ad.minimum_const(x, _MAX_VALUE), _MAX_VALUE)
 
 
-def ttf_forward(z, p, saturate_warn: bool = True):
-    """Map base-space z to data space; strictly increasing, C1 at z = 0.
-
-    Extreme inputs saturate to a large finite value (with a warning) rather
-    than overflowing.
-    """
-    return _forward_core(
-        z, p.mu, p.sigma, p.lambda_pos, p.lambda_neg, saturate_warn=saturate_warn
-    )
-
-
-def ttf_log_deriv(z, p=None, *, mu=None, sigma=None, lambda_pos=None, lambda_neg=None):
+def ttf_log_deriv(z, *, mu, sigma, lambda_pos, lambda_neg):
     """log dx/dz, computed entirely in log space.
 
     Equals log sigma + (1/2) log(2/pi) - z^2/2 - (lambda_s + 1) log erfc(|z|/sqrt 2);
     at z = 0 this is log(sigma sqrt(2/pi)) with no dependence on the shapes.
     """
-    if p is not None:
-        mu, sigma, lambda_pos, lambda_neg = p.mu, p.sigma, p.lambda_pos, p.lambda_neg
     zv = value_of(z)
     pos = zv >= 0.0
     lam = _split_lambda(pos, lambda_pos, lambda_neg)
@@ -177,8 +103,16 @@ def _stable_inverse_branch(log_p, stable):
     return w_var * _SQRT2
 
 
-def _inverse_core(x, mu, sigma, lambda_pos, lambda_neg):
-    """Shared inverse machinery; returns (z, log y, per-lane lambda, sign)."""
+def ttf_inverse_with_log_deriv(x, *, mu, sigma, lambda_pos, lambda_neg):
+    """Map data space back to base space; returns (z, log |dz/dx|).
+
+    Uses z = s sqrt(2) erfc_inv(y^(-1/lambda_s)) with y = lambda_s |(x-mu)/sigma| + 1,
+    switching to the asymptotic branch z = s [eta - log eta]^(1/2),
+    eta = (2/lambda_s) log y + log(2/pi), once y^(-1/lambda_s) < 1e-6.  The
+    log-derivative is the negated forward one, written as
+    -log sigma + (1/2) log(pi/2) + z^2/2 - (1 + 1/lambda_s) log y, which is
+    exact because log erfc(|z|/sqrt 2) = -(log y)/lambda_s on the inverse path.
+    """
     t = (x - mu) / sigma
     tv = value_of(t)
     pos = tv >= 0.0
@@ -201,117 +135,6 @@ def _inverse_core(x, mu, sigma, lambda_pos, lambda_neg):
         z_abs = z_stable
     else:
         z_abs = z_direct
-    return z_abs * s, log_y, lam, s
-
-
-def ttf_inverse(x, p=None, *, mu=None, sigma=None, lambda_pos=None, lambda_neg=None):
-    """Map data space back to base space.
-
-    Uses z = s sqrt(2) erfc_inv(y^(-1/lambda_s)) with y = lambda_s |(x-mu)/sigma| + 1,
-    switching to the asymptotic branch z = s [eta - log eta]^(1/2),
-    eta = (2/lambda_s) log y + log(2/pi), once y^(-1/lambda_s) < 1e-6.
-    """
-    if p is not None:
-        mu, sigma, lambda_pos, lambda_neg = p.mu, p.sigma, p.lambda_pos, p.lambda_neg
-    z, _, _, _ = _inverse_core(x, mu, sigma, lambda_pos, lambda_neg)
-    return z
-
-
-def ttf_inverse_log_deriv(x, p=None, *, mu=None, sigma=None, lambda_pos=None, lambda_neg=None):
-    """log |dz/dx| at z = inverse(x); the negated forward log-derivative.
-
-    Written as -log sigma + (1/2) log(pi/2) + z^2/2 - (1 + 1/lambda_s) log y,
-    which is exact because log erfc(|z|/sqrt 2) = -(log y)/lambda_s on the
-    inverse path.
-    """
-    if p is not None:
-        mu, sigma, lambda_pos, lambda_neg = p.mu, p.sigma, p.lambda_pos, p.lambda_neg
-    z, log_y, lam, _ = _inverse_core(x, mu, sigma, lambda_pos, lambda_neg)
-    return -ad.log(sigma) - _HALF_LOG_2_OVER_PI + (z * z) * 0.5 - (1.0 + 1.0 / lam) * log_y
-
-
-def ttf_inverse_with_log_deriv(x, *, mu, sigma, lambda_pos, lambda_neg):
-    """Inverse and its log-derivative in one pass (shared subexpressions)."""
-    z, log_y, lam, _ = _inverse_core(x, mu, sigma, lambda_pos, lambda_neg)
+    z = z_abs * s
     ld = -ad.log(sigma) - _HALF_LOG_2_OVER_PI + (z * z) * 0.5 - (1.0 + 1.0 / lam) * log_y
     return z, ld
-
-
-def ttf_alt_forward(z, p):
-    """Variant with the extra 1/2 inside the power; discontinuous at z = 0.
-
-    Returns (s/lambda_s) [(erfc(|z|/sqrt 2)/2)^(-lambda_s) - 1]; one-sided
-    limits at 0 are +-(2^(lambda) - 1)/lambda.
-    """
-    zv = value_of(z)
-    pos = zv >= 0.0
-    s = np.where(pos, 1.0, -1.0)
-    lam = _split_lambda(pos, p.lambda_pos, p.lambda_neg)
-    log_half_tail = ad.log_erfc(ad.absolute(z) * (1.0 / _SQRT2)) - np.log(2.0)
-    bracket = ad.expm1(_clamp_max(-lam * log_half_tail, _MAX_EXPONENT))
-    return (bracket / lam) * s
-
-
-def gpd_quantile(u, lam):
-    """Generalized Pareto quantile (1/lambda)[(1-u)^(-lambda) - 1], u in [0, 1)."""
-    uv = value_of(u)
-    if np.any(uv < 0.0) or np.any(uv >= 1.0):
-        raise ValueError("gpd_quantile: u must lie in [0, 1)")
-    if np.any(value_of(lam) <= 0.0):
-        raise ValueError("gpd_quantile: lambda must be positive")
-    # expm1/log1p keep the small-lambda limit -log(1-u) accurate.
-    return ad.expm1(-lam * ad.log1p(-u)) / lam
-
-
-def two_tailed_quantile(u, lambda_pos, lambda_neg):
-    """Signed quantile (s/lambda_s)[(1-|u|)^(-lambda_s) - 1] for u in (-1, 1)."""
-    uv = value_of(u)
-    if np.any(np.abs(uv) >= 1.0):
-        raise ValueError("two_tailed_quantile: |u| must be below 1")
-    pos = uv >= 0.0
-    s = np.where(pos, 1.0, -1.0)
-    lam = _split_lambda(pos, lambda_pos, lambda_neg)
-    return ad.expm1(-lam * ad.log1p(-ad.absolute(u))) / lam * s
-
-
-def _layer_arrays(x, layer: MarginalTailLayer):
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    if d != layer.dim:
-        raise ValueError(f"marginal layer: expected dimension {layer.dim}, got {d}")
-    return x
-
-
-def marginal_layer_forward(z, layer: MarginalTailLayer):
-    """Elementwise forward over a (d,) vector or (n, d) batch.
-
-    Returns (x, log_det) with log_det the sum of per-dimension forward
-    log-derivatives (diagonal Jacobian).
-    """
-    z = _layer_arrays(z, layer)
-    x = _forward_core(z, layer.mu, layer.sigma, layer.lambda_pos, layer.lambda_neg)
-    ld = ttf_log_deriv(
-        z, mu=layer.mu, sigma=layer.sigma,
-        lambda_pos=layer.lambda_pos, lambda_neg=layer.lambda_neg,
-    )
-    return x, np.sum(ld, axis=-1)
-
-
-def marginal_layer_inverse(x, layer: MarginalTailLayer):
-    """Elementwise inverse; log_det accumulates the inverse log-derivatives."""
-    x = _layer_arrays(x, layer)
-    z, ld = ttf_inverse_with_log_deriv(
-        x, mu=layer.mu, sigma=layer.sigma,
-        lambda_pos=layer.lambda_pos, lambda_neg=layer.lambda_neg,
-    )
-    return z, np.sum(ld, axis=-1)
-
-
-def marginal_layer_log_det(z, layer: MarginalTailLayer):
-    """Forward log-determinant alone (diagonal Jacobian sum)."""
-    z = _layer_arrays(z, layer)
-    ld = ttf_log_deriv(
-        z, mu=layer.mu, sigma=layer.sigma,
-        lambda_pos=layer.lambda_pos, lambda_neg=layer.lambda_neg,
-    )
-    return np.sum(ld, axis=-1)

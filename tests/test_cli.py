@@ -70,8 +70,8 @@ def data_csv(tmp_path_factory):
     return str(path)
 
 
-def _de_csv(out_dir, data, *flags):
-    argv = ["de-csv", "--data", data, "--epochs", "3", "--seeds", "0,1",
+def _de_csv(out_dir, data, *flags, seeds="0,1"):
+    argv = ["de-csv", "--data", data, "--epochs", "3", "--seeds", seeds,
             "--out-dir", str(out_dir), *flags]
     assert cli.main(argv) == 0
     return (out_dir / "results_de-csv.csv").read_text()
@@ -82,6 +82,13 @@ class TestDeCsv:
     def test_rows_pinned(self, tmp_path, data_csv, flow):
         got = _de_csv(tmp_path, data_csv, "--flow", flow)
         assert got.replace("\r\n", "\n") == HEADER + "\n" + EXPECTED[flow]
+
+    def test_parallel_rows_in_seed_order(self, tmp_path, data_csv):
+        serial = _de_csv(tmp_path / "serial", data_csv, seeds="1,0")
+        parallel = _de_csv(tmp_path / "parallel", data_csv, "--jobs", "2", seeds="1,0")
+        assert parallel == serial
+        seeds = [line.split(",")[3] for line in serial.splitlines()[1:]]
+        assert seeds == ["1"] * 6 + ["0"] * 6
 
 
 class TestUsageErrors:

@@ -122,6 +122,15 @@ class TestCometMarginal:
         back = E.comet_marginal_inv_cdf(m, E.comet_marginal_cdf(m, xs))
         np.testing.assert_allclose(back, xs, atol=1e-6)
 
+    def test_deep_lower_tail_quantile_round_trip(self, t2_marginal):
+        # the tail quantile works from log(u / 0.05), so u far below machine
+        # epsilon still maps to a finite point with the requested cdf
+        _, m = t2_marginal
+        u = np.array([1e-20, 1e-12, 1e-6, 0.01])
+        x = E.comet_marginal_inv_cdf(m, u)
+        assert np.all(np.isfinite(x))
+        np.testing.assert_allclose(E.comet_marginal_cdf(m, x), u, rtol=1e-12)
+
     def test_heavy_tail_shape_recovered(self, t2_marginal):
         _, m = t2_marginal
         assert abs(m.shape_hi - 0.5) < 0.1

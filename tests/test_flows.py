@@ -449,6 +449,23 @@ class TestBases:
         assert abs(np.mean(draws)) < 0.02
         assert abs(np.std(draws) - 1.0) < 0.02
 
+    @pytest.mark.parametrize("nu", [0.8, 1.5, 2.0, 3.0, 4.0, 30.0])
+    def test_frozen_student_t_draws_match_tape_sampler(self, nu):
+        # a frozen base lifts plain draws; they equal the differentiable
+        # sampler's bit for bit, so freezing nu leaves the samples unchanged
+        base = flows.StudentTBase(3, trainable=False)
+        nu_raw = np.full(3, flows.softplus_inv(nu))
+        tape = ad.Tape()
+        got = base.sample_node(tape, {"base.nu_raw": tape.lift(nu_raw)}, special.Rng(5), 200)
+        nu_var = ad.softplus(ad.Tape().param(nu_raw, "base.nu_raw"))
+        want = np.stack(
+            [ad.sample_student_t_node(nu_var[j], special.Rng(5).child(j), 200).value
+             for j in range(3)],
+            axis=1,
+        )
+        np.testing.assert_array_equal(got.value, want)
+        assert len(tape.ops) == 2  # the lifted nu_raw and the lifted draws
+
     def test_trainable_nu_gradient_flows(self):
         base = flows.StudentTBase(2, trainable=True, nu_init=5.0)
         params = base.init_params(special.Rng(0))
@@ -542,12 +559,10 @@ class TestFlowModel:
         lam_n = float(np.logaddexp(0, model.params["tails.ln_raw"][0]))
         x = np.concatenate([np.linspace(-40, 40, 81), [300.0, -75.0]])
         got = np.asarray(flows.flow_log_prob(x[:, None], model))
-        z = tt.ttf_inverse(x, mu=0.0, sigma=1.0, lambda_pos=lam_p, lambda_neg=lam_n)
-        want = (
-            -0.5 * z * z - 0.5 * LOG_2PI
-            + tt.ttf_inverse_log_deriv(x, mu=0.0, sigma=1.0,
-                                       lambda_pos=lam_p, lambda_neg=lam_n)
+        z, ld = tt.ttf_inverse_with_log_deriv(
+            x, mu=0.0, sigma=1.0, lambda_pos=lam_p, lambda_neg=lam_n
         )
+        want = -0.5 * z * z - 0.5 * LOG_2PI + ld
         np.testing.assert_allclose(got, want, atol=1e-8)
 
 

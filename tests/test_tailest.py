@@ -134,6 +134,63 @@ class TestGpdLogDensity:
             tailest.gpd_log_density(np.array([1.0]), 0.5, 0.0)
 
 
+class TestGpdSurvivor:
+    GPD_Q_09_SHAPE1E8 = 2.3025851195035364399   # excess at survivor 0.1, shape 1e-8
+
+    @pytest.mark.parametrize("shape", [-0.3, 0.0, 0.7])
+    def test_matches_scipy(self, shape):
+        from scipy.stats import genpareto
+
+        scale = 1.7
+        dist = genpareto(c=shape, scale=scale)
+        e = np.linspace(0.0, 5.0, 41)  # inside the support [0, 5.67) at shape -0.3
+        np.testing.assert_allclose(
+            tailest.gpd_log_survivor(e, shape, scale), dist.logsf(e), rtol=1e-13, atol=1e-15
+        )
+        # scipy's isf works from exp(log_s) and loses digits as that nears 1
+        log_s = -np.logspace(-3, 2, 41)
+        np.testing.assert_allclose(
+            tailest.gpd_excess_at_log_survivor(log_s, shape, scale),
+            dist.isf(np.exp(log_s)), rtol=1e-12,
+        )
+
+    @pytest.mark.parametrize("shape", [-0.3, 0.0, 0.7])
+    def test_inverse_round_trip(self, shape):
+        # log(1 + shape e / scale) is accurate in absolute, not relative,
+        # terms for small e, so the tolerance has an absolute floor
+        e = np.concatenate([[0.0], np.logspace(-8, 0.7, 40)])
+        back = tailest.gpd_excess_at_log_survivor(
+            tailest.gpd_log_survivor(e, shape, 1.7), shape, 1.7
+        )
+        np.testing.assert_allclose(back, e, rtol=1e-13, atol=1e-15)
+
+    def test_excess_basics(self):
+        assert tailest.gpd_excess_at_log_survivor(0.0, 1.0, 1.0) == 0.0
+        assert abs(tailest.gpd_excess_at_log_survivor(np.log(0.5), 1.0, 1.0) - 1.0) < 1e-15
+        # expm1 keeps the small-shape limit -log(0.1) accurate
+        got = tailest.gpd_excess_at_log_survivor(np.log(0.1), 1e-8, 1.0)
+        assert abs(got - self.GPD_Q_09_SHAPE1E8) < 1e-6 * self.GPD_Q_09_SHAPE1E8
+
+    def test_excess_increasing_in_cdf(self):
+        u = np.linspace(0.0, 0.999, 500)
+        e = tailest.gpd_excess_at_log_survivor(np.log1p(-u), 0.7, 1.0)
+        assert np.all(np.diff(e) > 0)
+
+    def test_negative_shape_support_boundary(self):
+        # shape -0.25, scale 1: support is [0, 4)
+        out = tailest.gpd_log_survivor(np.array([3.9, 4.0, 5.0]), -0.25, 1.0)
+        assert np.isfinite(out[0])
+        assert out[1] == -np.inf and out[2] == -np.inf
+
+    def test_domain(self):
+        with pytest.raises(ValueError, match="nonpositive"):
+            tailest.gpd_excess_at_log_survivor(np.array([0.1]), 1.0, 1.0)
+        with pytest.raises(ValueError, match="scale"):
+            tailest.gpd_excess_at_log_survivor(np.array([-1.0]), 1.0, 0.0)
+        with pytest.raises(ValueError, match="scale"):
+            tailest.gpd_log_survivor(np.array([1.0]), 0.5, 0.0)
+
+
 class TestEstimateMarginalTails:
     @staticmethod
     def _synthetic(nu, seed):

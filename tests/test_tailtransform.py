@@ -4,75 +4,61 @@ high-precision oracle values, branch agreement, and the elementwise layer."""
 import numpy as np
 import pytest
 
+from tailflow import flows, special, tailest
 from tailflow import tailtransform as tt
-from tailflow.tailtransform import TailParams
 
 # Frozen 50-digit evaluations of the transform (mpmath oracle; see the
 # derivations in the repo-external build notes).
 R_1_LAM1 = 2.1514871875343770479            # R(1; lam=1)
-R_ALT_1_LAM1 = 5.3029743750687540957        # alt variant, same point
 R_17_LAM04 = 4.0754978818429888557          # R(1.7; lam=0.4)
 R_N22_LAM04_13 = -80.263113097068376645     # R(-2.2; lam+=0.4, lam-=1.3)
 R_3_LAM3_MU2_S05 = 8469464.7422097716265    # R(3; lam=3, mu=2, sigma=0.5)
 LOG_DR_12_LAM07 = 1.5516282006777225277     # log dR/dz (1.2; lam=0.7)
 LOG_DR_30_LAM2 = 910.65849897470502796      # log dR/dz (30; lam=2)
-GPD_Q_09_LAM1E8 = 2.3025851195035364399     # gpd quantile u=.9, lam=1e-8
 SQRT_2_OVER_PI = 0.79788456080286535588     # sqrt(2/pi)
 
 
-class TestTailParams:
-    def test_defaults(self):
-        p = TailParams()
-        assert (p.mu, p.sigma, p.lambda_pos, p.lambda_neg) == (0.0, 1.0, 1.0, 1.0)
+def params(mu=0.0, sigma=1.0, lambda_pos=1.0, lambda_neg=None):
+    """Keyword arguments of the tail transform; lambda_neg defaults to lambda_pos."""
+    return dict(mu=mu, sigma=sigma, lambda_pos=lambda_pos,
+                lambda_neg=lambda_pos if lambda_neg is None else lambda_neg)
 
-    @pytest.mark.parametrize(
-        "kw", [{"sigma": 0.0}, {"sigma": -1.0}, {"lambda_pos": 0.0}, {"lambda_neg": -0.5}]
-    )
-    def test_positivity_enforced(self, kw):
-        with pytest.raises(ValueError):
-            TailParams(**kw)
+
+def inverse(x, p):
+    return tt.ttf_inverse_with_log_deriv(x, **p)[0]
+
+
+def inverse_log_deriv(x, p):
+    return tt.ttf_inverse_with_log_deriv(x, **p)[1]
 
 
 class TestForward:
     def test_zero_maps_to_mu(self):
         for mu in (0.0, 2.0, -3.5):
-            p = TailParams(mu=mu, sigma=0.5, lambda_pos=2.0, lambda_neg=0.3)
-            assert tt.ttf_forward(0.0, p) == mu
+            p = params(mu=mu, sigma=0.5, lambda_pos=2.0, lambda_neg=0.3)
+            assert tt.ttf_forward(0.0, **p) == mu
 
     def test_odd_symmetry_when_tails_match(self):
-        p = TailParams(lambda_pos=0.7, lambda_neg=0.7)
-        assert abs(tt.ttf_forward(-1.7, p) + tt.ttf_forward(1.7, p)) < 1e-12
+        p = params(lambda_pos=0.7)
+        assert abs(tt.ttf_forward(-1.7, **p) + tt.ttf_forward(1.7, **p)) < 1e-12
 
     def test_oracle_points(self):
-        assert abs(tt.ttf_forward(1.0, TailParams()) - R_1_LAM1) < 1e-13
-        p = TailParams(lambda_pos=0.4, lambda_neg=0.4)
-        assert abs(tt.ttf_forward(1.7, p) - R_17_LAM04) < 1e-13
-        p = TailParams(lambda_pos=0.4, lambda_neg=1.3)
-        assert abs(tt.ttf_forward(-2.2, p) - R_N22_LAM04_13) / abs(R_N22_LAM04_13) < 1e-13
-        p = TailParams(mu=2.0, sigma=0.5, lambda_pos=3.0, lambda_neg=3.0)
-        assert abs(tt.ttf_forward(3.0, p) - R_3_LAM3_MU2_S05) / R_3_LAM3_MU2_S05 < 1e-13
-
-    def test_keyword_route_matches_params_route(self):
-        z = np.linspace(-4, 4, 41)
-        p = TailParams(mu=0.3, sigma=1.4, lambda_pos=0.8, lambda_neg=2.0)
-        kw = dict(mu=0.3, sigma=1.4, lambda_pos=0.8, lambda_neg=2.0)
-        np.testing.assert_array_equal(tt.ttf_log_deriv(z, **kw), tt.ttf_log_deriv(z, p))
-        x = tt.ttf_forward(z, p)
-        np.testing.assert_array_equal(tt.ttf_inverse(x, **kw), tt.ttf_inverse(x, p))
-        np.testing.assert_array_equal(
-            tt.ttf_inverse_log_deriv(x, **kw), tt.ttf_inverse_log_deriv(x, p)
-        )
+        assert abs(tt.ttf_forward(1.0, **params()) - R_1_LAM1) < 1e-13
+        p = params(lambda_pos=0.4)
+        assert abs(tt.ttf_forward(1.7, **p) - R_17_LAM04) < 1e-13
+        p = params(lambda_pos=0.4, lambda_neg=1.3)
+        assert abs(tt.ttf_forward(-2.2, **p) - R_N22_LAM04_13) / abs(R_N22_LAM04_13) < 1e-13
+        p = params(mu=2.0, sigma=0.5, lambda_pos=3.0)
+        assert abs(tt.ttf_forward(3.0, **p) - R_3_LAM3_MU2_S05) / R_3_LAM3_MU2_S05 < 1e-13
 
     def test_monotone_increasing(self):
         z = np.linspace(-8, 8, 2001)
         for lam_p, lam_n in [(0.1, 0.1), (1.0, 3.0), (3.0, 0.5)]:
-            p = TailParams(sigma=0.7, lambda_pos=lam_p, lambda_neg=lam_n)
-            x = tt.ttf_forward(z, p)
+            x = tt.ttf_forward(z, **params(sigma=0.7, lambda_pos=lam_p, lambda_neg=lam_n))
             assert np.all(np.diff(x) > 0)
 
     def test_extreme_z_saturates_finite(self):
-        p = TailParams(lambda_pos=3.0, lambda_neg=3.0)
-        x = tt.ttf_forward(np.array([50.0, -50.0]), p, saturate_warn=False)
+        x = tt.ttf_forward(np.array([50.0, -50.0]), **params(lambda_pos=3.0))
         assert np.all(np.isfinite(x))
         assert x[0] > 1e250 and x[1] < -1e250
 
@@ -87,208 +73,149 @@ class TestLogDeriv:
     def test_origin_value_no_lambda_dependence(self):
         for sigma in (1.0, 0.5, 3.0):
             for lam in (0.1, 1.0, 5.0):
-                p = TailParams(sigma=sigma, lambda_pos=lam, lambda_neg=lam)
-                got = tt.ttf_log_deriv(0.0, p)
+                got = tt.ttf_log_deriv(0.0, **params(sigma=sigma, lambda_pos=lam))
                 assert abs(got - np.log(sigma * SQRT_2_OVER_PI)) < 1e-10
 
     def test_oracle_points(self):
-        p = TailParams(lambda_pos=0.7, lambda_neg=0.7)
-        assert abs(tt.ttf_log_deriv(1.2, p) - LOG_DR_12_LAM07) < 1e-12
-        p = TailParams(lambda_pos=2.0, lambda_neg=2.0)
-        got = tt.ttf_log_deriv(30.0, p)
+        assert abs(tt.ttf_log_deriv(1.2, **params(lambda_pos=0.7)) - LOG_DR_12_LAM07) < 1e-12
+        got = tt.ttf_log_deriv(30.0, **params(lambda_pos=2.0))
         assert np.isfinite(got)
         assert abs(got - LOG_DR_30_LAM2) / LOG_DR_30_LAM2 < 1e-14
 
     def test_matches_finite_difference(self):
-        p = TailParams(sigma=1.3, lambda_pos=0.9, lambda_neg=1.8)
+        p = params(sigma=1.3, lambda_pos=0.9, lambda_neg=1.8)
         for z in (-2.0, -0.3, 0.0, 1.2, 3.0):
             h = 1e-6 * max(1.0, abs(z))
-            fd = (tt.ttf_forward(z + h, p) - tt.ttf_forward(z - h, p)) / (2 * h)
-            got = tt.ttf_log_deriv(z, p)
+            fd = (tt.ttf_forward(z + h, **p) - tt.ttf_forward(z - h, **p)) / (2 * h)
+            got = tt.ttf_log_deriv(z, **p)
             assert abs(got - np.log(fd)) < 1e-6
 
     def test_c1_at_origin_one_sided(self):
-        p = TailParams(sigma=1.4, lambda_pos=2.5, lambda_neg=0.2)
+        p = params(sigma=1.4, lambda_pos=2.5, lambda_neg=0.2)
         exact = 1.4 * SQRT_2_OVER_PI
         for side in (1.0, -1.0):
             h = side * 1e-6
-            fd = (tt.ttf_forward(h, p) - tt.ttf_forward(0.0, p)) / h
+            fd = (tt.ttf_forward(h, **p) - tt.ttf_forward(0.0, **p)) / h
             assert abs(fd - exact) / exact < 1e-4
 
 
 class TestInverse:
     def test_mu_maps_to_zero(self):
-        p = TailParams(mu=1.5, sigma=2.0, lambda_pos=0.4, lambda_neg=1.1)
-        assert tt.ttf_inverse(1.5, p) == 0.0
+        p = params(mu=1.5, sigma=2.0, lambda_pos=0.4, lambda_neg=1.1)
+        assert inverse(1.5, p) == 0.0
 
     @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 3.0])
     @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (2.0, 0.5)])
     def test_round_trip_z_grid(self, lam, mu, sigma):
-        p = TailParams(mu=mu, sigma=sigma, lambda_pos=lam, lambda_neg=lam)
+        p = params(mu=mu, sigma=sigma, lambda_pos=lam)
         z = np.linspace(-8.0, 8.0, 641)
-        back = tt.ttf_inverse(tt.ttf_forward(z, p), p)
+        back = inverse(tt.ttf_forward(z, **p), p)
         assert np.max(np.abs(back - z)) <= 1e-8
 
     def test_asymmetric_round_trip(self):
-        p = TailParams(mu=-0.7, sigma=1.9, lambda_pos=2.2, lambda_neg=0.15)
+        p = params(mu=-0.7, sigma=1.9, lambda_pos=2.2, lambda_neg=0.15)
         z = np.linspace(-8.0, 8.0, 641)
-        back = tt.ttf_inverse(tt.ttf_forward(z, p), p)
+        back = inverse(tt.ttf_forward(z, **p), p)
         assert np.max(np.abs(back - z)) <= 1e-8
 
     def test_branch_agreement_at_switch(self):
         # The asymptotic branch takes over once erfc(z/sqrt 2) would round
         # through 1e-6; at that switch point it must agree with the direct
         # erfc_inv formula (measured agreement ~4e-10, spec of 1e-4).
-        from tailflow import special
-
         direct = np.sqrt(2.0) * special.erfc_inv(1e-6)
         for lam in (0.5, 1.0, 2.0):
             # y^(-1/lam) = 1e-6  =>  y = 1e6^lam; x = (y-1)/lam
             x = (1e6 ** lam - 1.0) / lam
-            p = TailParams(lambda_pos=lam, lambda_neg=lam)
-            above = tt.ttf_inverse(x * (1 + 1e-9), p)
-            below = tt.ttf_inverse(x * (1 - 1e-9), p)
+            p = params(lambda_pos=lam)
+            above = inverse(x * (1 + 1e-9), p)
+            below = inverse(x * (1 - 1e-9), p)
             assert abs(above - direct) < 1e-4
             assert abs(above - below) < 1e-6  # continuity across the switch
 
     def test_deep_tail_inverse_finite_and_monotone(self):
-        p = TailParams(lambda_pos=1.0, lambda_neg=1.0)
-        xs = np.array([1e8, 1e12, 1e100, 1e300])
-        zs = tt.ttf_inverse(xs, p)
+        zs = inverse(np.array([1e8, 1e12, 1e100, 1e300]), params())
         assert np.all(np.isfinite(zs))
         assert np.all(np.diff(zs) > 0)
 
 
 class TestInverseLogDeriv:
     def test_origin_reciprocal(self):
-        p = TailParams(mu=0.5, sigma=2.0, lambda_pos=1.0, lambda_neg=1.0)
-        got = tt.ttf_inverse_log_deriv(0.5, p)
+        got = inverse_log_deriv(0.5, params(mu=0.5, sigma=2.0))
         assert abs(got + np.log(2.0 * SQRT_2_OVER_PI)) < 1e-12
 
     def test_inverse_function_theorem(self):
-        p = TailParams(mu=0.2, sigma=1.1, lambda_pos=0.6, lambda_neg=2.4)
+        p = params(mu=0.2, sigma=1.1, lambda_pos=0.6, lambda_neg=2.4)
         for x in (-30.0, -1.0, 0.2, 4.0, 1e4):
-            z = tt.ttf_inverse(x, p)
-            assert abs(tt.ttf_inverse_log_deriv(x, p) + tt.ttf_log_deriv(z, p)) < 1e-8
+            z, ld = tt.ttf_inverse_with_log_deriv(x, **p)
+            assert abs(ld + tt.ttf_log_deriv(z, **p)) < 1e-8
 
     def test_matches_finite_difference_at_five(self):
-        p = TailParams(lambda_pos=0.8, lambda_neg=0.8)
+        p = params(lambda_pos=0.8)
         h = 1e-6 * 5.0
-        fd = (tt.ttf_inverse(5.0 + h, p) - tt.ttf_inverse(5.0 - h, p)) / (2 * h)
-        got = tt.ttf_inverse_log_deriv(5.0, p)
+        fd = (inverse(5.0 + h, p) - inverse(5.0 - h, p)) / (2 * h)
+        got = inverse_log_deriv(5.0, p)
         assert abs(got - np.log(fd)) / abs(got) < 1e-6
 
     def test_huge_x_finite_matches_asymptotic_slope(self):
         # dz/dx ~ 1/(lam x sqrt(2 log x)) up to slowly varying terms; only
         # finiteness and the leading -log(x) behavior are pinned here.
-        p = TailParams(lambda_pos=1.0, lambda_neg=1.0)
-        got = tt.ttf_inverse_log_deriv(1e8, p)
-        assert np.isfinite(got)
+        p = params()
         x = 1e8
-        z = tt.ttf_inverse(x, p)
+        z, got = tt.ttf_inverse_with_log_deriv(x, **p)
+        assert np.isfinite(got)
         # exact slope via the forward derivative at the preimage
-        assert abs(got + tt.ttf_log_deriv(z, p)) < 1e-8
+        assert abs(got + tt.ttf_log_deriv(z, **p)) < 1e-8
         assert got < -np.log(x) / 2
 
-    def test_fused_route_matches(self):
-        p = TailParams(mu=0.1, sigma=0.9, lambda_pos=1.3, lambda_neg=0.4)
-        x = np.array([-5.0, -0.2, 0.1, 2.0, 300.0])
-        z, ld = tt.ttf_inverse_with_log_deriv(
-            x, mu=0.1, sigma=0.9, lambda_pos=1.3, lambda_neg=0.4
-        )
-        np.testing.assert_allclose(z, tt.ttf_inverse(x, p), rtol=1e-14)
-        np.testing.assert_allclose(ld, tt.ttf_inverse_log_deriv(x, p), rtol=1e-12)
 
+class TestMarginalTtfLayer:
+    """The flow layer that applies the transform with one (mu, sigma,
+    lambda+, lambda-) row per dimension."""
 
-class TestQuantiles:
-    def test_gpd_quantile_basics(self):
-        assert tt.gpd_quantile(0.0, 1.0) == 0.0
-        assert abs(tt.gpd_quantile(0.5, 1.0) - 1.0) < 1e-15
-        assert abs(tt.gpd_quantile(0.9, 1e-8) - GPD_Q_09_LAM1E8) < 1e-6 * GPD_Q_09_LAM1E8
+    @staticmethod
+    def _layer(mu, sigma, lam_p, lam_n):
+        layer = flows.MarginalTtfLayer(len(mu), "tails")
+        p = {
+            "tails.mu": np.asarray(mu, dtype=float),
+            "tails.sigma_raw": flows.softplus_inv(np.asarray(sigma, dtype=float)),
+            "tails.lp_raw": flows.softplus_inv(np.asarray(lam_p, dtype=float)),
+            "tails.ln_raw": flows.softplus_inv(np.asarray(lam_n, dtype=float)),
+        }
+        return layer, p
 
-    def test_gpd_quantile_increasing(self):
-        u = np.linspace(0.0, 0.999, 500)
-        q = tt.gpd_quantile(u, 0.7)
-        assert np.all(np.diff(q) > 0)
-
-    def test_gpd_quantile_domain(self):
-        with pytest.raises(ValueError):
-            tt.gpd_quantile(1.0, 1.0)
-        with pytest.raises(ValueError):
-            tt.gpd_quantile(0.5, 0.0)
-
-    def test_two_tailed_center_and_arithmetic(self):
-        assert tt.two_tailed_quantile(0.0, 1.0, 1.0) == 0.0
-        assert abs(tt.two_tailed_quantile(0.5, 2.0, 2.0) - 1.5) < 1e-15
-
-    def test_two_tailed_odd_symmetry(self):
-        got_p = tt.two_tailed_quantile(0.3, 0.8, 0.8)
-        got_n = tt.two_tailed_quantile(-0.3, 0.8, 0.8)
-        assert abs(got_p + got_n) < 1e-15
-
-    def test_two_tailed_domain(self):
-        for u in (1.0, -1.0, 1.5):
-            with pytest.raises(ValueError):
-                tt.two_tailed_quantile(u, 1.0, 1.0)
-
-
-class TestAltVariant:
-    def test_oracle_point(self):
-        p = TailParams()
-        assert abs(tt.ttf_alt_forward(1.0, p) - R_ALT_1_LAM1) < 1e-13
-
-    def test_one_sided_limits(self):
-        p = TailParams(lambda_pos=0.7, lambda_neg=1.9)
-        lim_pos = (2.0 ** 0.7 - 1.0) / 0.7
-        lim_neg = -(2.0 ** 1.9 - 1.0) / 1.9
-        assert abs(tt.ttf_alt_forward(1e-300, p) - lim_pos) < 1e-10
-        assert abs(tt.ttf_alt_forward(-1e-300, p) - lim_neg) < 1e-10
-
-
-class TestMarginalLayer:
-    def _layer(self, d=3):
-        ps = [
-            TailParams(mu=0.1, sigma=1.2, lambda_pos=0.5, lambda_neg=1.5),
-            TailParams(mu=-0.4, sigma=0.8, lambda_pos=2.0, lambda_neg=2.0),
-            TailParams(mu=0.0, sigma=1.0, lambda_pos=1.0, lambda_neg=0.3),
-        ][:d]
-        return tt.MarginalTailLayer(ps)
+    def _three(self):
+        return self._layer([0.1, -0.4, 0.0], [1.2, 0.8, 1.0],
+                           [0.5, 2.0, 1.0], [1.5, 2.0, 0.3])
 
     def test_light_tail_convention_deviation_documented(self):
         # The lambda = 1/1000 convention is a light-tail limit, not a pointwise
         # identity: as lambda -> 0 the map tends to z -> -s log erfc(|z|/sqrt 2),
         # whose pushforward of a normal has exponential (light) tails.  The
         # measured deviations from the identity are frozen here.
-        lam = tt.MarginalTailLayer.LIGHT_TAIL_LAMBDA
+        lam = tailest.LIGHT_TAIL_SHAPE
         assert lam == 1e-3
-        layer = tt.MarginalTailLayer(
-            [TailParams(lambda_pos=lam, lambda_neg=lam) for _ in range(2)]
-        )
+        layer, p = self._layer([0.0, 0.0], [1.0, 1.0], [lam, lam], [lam, lam])
         z = np.linspace(-3.0, 3.0, 301)
-        x, _ = tt.marginal_layer_forward(np.stack([z, z], axis=1), layer)
+        x, _ = layer.forward(p, np.stack([z, z], axis=1))
         dev = np.abs(x[:, 0] - z)
         assert abs(np.max(dev) - 2.9321) < 1e-3          # at the interval edge
         body = np.abs(z) <= 1.0
         assert abs(np.max(dev[body]) - 0.14853) < 1e-4   # much tighter body
 
         # against the analytic small-lambda limit the layer is close everywhere
-        from tailflow import special
-
         limit = -np.sign(z) * np.log(special.erfc(np.abs(z) / np.sqrt(2.0)))
         assert np.max(np.abs(x[:, 0] - limit)) < 0.02
 
-    def test_round_trip_random_vector(self):
-        layer = self._layer()
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            z = rng.normal(size=3) * 2.5
-            x, ld_f = tt.marginal_layer_forward(z, layer)
-            back, ld_i = tt.marginal_layer_inverse(x, layer)
-            assert np.max(np.abs(back - z)) < 1e-8
-            assert abs(ld_f + ld_i) < 1e-8
+    def test_round_trip_random_rows(self):
+        layer, p = self._three()
+        z = np.random.default_rng(3).normal(size=(10, 3)) * 2.5
+        x, ld_f = layer.forward(p, z)
+        back, ld_i = layer.inverse(p, x)
+        assert np.max(np.abs(back - z)) < 1e-8
+        assert np.max(np.abs(ld_f + ld_i)) < 1e-8
 
     def test_log_det_equals_assembled_jacobian(self):
-        layer = self._layer()
+        layer, p = self._three()
         z0 = np.array([0.7, -1.1, 2.0])
         h = 1e-6
         jac = np.zeros((3, 3))
@@ -296,34 +223,29 @@ class TestMarginalLayer:
             zp, zm = z0.copy(), z0.copy()
             zp[j] += h
             zm[j] -= h
-            xp, _ = tt.marginal_layer_forward(zp, layer)
-            xm, _ = tt.marginal_layer_forward(zm, layer)
-            jac[:, j] = (xp - xm) / (2 * h)
-        _, ld = tt.marginal_layer_forward(z0, layer)
+            xp, _ = layer.forward(p, zp[None, :])
+            xm, _ = layer.forward(p, zm[None, :])
+            jac[:, j] = (xp[0] - xm[0]) / (2 * h)
+        _, ld = layer.forward(p, z0[None, :])
         sign, logdet = np.linalg.slogdet(jac)
         assert sign > 0
-        assert abs(ld - logdet) < 1e-6
+        assert abs(ld[0] - logdet) < 1e-6
         # off-diagonal terms vanish: elementwise map
         assert np.max(np.abs(jac - np.diag(np.diag(jac)))) < 1e-8
 
-    def test_batch_and_vector_agree(self):
-        layer = self._layer()
-        rng = np.random.default_rng(11)
-        zs = rng.normal(size=(5, 3))
-        xb, ldb = tt.marginal_layer_forward(zs, layer)
+    def test_batch_rows_match_single_rows(self):
+        layer, p = self._three()
+        zs = np.random.default_rng(11).normal(size=(5, 3))
+        xb, ldb = layer.forward(p, zs)
         for i in range(5):
-            xi, ldi = tt.marginal_layer_forward(zs[i], layer)
-            np.testing.assert_allclose(xb[i], xi, rtol=1e-14)
-            assert abs(ldb[i] - ldi) < 1e-12
+            xi, ldi = layer.forward(p, zs[i:i + 1])
+            np.testing.assert_allclose(xb[i], xi[0], rtol=1e-14)
+            assert abs(ldb[i] - ldi[0]) < 1e-12
 
     def test_dimension_mismatch_rejected(self):
-        layer = self._layer()
+        # the (3,) parameter rows do not broadcast against 4 columns
+        layer, p = self._three()
         with pytest.raises(ValueError):
-            tt.marginal_layer_forward(np.zeros(4), layer)
-
-    def test_log_det_route(self):
-        layer = self._layer()
-        z = np.array([0.5, 0.5, -0.2])
-        _, ld_f = tt.marginal_layer_forward(z, layer)
-        ld = tt.marginal_layer_log_det(z, layer)
-        assert abs(ld - ld_f) < 1e-12
+            layer.forward(p, np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            layer.inverse(p, np.zeros((2, 4)))

@@ -126,6 +126,14 @@ class TestTapeNodeCounts:
         flows.flow_sample_with_log_prob(tape, model, model.tape_params(tape), special.Rng(2), 100)
         assert len(tape.ops) <= 669
 
+    def test_mtaf_elbo_sampling_tape(self):
+        # the frozen Student-T base enters as constant draws (700 nodes when
+        # it built a differentiable sampler per dimension)
+        model = flows.build_architecture("mTAF", 5, seed=0)
+        tape = ad.Tape()
+        flows.flow_sample_with_log_prob(tape, model, model.tape_params(tape), special.Rng(2), 100)
+        assert len(tape.ops) <= 650
+
 
 class TestAdam:
     def test_quadratic_bowl_converges(self):
