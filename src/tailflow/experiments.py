@@ -657,7 +657,6 @@ def run_de_cell(
     seed: int,
     cfg: training.TrainConfig | None = None,
     trace_path: str | None = None,
-    model_sink: list | None = None,
 ) -> list[dict]:
     """Train one flow on one synthetic draw; returns result rows.
 
@@ -678,8 +677,6 @@ def run_de_cell(
         dict(head, metric_name="epochs", value=float(result.epochs)),
     ]
     rows.extend(_lambda_rows(model, head))
-    if model_sink is not None:
-        model_sink.append(model)
     return rows
 
 
@@ -690,7 +687,6 @@ def run_vi_cell(
     seed: int,
     cfg: training.TrainConfig | None = None,
     trace_path: str | None = None,
-    model_sink: list | None = None,
 ) -> list[dict]:
     """Fit one variational flow against the synthetic target; returns rows."""
     cfg = cfg if cfg is not None else vi_train_config(seed, nu)
@@ -706,8 +702,6 @@ def run_vi_cell(
         dict(head, metric_name="khat", value=diag.k_hat),
     ]
     rows.extend(_lambda_rows(model, head))
-    if model_sink is not None:
-        model_sink.append(model)
     return rows
 
 

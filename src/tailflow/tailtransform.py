@@ -42,13 +42,6 @@ _MAX_EXPONENT = 690.0
 _MAX_VALUE = 1e300
 
 
-def _split_lambda(sign_mask, lambda_pos, lambda_neg):
-    """Per-lane tail shape: lambda_pos where z >= 0, lambda_neg otherwise."""
-    if lambda_pos is lambda_neg:
-        return lambda_pos
-    return ad.where_mask(sign_mask, lambda_pos, lambda_neg)
-
-
 def ttf_forward(z, *, mu, sigma, lambda_pos, lambda_neg):
     """Map base-space z to data space; strictly increasing, C1 at z = 0.
 
@@ -57,7 +50,7 @@ def ttf_forward(z, *, mu, sigma, lambda_pos, lambda_neg):
     zv = value_of(z)
     pos = zv >= 0.0
     s = np.where(pos, 1.0, -1.0)
-    lam = _split_lambda(pos, lambda_pos, lambda_neg)
+    lam = ad.where_mask(pos, lambda_pos, lambda_neg)
     log_tail = ad.log_erfc(ad.absolute(z) * (1.0 / _SQRT2))
     bracket = ad.expm1(ad.minimum_const(-lam * log_tail, _MAX_EXPONENT))
     x = mu + sigma * ((bracket / lam) * s)
@@ -74,7 +67,7 @@ def ttf_log_deriv(z, *, mu, sigma, lambda_pos, lambda_neg):
     """
     zv = value_of(z)
     pos = zv >= 0.0
-    lam = _split_lambda(pos, lambda_pos, lambda_neg)
+    lam = ad.where_mask(pos, lambda_pos, lambda_neg)
     log_tail = ad.log_erfc(ad.absolute(z) * (1.0 / _SQRT2))
     return ad.log(sigma) + _HALF_LOG_2_OVER_PI - (z * z) * 0.5 - (lam + 1.0) * log_tail
 
@@ -117,7 +110,7 @@ def ttf_inverse_with_log_deriv(x, *, mu, sigma, lambda_pos, lambda_neg):
     tv = value_of(t)
     pos = tv >= 0.0
     s = np.where(pos, 1.0, -1.0)
-    lam = _split_lambda(pos, lambda_pos, lambda_neg)
+    lam = ad.where_mask(pos, lambda_pos, lambda_neg)
     log_y = ad.log1p(lam * ad.absolute(t))
     log_p = -log_y / lam
     stable = value_of(log_p) < _LOG_INV_BRANCH_EPS

@@ -342,13 +342,11 @@ class TestTablePlumbing:
         assert {"lambda_pos[0]", "lambda_neg[0]", "lambda_pos[1]", "lambda_neg[1]"} <= names
 
     def test_ttffix_lambdas_frozen_at_true_value(self):
-        sink = []
         cfg = training.TrainConfig(lr=5e-3, max_epochs=30, patience=100, seed=0)
-        E.run_de_cell("TTFfix", 2, 2.0, 0, cfg, model_sink=sink)
-        lam_p = np.logaddexp(0, sink[0].params["tails.lp_raw"])
-        lam_n = np.logaddexp(0, sink[0].params["tails.ln_raw"])
-        np.testing.assert_allclose(lam_p, E.true_tail_shape(2.0), rtol=1e-12)
-        np.testing.assert_allclose(lam_n, E.true_tail_shape(2.0), rtol=1e-12)
+        rows = E.run_de_cell("TTFfix", 2, 2.0, 0, cfg)
+        lams = [r["value"] for r in rows if r["metric_name"].startswith("lambda_")]
+        assert len(lams) == 4
+        np.testing.assert_allclose(lams, E.true_tail_shape(2.0), rtol=1e-12)
 
     def test_comet_cell_runs_end_to_end(self):
         rows = E.run_de_cell("COMET", 2, 2.0, 0, self.CHEAP)
