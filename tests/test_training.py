@@ -127,8 +127,7 @@ class TestTapeNodeCounts:
         assert len(tape.ops) <= 669
 
     def test_mtaf_elbo_sampling_tape(self):
-        # the frozen Student-T base enters as constant draws (700 nodes when
-        # it built a differentiable sampler per dimension)
+        # the frozen Student-T base enters the tape as one block of constant draws
         model = flows.build_architecture("mTAF", 5, seed=0)
         tape = ad.Tape()
         flows.flow_sample_with_log_prob(tape, model, model.tape_params(tape), special.Rng(2), 100)
