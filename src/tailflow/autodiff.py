@@ -11,7 +11,10 @@ entries, and ``x.sum(axis, keepdims)`` reduces.  Each op computes exactly
 what numpy computes (``x / c`` is a true division, not ``x * (1 / c)``), so
 one formula gives the same bits on numpy arrays and on tape variables.
 Backward looks up one rule per op in ``_RULES`` and sums each adjoint back
-to its operand's shape, undoing any broadcast.
+to its operand's shape, undoing any broadcast.  The tape keeps every value
+until it is dropped; backward keeps an adjoint only while it can still
+grow, so its memory on top of the tape is the frontier of live adjoints
+(plus the params'), not a second copy of the tape.
 
 Domain violations never raise mid-graph: offending values propagate as NaN
 and the tape records the first offending node ("poisoning"); the training
@@ -514,6 +517,11 @@ def backward(out: Var) -> dict[str, np.ndarray]:
     calls without clearing grads add another full contribution (gradients
     double after calling twice).  Raises :class:`PoisonedTapeError` if any
     node holds a non-finite value.
+
+    The sweep reads the tape's values but never changes them.  A node's
+    adjoint is released as soon as its rule has run, so besides the tape
+    only the frontier lives: the adjoints of nodes already reached whose
+    rules have not run yet, plus those of the params.
     """
     tape = out.tape
     if tape.poisoned is not None:
@@ -533,6 +541,11 @@ def backward(out: Var) -> dict[str, np.ndarray]:
             if g is None or not par:  # unreached, or a leaf
                 continue
             grads = _RULES[ops[i]](g, values[i], [values[p] for p in par], payloads[i])
+            # Every write to adj[i] came from a later node, so it is final;
+            # drop it now (param leaves never get here and keep theirs).  The
+            # local g stays bound until the next node: freeing it before the
+            # sums below measured ~8% slower in the DE fit (more page faults).
+            adj[i] = None
             for p, gp in zip(par, grads):
                 if ops[p] == "lift":
                     continue  # constants carry zero gradient by definition

@@ -38,6 +38,9 @@ _SQRT2 = math.sqrt(2.0)
 # Marginal mass split of the copula baseline: 5% per tail, 90% body.
 _TAIL_MASS = 0.05
 _BODY_MASS = 1.0 - 2.0 * _TAIL_MASS
+# Queries per block of the kernel body: a block holds this many rows of
+# (query - body point) values, which bounds the body's working memory.
+_KERNEL_ROWS = 64
 
 
 # -- synthetic generator --------------------------------------------------------------
@@ -138,14 +141,26 @@ class CometMarginal:
     tail_fallback: bool = False
 
 
+def _kernel_mean(m: CometMarginal, x: np.ndarray, width: float, kernel: Callable) -> np.ndarray:
+    """mean over the body points p of kernel((x_i - p) / width), per query x_i.
+
+    Queries go _KERNEL_ROWS at a time, so memory stays O(body points) rather
+    than O(queries x body points); each row's mean is the same either way.
+    """
+    out = np.empty(x.shape)
+    for s in range(0, x.size, _KERNEL_ROWS):
+        z = (x[s:s + _KERNEL_ROWS, None] - m.points[None, :]) / width
+        out[s:s + _KERNEL_ROWS] = np.mean(kernel(z), axis=1)
+    return out
+
+
 def _kernel_cdf(m: CometMarginal, x: np.ndarray) -> np.ndarray:
-    z = (x[:, None] - m.points[None, :]) / (m.bandwidth * _SQRT2)
-    return 0.5 * np.mean(special.erfc(-z), axis=1)
+    return 0.5 * _kernel_mean(m, x, m.bandwidth * _SQRT2, lambda z: special.erfc(-z))
 
 
 def _kernel_pdf(m: CometMarginal, x: np.ndarray) -> np.ndarray:
-    z = (x[:, None] - m.points[None, :]) / m.bandwidth
-    return np.mean(np.exp(-0.5 * z * z), axis=1) / (m.bandwidth * _SQRT_2PI)
+    kernel = lambda z: np.exp(-0.5 * z * z)
+    return _kernel_mean(m, x, m.bandwidth, kernel) / (m.bandwidth * _SQRT_2PI)
 
 
 def _scale_for_shape(excesses: np.ndarray, shape: float) -> float:
@@ -619,6 +634,22 @@ def _lambda_rows(model: flows.FlowModel, head: dict) -> list[dict]:
     return rows
 
 
+def _require_comet_support(u: np.ndarray, marginals: list) -> None:
+    """Raise when a logit is infinite: its row lies beyond a bounded tail."""
+    for j, m in enumerate(marginals):
+        for side, sign, t, shape, scale in (
+            ("lower", -1.0, m.t_lo, m.shape_lo, m.scale_lo),
+            ("upper", 1.0, m.t_hi, m.shape_hi, m.scale_hi),
+        ):
+            beyond = int(np.sum(u[:, j] == sign * np.inf))
+            if beyond:
+                end = t - sign * scale / shape if shape < 0.0 else sign * np.inf
+                raise ValueError(
+                    f"COMET dimension {j}: {beyond} test rows lie at or beyond the "
+                    f"{side} tail's endpoint {end:.6g} (GPD shape {shape:.3g})"
+                )
+
+
 def fit_de_on_splits(
     model: flows.FlowModel,
     train: np.ndarray,
@@ -633,7 +664,9 @@ def fit_de_on_splits(
     A COMET model trains on the logits of marginals fit to train+valid, with
     both tail shapes pinned to ``comet_tail_shape`` when given (ML-fit
     otherwise); its test density carries the marginal Jacobian back to data
-    space.
+    space.  An ML-fit tail with negative shape ends at a finite point; test
+    rows beyond it have no COMET density, so they raise ``ValueError``
+    rather than a NaN NLL.
     """
     jac_te = 0.0
     if model.name == "COMET":
@@ -642,9 +675,10 @@ def fit_de_on_splits(
             comet_marginal_fit(fit_data[:, j], tail_shape=comet_tail_shape)
             for j in range(model.d)
         ]
+        test, jac_te = comet_logit(test, marg)
+        _require_comet_support(test, marg)
         train, _ = comet_logit(train, marg)
         valid, _ = comet_logit(valid, marg)
-        test, jac_te = comet_logit(test, marg)
     result = training.fit_density(model, train, valid, cfg, trace_path=trace_path)
     test_lp = flows.flow_log_prob(test, model) + jac_te
     return result, float(-np.mean(test_lp)) / model.d

@@ -1,6 +1,8 @@
 """Experiment-layer tests: synthetic generators, the copula marginal stage,
 importance diagnostics, the regression demo, and table plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -167,6 +169,53 @@ class TestCometMarginal:
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError, match="n >= 100"):
             E.comet_marginal_fit(np.linspace(0.0, 1.0, 99))
+
+    @pytest.mark.parametrize("rows", [1, E._KERNEL_ROWS - 1, E._KERNEL_ROWS + 1])
+    def test_kernel_blocks_match_single_rows(self, t2_marginal, rows):
+        # each query's kernel mean is the same bits whichever block it lands in
+        _, m = t2_marginal
+        x = special.Rng(37).normal(rows) * 2.0
+        cdf, pdf = [], []
+        for xi in x:
+            z = (xi - m.points) / (m.bandwidth * E._SQRT2)
+            cdf.append(0.5 * np.mean(special.erfc(-z)))
+            z = (xi - m.points) / m.bandwidth
+            pdf.append(np.mean(np.exp(-0.5 * z * z)) / (m.bandwidth * E._SQRT_2PI))
+        np.testing.assert_array_equal(E._kernel_cdf(m, x), cdf)
+        np.testing.assert_array_equal(E._kernel_pdf(m, x), pdf)
+
+    def test_logit_never_forms_the_whole_kernel_matrix(self):
+        # the (queries x body points) kernel matrix is never formed whole:
+        # the whole matrix for this split would take 2000 x 2700 doubles
+        # (43 MB), and erfc makes three more of its size
+        train, valid, test, _ = E.gen_synthetic_de(E.SyntheticDeSpec(d=5, nu=2.0, seed=0))
+        fit = np.concatenate([train, valid])
+        marginals = [E.comet_marginal_fit(fit[:, j]) for j in range(5)]
+        tracemalloc.start()
+        try:
+            E.comet_logit(test, marginals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 <= 16.0
+
+    def test_test_rows_beyond_bounded_tail_raise(self):
+        # uniform data gets ML tails with negative shape, whose upper support
+        # ends near 1.02; a test value of 10 has no COMET density
+        data = special.Rng(31).uniform(size=(1000, 2))
+        train, valid, test = data[:400], data[400:600], data[600:].copy()
+        test[3, 0] = 10.0
+        marginals = [
+            E.comet_marginal_fit(np.concatenate([train, valid])[:, j]) for j in range(2)
+        ]
+        model = flows.build_architecture("COMET", 2, seed=0)
+        cfg = training.TrainConfig(max_epochs=1)
+        with np.errstate(invalid="ignore"):  # the log-det of that row is NaN
+            u, _ = E.comet_logit(test, marginals)  # the logit itself does not raise
+            assert u[3, 0] == np.inf and np.isfinite(np.delete(u, 3, axis=0)).all()
+            with pytest.raises(ValueError, match=r"dimension 0: 1 test rows .* upper tail's "
+                                                 r"endpoint 1\.0\d+ \(GPD shape -0\.\d+\)"):
+                E.fit_de_on_splits(model, train, valid, test, cfg)
 
 
 class TestCometPush:
