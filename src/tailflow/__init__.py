@@ -23,7 +23,13 @@ from . import (
     training,
 )
 from .flows import build_architecture, flow_log_prob, flow_sample, load_model, save_model
-from .tailest import TailEstimate, estimate_marginal_tails, gpd_fit_ml, hill_estimator
+from .tailest import (
+    TailEstimate,
+    estimate_marginal_tails,
+    gpd_fit_ml,
+    gpd_fit_scale,
+    hill_estimator,
+)
 from .training import TrainConfig, TrainResult, fit_density, fit_vi
 
 __version__ = "0.1.0"
@@ -40,6 +46,7 @@ __all__ = [
     "flow_sample",
     "flows",
     "gpd_fit_ml",
+    "gpd_fit_scale",
     "hill_estimator",
     "load_model",
     "save_model",

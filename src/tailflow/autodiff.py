@@ -11,10 +11,18 @@ entries, and ``x.sum(axis, keepdims)`` reduces.  Each op computes exactly
 what numpy computes (``x / c`` is a true division, not ``x * (1 / c)``), so
 one formula gives the same bits on numpy arrays and on tape variables.
 Backward looks up one rule per op in ``_RULES`` and sums each adjoint back
-to its operand's shape, undoing any broadcast.  The tape keeps every value
-until it is dropped; backward keeps an adjoint only while it can still
-grow, so its memory on top of the tape is the frontier of live adjoints
-(plus the params'), not a second copy of the tape.
+to its operand's shape, undoing any broadcast.
+
+Each :class:`Var` carries its own value; the tape saves a value for
+backward only where a rule reads it, as ``_SAVED`` declares per op (the
+node's own value, as ``exp`` reads, and/or some parents' values, as ``mul``
+reads both).  Every other slot of ``Tape.values`` holds one shared
+zero-size placeholder, and ``Tape.shapes`` keeps every node's shape for
+unbroadcasting.  So an intermediate that no rule reads, such as the output
+of an ``add`` or a ``getitem``, is freed as soon as its last ``Var`` goes,
+during the build rather than with the tape.  Backward keeps an adjoint only
+while it can still grow, so its memory on top of the tape is the frontier
+of live adjoints (plus the params'), not a second copy of the tape.
 
 Domain violations never raise mid-graph: offending values propagate as NaN
 and the tape records the first offending node ("poisoning"); the training
@@ -45,31 +53,50 @@ class PoisonedTapeError(RuntimeError):
         self.op = op
 
 
-class Tape:
-    """Append-only computation record supporting one-sweep backward passes."""
+# Stands in, on the tape, for every value that no backward rule reads.
+_UNSAVED = np.empty(0)
+_UNSAVED.flags.writeable = False
 
-    __slots__ = ("ops", "parents", "payloads", "values", "grad_store", "param_nodes", "poisoned")
+
+class Tape:
+    """Append-only computation record supporting one-sweep backward passes.
+
+    ``ops``, ``parents``, ``payloads``, ``values`` and ``shapes`` hold one
+    entry per node; ``values[i]`` is the node's value if a rule reads it,
+    else ``_UNSAVED``.
+    """
+
+    __slots__ = ("ops", "parents", "payloads", "values", "shapes", "grad_store",
+                 "param_nodes", "poisoned")
 
     def __init__(self):
         self.ops: list[str] = []
         self.parents: list[tuple] = []
         self.payloads: list = []
         self.values: list = []
+        self.shapes: list[tuple] = []
         # Persistent param adjoints; repeated backward calls accumulate here.
         self.grad_store: dict[int, np.ndarray] = {}
         self.param_nodes: dict[int, str] = {}
         self.poisoned: int | None = None
 
-    def _push(self, op: str, parents: tuple, value, payload=None) -> "Var":
+    def _push(self, op: str, ins: tuple, value, payload=None) -> "Var":
+        """Append a node computed from the Vars ``ins``, saving the values
+        its rule reads (``_SAVED``) and nothing else."""
         value = np.asarray(value, dtype=float)
         idx = len(self.ops)
+        own, read = _SAVED.get(op, _READS_NOTHING)
+        values = self.values
+        for k in read:
+            values[ins[k].idx] = ins[k].value
         self.ops.append(op)
-        self.parents.append(parents)
+        self.parents.append(tuple([v.idx for v in ins]))
         self.payloads.append(payload)
-        self.values.append(value)
+        values.append(value if own else _UNSAVED)
+        self.shapes.append(value.shape)
         if self.poisoned is None and not np.all(np.isfinite(value)):
             self.poisoned = idx
-        return Var(self, idx)
+        return Var(self, idx, value)
 
     def lift(self, value) -> "Var":
         """A constant: participates in the graph with zero gradient."""
@@ -94,23 +121,20 @@ def _is_gather(key) -> bool:
 class Var:
     """Handle to one tape node: (tape, node index, value)."""
 
-    __slots__ = ("tape", "idx")
+    __slots__ = ("tape", "idx", "value")
 
     # Make ndarray <op> Var defer to the reflected Var operator instead of
     # numpy trying to coerce the Var into an object array.
     __array_ufunc__ = None
 
-    def __init__(self, tape: Tape, idx: int):
+    def __init__(self, tape: Tape, idx: int, value: np.ndarray):
         self.tape = tape
         self.idx = idx
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.tape.values[self.idx]
+        self.value = value
 
     @property
     def shape(self):
-        return self.tape.values[self.idx].shape
+        return self.value.shape
 
     @property
     def grad(self) -> np.ndarray:
@@ -119,10 +143,10 @@ class Var:
         return np.zeros_like(self.value) if g is None else g
 
     def _unary(self, op: str, value, payload=None) -> "Var":
-        return self.tape._push(op, (self.idx,), value, payload)
+        return self.tape._push(op, (self,), value, payload)
 
     def _binary(self, op: str, other: "Var", value, payload=None) -> "Var":
-        return self.tape._push(op, (self.idx, other.idx), value, payload)
+        return self.tape._push(op, (self, other), value, payload)
 
     # -- arithmetic (broadcasting) ------------------------------------------
 
@@ -249,18 +273,18 @@ class Var:
 
     def sum(self, axis=None, keepdims: bool = False):
         value = np.sum(self.value, axis=axis, keepdims=keepdims)
-        return self._unary("sum", value, payload=(axis, keepdims))
+        return self._unary("sum", value, payload=(axis, keepdims, self.shape))
 
     def __getitem__(self, key):
         """Basic slices and ints, or an integer-array gather, as numpy."""
-        return self._unary("getitem", self.value[key], payload=(key, _is_gather(key)))
+        return self._unary("getitem", self.value[key], payload=(key, _is_gather(key), self.shape))
 
     @property
     def T(self):
         return self._unary("transpose", self.value.T)
 
     def reshape(self, *shape):
-        return self._unary("reshape", self.value.reshape(*shape))
+        return self._unary("reshape", self.value.reshape(*shape), payload=self.shape)
 
     def swapaxes(self, a: int, b: int):
         return self._unary("swapaxes", self.value.swapaxes(a, b), payload=(a, b))
@@ -277,14 +301,14 @@ class Var:
         """
         if isinstance(other, Var):
             value = np.where(mask, self.value, other.value)
-            return self.tape._push("where_mask", (self.idx, other.idx), value, payload=mask)
+            return self._binary("where_mask", other, value, payload=mask)
         value = np.where(mask, self.value, other)
         return self._unary("where_mask_const", value, payload=mask)
 
     def solve_tri_right(self, t: "Var", lower: bool):
         """Solve Y @ T.T = self for Y, with T triangular: Y = self @ T^{-T}."""
         y = solve_triangular(t.value, self.value.T, lower=lower).T
-        return self.tape._push("solve_tri_right", (self.idx, t.idx), y, payload=lower)
+        return self._binary("solve_tri_right", t, y, payload=lower)
 
     def tril_strict(self):
         return self._unary("tril_strict", np.tril(self.value, -1))
@@ -300,7 +324,7 @@ def stack_cols(cols: list[Var]) -> Var:
     """Stack (n,) vectors into the columns of an (n, k) matrix."""
     tape = cols[0].tape
     value = np.stack([c.value for c in cols], axis=1)
-    return tape._push("stack_cols", tuple(c.idx for c in cols), value)
+    return tape._push("stack_cols", tuple(cols), value)
 
 
 def sample_gamma_node(alpha: Var, rng: special.Rng, size: int) -> Var:
@@ -313,10 +337,10 @@ def sample_gamma_node(alpha: Var, rng: special.Rng, size: int) -> Var:
     a = float(alpha.value)
     if a >= 1.0:
         draws = np.asarray(special.sample_gamma(a, rng, size=size))
-        return alpha.tape._push("sample_gamma", (alpha.idx,), draws, payload=a)
+        return alpha._unary("sample_gamma", draws, payload=a)
     boost_alpha = alpha + 1.0
     draws = np.asarray(special.sample_gamma(a + 1.0, rng, size=size))
-    boost = alpha.tape._push("sample_gamma", (boost_alpha.idx,), draws, payload=a + 1.0)
+    boost = boost_alpha._unary("sample_gamma", draws, payload=a + 1.0)
     u = alpha.tape.lift(rng.uniform(size=size))
     return boost * (u ** (1.0 / alpha))
 
@@ -413,7 +437,8 @@ def value_of(x) -> np.ndarray:
 #
 # Each rule maps (adjoint g of the node, node value v, parent values, payload)
 # to one adjoint per parent, in the node's output shape or the parent's;
-# backward sums away whatever broadcasting added.
+# backward sums away whatever broadcasting added.  A rule may read v and the
+# parent values only as ``_SAVED`` declares; the others are ``_UNSAVED``.
 
 
 def _unbroadcast(g, shape) -> np.ndarray:
@@ -426,15 +451,15 @@ def _unbroadcast(g, shape) -> np.ndarray:
 
 
 def _sum_rule(g, v, ins, pay):
-    axis, keepdims = pay
+    axis, keepdims, shape = pay
     if axis is not None and not keepdims:
         g = np.expand_dims(g, axis)
-    return (np.broadcast_to(g, ins[0].shape),)
+    return (np.broadcast_to(g, shape),)
 
 
 def _getitem_rule(g, v, ins, pay):
-    key, gather = pay
-    full = np.zeros_like(ins[0])
+    key, gather, shape = pay
+    full = np.zeros(shape)
     if gather:
         np.add.at(full, key, g)  # a repeated index receives every adjoint
     else:
@@ -495,7 +520,7 @@ _RULES = {
     "sum": _sum_rule,
     "getitem": _getitem_rule,
     "transpose": lambda g, v, ins, pay: (g.T,),
-    "reshape": lambda g, v, ins, pay: (np.reshape(g, ins[0].shape),),
+    "reshape": lambda g, v, ins, pay: (np.reshape(g, pay),),
     "swapaxes": lambda g, v, ins, pay: (np.swapaxes(g, *pay),),
     "matmul": _matmul_rule,
     "cumsum_cols": lambda g, v, ins, pay: (np.cumsum(g[:, ::-1], axis=1)[:, ::-1],),
@@ -510,6 +535,61 @@ _RULES = {
 }
 
 
+# What each rule reads besides the adjoint and the payload, as (the node's
+# own value, positions of the parents whose values it reads); ``Tape._push``
+# saves exactly these.  Leaves (``lift``, ``param``) have no rule and no entry.
+_READS_NOTHING = (False, ())
+_OWN = (True, ())
+_FIRST = (False, (0,))
+_BOTH = (False, (0, 1))
+
+_SAVED = {
+    "add": _READS_NOTHING,
+    "add_const": _READS_NOTHING,
+    "sub": _READS_NOTHING,
+    "rsub_const": _READS_NOTHING,
+    "mul": _BOTH,
+    "mul_const": _READS_NOTHING,
+    "div": (True, (1,)),
+    "div_const": _READS_NOTHING,
+    "rdiv_const": (True, (0,)),
+    "neg": _READS_NOTHING,
+    "pow": (True, (0, 1)),
+    "pow_const": _FIRST,
+    "exp": _OWN,
+    "log": _FIRST,
+    "log1p": _FIRST,
+    "expm1": _OWN,
+    "sqrt": _OWN,
+    "tanh": _OWN,
+    "sigmoid": _OWN,
+    "relu": _FIRST,
+    "softplus": _FIRST,
+    "abs_split": _READS_NOTHING,
+    "erfc_node": _FIRST,
+    "log_erfc": _FIRST,
+    "erfc_inv_node": _OWN,
+    "lgamma": _FIRST,
+    "maximum_const": _FIRST,
+    "minimum_const": _FIRST,
+    "sum": _READS_NOTHING,
+    "getitem": _READS_NOTHING,
+    "transpose": _READS_NOTHING,
+    "reshape": _READS_NOTHING,
+    "swapaxes": _READS_NOTHING,
+    "matmul": _BOTH,
+    "cumsum_cols": _READS_NOTHING,
+    "stack_cols": _READS_NOTHING,
+    "where_mask": _READS_NOTHING,
+    "where_mask_const": _READS_NOTHING,
+    "sample_gamma": _OWN,
+    "solve_tri_right": (True, (1,)),
+    "tril_strict": _READS_NOTHING,
+    "triu_strict": _READS_NOTHING,
+    "diag_embed": _READS_NOTHING,
+}
+
+
 def backward(out: Var) -> dict[str, np.ndarray]:
     """Accumulate d(out)/d(param) for every param on out's tape.
 
@@ -518,10 +598,11 @@ def backward(out: Var) -> dict[str, np.ndarray]:
     double after calling twice).  Raises :class:`PoisonedTapeError` if any
     node holds a non-finite value.
 
-    The sweep reads the tape's values but never changes them.  A node's
-    adjoint is released as soon as its rule has run, so besides the tape
-    only the frontier lives: the adjoints of nodes already reached whose
-    rules have not run yet, plus those of the params.
+    The sweep reads only the values the tape saved for it (``_SAVED``) and
+    never changes them, so a tape can be swept again.  A node's adjoint is
+    released as soon as its rule has run, so besides the tape only the
+    frontier lives: the adjoints of nodes already reached whose rules have
+    not run yet, plus those of the params.
     """
     tape = out.tape
     if tape.poisoned is not None:
@@ -530,7 +611,8 @@ def backward(out: Var) -> dict[str, np.ndarray]:
         raise ValueError("backward: output must be scalar")
 
     n = out.idx + 1
-    ops, parents, payloads, values = tape.ops, tape.parents, tape.payloads, tape.values
+    ops, parents, payloads, values, shapes = (
+        tape.ops, tape.parents, tape.payloads, tape.values, tape.shapes)
     adj: list = [None] * n
     adj[out.idx] = np.asarray(1.0)
 
@@ -550,7 +632,7 @@ def backward(out: Var) -> dict[str, np.ndarray]:
                 if ops[p] == "lift":
                     continue  # constants carry zero gradient by definition
                 # Adjoints are never written in place, so views can be shared.
-                gp = _unbroadcast(gp, values[p].shape)
+                gp = _unbroadcast(gp, shapes[p])
                 adj[p] = gp if adj[p] is None else adj[p] + gp
 
     grads: dict[str, np.ndarray] = {}
@@ -560,5 +642,5 @@ def backward(out: Var) -> dict[str, np.ndarray]:
             tape.grad_store[idx] = np.array(adj[idx], dtype=float) if prev is None \
                 else prev + adj[idx]
         g = tape.grad_store.get(idx)
-        grads[name] = np.zeros_like(values[idx]) if g is None else g
+        grads[name] = np.zeros(shapes[idx]) if g is None else g
     return grads

@@ -163,28 +163,6 @@ def _kernel_pdf(m: CometMarginal, x: np.ndarray) -> np.ndarray:
     return _kernel_mean(m, x, m.bandwidth, kernel) / (m.bandwidth * _SQRT_2PI)
 
 
-def _scale_for_shape(excesses: np.ndarray, shape: float) -> float:
-    """ML scale of a GPD with the shape held fixed.
-
-    Solves mean(log1p(theta x)) = shape for theta = shape/scale; the
-    left side is increasing in theta so bisection is safe.
-    """
-    if shape == 0.0:
-        return float(np.mean(excesses))
-    lo, hi = 1e-12, 1e12
-    f = lambda t: float(np.mean(np.log1p(t * excesses))) - shape
-    if f(lo) > 0.0 or f(hi) < 0.0:
-        return float(np.mean(excesses))
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    theta = math.sqrt(lo * hi)
-    return shape / theta
-
-
 def comet_marginal_fit(
     samples: np.ndarray, tail_shape: float | None = None
 ) -> CometMarginal:
@@ -209,7 +187,7 @@ def comet_marginal_fit(
     def fit_tail(exc: np.ndarray) -> tuple[float, float, bool]:
         exc = exc[exc > 0.0]
         if tail_shape is not None and exc.size >= 5:
-            return tail_shape, _scale_for_shape(exc, tail_shape), False
+            return tail_shape, tailest.gpd_fit_scale(exc, tail_shape), False
         if exc.size >= 30:
             try:
                 lam, sig = tailest.gpd_fit_ml(exc)
@@ -349,8 +327,12 @@ def comet_logit(x: np.ndarray, marginals: list) -> tuple[np.ndarray, np.ndarray]
             log_1mf[hi] = math.log(_TAIL_MASS) + ls
             log_f[hi] = np.log1p(-np.exp(log_1mf[hi]))
         u[:, j] = log_f - log_1mf
-        # d u / d x = pdf / (F (1-F))
-        ld += comet_marginal_log_pdf(m, xj) - log_f - log_1mf
+        # d u / d x = pdf / (F (1-F)).  Beyond a bounded tail u is +-inf and
+        # the density is 0, so the log-det is -inf there by construction.
+        beyond = np.isinf(u[:, j])
+        ld[beyond] = -np.inf
+        ok = ~beyond
+        ld[ok] += comet_marginal_log_pdf(m, xj[ok]) - log_f[ok] - log_1mf[ok]
     return u, ld
 
 

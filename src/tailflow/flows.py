@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 import zlib
 
 import numpy as np
@@ -145,12 +146,24 @@ class MaskedConditioner:
             k3: np.zeros((d * self.n_out, h)), b3: bias3,
         }
 
+    def weights(self, params):
+        """The masked, transposed weights and the biases that ``apply`` takes;
+        a sequential pass computes them once for all its d conditioner calls."""
+        k1, b1, k2, b2, k3, b3 = self._keys()
+        return ((params[k1] * self.mask1).T, params[b1],
+                (params[k2] * self.mask2).T, params[b2],
+                (params[k3] * self.mask3).T, params[b3])
+
+    def apply(self, w, x):
+        """(n, d) -> (n, d*n_out) under the weights w of ``weights``."""
+        w1, b1, w2, b2, w3, b3 = w
+        h1 = ad.relu(x @ w1 + b1)
+        h2 = ad.relu(h1 @ w2 + b2)
+        return h2 @ w3 + b3
+
     def forward(self, params, x):
         """(n, d) -> (n, d*n_out) respecting the autoregressive masks."""
-        k1, b1, k2, b2, k3, b3 = self._keys()
-        h1 = ad.relu(x @ (params[k1] * self.mask1).T + params[b1])
-        h2 = ad.relu(h1 @ (params[k2] * self.mask2).T + params[b2])
-        return h2 @ (params[k3] * self.mask3).T + params[b3]
+        return self.apply(self.weights(params), x)
 
     def dim_block(self, out, i: int):
         """All n_out parameters for dimension i, in parameter order."""
@@ -376,8 +389,9 @@ class RqsArLayer:
         n = value_of(z).shape[0]
         cols = [_zeros_col(z, n) for _ in range(self.d)]
         ld = 0.0
+        w = self.cond.weights(params)
         for i in range(self.d):
-            out = self.cond.forward(params, _stack_cols(cols))
+            out = self.cond.apply(w, _stack_cols(cols))
             cols[i], ldi = self._spline(self.cond.dim_block(out, i), z[:, i], inverse=False)
             ld = ldi + ld
         return _stack_cols(cols), ld
@@ -405,8 +419,9 @@ class AffineArLayer:
         n = value_of(z).shape[0]
         cols = [_zeros_col(z, n) for _ in range(self.d)]
         ld = 0.0
+        w = self.cond.weights(params)
         for i in range(self.d):
-            out = self.cond.forward(params, _stack_cols(cols))
+            out = self.cond.apply(w, _stack_cols(cols))
             shift_i = out[:, i]
             logs_i = out[:, self.d + i]
             cols[i] = shift_i + ad.exp(logs_i) * z[:, i]
@@ -819,20 +834,50 @@ def save_model(model: FlowModel, path: str) -> None:
             for k, v in model.params.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rec, fh, indent=1)
+    # Write a sibling file and rename it over the target, so a save that
+    # fails part-way leaves any previous file at ``path`` intact.
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(rec, fh, indent=1)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_model(path: str) -> FlowModel:
+    """Rebuild a model written by ``save_model``.
+
+    Raises ValueError naming the key when the record's parameters do not
+    fit the rebuilt architecture: a key missing or extra, or a shape (or
+    data length) that differs, or a frozen name that is no parameter.
+    """
     with open(path, encoding="utf-8") as fh:
         rec = json.load(fh)
     if rec.get("format") != _FORMAT or rec.get("version") != _VERSION:
         raise ValueError(f"not a {_FORMAT} v{_VERSION} record: {path}")
     model = build_architecture(rec["name"], rec["d"], rec["options"])
-    model.frozen = set(rec["frozen"])
+    saved = rec["params"]
+    missing = sorted(set(model.params) - set(saved))
+    extra = sorted(set(saved) - set(model.params))
+    if missing:
+        raise ValueError(f"{path}: missing parameter(s) {', '.join(missing)}")
+    if extra:
+        raise ValueError(f"{path}: unexpected parameter(s) {', '.join(extra)} "
+                         f"for {rec['name']} at d={rec['d']}")
     params = {}
-    for k, spec in rec["params"].items():
+    for k, spec in saved.items():
+        want = model.params[k].shape
         arr = np.frombuffer(base64.b64decode(spec["data"]), dtype=float)
-        params[k] = arr.reshape(spec["shape"]).copy()
+        if tuple(spec["shape"]) != want or arr.size != model.params[k].size:
+            raise ValueError(f"{path}: parameter {k} has shape {tuple(spec['shape'])} "
+                             f"and {arr.size} values, expected shape {want}")
+        params[k] = arr.reshape(want).copy()
+    unknown = sorted(set(rec["frozen"]) - set(saved))
+    if unknown:
+        raise ValueError(f"{path}: frozen name(s) {', '.join(unknown)} are not parameters")
+    model.frozen = set(rec["frozen"])
     model.params = params
     return model

@@ -20,6 +20,7 @@ and mapped to the 1/1000 shape convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -220,6 +221,29 @@ def gpd_fit_ml(excesses: np.ndarray) -> tuple[float, float]:
     if x.size < 30:
         raise ValueError(f"GPD fit needs at least 30 excesses, got {x.size}")
     return _profile_fit(x)
+
+
+def gpd_fit_scale(excesses: np.ndarray, shape: float) -> float:
+    """Maximum-likelihood GPD scale for threshold excesses at a fixed shape.
+
+    Solves mean(log1p(theta x)) = shape for theta = shape/scale; the
+    left side is increasing in theta so bisection is safe.  Falls back to
+    the mean excess (the exponential's scale) when no root is bracketed.
+    """
+    if shape == 0.0:
+        return float(np.mean(excesses))
+    lo, hi = 1e-12, 1e12
+    f = lambda t: float(np.mean(np.log1p(t * excesses))) - shape
+    if f(lo) > 0.0 or f(hi) < 0.0:
+        return float(np.mean(excesses))
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if f(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    theta = math.sqrt(lo * hi)
+    return shape / theta
 
 
 def _profile_fit(x: np.ndarray) -> tuple[float, float]:

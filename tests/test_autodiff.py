@@ -547,6 +547,24 @@ class TestRuleTable:
             covered.update(tape.ops)
         assert set(ad._RULES) - covered == set()
 
+    def test_every_rule_declares_what_it_reads(self):
+        # the tape saves exactly the declared values for backward, so an op
+        # without a declaration could not be differentiated
+        assert set(ad._SAVED) == set(ad._RULES)
+        for op, (own, parents) in ad._SAVED.items():
+            assert isinstance(own, bool) and all(k in (0, 1) for k in parents), op
+
+    def test_tape_keeps_only_declared_values(self):
+        tape = ad.Tape()
+        x = tape.param(np.array([0.5, 2.0]), "x")
+        y = (x + 1.0).log()  # log reads its operand, add_const nothing
+        z = (y * 3.0).exp()  # exp reads its own value, mul_const nothing
+        z.sum()
+        saved = [v.size > 0 for v in tape.values]
+        assert tape.ops == ["param", "add_const", "log", "mul_const", "exp", "sum"]
+        assert saved == [False, True, False, False, True, False]
+        assert tape.shapes == [(2,)] * 5 + [()]
+
 
 class TestComposedExpressions:
     def test_three_layer_network_gradient(self):

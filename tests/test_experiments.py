@@ -2,6 +2,7 @@
 importance diagnostics, the regression demo, and table plumbing."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -210,12 +211,30 @@ class TestCometMarginal:
         ]
         model = flows.build_architecture("COMET", 2, seed=0)
         cfg = training.TrainConfig(max_epochs=1)
-        with np.errstate(invalid="ignore"):  # the log-det of that row is NaN
-            u, _ = E.comet_logit(test, marginals)  # the logit itself does not raise
-            assert u[3, 0] == np.inf and np.isfinite(np.delete(u, 3, axis=0)).all()
-            with pytest.raises(ValueError, match=r"dimension 0: 1 test rows .* upper tail's "
-                                                 r"endpoint 1\.0\d+ \(GPD shape -0\.\d+\)"):
-                E.fit_de_on_splits(model, train, valid, test, cfg)
+        u, _ = E.comet_logit(test, marginals)  # the logit itself does not raise
+        assert u[3, 0] == np.inf and np.isfinite(np.delete(u, 3, axis=0)).all()
+        with pytest.raises(ValueError, match=r"dimension 0: 1 test rows .* upper tail's "
+                                             r"endpoint 1\.0\d+ \(GPD shape -0\.\d+\)"):
+            E.fit_de_on_splits(model, train, valid, test, cfg)
+
+    def test_log_det_beyond_bounded_tail_is_minus_inf(self):
+        # both tails of uniform data are bounded (negative GPD shapes); rows
+        # past an endpoint get u = +-inf and log-det -inf, with no warning
+        data = special.Rng(31).uniform(size=(1000, 2))
+        marginals = [E.comet_marginal_fit(data[:600, j]) for j in range(2)]
+        test = data[600:].copy()
+        test[3, 0] = 10.0
+        test[5, 1] = -10.0
+        test[8] = [10.0, -10.0]
+        beyond = np.zeros(len(test), dtype=bool)
+        beyond[[3, 5, 8]] = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, ld = E.comet_logit(test, marginals)
+            _, ld_inside = E.comet_logit(test[~beyond], marginals)
+        assert u[3, 0] == np.inf and u[5, 1] == -np.inf and list(u[8]) == [np.inf, -np.inf]
+        assert np.array_equal(ld == -np.inf, beyond)
+        np.testing.assert_array_equal(ld[~beyond], ld_inside)
 
 
 class TestCometPush:

@@ -1,6 +1,7 @@
 """Flow layer tests: autoregressive masking, spline algebra, invertibility,
 log-det consistency, base densities, architecture assembly, serialization."""
 
+import base64
 import json
 
 import numpy as np
@@ -678,3 +679,68 @@ class TestSerialization:
         path.write_text('{"format": "something-else", "version": 1}')
         with pytest.raises(ValueError):
             flows.load_model(str(path))
+
+    @staticmethod
+    def _saved_record(tmp_path):
+        path = tmp_path / "model.json"
+        flows.save_model(flows.build_architecture("TTF", 3, seed=2), str(path))
+        return path, json.loads(path.read_text())
+
+    def test_rejects_missing_parameter(self, tmp_path):
+        path, rec = self._saved_record(tmp_path)
+        del rec["params"]["tails.lp_raw"]
+        path.write_text(json.dumps(rec))
+        with pytest.raises(ValueError, match=r"missing parameter\(s\) tails\.lp_raw"):
+            flows.load_model(str(path))
+
+    def test_rejects_extra_parameter(self, tmp_path):
+        path, rec = self._saved_record(tmp_path)
+        rec["params"]["lu.l_raw"] = rec["params"]["tails.lp_raw"]
+        path.write_text(json.dumps(rec))
+        with pytest.raises(ValueError, match=r"unexpected parameter\(s\) lu\.l_raw for TTF at d=3"):
+            flows.load_model(str(path))
+
+    def test_rejects_misshaped_parameter(self, tmp_path):
+        # a record written for d=3 whose tail parameters hold 4 values
+        path, rec = self._saved_record(tmp_path)
+        rec["params"]["tails.lp_raw"] = {"shape": [4], "data": base64.b64encode(
+            np.zeros(4).tobytes()).decode()}
+        path.write_text(json.dumps(rec))
+        with pytest.raises(ValueError, match=r"parameter tails\.lp_raw has shape \(4,\) "
+                                             r"and 4 values, expected shape \(3,\)"):
+            flows.load_model(str(path))
+
+    def test_rejects_data_not_matching_its_shape(self, tmp_path):
+        path, rec = self._saved_record(tmp_path)
+        rec["params"]["tails.lp_raw"]["data"] = base64.b64encode(np.zeros(2).tobytes()).decode()
+        path.write_text(json.dumps(rec))
+        with pytest.raises(ValueError, match=r"parameter tails\.lp_raw has shape \(3,\) "
+                                             r"and 2 values"):
+            flows.load_model(str(path))
+
+    def test_rejects_unknown_frozen_name(self, tmp_path):
+        path, rec = self._saved_record(tmp_path)
+        rec["frozen"] = ["tails.lp_raw", "tails.lp"]
+        path.write_text(json.dumps(rec))
+        with pytest.raises(ValueError, match=r"frozen name\(s\) tails\.lp are not parameters"):
+            flows.load_model(str(path))
+
+    def test_failed_save_leaves_previous_file_intact(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        old = flows.build_architecture("TTF", 2, seed=1)
+        flows.save_model(old, str(path))
+        before = path.read_bytes()
+
+        def fail_part_way(rec, fh, **kw):
+            fh.write('{"format": "tailflow-model", "params": {')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(flows.json, "dump", fail_part_way)
+        with pytest.raises(OSError, match="disk full"):
+            flows.save_model(perturb(flows.build_architecture("TTF", 2, seed=1)), str(path))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        loaded = flows.load_model(str(path))
+        for k in old.params:
+            assert np.array_equal(loaded.params[k], old.params[k]), k

@@ -108,6 +108,22 @@ class TestGpdFitMl:
             tailest.gpd_fit_ml(np.linspace(-0.5, 1.0, 50))
 
 
+class TestGpdFitScale:
+    def test_recovers_scale_at_true_shape(self):
+        x = gpd_sample(9, 100_000, 0.5, 1.7)
+        assert abs(tailest.gpd_fit_scale(x, 0.5) - 1.7) < 0.03
+
+    def test_matches_ml_scale_at_ml_shape(self):
+        # the profile likelihood's scale at its optimum solves the same equation
+        x = gpd_sample(9, 5000, 0.5, 1.0)
+        shape, scale = tailest.gpd_fit_ml(x)
+        assert abs(tailest.gpd_fit_scale(x, shape) - scale) < 1e-9 * scale
+
+    def test_shape_zero_is_mean_excess(self):
+        x = np.array([0.5, 1.0, 3.0])
+        assert tailest.gpd_fit_scale(x, 0.0) == np.mean(x)
+
+
 class TestGpdLogDensity:
     def test_shape_zero_is_exponential(self):
         x = np.linspace(0.0, 5.0, 11)
