@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import special as sp
-from scipy.linalg import solve_triangular
 
 from . import special
 
@@ -56,6 +55,15 @@ class PoisonedTapeError(RuntimeError):
 # Stands in, on the tape, for every value that no backward rule reads.
 _UNSAVED = np.empty(0)
 _UNSAVED.flags.writeable = False
+
+
+def _compact(value: np.ndarray) -> np.ndarray:
+    """``value``, or a copy of it if it is a view of a larger buffer, so that
+    saving it does not keep the rest of that buffer alive."""
+    base = value.base
+    if isinstance(base, np.ndarray) and base.nbytes > value.nbytes:
+        return value.copy()
+    return value
 
 
 class Tape:
@@ -88,11 +96,13 @@ class Tape:
         own, read = _SAVED.get(op, _READS_NOTHING)
         values = self.values
         for k in read:
-            values[ins[k].idx] = ins[k].value
+            p = ins[k].idx
+            if values[p] is _UNSAVED:
+                values[p] = _compact(ins[k].value)
         self.ops.append(op)
         self.parents.append(tuple([v.idx for v in ins]))
         self.payloads.append(payload)
-        values.append(value if own else _UNSAVED)
+        values.append(_compact(value) if own else _UNSAVED)
         self.shapes.append(value.shape)
         if self.poisoned is None and not np.all(np.isfinite(value)):
             self.poisoned = idx
@@ -307,6 +317,8 @@ class Var:
 
     def solve_tri_right(self, t: "Var", lower: bool):
         """Solve Y @ T.T = self for Y, with T triangular: Y = self @ T^{-T}."""
+        from scipy.linalg import solve_triangular
+
         y = solve_triangular(t.value, self.value.T, lower=lower).T
         return self._binary("solve_tri_right", t, y, payload=lower)
 
@@ -476,6 +488,8 @@ def _matmul_rule(g, v, ins, pay):
 
 
 def _solve_tri_right_rule(g, v, ins, lower):
+    from scipy.linalg import solve_triangular
+
     t = ins[1]
     gx = solve_triangular(t, g.T, lower=lower, trans="T").T
     # d/dT of Y = X T^{-T} is -gx^T Y, restricted to the triangle the solve

@@ -24,7 +24,6 @@ import os
 import zlib
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import autodiff as ad
 from . import special
@@ -470,6 +469,8 @@ class LuLinearLayer:
             z = xv.solve_tri_right(t.as_var(lo), lower=True)
             z = z.solve_tri_right(t.as_var(up), lower=False)
         else:
+            from scipy.linalg import solve_triangular
+
             # z = x @ (LU)^{-T} = (x @ L^{-T}) @ U^{-T}
             z = solve_triangular(lo, x.T, lower=True).T
             z = solve_triangular(up, z.T, lower=False).T

@@ -217,11 +217,17 @@ def gamma_dsample_dshape(shape: float, value):
     Implicit differentiation of P(shape, z) = u gives
     dz/dshape = -dP/dshape / pdf(z; shape); dP/dshape has no closed form and
     is computed by central differencing of the regularized incomplete gamma.
+    Above the median, P is close to 1 and its differences cancel, so there
+    the upper incomplete gamma Q = 1 - P is differenced instead.
     """
     shape = float(shape)
     value = np.asarray(value, dtype=float)
     h = 1e-6 * max(1.0, shape)
-    dP = (sp.gammainc(shape + h, value) - sp.gammainc(shape - h, value)) / (2.0 * h)
+    dP = np.where(
+        sp.gammainc(shape, value) > 0.5,
+        sp.gammaincc(shape - h, value) - sp.gammaincc(shape + h, value),
+        sp.gammainc(shape + h, value) - sp.gammainc(shape - h, value),
+    ) / (2.0 * h)
     log_pdf = (shape - 1.0) * np.log(value) - value - sp.gammaln(shape)
     out = -dP * np.exp(-log_pdf)
     return out if out.ndim else float(out)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import special
 
@@ -33,6 +32,8 @@ from . import special
 LIGHT_TAIL_SHAPE = 1e-3
 
 _BOOTSTRAP_REPS = 500
+# Resampled values per block of the bootstrap (about 0.8 MB per temporary).
+_BOOTSTRAP_BLOCK_VALUES = 100_000
 _SUBSAMPLE_EXPONENT = 0.955
 _FALLBACK_EXPONENT = 0.6
 _SMOOTH_BINS = 40
@@ -104,32 +105,40 @@ def _bootstrap_mse_curve(
     Returns (k grid, mse) restricted to k valid in every resample.
     Nonpositive draws sort to the end as NaN and poison only the k
     values that would reach them.
+
+    Resamples are drawn and reduced in blocks of about
+    ``_BOOTSTRAP_BLOCK_VALUES`` values, so memory is bounded by about ten
+    temporaries of that size whatever ``n1`` and ``reps`` are.  The curve
+    does not depend on the block size: the index stream is drawn value by
+    value, and each resample's Q(k)^2 is added to the running sum in
+    resample order (an axis-0 sum adds rows in order).
     """
     n = x.size
-    acc = np.zeros(n1)
-    cnt = np.zeros(n1, dtype=np.int64)
+    logx = np.log(np.where(x > 0.0, x, np.nan))
     ks = np.arange(2, n1)
-    chunk = max(1, int(1_000_000 / n1))
+    acc = np.zeros(ks.size)
+    cnt = np.zeros(ks.size, dtype=np.int64)
+    rows = max(1, _BOOTSTRAP_BLOCK_VALUES // n1)
     done = 0
     while done < reps:
-        b = min(chunk, reps - done)
-        idx = rng.integers(0, n, size=(b, n1))
-        sub = x[idx]
-        logs = np.log(np.where(sub > 0.0, sub, np.nan))
+        b = min(rows, reps - done)
+        logs = logx[rng.integers(0, n, size=(b, n1))]
         logs = -np.sort(-logs, axis=1)  # descending, NaN last
         c1 = np.cumsum(logs, axis=1)
         c2 = np.cumsum(logs * logs, axis=1)
-        s1 = c1[:, ks - 1]
-        t = logs[:, ks]
+        s1 = c1[:, 1:-1]  # sums of the top k, k = 2 .. n1-1
+        t = logs[:, 2:]  # the (k+1)-th largest
         m1 = s1 / ks - t
-        m2 = c2[:, ks - 1] / ks - 2.0 * t * s1 / ks + t * t
+        m2 = c2[:, 1:-1] / ks - 2.0 * t * s1 / ks + t * t
         q2 = (m2 - 2.0 * m1 * m1) ** 2
         ok = np.isfinite(q2)
-        acc[ks] += np.where(ok, q2, 0.0).sum(axis=0)
-        cnt[ks] += ok.sum(axis=0)
+        q2 = np.where(ok, q2, 0.0)
+        q2[0] += acc
+        acc = q2.sum(axis=0)
+        cnt += ok.sum(axis=0)
         done += b
     full = np.nonzero(cnt == reps)[0]
-    return full, acc[full] / reps
+    return ks[full], acc[full] / reps
 
 
 def _smoothed_argmin(grid: np.ndarray, mse: np.ndarray) -> tuple[int, int, int]:
@@ -273,6 +282,8 @@ def _profile_fit(x: np.ndarray) -> tuple[float, float]:
     lo = thetas[max(i - 1, 0)]
     hi = thetas[min(i + 1, thetas.size - 1)]
     if lo < hi:
+        from scipy.optimize import minimize_scalar  # costly import; only here
+
         res = minimize_scalar(
             _gpd_profile_negloglik, args=(x,), bounds=(lo, hi), method="bounded"
         )

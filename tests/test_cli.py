@@ -1,8 +1,13 @@
 """Command-line tests: pinned de-csv result rows, usage errors, output order."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import tailflow
 from tailflow import cli
 
 HEADER = "flow,d,nu,seed,metric_name,value,diverged"
@@ -101,3 +106,17 @@ class TestUsageErrors:
     def test_missing_data(self):
         with pytest.raises(cli.UsageError, match="data_path"):
             cli.parse_config(["de-csv", "--flow", "TTF"])
+
+
+class TestImportCost:
+    def test_scipy_optimize_and_linalg_not_loaded(self):
+        # together they cost ~22 MB RSS and ~260 modules; only GPD fits and
+        # the LU layer's solves use them, and import them where they call them
+        src = os.path.dirname(os.path.dirname(tailflow.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import sys, tailflow; print([m for m in ('scipy.optimize', "
+                "'scipy.linalg') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -169,6 +169,34 @@ class TestSampleGamma:
         got = special.gamma_dsample_dshape(alpha, z)
         assert np.allclose(got, ref, rtol=1e-4)
 
+    def test_implicit_derivative_against_mpmath(self):
+        # Live oracle over random (shape, u): a third each in the bulk, the
+        # lower tail down to u = 1e-6 and the upper tail up to 1 - 1e-8,
+        # where differencing P itself lost up to 3 digits.
+        mpmath = pytest.importorskip("mpmath")
+        from scipy.special import gammaincinv
+
+        r = np.random.default_rng(20)
+        n = 240
+        shapes = np.exp(r.uniform(np.log(0.4), np.log(15.0), n))
+        region = np.arange(n) % 3
+        us = np.select(
+            [region == 0, region == 1],
+            [r.uniform(0.01, 0.99, n), 10.0 ** r.uniform(-6, -2, n)],
+            1.0 - 10.0 ** r.uniform(-8, -2, n),
+        )
+        for a, u in zip(shapes, us):
+            z = float(gammaincinv(a, u))
+            with mpmath.workdps(30):
+                # dz/da = -dP/da / pdf = dQ/da / pdf at the same float z
+                dq = mpmath.diff(
+                    lambda s: mpmath.gammainc(s, z, mpmath.inf, regularized=True), a
+                )
+                log_pdf = (a - 1) * mpmath.log(z) - z - mpmath.loggamma(a)
+                ref = float(dq / mpmath.exp(log_pdf))
+            got = special.gamma_dsample_dshape(a, z)
+            assert got == pytest.approx(ref, rel=1e-8), (a, u)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             special.sample_gamma(0.0, special.Rng(0))

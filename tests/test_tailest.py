@@ -1,6 +1,8 @@
 """Tail-index estimation tests: Hill estimator, double-bootstrap k selection,
 profile-likelihood GPD fits, and per-dimension marginal tail estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,54 @@ class TestHillDoubleBootstrap:
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError, match="n >= 500"):
             tailest.hill_double_bootstrap(pareto_sample(0, 499))
+
+    # (seed, nu, dim) -> (shape, k, light_tailed, fallback) on the synthetic
+    # task at d=5, n=5000, as `estimate_marginal_tails` sees each dimension;
+    # recorded before the bootstrap was streamed in small blocks.
+    PINNED = {
+        (0, 0.8, 0): (1.2690766115541396, 1258, False, False),
+        (1, 30.0, 0): (0.042050742358273, 3, True, False),
+        (0, 30.0, 1): (0.1524698807598619, 165, True, True),
+        (3, 30.0, 0): (0.15314844030740915, 107, False, False),
+    }
+
+    @pytest.mark.parametrize("seed,nu,dim", sorted(PINNED))
+    def test_pinned_synthetic_estimates(self, seed, nu, dim):
+        spec = experiments.SyntheticDeSpec(d=5, nu=nu, n=5000, seed=seed)
+        train, valid, test, _ = experiments.gen_synthetic_de(spec)
+        col = np.concatenate([train, valid, test])[:, dim]
+        res = tailest.hill_double_bootstrap(
+            np.abs(col - np.median(col)), special.Rng(seed).child(7).child(dim)
+        )
+        shape, k, light, fallback = self.PINNED[(seed, nu, dim)]
+        assert res.shape == pytest.approx(shape, rel=1e-12)
+        assert (res.k, res.light_tailed, res.fallback) == (k, light, fallback)
+
+    def test_traced_peak_at_n5000(self):
+        # blocks of ~1e5 resampled values keep the working set near 8 MB;
+        # one block of ~1e6 values traced 89 MB
+        x = pareto_sample(6, 5000)
+        tracemalloc.start()
+        try:
+            tailest.hill_double_bootstrap(x, special.Rng(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 <= 16.0
+
+
+class TestBootstrapMseCurve:
+    @pytest.mark.parametrize("rows", [1, 7, 500])
+    def test_independent_of_block_size(self, rows, monkeypatch):
+        # ~2% nonpositive values exercise the NaN-poisoned k as well
+        x = pareto_sample(5, 600) - 1.01
+        n1 = int(600 ** tailest._SUBSAMPLE_EXPONENT)
+        k_ref, mse_ref = tailest._bootstrap_mse_curve(x, n1, special.Rng(2))
+        monkeypatch.setattr(tailest, "_BOOTSTRAP_BLOCK_VALUES", rows * n1)
+        k, mse = tailest._bootstrap_mse_curve(x, n1, special.Rng(2))
+        np.testing.assert_array_equal(k, k_ref)
+        np.testing.assert_array_equal(mse, mse_ref)
+        assert k[0] == 2 and k[-1] < n1 - 1  # the top of the grid is poisoned
 
 
 class TestGpdFitMl:
