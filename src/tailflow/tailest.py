@@ -282,7 +282,7 @@ def _profile_fit(x: np.ndarray) -> tuple[float, float]:
     lo = thetas[max(i - 1, 0)]
     hi = thetas[min(i + 1, thetas.size - 1)]
     if lo < hi:
-        from scipy.optimize import minimize_scalar  # costly import; only here
+        from scipy.optimize import minimize_scalar
 
         res = minimize_scalar(
             _gpd_profile_negloglik, args=(x,), bounds=(lo, hi), method="bounded"
