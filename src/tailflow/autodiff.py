@@ -26,7 +26,12 @@ of live adjoints (plus the params'), not a second copy of the tape.
 
 Domain violations never raise mid-graph: offending values propagate as NaN
 and the tape records the first offending node ("poisoning"); the training
-loop treats a poisoned tape as a diverged step.
+loop treats a poisoned tape as a diverged step.  Finding that node costs a
+finiteness test per pushed value, except for the ops in ``_ENTRY_MOVING``
+(``getitem``, ``transpose``, ``reshape``, ``swapaxes``, ``stack_cols``,
+``where_mask``, ``neg``, ``relu``, ``abs_split`` and the triangle and
+diagonal ops): their outputs are operand entries, zeros, or bounded maps of
+them, so while every node before them is finite they are finite too.
 """
 
 from __future__ import annotations
@@ -90,7 +95,13 @@ class Tape:
 
     def _push(self, op: str, ins: tuple, value, payload=None) -> "Var":
         """Append a node computed from the Vars ``ins``, saving the values
-        its rule reads (``_SAVED``) and nothing else."""
+        its rule reads (``_SAVED``) and nothing else.
+
+        Until the tape is poisoned, the value is tested for finiteness unless
+        the op is in ``_ENTRY_MOVING``: all of ``ins`` are finite then, and
+        such an op cannot make a non-finite value from finite operands.
+        ``where_mask_const`` is tested, as its constant may be NaN.
+        """
         value = np.asarray(value, dtype=float)
         idx = len(self.ops)
         own, read = _SAVED.get(op, _READS_NOTHING)
@@ -104,7 +115,10 @@ class Tape:
         self.payloads.append(payload)
         values.append(_compact(value) if own else _UNSAVED)
         self.shapes.append(value.shape)
-        if self.poisoned is None and not np.all(np.isfinite(value)):
+        # count_nonzero is the same test as isfinite().all() without the
+        # reduction machinery, which dominates on the small arrays of VI.
+        if self.poisoned is None and op not in _ENTRY_MOVING \
+                and np.count_nonzero(np.isfinite(value)) != value.size:
             self.poisoned = idx
         return Var(self, idx, value)
 
@@ -124,8 +138,12 @@ class Tape:
 
 def _is_gather(key) -> bool:
     """Whether an index holds an integer array (advanced indexing)."""
-    parts = key if isinstance(key, tuple) else (key,)
-    return any(isinstance(k, (np.ndarray, list)) for k in parts)
+    if isinstance(key, tuple):
+        for k in key:
+            if isinstance(k, (np.ndarray, list)):
+                return True
+        return False
+    return isinstance(key, (np.ndarray, list))
 
 
 class Var:
@@ -282,7 +300,7 @@ class Var:
     # -- reductions and structure -------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        value = np.sum(self.value, axis=axis, keepdims=keepdims)
+        value = self.value.sum(axis=axis, keepdims=keepdims)
         return self._unary("sum", value, payload=(axis, keepdims, self.shape))
 
     def __getitem__(self, key):
@@ -300,7 +318,7 @@ class Var:
         return self._unary("swapaxes", self.value.swapaxes(a, b), payload=(a, b))
 
     def cumsum_cols(self):
-        return self._unary("cumsum_cols", np.cumsum(self.value, axis=1))
+        return self._unary("cumsum_cols", self.value.cumsum(axis=1))
 
     def where_mask(self, mask: np.ndarray, other):
         """mask ? self : other, with a constant boolean mask.
@@ -454,12 +472,13 @@ def value_of(x) -> np.ndarray:
 
 
 def _unbroadcast(g, shape) -> np.ndarray:
-    """Sum an adjoint over the axes that broadcasting added or stretched."""
-    if np.shape(g) == shape:
-        return g
-    g = np.sum(g, axis=tuple(range(np.ndim(g) - len(shape))))
+    """Sum an adjoint over the axes that broadcasting added or stretched;
+    backward calls it only when the shapes differ."""
+    lead = g.ndim - len(shape)
+    if lead > 0:
+        g = g.sum(axis=tuple(range(lead)))
     stretched = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    return np.sum(g, axis=stretched, keepdims=True) if stretched else g
+    return g.sum(axis=stretched, keepdims=True) if stretched else g
 
 
 def _sum_rule(g, v, ins, pay):
@@ -483,7 +502,7 @@ def _matmul_rule(g, v, ins, pay):
     a, b = ins
     a2 = a[None, :] if a.ndim == 1 else a
     b2 = b[:, None] if b.ndim == 1 else b
-    g2 = np.reshape(g, (a2.shape[0], b2.shape[1]))
+    g2 = g.reshape(a2.shape[0], b2.shape[1])
     return (g2 @ b2.T).reshape(a.shape), (a2.T @ g2).reshape(b.shape)
 
 
@@ -534,10 +553,10 @@ _RULES = {
     "sum": _sum_rule,
     "getitem": _getitem_rule,
     "transpose": lambda g, v, ins, pay: (g.T,),
-    "reshape": lambda g, v, ins, pay: (np.reshape(g, pay),),
-    "swapaxes": lambda g, v, ins, pay: (np.swapaxes(g, *pay),),
+    "reshape": lambda g, v, ins, pay: (g.reshape(pay),),
+    "swapaxes": lambda g, v, ins, pay: (g.swapaxes(*pay),),
     "matmul": _matmul_rule,
-    "cumsum_cols": lambda g, v, ins, pay: (np.cumsum(g[:, ::-1], axis=1)[:, ::-1],),
+    "cumsum_cols": lambda g, v, ins, pay: (g[:, ::-1].cumsum(axis=1)[:, ::-1],),
     "stack_cols": lambda g, v, ins, pay: tuple(g[:, k] for k in range(len(ins))),
     "where_mask": lambda g, v, ins, pay: (g * pay, g * ~pay),
     "where_mask_const": lambda g, v, ins, pay: (g * pay,),
@@ -603,6 +622,17 @@ _SAVED = {
     "diag_embed": _READS_NOTHING,
 }
 
+# Ops whose output entries are entries of their operands, zeros, or bounded
+# maps of them (-x, max(x, 0), |x|), so they are finite whenever their
+# operands are.  ``Tape._push`` tests only other nodes for finiteness: while
+# the tape is unpoisoned every node on it is finite, so none of these can be
+# the first non-finite one.  ``where_mask_const`` is not here, as its
+# constant branch may hold NaN.
+_ENTRY_MOVING = frozenset({
+    "getitem", "transpose", "reshape", "swapaxes", "stack_cols", "where_mask",
+    "neg", "relu", "abs_split", "tril_strict", "triu_strict", "diag_embed",
+})
+
 
 def backward(out: Var) -> dict[str, np.ndarray]:
     """Accumulate d(out)/d(param) for every param on out's tape.
@@ -646,7 +676,8 @@ def backward(out: Var) -> dict[str, np.ndarray]:
                 if ops[p] == "lift":
                     continue  # constants carry zero gradient by definition
                 # Adjoints are never written in place, so views can be shared.
-                gp = _unbroadcast(gp, shapes[p])
+                if gp.shape != shapes[p]:
+                    gp = _unbroadcast(gp, shapes[p])
                 adj[p] = gp if adj[p] is None else adj[p] + gp
 
     grads: dict[str, np.ndarray] = {}

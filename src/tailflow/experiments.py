@@ -766,7 +766,9 @@ def aggregate_results(rows: list[dict], metric_name: str) -> dict:
     """Per-cell mean and standard error with the dash convention.
 
     Returns {(flow, d, nu): {"mean", "se", "n", "diverged", "display"}};
-    cells with any diverged run display as a dash.
+    n counts every run that reports the metric.  Cells with any diverged run
+    display as a dash, and so do cells with any non-finite value, whose mean
+    and se are NaN rather than those of the remaining runs.
     """
     cells: dict = {}
     for r in rows:
@@ -774,15 +776,16 @@ def aggregate_results(rows: list[dict], metric_name: str) -> dict:
         cells.setdefault(key, {"values": [], "diverged": False})
         if r.get("diverged"):
             cells[key]["diverged"] = True
-        if r["metric_name"] == metric_name and np.isfinite(r["value"]):
+        if r["metric_name"] == metric_name:
             cells[key]["values"].append(r["value"])
     out = {}
     for key, cell in cells.items():
-        vals = np.asarray(cell["values"])
+        vals = np.asarray(cell["values"], dtype=float)
         n = vals.size
-        mean = float(np.mean(vals)) if n else float("nan")
-        se = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
-        display = "-" if cell["diverged"] or n == 0 else f"{mean:.2f} ({se:.2f})"
+        finite = n > 0 and bool(np.all(np.isfinite(vals)))
+        mean = float(np.mean(vals)) if finite else float("nan")
+        se = float(np.std(vals, ddof=1) / np.sqrt(n)) if finite and n > 1 else float("nan")
+        display = "-" if cell["diverged"] or not finite else f"{mean:.2f} ({se:.2f})"
         out[key] = {
             "mean": mean, "se": se, "n": n,
             "diverged": cell["diverged"], "display": display,

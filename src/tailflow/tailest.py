@@ -321,9 +321,10 @@ def gpd_log_survivor(e: np.ndarray, shape: float, scale: float) -> np.ndarray:
         raise ValueError("scale must be positive")
     if shape == 0.0:
         return -e / scale
-    arg = 1.0 + shape * e / scale
+    t = shape * e / scale
+    # log1p keeps small excesses accurate in relative terms
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(arg > 0.0, -np.log(np.maximum(arg, 1e-300)) / shape, -np.inf)
+        return np.where(t > -1.0, -np.log1p(t) / shape, -np.inf)
 
 
 def gpd_excess_at_log_survivor(log_s: np.ndarray, shape: float, scale: float) -> np.ndarray:

@@ -538,7 +538,60 @@ def _all_fd_cases():
         yield case["build"], case["inputs"]
 
 
+# What ``Tape._push`` skips when it tests node values for finiteness: ops
+# whose output entries are operand entries, zeros, or bounded maps of them.
+# Every other rule can turn finite operands into inf or NaN (overflow, a
+# domain edge, a NaN constant) or draws a fresh value, so its nodes are tested.
+ENTRY_MOVING_OPS = {
+    "getitem", "transpose", "reshape", "swapaxes", "stack_cols", "where_mask",
+    "neg", "relu", "abs_split", "tril_strict", "triu_strict", "diag_embed",
+}
+TESTED_OPS = {
+    "add", "add_const", "sub", "rsub_const", "mul", "mul_const", "div", "div_const",
+    "rdiv_const", "pow", "pow_const", "exp", "log", "log1p", "expm1", "sqrt", "tanh",
+    "sigmoid", "softplus", "erfc_node", "log_erfc", "erfc_inv_node", "lgamma",
+    "maximum_const", "minimum_const", "sum", "matmul", "cumsum_cols",
+    "where_mask_const", "sample_gamma", "solve_tri_right",
+}
+
+
+class RecordingTape(ad.Tape):
+    """A tape that also keeps every node's value, for brute-force checks."""
+
+    __slots__ = ("seen",)
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def _push(self, op, ins, value, payload=None):
+        v = super()._push(op, ins, value, payload)
+        self.seen.append(v.value)
+        return v
+
+
 class TestRuleTable:
+    def test_every_rule_is_classified_for_the_finiteness_test(self):
+        assert not ENTRY_MOVING_OPS & TESTED_OPS
+        assert ENTRY_MOVING_OPS | TESTED_OPS == set(ad._RULES)
+        assert ad._ENTRY_MOVING == ENTRY_MOVING_OPS
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_entry_moving_ops_keep_extreme_finite_values_finite(self, seed):
+        rng = np.random.default_rng(seed)
+        big = np.finfo(float).max
+        x = rng.choice([-big, big, -1e-308, 5e-324, 0.0, -0.0, 1.0], size=(3, 4))
+        t = RecordingTape()
+        v = t.param(x, "x")
+        nodes = [
+            v[1:, ::2], v[np.array([2, 0, 2]), np.array([1, 1, 3])], v.T, v.reshape(2, 6),
+            v.reshape(3, 2, 2).swapaxes(0, 2), ad.stack_cols([v[:, 3], v[:, 0]]),
+            v.where_mask(np.arange(12).reshape(3, 4) % 3 == 0, t.lift(np.full((3, 4), -7.0))),
+            -v, v.relu(), v.abs(), v.tril_strict(), v.triu_strict(), v[1].diag_embed(),
+        ]
+        assert {t.ops[n.idx] for n in nodes} == ENTRY_MOVING_OPS
+        assert all(np.all(np.isfinite(v)) for v in t.seen)
+
     def test_every_rule_has_a_central_difference_case(self):
         covered = set()
         for build, inputs in _all_fd_cases():
@@ -657,6 +710,63 @@ class TestPoisoning:
         x = tape.param(np.array([0.5, 1.5]), "x")
         ad.backward(x.log().sum())
         assert tape.poisoned is None
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_poisoned_is_first_non_finite_node(self, seed):
+        """Random chains of ops on (3, 4) values, with a NaN or inf put in at a
+        random step: ``tape.poisoned`` is the first node whose value is not
+        finite, found by scanning every node's value."""
+        rng = np.random.default_rng(seed)
+        t = RecordingTape()
+        pool = [t.param(rng.normal(size=(3, 4)), "x"), t.lift(rng.normal(size=(3, 4)))]
+        mask = lambda: rng.random((3, 4)) < 0.7  # noqa: E731
+        bad = lambda: rng.choice([np.nan, np.inf, -np.inf])  # noqa: E731
+        tri = np.triu(rng.normal(size=(4, 4)), 1) + np.diag(rng.uniform(0.5, 2.0, 4))
+
+        def inject(v):
+            """A non-finite value from a constant, or from finite operands."""
+            poison = rng.normal(size=(3, 4))
+            poison[rng.integers(3), rng.integers(4)] = bad()
+            big = t.lift(np.full((3, 4), 1e308))
+            makers = [
+                lambda: v.where_mask(mask(), bad()), lambda: v + t.lift(poison),
+                lambda: big + big, lambda: big - -big, lambda: big * 10.0,
+                lambda: big.sum(axis=0, keepdims=True) + v, lambda: big.cumsum_cols(),
+                lambda: (v.abs() + 800.0).exp(), lambda: (v * 0.0).log(),
+                lambda: v / (v * 0.0), lambda: big @ big.T @ v,
+            ]
+            return makers[rng.integers(len(makers))]()
+
+        steps = [
+            lambda v, u: v + u, lambda v, u: v - u, lambda v, u: v * u, lambda v, u: v / u,
+            lambda v, u: (v.abs() + 0.5) ** u.tanh(), lambda v, u: v.where_mask(mask(), u),
+            lambda v, u: v * 3.0, lambda v, u: 2.0 / v, lambda v, u: v / 0.5 - 1.0,
+            lambda v, u: 1.5 - v ** 2, lambda v, u: v.tanh().exp(), lambda v, u: v.expm1(),
+            lambda v, u: (v.abs() + 0.1).log(), lambda v, u: v.sigmoid().log1p(),
+            lambda v, u: v.abs().sqrt(), lambda v, u: v.softplus(), lambda v, u: v.erfc(),
+            lambda v, u: v.log_erfc(), lambda v, u: (v.sigmoid() * 1.8 + 0.1).erfc_inv(),
+            lambda v, u: (v.abs() + 0.1).lgamma(), lambda v, u: v.maximum(-0.5),
+            lambda v, u: v.minimum(2.0),
+            lambda v, u: v.sum(axis=0, keepdims=True) * u, lambda v, u: v.cumsum_cols(),
+            lambda v, u: v @ u.T @ u, lambda v, u: v.where_mask(mask(), 1.0),
+            # scipy's solve rejects non-finite operands outright
+            lambda v, u: v.solve_tri_right(t.lift(tri), lower=False)
+            if np.all(np.isfinite(v.value)) else v * 1.0,
+            lambda v, u: v[::-1], lambda v, u: v[np.array([2, 2, 0])],
+            lambda v, u: v.T.T, lambda v, u: v.reshape(4, 3).reshape(3, 4),
+            lambda v, u: v.reshape(3, 2, 2).swapaxes(0, 2).swapaxes(0, 2).reshape(3, 4),
+            lambda v, u: ad.stack_cols([v[:, j] for j in rng.permutation(4)]),
+            lambda v, u: -v, lambda v, u: v.relu(), lambda v, u: v.abs(),
+            lambda v, u: v.tril_strict() + v.triu_strict(),
+            lambda v, u: v[0].diag_embed()[:3] + v,
+        ]
+        at = rng.integers(30)
+        with np.errstate(all="ignore"):
+            for k in range(30):
+                v, u = (pool[i] for i in rng.integers(len(pool), size=2))
+                pool.append(inject(v) if k == at else steps[rng.integers(len(steps))](v, u))
+        first = next((i for i, val in enumerate(t.seen) if not np.all(np.isfinite(val))), None)
+        assert t.poisoned == first
 
 
 class TestModuleLevelDispatch:

@@ -52,7 +52,7 @@ mTAF,2,nan,1,epochs,3.0,False
     "COMET": """\
 COMET,2,nan,0,nll_per_dim,1.7163959610209663,False
 COMET,2,nan,0,epochs,3.0,False
-COMET,2,nan,1,nll_per_dim,1.5858709514427198,False
+COMET,2,nan,1,nll_per_dim,1.5858709514427196,False
 COMET,2,nan,1,epochs,3.0,False
 """,
 }

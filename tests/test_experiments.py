@@ -468,3 +468,17 @@ class TestTablePlumbing:
         cell = E.aggregate_results(rows, "m")[("f", 2, 1.0)]
         assert cell["diverged"]
         assert cell["display"] == "-"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_aggregate_dash_on_non_finite_value(self, bad):
+        # a non-finite seed must not leave the other seeds' mean with a smaller n
+        rows = [
+            dict(flow="f", d=2, nu=1.0, seed=s, metric_name="m", value=v,
+                 diverged=False)
+            for s, v in enumerate([1.0, bad, 3.0])
+        ]
+        cell = E.aggregate_results(rows, "m")[("f", 2, 1.0)]
+        assert cell["display"] == "-"
+        assert cell["n"] == 3
+        assert np.isnan(cell["mean"]) and np.isnan(cell["se"])
+        assert not cell["diverged"]
