@@ -164,12 +164,6 @@ class Var:
     def shape(self):
         return self.value.shape
 
-    @property
-    def grad(self) -> np.ndarray:
-        """Accumulated adjoint of a param; zeros for any other node."""
-        g = self.tape.grad_store.get(self.idx)
-        return np.zeros_like(self.value) if g is None else g
-
     def _unary(self, op: str, value, payload=None) -> "Var":
         return self.tape._push(op, (self,), value, payload)
 

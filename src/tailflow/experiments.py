@@ -261,9 +261,15 @@ def comet_marginal_log_pdf(m: CometMarginal, x: np.ndarray) -> np.ndarray:
 
 
 def comet_marginal_inv_cdf(m: CometMarginal, u: np.ndarray) -> np.ndarray:
-    """Quantile function; body values by bracketed Newton on the cdf."""
+    """Quantile function: closed form in the tails, bracketed Newton in the body.
+
+    All body lanes are solved at once, each starting at the empirical
+    quantile of the body points; a step that leaves its lane's bracket
+    bisects.  A lane stops at an exact root or once its step falls below
+    1e-13 relative (at most 100 steps).  Every u must lie inside (0, 1).
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    if not np.all((u > 0.0) & (u < 1.0)):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
     out = np.empty_like(u)
     lo = u < _TAIL_MASS
@@ -275,29 +281,33 @@ def comet_marginal_inv_cdf(m: CometMarginal, u: np.ndarray) -> np.ndarray:
     if hi.any():
         log_s = np.log((1.0 - u[hi]) / _TAIL_MASS)
         out[hi] = m.t_hi + tailest.gpd_excess_at_log_survivor(log_s, m.shape_hi, m.scale_hi)
-    for i in np.nonzero(mid)[0]:
-        out[i] = _body_quantile(m, float(u[i]))
+    if mid.any():
+        out[mid] = _body_quantile(m, u[mid])
     return out
 
 
-def _body_quantile(m: CometMarginal, u: float) -> float:
-    a, b = m.t_lo, m.t_hi
-    x = 0.5 * (a + b)
+def _body_quantile(m: CometMarginal, u: np.ndarray) -> np.ndarray:
+    out = np.empty_like(u)
+    lane = np.arange(u.size)  # lanes still running; the arrays below hold only those
+    a, b = np.full(u.size, m.t_lo), np.full(u.size, m.t_hi)
+    x = np.clip(np.quantile(m.points, (u - _TAIL_MASS) / _BODY_MASS),
+                np.nextafter(m.t_lo, m.t_hi), np.nextafter(m.t_hi, m.t_lo))
     for _ in range(100):
-        fx = float(comet_marginal_cdf(m, np.array([x]))[0]) - u
-        if fx > 0.0:
-            b = x
-        else:
-            a = x
-        pdf = float(np.exp(comet_marginal_log_pdf(m, np.array([x]))[0]))
-        step = fx / pdf if pdf > 0.0 else 0.0
-        nxt = x - step
-        if not (a < nxt < b):
-            nxt = 0.5 * (a + b)  # Newton left the bracket; bisect
-        if abs(nxt - x) < 1e-13 * max(1.0, abs(x)):
-            return nxt
-        x = nxt
-    return x
+        fx = comet_marginal_cdf(m, x) - u
+        # an exact root moves neither edge, so its zero step ends the lane
+        b = np.where(fx > 0.0, x, b)
+        a = np.where(fx < 0.0, x, a)
+        pdf = np.exp(comet_marginal_log_pdf(m, x))
+        nxt = x - fx / np.maximum(pdf, np.finfo(float).tiny)
+        nxt = np.where((a < nxt) & (nxt < b), nxt, 0.5 * (a + b))  # else bisect
+        done = np.abs(nxt - x) < 1e-13 * np.maximum(1.0, np.abs(x))
+        out[lane[done]] = nxt[done]
+        run = ~done
+        lane, u, a, b, x = lane[run], u[run], a[run], b[run], nxt[run]
+        if not lane.size:
+            break
+    out[lane] = x
+    return out
 
 
 def comet_logit(x: np.ndarray, marginals: list) -> tuple[np.ndarray, np.ndarray]:
@@ -337,8 +347,10 @@ def comet_logit(x: np.ndarray, marginals: list) -> tuple[np.ndarray, np.ndarray]
 
 
 def comet_push(u: np.ndarray, marginals: list) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of comet_logit: elementwise logistic, then marginal quantiles."""
+    """Inverse of comet_logit: logistic, then marginal quantiles (+-inf: tail limits)."""
     u = np.asarray(u, dtype=float)
+    if np.isnan(u).any():
+        raise ValueError("comet_push: u holds NaN")
     n, d = u.shape
     x = np.empty_like(u)
     ld = np.zeros(n)

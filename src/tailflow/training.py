@@ -66,12 +66,6 @@ class TrainResult:
     diverged: bool
     epochs: int
 
-    @property
-    def best_valid_loss(self) -> float:
-        col = self.trace[:, 1]
-        finite = col[np.isfinite(col)]
-        return float(np.min(finite)) if finite.size else float("nan")
-
 
 def de_loss(model: flows.FlowModel, batch: np.ndarray, params: dict | None = None):
     """Negative log likelihood summed over the batch; Var under a tape."""

@@ -185,6 +185,46 @@ class TestCometMarginal:
         np.testing.assert_array_equal(E._kernel_cdf(m, x), cdf)
         np.testing.assert_array_equal(E._kernel_pdf(m, x), pdf)
 
+    def test_body_quantile_newton_steps(self, t2_marginal, monkeypatch):
+        # one kernel-cdf row per lane per Newton step; quadratic Newton from
+        # the empirical quantile (within ~1e-2 of the root) needs about four
+        # steps, and the bound leaves room for an occasional bisection
+        _, m = t2_marginal
+        u = special.Rng(39).uniform(size=200) * E._BODY_MASS + E._TAIL_MASS
+        rows = []
+        kernel_cdf = E._kernel_cdf
+
+        def counting(mm, x):
+            rows.append(x.size)
+            return kernel_cdf(mm, x)
+
+        monkeypatch.setattr(E, "_kernel_cdf", counting)
+        x = E.comet_marginal_inv_cdf(m, u)
+        monkeypatch.undo()
+        assert sum(rows) / u.size <= 6.0
+        np.testing.assert_allclose(E.comet_marginal_cdf(m, x), u, rtol=0, atol=1e-15)
+
+    def test_body_lanes_independent_of_batch(self, t2_marginal):
+        # each lane gives the same bits alone as in a batch, junctions included
+        _, m = t2_marginal
+        edges = [E._TAIL_MASS, 1.0 - E._TAIL_MASS]
+        u = np.concatenate([
+            edges,
+            np.nextafter(edges, 0.0),
+            np.nextafter(edges, 1.0),
+            special.Rng(41).uniform(size=150),
+        ])
+        x = E.comet_marginal_inv_cdf(m, u)
+        single = [E.comet_marginal_inv_cdf(m, u[i:i + 1])[0] for i in range(u.size)]
+        np.testing.assert_array_equal(x, single)
+        np.testing.assert_allclose(x[:2], [m.t_lo, m.t_hi], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, 1.0])
+    def test_quantile_rejects_u_outside_open_unit_interval(self, t2_marginal, bad):
+        _, m = t2_marginal
+        with pytest.raises(ValueError, match="strictly inside"):
+            E.comet_marginal_inv_cdf(m, np.array([0.5, bad]))
+
     def test_logit_never_forms_the_whole_kernel_matrix(self):
         # the (queries x body points) kernel matrix is never formed whole:
         # the whole matrix for this split would take 2000 x 2700 doubles
@@ -256,6 +296,32 @@ class TestCometPush:
         back, ld_i = E.comet_logit(x, marginals)
         np.testing.assert_allclose(back, z, atol=1e-5)
         np.testing.assert_allclose(ld_f + ld_i, 0.0, atol=1e-8)
+
+    def test_data_round_trip(self, marginals):
+        # the benchmark's gate: comet_push(comet_logit(x)) recovers x to 1e-11
+        # relative to 1 + |x|, tails and body alike
+        x = np.column_stack([
+            special.Rng(43).student_t(2.0, 200),
+            special.Rng(45).uniform(size=200),
+        ])
+        back, _ = E.comet_push(E.comet_logit(x, marginals)[0], marginals)
+        assert np.max(np.abs(back - x) / (1.0 + np.abs(x))) <= 1e-11
+
+    def test_nan_rejected(self, marginals):
+        u = np.zeros((3, 2))
+        u[1, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            E.comet_push(u, marginals)
+
+    def test_infinite_u_maps_to_tail_limits(self, marginals):
+        # t(2) tails are unbounded; the uniform marginal's GPD tails (negative
+        # shapes) end at scale / |shape| beyond their junctions
+        with np.errstate(invalid="ignore"):  # the log-det there is NaN; not checked
+            x, _ = E.comet_push(np.array([[np.inf, np.inf], [-np.inf, -np.inf]]), marginals)
+        m = marginals[1]
+        assert x[0, 0] == np.inf and x[1, 0] == -np.inf
+        np.testing.assert_allclose(x[0, 1], m.t_hi + m.scale_hi / -m.shape_hi, rtol=1e-14)
+        np.testing.assert_allclose(x[1, 1], m.t_lo - m.scale_lo / -m.shape_lo, rtol=1e-14)
 
     def test_log_det_matches_finite_differences(self, marginals):
         u0 = np.array([[0.4, -0.9]])
