@@ -347,7 +347,11 @@ def comet_logit(x: np.ndarray, marginals: list) -> tuple[np.ndarray, np.ndarray]
 
 
 def comet_push(u: np.ndarray, marginals: list) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of comet_logit: logistic, then marginal quantiles (+-inf: tail limits)."""
+    """Inverse of comet_logit: logistic, then marginal quantiles.
+
+    At u = +-inf, x is the tail's limit and the log-det each such entry adds
+    is its limit: +inf for a tail shape above 0, -inf below, log scale at 0.
+    """
     u = np.asarray(u, dtype=float)
     if np.isnan(u).any():
         raise ValueError("comet_push: u holds NaN")
@@ -376,8 +380,18 @@ def comet_push(u: np.ndarray, marginals: list) -> tuple[np.ndarray, np.ndarray]:
         if mid.any():
             xj[mid] = comet_marginal_inv_cdf(m, s[mid])
         x[:, j] = xj
-        ld += log_s + log_1ms - comet_marginal_log_pdf(m, xj)
+        fin = np.isfinite(uj)
+        ld[fin] += log_s[fin] + log_1ms[fin] - comet_marginal_log_pdf(m, xj[fin])
+        ld[uj == np.inf] += _tail_log_det_limit(m.shape_hi, m.scale_hi)
+        ld[uj == -np.inf] += _tail_log_det_limit(m.shape_lo, m.scale_lo)
     return x, ld
+
+
+def _tail_log_det_limit(shape: float, scale: float) -> float:
+    """log |dx/du| in a GPD tail as its survivor S goes to 0: log scale -
+    shape * log S (plus a vanishing term) tends to +inf, log scale or -inf as
+    the shape is above, at or below 0."""
+    return math.log(scale) if shape == 0.0 else math.copysign(math.inf, shape)
 
 
 # -- importance-weight diagnostics ----------------------------------------------------

@@ -32,7 +32,6 @@ from .autodiff import Tape, Var, value_of
 
 __all__ = [
     "MaskedConditioner",
-    "SplineKnots",
     "RqsArLayer",
     "AffineArLayer",
     "LuLinearLayer",
@@ -88,8 +87,13 @@ def _stack_cols(cols):
 
 
 def _softmax_rows(m):
-    c = np.max(value_of(m), axis=1, keepdims=True)
-    e = ad.exp(m - c)
+    # The row max one column at a time: np.max(axis=1) over rows this
+    # narrow costs several times more, for the same values.
+    mv = value_of(m)
+    c = mv[:, 0]
+    for j in range(1, mv.shape[1]):
+        c = np.maximum(c, mv[:, j])
+    e = ad.exp(m - c[:, None])
     return e / e.sum(axis=1, keepdims=True)
 
 
@@ -204,9 +208,12 @@ def _locate_bin(x, cumw, cumh, deriv, bound: float, inverse: bool):
     inside = (xv >= -bound) & (xv <= bound)
     x_safe = ad.where_mask(inside, x, 0.0)
     knots_v = value_of(cumh if inverse else cumw)
-    idx = np.clip(
-        (value_of(x_safe)[:, None] >= knots_v[:, :-1]).sum(axis=1) - 1, 0, k_bins - 1
-    )
+    # Count the knots at or below x one column at a time, as for the row max.
+    xs = value_of(x_safe)
+    idx = np.full(xs.shape[0], -1)
+    for j in range(k_bins):
+        idx += xs >= knots_v[:, j]
+    idx = np.clip(idx, 0, k_bins - 1)
 
     rows = np.arange(xv.shape[0])
     xk = cumw[rows, idx]
@@ -295,49 +302,6 @@ def _raw_to_knots(w_raw, h_raw, d_raw, bound: float):
     cumh = cum_knots(h_raw, _MIN_BIN_HEIGHT)
     deriv = padded(ad.softplus(d_raw) + _MIN_DERIVATIVE, 1.0, 1.0)
     return cumw, cumh, deriv
-
-
-class SplineKnots:
-    """Explicit knot set for one dimension; validates at construction.
-
-    widths/heights are absolute bin sizes that must fill the box exactly;
-    derivs are the K+1 knot slopes, all positive.
-    """
-
-    def __init__(self, widths, heights, derivs, bound: float = 2.5):
-        widths = np.asarray(widths, dtype=float)
-        heights = np.asarray(heights, dtype=float)
-        derivs = np.asarray(derivs, dtype=float)
-        if widths.shape != heights.shape or derivs.shape != (widths.size + 1,):
-            raise ValueError("SplineKnots: need K widths, K heights, K+1 derivatives")
-        if np.any(widths <= 0.0) or np.any(heights <= 0.0):
-            raise ValueError("SplineKnots: bin sizes must be positive")
-        if np.any(derivs <= 0.0):
-            raise ValueError("SplineKnots: knot derivatives must be positive")
-        size = 2.0 * bound
-        if abs(widths.sum() - size) > 1e-9 * size or abs(heights.sum() - size) > 1e-9 * size:
-            raise ValueError("SplineKnots: bins must fill the box exactly")
-        self.bound = float(bound)
-        self.cumw = np.concatenate([[-bound], -bound + np.cumsum(widths)])
-        self.cumh = np.concatenate([[-bound], -bound + np.cumsum(heights)])
-        self.cumw[-1] = bound
-        self.cumh[-1] = bound
-        self.derivs = derivs
-
-    def _tiled(self, n):
-        return (
-            np.tile(self.cumw, (n, 1)),
-            np.tile(self.cumh, (n, 1)),
-            np.tile(self.derivs, (n, 1)),
-        )
-
-    def forward(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return _spline_eval(x, *self._tiled(x.size), self.bound, inverse=False)
-
-    def inverse(self, y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return _spline_eval(y, *self._tiled(y.size), self.bound, inverse=True)
 
 
 # -- autoregressive layers -------------------------------------------------------

@@ -123,8 +123,13 @@ def dlog_erfc(z):
     Stable for any magnitude of z (tends to -2z for large z).
     """
     z = np.asarray(z, dtype=float)
-    out = -_TWO_OVER_SQRT_PI * np.exp(-z * z - log_erfc(z))
+    out = _dlog_erfc_at(z, log_erfc(z))
     return out if out.ndim else float(out)
+
+
+def _dlog_erfc_at(z, log_erfc_z):
+    """``dlog_erfc(z)`` from log_erfc(z) already in hand; z an array."""
+    return -_TWO_OVER_SQRT_PI * np.exp(-z * z - log_erfc_z)
 
 
 def erfc_inv(p):
@@ -144,8 +149,8 @@ def erfc_inv(p):
     q = np.where(hi, 2.0 - p, p)
     z = -sp.ndtri(q / 2.0) / _SQRT2
     # Newton step on f(z) = log erfc(z) - log q.
-    f = log_erfc(z) - np.log(q)
-    z = z - f / dlog_erfc(z)
+    lz = log_erfc(z)
+    z = z - (lz - np.log(q)) / _dlog_erfc_at(z, lz)
     z = np.where(hi, -z, z)
     return float(z[0]) if scalar else z
 

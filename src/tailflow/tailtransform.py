@@ -81,18 +81,29 @@ def _stable_inverse_branch(log_p, stable):
     the solved root enters through one implicit Newton step, which is affine
     in L and carries the exact implicit-function derivative dw/dL =
     -1 / dlogerfc(w).
+
+    The Newton runs only on the deep-tail lanes, where ``stable`` is set.
+    The other lanes of the result hold 0, for the caller's ``where_mask``
+    to drop; on the tape their implicit step has slope 0 and constant 0, so
+    the step adds the same nodes whatever the number of deep-tail lanes.
     """
-    neg_l = value_of(log_p)
-    l_num = np.where(stable, -neg_l, 20.0)
+    l_num = -value_of(log_p)[stable]
     eta = 2.0 * l_num + _LOG_2_OVER_PI
     w = np.sqrt(eta - np.log(eta)) / _SQRT2
     for _ in range(3):
-        w = w - (special.log_erfc(w) + l_num) / special.dlog_erfc(w)
+        log_erfc_w = special.log_erfc(w)
+        w = w - (log_erfc_w + l_num) / special._dlog_erfc_at(w, log_erfc_w)
+    root = np.zeros(stable.shape)
     if not isinstance(log_p, ad.Var):
-        return w * _SQRT2
-    inv_deriv = 1.0 / special.dlog_erfc(w)
+        root[stable] = w
+        return root * _SQRT2
+    log_erfc_w = special.log_erfc(w)
+    inv_deriv = 1.0 / special._dlog_erfc_at(w, log_erfc_w)
     # w_new = w - (log_erfc(w) + L) / dlogerfc(w), constants frozen at the root
-    w_var = (-log_p) * (-inv_deriv) + (w - special.log_erfc(w) * inv_deriv)
+    slope = np.zeros(stable.shape)
+    slope[stable] = -inv_deriv
+    root[stable] = w - log_erfc_w * inv_deriv
+    w_var = (-log_p) * slope + root
     return w_var * _SQRT2
 
 

@@ -1,6 +1,7 @@
 """Experiment-layer tests: synthetic generators, the copula marginal stage,
 importance diagnostics, the regression demo, and table plumbing."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -315,13 +316,22 @@ class TestCometPush:
 
     def test_infinite_u_maps_to_tail_limits(self, marginals):
         # t(2) tails are unbounded; the uniform marginal's GPD tails (negative
-        # shapes) end at scale / |shape| beyond their junctions
-        with np.errstate(invalid="ignore"):  # the log-det there is NaN; not checked
-            x, _ = E.comet_push(np.array([[np.inf, np.inf], [-np.inf, -np.inf]]), marginals)
+        # shapes) end at scale / |shape| beyond their junctions.  The log-det,
+        # one marginal at a time, is the limit of log scale - shape * log S
+        # as the tail survivor S goes to 0.
         m = marginals[1]
-        assert x[0, 0] == np.inf and x[1, 0] == -np.inf
-        np.testing.assert_allclose(x[0, 1], m.t_hi + m.scale_hi / -m.shape_hi, rtol=1e-14)
-        np.testing.assert_allclose(x[1, 1], m.t_lo - m.scale_lo / -m.shape_lo, rtol=1e-14)
+        exponential = dataclasses.replace(m, shape_lo=0.0, shape_hi=0.0)
+        cases = (
+            (marginals[0], [np.inf, -np.inf], [np.inf, np.inf]),
+            (m, [m.t_hi + m.scale_hi / -m.shape_hi, m.t_lo - m.scale_lo / -m.shape_lo],
+             [-np.inf, -np.inf]),
+            (exponential, [np.inf, -np.inf], [np.log(m.scale_hi), np.log(m.scale_lo)]),
+        )
+        for marginal, want_x, want_ld in cases:
+            with np.errstate(all="raise"):
+                x, ld = E.comet_push(np.array([[np.inf], [-np.inf]]), [marginal])
+            np.testing.assert_allclose(x[:, 0], want_x, rtol=1e-14)
+            assert ld.tolist() == want_ld
 
     def test_log_det_matches_finite_differences(self, marginals):
         u0 = np.array([[0.4, -0.9]])

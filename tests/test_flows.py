@@ -101,57 +101,121 @@ class TestMaskedConditioner:
                 assert abs(g - fd) / max(1.0, abs(g)) < 1e-4
 
 
+def tiled_knots(widths, heights, derivs, n, bound=2.5):
+    """One explicit knot set, tiled to n rows for ``flows._spline_eval``."""
+    cumw = np.concatenate([[-bound], -bound + np.cumsum(widths)])
+    cumh = np.concatenate([[-bound], -bound + np.cumsum(heights)])
+    cumw[-1] = cumh[-1] = bound
+    return tuple(np.tile(np.asarray(v, dtype=float), (n, 1)) for v in (cumw, cumh, derivs))
+
+
 class TestSplineKnots:
+    """The spline under explicit knot rows, on the path the layers take."""
+
+    W = [0.5, 2.0, 1.0, 0.5, 1.0]
+    H = [1.0, 1.0, 0.5, 1.5, 1.0]
+    D = [1.0, 0.3, 2.0, 0.7, 1.1, 1.0]
+
+    def spline(self, x, inverse=False, knots=None):
+        x = np.asarray(x, dtype=float)
+        w, h, dv = knots or (self.W, self.H, self.D)
+        return flows._spline_eval(x, *tiled_knots(w, h, dv, x.size), 2.5, inverse=inverse)
+
     def test_uniform_unit_is_identity(self):
-        k = flows.SplineKnots([1.0] * 5, [1.0] * 5, [1.0] * 6)
         x = np.linspace(-2.4, 2.4, 49)
-        y, ld = k.forward(x)
+        y, ld = self.spline(x, knots=([1.0] * 5, [1.0] * 5, [1.0] * 6))
         # The forward is written relative to the identity, so it is exact here.
         assert np.array_equal(y, x)
         assert np.all(ld == 0.0)
 
     def test_outside_box_identity_exact(self):
-        k = flows.SplineKnots([0.5, 2.0, 1.0, 0.5, 1.0], [1.0, 1.0, 0.5, 1.5, 1.0],
-                              [1.0, 0.3, 2.0, 0.7, 1.1, 1.0])
         x = np.array([3.0, -4.2, 2.5001, 100.0])
-        y, ld = k.forward(x)
+        y, ld = self.spline(x)
         assert np.array_equal(y, x)
         assert np.all(ld == 0.0)
-        y2, ld2 = k.inverse(x)
+        y2, ld2 = self.spline(x, inverse=True)
         assert np.array_equal(y2, x)
         assert np.all(ld2 == 0.0)
 
     def test_round_trip_and_monotone(self):
-        k = flows.SplineKnots([0.5, 2.0, 1.0, 0.5, 1.0], [1.0, 1.0, 0.5, 1.5, 1.0],
-                              [1.0, 0.3, 2.0, 0.7, 1.1, 1.0])
         x = np.linspace(-2.5, 2.5, 201)
-        y, ld = k.forward(x)
+        y, ld = self.spline(x)
         assert np.all(np.diff(y) > 0)
-        back, ild = k.inverse(y)
+        back, ild = self.spline(y, inverse=True)
         np.testing.assert_allclose(back, x, atol=1e-8)
         np.testing.assert_allclose(ld + ild, 0.0, atol=1e-8)
 
     def test_log_det_matches_finite_differences(self):
-        k = flows.SplineKnots([0.5, 2.0, 1.0, 0.5, 1.0], [1.0, 1.0, 0.5, 1.5, 1.0],
-                              [1.0, 0.3, 2.0, 0.7, 1.1, 1.0])
         x = np.linspace(-2.3, 2.3, 31)
         h = 1e-6
-        fd = (k.forward(x + h)[0] - k.forward(x - h)[0]) / (2 * h)
-        _, ld = k.forward(x)
+        fd = (self.spline(x + h)[0] - self.spline(x - h)[0]) / (2 * h)
+        _, ld = self.spline(x)
         np.testing.assert_allclose(ld, np.log(fd), atol=1e-5)
 
     @pytest.mark.parametrize(
         "w,h,dv",
         [
-            ([1.0] * 5, [1.0] * 5, [1.0] * 5),            # wrong deriv count
-            ([-1.0, 2, 2, 1, 1], [1.0] * 5, [1.0] * 6),   # negative width
-            ([1.0] * 5, [1.0] * 5, [1.0, 0.0, 1, 1, 1, 1]),  # zero slope
-            ([1.0] * 4, [1.0] * 4, [1.0] * 5),            # does not fill box
+            (0.0, 0.0, None),     # K-1 derivative columns still give K+1 slopes
+            (-1e3, 0.0, 0.0),     # very negative width logits
+            (0.0, 0.0, -1e3),     # very negative slope logits
+            (1e3, -1e3, 1e3),     # one bin takes all the mass
         ],
     )
-    def test_invalid_knots_rejected_at_construction(self, w, h, dv):
-        with pytest.raises(ValueError):
-            flows.SplineKnots(w, h, dv)
+    def test_raw_to_knots_makes_valid_knots(self, w, h, dv):
+        # The layers take their knots from _raw_to_knots, so it must never
+        # make a knot set that the spline cannot use: K bins of positive
+        # width and height that fill the box exactly, K+1 positive slopes.
+        k, bound = 5, 2.5
+        r = np.random.default_rng(0)
+        raw = r.normal(size=(64, 3 * k - 1))
+        raw[::2, 0] += w
+        raw[::2, k] += h
+        if dv is not None:
+            raw[::2, 2 * k] += dv
+        cumw, cumh, deriv = flows._raw_to_knots(raw[:, :k], raw[:, k:2 * k], raw[:, 2 * k:], bound)
+        assert cumw.shape == cumh.shape == deriv.shape == (64, k + 1)
+        for cum in (cumw, cumh):
+            assert np.all(np.diff(cum, axis=1) > 0.0)
+            assert np.all(cum[:, 0] == -bound) and np.all(cum[:, -1] == bound)
+        assert np.all(deriv > 0.0)
+        assert np.all(deriv[:, [0, -1]] == 1.0)
+
+
+class TestKnotRowsColumnwise:
+    """The row max and the bin count go one column at a time; they must
+    equal the axis-1 reductions on any rows, ties, infinities and NaN
+    included."""
+
+    @staticmethod
+    def awkward_rows(m, k, seed):
+        r = np.random.default_rng(seed)
+        v = np.round(r.normal(size=(m, k)), 1)  # rounding makes ties
+        special_values = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0])
+        hit = r.random((m, k)) < 0.15
+        v[hit] = r.choice(special_values, size=hit.sum())
+        return v
+
+    def test_row_max_matches_axis_max(self):
+        for k in (1, 2, 5, 9):
+            v = self.awkward_rows(4000, k, seed=k)
+            with np.errstate(invalid="ignore"):
+                e = np.exp(v - np.max(v, axis=1, keepdims=True))
+                want = e / e.sum(axis=1, keepdims=True)
+                got = flows._softmax_rows(v)
+            assert np.array_equal(got, want, equal_nan=True), k
+
+    def test_bin_index_matches_axis_count(self):
+        # with cumw = 0..K on every row, the left knot xk is the bin index
+        for k in (1, 2, 5, 9):
+            m, bound = 4000, 3.0
+            cumh = self.awkward_rows(m, k + 1, seed=10 + k)
+            cumw = np.tile(np.arange(k + 1.0), (m, 1))
+            r = np.random.default_rng(20 + k)
+            x = np.where(r.random(m) < 0.5, cumh[:, 0], r.uniform(-4.0, 4.0, m))
+            with np.errstate(invalid="ignore"):
+                _, x_safe, xk, *_ = flows._locate_bin(x, cumw, cumh, cumw, bound, inverse=True)
+            want = np.clip((x_safe[:, None] >= cumh[:, :-1]).sum(axis=1) - 1, 0, k - 1)
+            assert np.array_equal(xk, want), k
 
 
 class TestRqsArLayer:

@@ -3,7 +3,10 @@ high-precision oracle values, branch agreement, and the elementwise layer."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from tailflow import autodiff as ad
 from tailflow import flows, special, tailest
 from tailflow import tailtransform as tt
 
@@ -136,6 +139,65 @@ class TestInverse:
         zs = inverse(np.array([1e8, 1e12, 1e100, 1e300]), params())
         assert np.all(np.isfinite(zs))
         assert np.all(np.diff(zs) > 0)
+
+
+class TestInverseLanes:
+    """The inverse treats each lane on its own: the deep-tail Newton runs
+    only on its lanes, and a lane gives the same bits in any batch."""
+
+    @staticmethod
+    def on_tape(x, lambda_pos, lambda_neg):
+        tape = ad.Tape()
+        xv = tape.param(x, "x")
+        lp, ln = tape.param(lambda_pos, "lp"), tape.param(lambda_neg, "ln")
+        z, ld = tt.ttf_inverse_with_log_deriv(xv, mu=0.3, sigma=1.7, lambda_pos=lp, lambda_neg=ln)
+        assert tape.poisoned is None
+        g = ad.backward((z + ld).sum())
+        return z.value, ld.value, g["x"], g["lp"], g["ln"]
+
+    @given(
+        log10_x=st.lists(st.floats(-3.0, 300.0), min_size=1, max_size=12),
+        signs=st.lists(st.booleans(), min_size=12, max_size=12),
+        lambdas=st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)),
+    )
+    def test_lane_alone_equals_lane_in_batch(self, log10_x, signs, lambdas):
+        # a direct lane and a deep-tail lane on each side ride along always
+        x = np.concatenate([
+            np.where(signs[:len(log10_x)], 1.0, -1.0) * 10.0 ** np.array(log10_x),
+            [0.5, -0.5, 1e300, -1e300],
+        ])
+        n = x.size
+        lp, ln = np.full(n, lambdas[0]), np.full(n, lambdas[1])
+        z, ld = tt.ttf_inverse_with_log_deriv(x, mu=0.3, sigma=1.7, lambda_pos=lp, lambda_neg=ln)
+        batch = self.on_tape(x, lp, ln)
+        for i in range(n):
+            one = slice(i, i + 1)
+            z1, ld1 = tt.ttf_inverse_with_log_deriv(
+                x[one], mu=0.3, sigma=1.7, lambda_pos=lp[one], lambda_neg=ln[one])
+            assert np.array_equal(z1, z[one]) and np.array_equal(ld1, ld[one])
+            for got, want in zip(self.on_tape(x[one], lp[one], ln[one]), batch):
+                assert np.array_equal(got, want[one]), (i, x[i])
+
+    @pytest.mark.parametrize("tape", [False, True])
+    def test_deep_tail_newton_runs_on_its_lanes(self, tape, monkeypatch):
+        # three Newton steps, each with one log erfc, plus one more for the
+        # tape's implicit step: at most 4 elements per deep-tail lane
+        log_p = -np.concatenate([np.linspace(0.0, 13.0, 900), np.linspace(14.0, 700.0, 100)])
+        stable = log_p < np.log(1e-6)
+        lift = (lambda v: ad.Tape().param(v)) if tape else (lambda v: v)
+        want = ad.value_of(tt._stable_inverse_branch(lift(log_p), stable))
+        elements = []
+        log_erfc = special.log_erfc
+
+        def counting(w):
+            elements.append(np.size(w))
+            return log_erfc(w)
+
+        monkeypatch.setattr(special, "log_erfc", counting)
+        got = ad.value_of(tt._stable_inverse_branch(lift(log_p), stable))
+        monkeypatch.undo()
+        assert sum(elements) <= 4 * np.count_nonzero(stable)
+        assert np.array_equal(got[stable], want[stable])
 
 
 class TestInverseLogDeriv:
