@@ -83,22 +83,25 @@ def _log_erfc_asymptotic(z: np.ndarray) -> np.ndarray:
     return -z2 - np.log(z) - _LOG_SQRT_PI + np.log1p(corr)
 
 
-def erfc(z):
+def erfc(z, out=None):
     """Complementary error function with subnormal-safe deep tails.
 
     Returns values in (0, 2); for z up to 30 the result is a small positive
-    number rather than exactly zero.
+    number rather than exactly zero.  ``out``, a float array of z's shape,
+    receives the result and may be z itself.
     """
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("erfc: non-finite input")
-    out = sp.erfc(np.minimum(z, _TAIL_SWITCH))
     far = z > _TAIL_SWITCH
-    if np.any(far):
-        zf = np.where(far, z, _TAIL_SWITCH)
+    zf = z[far]  # read before ``out``, which may be z, is written
+    if out is None:
+        out = np.empty_like(z)
+    sp.erfc(np.minimum(z, _TAIL_SWITCH, out=out), out=out)
+    if zf.size:
         with np.errstate(under="ignore"):
             tail = np.exp(_log_erfc_asymptotic(zf))
-        out = np.where(far, np.maximum(tail, _TINY), out)
+        out[far] = np.maximum(tail, _TINY)
     return out if out.ndim else float(out)
 
 

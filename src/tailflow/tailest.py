@@ -32,14 +32,17 @@ from . import special
 LIGHT_TAIL_SHAPE = 1e-3
 
 _BOOTSTRAP_REPS = 500
-# Resampled values per block of the bootstrap (about 0.8 MB per temporary).
-_BOOTSTRAP_BLOCK_VALUES = 100_000
+# Resampled values per block of the bootstrap (about 0.2 MB per temporary);
+# larger blocks page-fault more than they save in loop overhead.
+_BOOTSTRAP_BLOCK_VALUES = 25_000
 _SUBSAMPLE_EXPONENT = 0.955
 _FALLBACK_EXPONENT = 0.6
 _SMOOTH_BINS = 40
 _LIGHT_SHAPE_THRESHOLD = 0.02
 _SHAPE_LO = -0.5
 _SHAPE_HI = 10.0
+# log1p values per chunk of the GPD profile grid (about 0.5 MB per temporary).
+_GRID_CHUNK_VALUES = 65_536
 
 
 class DoubleBootstrapResult(NamedTuple):
@@ -255,6 +258,102 @@ def gpd_fit_scale(excesses: np.ndarray, shape: float) -> float:
     return shape / theta
 
 
+def _fminbound(func, lo: float, hi: float, x: np.ndarray) -> tuple[float, float]:
+    """Bounded Brent minimisation of func(theta, x) over [lo, hi]; returns (theta, value).
+
+    The Forsythe-Malcolm-Moler fminbound (golden sections with parabolic
+    steps), as scipy.optimize.minimize_scalar(method="bounded") runs it,
+    copied op for op with its defaults (absolute x tolerance 1e-5, at most
+    500 evaluations), so the minimiser's output is the same bits; loading
+    scipy.optimize for this one call would cost ~20 MB of resident memory.
+    """
+    xatol, maxfun = 1e-5, 500
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf, x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:  # try a parabolic step
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                u = xf + rat
+                if (u - a) < tol2 or (b - u) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        u = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = func(u, x)
+        num += 1
+        if fu <= fx:
+            if u >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = u, fu
+        else:
+            if u < xf:
+                a = u
+            else:
+                b = u
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = u, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = u, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return float(xf), float(fx)
+
+
+def _profile_grid(thetas: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(negative profile log likelihood, mean log1p(theta x)) at every theta.
+
+    The same values as ``_gpd_profile_negloglik`` theta by theta: each row
+    of a contiguous log1p matrix is averaged with the same pairwise sum as
+    a 1-D mean.  Rows go in chunks of about ``_GRID_CHUNK_VALUES`` values.
+    """
+    n = x.size
+    lams = np.empty(thetas.size)
+    rows = max(1, _GRID_CHUNK_VALUES // n)
+    for s in range(0, thetas.size, rows):
+        t = thetas[s:s + rows]
+        lams[s:s + rows] = np.mean(np.log1p(t[:, None] * x[None, :]), axis=1)
+    zero = thetas == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = lams / thetas
+        nll = np.where(np.isfinite(lams) & (ratio > 0.0),
+                       n * (np.log(ratio) + lams + 1.0), np.inf)
+    nll[zero] = n * (np.log(np.mean(x)) + 1.0)
+    return nll, lams
+
+
 def _profile_fit(x: np.ndarray) -> tuple[float, float]:
     """Grid-plus-refine profile maximum likelihood; no sample-count gate."""
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
@@ -267,10 +366,7 @@ def _profile_fit(x: np.ndarray) -> tuple[float, float]:
     neg = -np.linspace(1e-6, 1.0 - 1e-6, 160) / xmax
     pos = np.logspace(np.log10(1e-6 / xbar), np.log10(1e4 / xbar), 320)
     thetas = np.concatenate([neg[::-1], [0.0], pos])
-    nll = np.array([_gpd_profile_negloglik(t, x) for t in thetas])
-    lams = np.array(
-        [np.mean(np.log1p(t * x)) if t != 0.0 else 0.0 for t in thetas]
-    )
+    nll, lams = _profile_grid(thetas, x)
     feasible = np.isfinite(nll) & (lams > _SHAPE_LO) & (lams < _SHAPE_HI)
     if not feasible.any():
         raise GpdFitError(
@@ -282,12 +378,8 @@ def _profile_fit(x: np.ndarray) -> tuple[float, float]:
     lo = thetas[max(i - 1, 0)]
     hi = thetas[min(i + 1, thetas.size - 1)]
     if lo < hi:
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(
-            _gpd_profile_negloglik, args=(x,), bounds=(lo, hi), method="bounded"
-        )
-        theta = float(res.x) if res.fun <= masked[i] else float(thetas[i])
+        t_min, f_min = _fminbound(_gpd_profile_negloglik, lo, hi, x)
+        theta = t_min if f_min <= masked[i] else float(thetas[i])
     else:
         theta = float(thetas[i])
 

@@ -109,14 +109,27 @@ class TestUsageErrors:
 
 
 class TestImportCost:
-    def test_scipy_optimize_and_linalg_not_loaded(self):
-        # together they cost ~22 MB RSS and ~260 modules; only GPD fits and
-        # the LU layer's solves use them, and import them where they call them
+    @staticmethod
+    def _env():
         src = os.path.dirname(os.path.dirname(tailflow.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def test_scipy_optimize_and_linalg_not_loaded(self):
+        # together they cost ~22 MB RSS and ~260 modules; only the LU
+        # layer's solves use scipy.linalg, and import it where they call it
         code = ("import sys, tailflow; print([m for m in ('scipy.optimize', "
                 "'scipy.linalg') if m in sys.modules])")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
+        out = subprocess.run([sys.executable, "-c", code], env=self._env(),
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_gpd_fits_do_not_load_scipy_optimize(self):
+        # the profile fit refines with its own bounded Brent search
+        code = ("import sys, numpy as np; from tailflow import experiments, tailest; "
+                "x = np.random.default_rng(0).pareto(2.0, 2000); "
+                "tailest.gpd_fit_ml(x); experiments.khat(x); "
+                "print('scipy.optimize' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=self._env(),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

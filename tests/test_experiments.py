@@ -109,6 +109,7 @@ class TestViTarget:
         np.testing.assert_array_equal(np.asarray(var.value), plain)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCometMarginal:
     @pytest.fixture(scope="class")
     def t2_marginal(self):
@@ -172,14 +173,20 @@ class TestCometMarginal:
         with pytest.raises(ValueError, match="n >= 100"):
             E.comet_marginal_fit(np.linspace(0.0, 1.0, 99))
 
-    @pytest.mark.parametrize("rows", [1, E._KERNEL_ROWS - 1, E._KERNEL_ROWS + 1])
+    @pytest.mark.parametrize("rows", [1, E._KERNEL_ROWS - 1, E._KERNEL_ROWS, E._KERNEL_ROWS + 1])
     def test_kernel_blocks_match_single_rows(self, t2_marginal, rows):
-        # each query's kernel mean is the same bits whichever block it lands in
+        # each query's kernel mean is the same bits whichever block it lands
+        # in.  The body spans ~44 bandwidths, so at a junction the farthest
+        # body points are more than 26 kernel widths away and erfc's
+        # asymptotic branch runs in place too.
         _, m = t2_marginal
         x = special.Rng(37).normal(rows) * 2.0
+        x[:2] = [m.t_lo, m.t_hi][:rows]
+        width = m.bandwidth * E._SQRT2
+        assert np.max((m.points - x[:, None]) / width) > 26.0
         cdf, pdf = [], []
         for xi in x:
-            z = (xi - m.points) / (m.bandwidth * E._SQRT2)
+            z = (xi - m.points) / width
             cdf.append(0.5 * np.mean(special.erfc(-z)))
             z = (xi - m.points) / m.bandwidth
             pdf.append(np.mean(np.exp(-0.5 * z * z)) / (m.bandwidth * E._SQRT_2PI))
@@ -229,7 +236,8 @@ class TestCometMarginal:
     def test_logit_never_forms_the_whole_kernel_matrix(self):
         # the (queries x body points) kernel matrix is never formed whole:
         # the whole matrix for this split would take 2000 x 2700 doubles
-        # (43 MB), and erfc makes three more of its size
+        # (43 MB), and erfc makes three more of its size; one buffer of
+        # _KERNEL_ROWS rows serves every block
         train, valid, test, _ = E.gen_synthetic_de(E.SyntheticDeSpec(d=5, nu=2.0, seed=0))
         fit = np.concatenate([train, valid])
         marginals = [E.comet_marginal_fit(fit[:, j]) for j in range(5)]
@@ -239,7 +247,7 @@ class TestCometMarginal:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 1e6 <= 16.0
+        assert peak / 1e6 <= 2.0
 
     def test_test_rows_beyond_bounded_tail_raise(self):
         # uniform data gets ML tails with negative shape, whose upper support
@@ -278,6 +286,7 @@ class TestCometMarginal:
         np.testing.assert_array_equal(ld[~beyond], ld_inside)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCometPush:
     @pytest.fixture(scope="class")
     def marginals(self):
@@ -332,6 +341,16 @@ class TestCometPush:
                 x, ld = E.comet_push(np.array([[np.inf], [-np.inf]]), [marginal])
             np.testing.assert_allclose(x[:, 0], want_x, rtol=1e-14)
             assert ld.tolist() == want_ld
+
+    def test_opposite_log_det_limits_give_nan(self, marginals):
+        # +inf on the t(2) marginal adds +inf, on the uniform one -inf: the
+        # row's log-det has no limit and is NaN, quietly; x is still the limit
+        with np.errstate(all="raise"):
+            x, ld = E.comet_push(np.array([[np.inf, np.inf], [np.inf, 0.0]]), marginals)
+        assert np.isnan(ld[0]) and ld[1] == np.inf
+        m = marginals[1]
+        assert x[0, 0] == np.inf
+        np.testing.assert_allclose(x[0, 1], m.t_hi + m.scale_hi / -m.shape_hi, rtol=1e-14)
 
     def test_log_det_matches_finite_differences(self, marginals):
         u0 = np.array([[0.4, -0.9]])
@@ -425,6 +444,44 @@ class TestImportanceDiagnostics:
         want = np.exp(logw - np.max(logw))
         np.testing.assert_allclose(diag.weights, want, rtol=1e-9, atol=0.0)
         assert np.all(diag.weights[dropped] == 0.0)
+
+    @pytest.mark.parametrize("lu", [False, True])
+    @pytest.mark.parametrize("flow", list(flows.ARCHITECTURES))
+    def test_blocked_draws_give_one_pass_diagnostics(self, flow, lu, monkeypatch):
+        # khat needs 100 weights, so the sizes start below one block
+        rows = flows._FLOW_ROWS
+        model = flows.build_architecture(flow, 3, {"lu": lu}, seed=0)
+        r = np.random.default_rng(3)
+        for k, v in model.params.items():
+            model.params[k] = v + 0.1 * r.normal(size=v.shape)
+
+        def target(x):
+            return E.vi_target_log_density(x, 3, 2.0)
+
+        for n in [rows - 1, rows, rows + 1, 2 * rows + 1]:
+            got = E.compute_vi_diagnostics(model, target, n, special.Rng(n))
+            with monkeypatch.context() as mp:
+                mp.setattr(flows, "_FLOW_ROWS", 10**9)
+                want = E.compute_vi_diagnostics(model, target, n, special.Rng(n))
+            np.testing.assert_array_equal(got.weights, want.weights)
+            assert (got.ess_e, got.n) == (want.ess_e, want.n)
+            assert got.k_hat == want.k_hat or np.isnan(got.k_hat) and np.isnan(want.k_hat)
+
+    def test_diagnostics_memory_at_10k_draws(self):
+        # one pass over 10k draws at d=5 traced 20.7 MB
+        model = flows.build_architecture("TTF", 5, seed=0)
+
+        def target(x):
+            return E.vi_target_log_density(x, 5, 2.0)
+
+        E.compute_vi_diagnostics(model, target, 200, special.Rng(0))
+        tracemalloc.start()
+        try:
+            E.compute_vi_diagnostics(model, target, 10_000, special.Rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 <= 6.0
 
     def test_mismatched_target_degrades_ess(self):
         model = flows.build_architecture("normal", 2, seed=0)

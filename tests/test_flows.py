@@ -3,6 +3,7 @@ log-det consistency, base densities, architecture assembly, serialization."""
 
 import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -629,6 +630,76 @@ class TestFlowModel:
         )
         want = -0.5 * z * z - 0.5 * LOG_2PI + ld
         np.testing.assert_allclose(got, want, atol=1e-8)
+
+
+R = flows._FLOW_ROWS
+BLOCK_SIZES = [1, 2, R - 1, R, R + 1, 2 * R + 1]
+
+
+class TestRowBlocks:
+    """numpy passes run in row blocks with the same bits as one pass."""
+
+    @pytest.fixture
+    def one_pass(self, monkeypatch):
+        def run(f, *args):
+            with monkeypatch.context() as m:
+                m.setattr(flows, "_FLOW_ROWS", 10**9)
+                return f(*args)
+        return run
+
+    @pytest.mark.parametrize("lu", [False, True])
+    @pytest.mark.parametrize("name", ALL_ARCHS)
+    def test_blocked_equals_one_pass(self, name, lu, one_pass):
+        model = perturb(flows.build_architecture(name, 3, {"lu": lu}, seed=1),
+                        scale=0.1, seed=2)
+        for n in BLOCK_SIZES:
+            x = special.Rng(n).student_t(2.0, 3 * n).reshape(n, 3)
+            np.testing.assert_array_equal(flows.flow_log_prob(x, model),
+                                          one_pass(flows.flow_log_prob, x, model))
+            args = (None, model, model.params, special.Rng(n + 1), n)
+            got = flows.flow_sample_with_log_prob(*args)
+            args = (None, model, model.params, special.Rng(n + 1), n)
+            want = one_pass(flows.flow_sample_with_log_prob, *args)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_blocks_are_even_and_never_one_row(self, monkeypatch):
+        sizes = []
+        log_prob_pass = flows._log_prob_pass
+
+        def counting(x, *args):
+            sizes.append(len(x))
+            return log_prob_pass(x, *args)
+
+        monkeypatch.setattr(flows, "_log_prob_pass", counting)
+        model = flows.build_architecture("normal", 2, seed=0)
+        for n in [0, 1, 2, R, R + 1, 2 * R - 1, 2 * R + 1, 5 * R + 3]:
+            sizes.clear()
+            assert flows.flow_log_prob(np.zeros((n, 2)), model).shape == (n,)
+            assert sum(sizes) == n and max(sizes) <= R
+            assert max(sizes) - min(sizes) <= 1
+            assert min(sizes) >= 2 or n < 2
+
+    def test_tape_pass_is_not_blocked(self, monkeypatch):
+        monkeypatch.setattr(flows, "_FLOW_ROWS", 4)
+        model = flows.build_architecture("TTF", 2, seed=0)
+        tape = ad.Tape()
+        lp = flows.flow_log_prob(np.ones((9, 2)), model, model.tape_params(tape))
+        assert isinstance(lp, ad.Var) and lp.value.shape == (9,)
+
+    def test_log_prob_memory_at_10k_rows(self):
+        # one pass over 10k rows at d=5 holds (50000, 6) knot matrices and
+        # traced 19.4 MB; blocks of _FLOW_ROWS rows trace about 2 MB
+        model = flows.build_architecture("TTF", 5, seed=0)
+        x = special.Rng(2).student_t(2.0, 50_000).reshape(10_000, 5)
+        flows.flow_log_prob(x[:10], model)
+        tracemalloc.start()
+        try:
+            flows.flow_log_prob(x, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 <= 5.0
 
 
 class TestBuildArchitecture:

@@ -59,6 +59,21 @@ class TestErfc:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
                 special.erfc(bad)
+            buf = np.array([[0.5, bad]])
+            with pytest.raises(ValueError, match="non-finite"):
+                special.erfc(buf, out=buf)
+
+    def test_out_in_place(self):
+        # both branches, z itself as the output: the far lanes are read
+        # before the near branch overwrites them
+        z = np.array([[-3.0, 0.0, 1.5, 25.9], [26.0, 26.5, 29.0, 1e3]])
+        want = special.erfc(z)
+        got = special.erfc(z, out=z)
+        assert got is z
+        np.testing.assert_array_equal(z, want)
+        for zi, wi in zip(want.ravel(), [special.erfc(v) for v in
+                                         [-3.0, 0.0, 1.5, 25.9, 26.0, 26.5, 29.0, 1e3]]):
+            assert zi == wi
 
 
 class TestErfcInv:

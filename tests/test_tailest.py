@@ -101,8 +101,8 @@ class TestHillDoubleBootstrap:
         assert (res.k, res.light_tailed, res.fallback) == (k, light, fallback)
 
     def test_traced_peak_at_n5000(self):
-        # blocks of ~1e5 resampled values keep the working set near 8 MB;
-        # one block of ~1e6 values traced 89 MB
+        # blocks of 25k resampled values keep the working set near 2 MB
+        # (8.2 MB at 1e5); one block of ~1e6 values traced 89 MB
         x = pareto_sample(6, 5000)
         tracemalloc.start()
         try:
@@ -156,6 +156,30 @@ class TestGpdFitMl:
             tailest.gpd_fit_ml(np.linspace(0.1, 1.0, 29))
         with pytest.raises(ValueError, match="strictly positive"):
             tailest.gpd_fit_ml(np.linspace(-0.5, 1.0, 50))
+
+
+class TestFminbound:
+    def test_matches_scipy_bounded_minimize_scalar(self):
+        # the minimiser and its value, bit for bit, on 36 random samples and
+        # brackets; every sixth bracket lies past the minimum, which then
+        # sits at an end
+        from scipy.optimize import minimize_scalar
+
+        rng = np.random.default_rng(17)
+        at_end = 0
+        for i in range(36):
+            x = gpd_sample(100 + i, int(rng.integers(30, 3000)),
+                           float(rng.uniform(-0.4, 2.0)), float(rng.uniform(0.1, 10.0)))
+            lo = float(rng.uniform(-0.9, 0.5)) / np.max(x)
+            hi = lo + float(rng.uniform(1e-4, 3.0)) / np.mean(x)
+            if i % 6 == 0:
+                lo, hi = hi, hi + 1e-3 / np.mean(x)
+            want = minimize_scalar(tailest._gpd_profile_negloglik, args=(x,),
+                                   bounds=(lo, hi), method="bounded")
+            got = tailest._fminbound(tailest._gpd_profile_negloglik, lo, hi, x)
+            assert got == (float(want.x), float(want.fun))
+            at_end += abs(got[0] - hi) < 1e-4 / np.mean(x) or abs(got[0] - lo) < 1e-4 / np.mean(x)
+        assert at_end >= 6
 
 
 class TestGpdFitScale:
