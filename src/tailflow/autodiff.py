@@ -7,9 +7,13 @@ and a :class:`Var` follows the subset of numpy semantics the package uses:
 arithmetic broadcasts between operands and against constants, ``@`` is a
 matrix product of 1-d and 2-d operands, ``x[key]`` takes basic slices, ints
 and integer-array gathers, ``x.T``, ``x.reshape`` and ``x.swapaxes`` move
-entries, and ``x.sum(axis, keepdims)`` reduces.  Each op computes exactly
-what numpy computes (``x / c`` is a true division, not ``x * (1 / c)``), so
-one formula gives the same bits on numpy arrays and on tape variables.
+entries, ``x.sum(axis, keepdims)`` reduces and ``x.cumsum(axis)`` sums
+along an axis.  As ``x * c`` is one ``mul_const`` node, a matrix product
+with a constant operand, ``x @ C`` or ``C @ x``, is one ``matmul_const``
+node: ``C`` goes in the payload, is never lifted onto the tape, and gets no
+gradient, and the node saves nothing.  Each op computes exactly what numpy
+computes (``x / c`` is a true division, not ``x * (1 / c)``), so one
+formula gives the same bits on numpy arrays and on tape variables.
 Backward looks up one rule per op in ``_RULES`` and sums each adjoint back
 to its operand's shape, undoing any broadcast.
 
@@ -217,11 +221,15 @@ class Var:
 
     def __matmul__(self, other):
         """Matrix product of 1-d or 2-d operands, as numpy's ``@``."""
-        other = self.tape.as_var(other)
-        return self._binary("matmul", other, self.value @ other.value)
+        if isinstance(other, Var):
+            return self._binary("matmul", other, self.value @ other.value)
+        other = np.asarray(other, dtype=float)
+        return self._unary("matmul_const", self.value @ other,
+                           payload=(other, False, self.shape))
 
     def __rmatmul__(self, other):
-        return self.tape.lift(other) @ self
+        other = np.asarray(other, dtype=float)
+        return self._unary("matmul_const", other @ self.value, payload=(other, True, self.shape))
 
     # -- elementwise functions ----------------------------------------------
 
@@ -311,8 +319,8 @@ class Var:
     def swapaxes(self, a: int, b: int):
         return self._unary("swapaxes", self.value.swapaxes(a, b), payload=(a, b))
 
-    def cumsum_cols(self):
-        return self._unary("cumsum_cols", self.value.cumsum(axis=1))
+    def cumsum(self, axis: int):
+        return self._unary("cumsum", self.value.cumsum(axis=axis), payload=axis)
 
     def where_mask(self, mask: np.ndarray, other):
         """mask ? self : other, with a constant boolean mask.
@@ -492,12 +500,20 @@ def _getitem_rule(g, v, ins, pay):
     return (full,)
 
 
+def _matmul_adjoint(g, c, left: bool, shape) -> np.ndarray:
+    """The adjoint of x, of the given shape, in ``c @ x`` (left) or
+    ``x @ c``, for 1-d or 2-d operands."""
+    two_d = len(shape) == 2
+    if left:
+        c2 = c[None, :] if c.ndim == 1 else c
+        return (c2.T @ g.reshape(c2.shape[0], shape[1] if two_d else 1)).reshape(shape)
+    c2 = c[:, None] if c.ndim == 1 else c
+    return (g.reshape(shape[0] if two_d else 1, c2.shape[1]) @ c2.T).reshape(shape)
+
+
 def _matmul_rule(g, v, ins, pay):
     a, b = ins
-    a2 = a[None, :] if a.ndim == 1 else a
-    b2 = b[:, None] if b.ndim == 1 else b
-    g2 = g.reshape(a2.shape[0], b2.shape[1])
-    return (g2 @ b2.T).reshape(a.shape), (a2.T @ g2).reshape(b.shape)
+    return _matmul_adjoint(g, b, False, a.shape), _matmul_adjoint(g, a, True, b.shape)
 
 
 def _solve_tri_right_rule(g, v, ins, lower):
@@ -550,7 +566,8 @@ _RULES = {
     "reshape": lambda g, v, ins, pay: (g.reshape(pay),),
     "swapaxes": lambda g, v, ins, pay: (g.swapaxes(*pay),),
     "matmul": _matmul_rule,
-    "cumsum_cols": lambda g, v, ins, pay: (g[:, ::-1].cumsum(axis=1)[:, ::-1],),
+    "matmul_const": lambda g, v, ins, pay: (_matmul_adjoint(g, *pay),),
+    "cumsum": lambda g, v, ins, axis: (np.flip(np.flip(g, axis).cumsum(axis=axis), axis),),
     "stack_cols": lambda g, v, ins, pay: tuple(g[:, k] for k in range(len(ins))),
     "where_mask": lambda g, v, ins, pay: (g * pay, g * ~pay),
     "where_mask_const": lambda g, v, ins, pay: (g * pay,),
@@ -605,7 +622,8 @@ _SAVED = {
     "reshape": _READS_NOTHING,
     "swapaxes": _READS_NOTHING,
     "matmul": _BOTH,
-    "cumsum_cols": _READS_NOTHING,
+    "matmul_const": _READS_NOTHING,
+    "cumsum": _READS_NOTHING,
     "stack_cols": _READS_NOTHING,
     "where_mask": _READS_NOTHING,
     "where_mask_const": _READS_NOTHING,

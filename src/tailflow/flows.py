@@ -5,21 +5,25 @@ data and ``inverse`` maps data back to the base.  Autoregressive layers
 condition on the data-side variable, so the inverse (the density-estimation
 direction) is a single vectorized pass while the forward direction fills one
 dimension at a time.  The spline layer's inverse evaluates all d splines in
-one pass on knot matrices with one row per entry, (n*d) rows in all; its
-forward stays sequential.  Formulas use numpy syntax (broadcasting, ``@``,
-slices and gathers) and the elementwise functions of ``autodiff``; a tape
-``Var`` follows the same syntax, so plain numpy arrays and tape variables
-flow through the same code path.
+one pass on knot matrices with one column per entry, (n*d) columns in all;
+its forward stays sequential.  Knot matrices are knot-major, (K+1, m) for m
+entries, so every softmax, cumulative sum, broadcast and reduction over an
+entry's knots runs along the long contiguous axis; with one row per entry,
+numpy would make one inner-loop call per entry for each of them.  Formulas
+use numpy syntax (broadcasting, ``@``, slices and gathers) and the
+elementwise functions of ``autodiff``; a tape ``Var`` follows the same
+syntax, so plain numpy arrays and tape variables flow through the same code
+path.
 
 Without a tape, ``flow_log_prob`` and ``flow_sample_with_log_prob`` (so
 also ``flow_sample``) push at most ``_FLOW_ROWS`` rows at a time, which
 bounds a pass's working memory: a spline pass holds knot matrices with d
-rows per input row (10k TTF draws at d=5 traced 20.7 MB in one pass, 2.9 MB
-in blocks).  Rows do not interact, so a block gives each row the same bits
-as one pass, with one exception: a 1-row matrix product takes numpy's
-matrix-vector path, which rounds differently (1-row passes moved TTF draws
-at d=20 by up to 4e-11).  Blocks are therefore evenly sized, and never one
-row unless the whole input is.
+columns per input row (10k TTF draws at d=5 traced 20.7 MB in one pass,
+2.9 MB in blocks).  Rows do not interact, so a block gives each row the
+same bits as one pass, with one exception: a 1-row matrix product takes
+numpy's matrix-vector path, which rounds differently (1-row passes moved
+TTF draws at d=20 by up to 4e-11).  Blocks are therefore evenly sized, and
+never one row unless the whole input is.
 
 Parameters live in one flat name -> array dict owned by the model; layer
 objects hold only structure (masks, sizes, key prefixes).  Positivity is
@@ -98,15 +102,10 @@ def _stack_cols(cols):
     return ad.stack_cols([t.as_var(c) for c in cols])
 
 
-def _softmax_rows(m):
-    # The row max one column at a time: np.max(axis=1) over rows this
-    # narrow costs several times more, for the same values.
-    mv = value_of(m)
-    c = mv[:, 0]
-    for j in range(1, mv.shape[1]):
-        c = np.maximum(c, mv[:, j])
-    e = ad.exp(m - c[:, None])
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax_cols(m):
+    """Softmax down each column of a knot-major (K, m) matrix."""
+    e = ad.exp(m - value_of(m).max(axis=0))
+    return e / e.sum(axis=0, keepdims=True)
 
 
 def _zeros_col(like, n):
@@ -189,10 +188,11 @@ class MaskedConditioner:
         return out[:, b * self.d:(b + 1) * self.d]
 
     def entry_rows(self, out):
-        """All n_out parameters of every entry, one row each: (n, d*n_out) ->
-        (n*d, n_out), where row r*d + i equals dim_block(out, i)[r]."""
+        """All n_out parameters of every entry, one column each, knot-major:
+        (n, d*n_out) -> (n_out, n*d), where column r*d + i equals
+        dim_block(out, i)[r]."""
         n = out.shape[0]
-        return out.reshape(n, self.n_out, self.d).swapaxes(1, 2).reshape(n * self.d, self.n_out)
+        return out.reshape(n, self.n_out, self.d).swapaxes(0, 1).reshape(self.n_out, n * self.d)
 
 
 # -- rational quadratic spline --------------------------------------------------
@@ -208,31 +208,29 @@ _BOUNDARY_DERIV_RAW = float(softplus_inv(1.0 - _MIN_DERIVATIVE))
 def _locate_bin(x, cumw, cumh, deriv, bound: float, inverse: bool):
     """Each entry's bin and the knot values around it.
 
-    x is (m,); cumw/cumh are (m, K+1) knot coordinates and deriv the
-    (m, K+1) knot slopes, one row per entry.  Returns the in-box mask, x
+    x is (m,); cumw/cumh are knot-major (K+1, m) knot coordinates and deriv
+    the (K+1, m) knot slopes, one column per entry, so the bin count is an
+    axis-0 reduction along rows of length m.  Returns the in-box mask, x
     with out-of-box entries zeroed, and per entry the left knot xk, bin
     width wk, left height yk, bin height hk and the slopes dk, dk1 at the
-    bin's two ends.  Only this half reads the knot matrices, so a caller
-    can drop them before the spline arithmetic makes its temporaries.
+    bin's two ends, gathered as ``knots[idx, cols]``.  Only this half reads
+    the knot matrices, so a caller can drop them before the spline
+    arithmetic makes its temporaries.
     """
-    k_bins = value_of(cumw).shape[1] - 1
+    k_bins = value_of(cumw).shape[0] - 1
     xv = value_of(x)
     inside = (xv >= -bound) & (xv <= bound)
     x_safe = ad.where_mask(inside, x, 0.0)
     knots_v = value_of(cumh if inverse else cumw)
-    # Count the knots at or below x one column at a time, as for the row max.
-    xs = value_of(x_safe)
-    idx = np.full(xs.shape[0], -1)
-    for j in range(k_bins):
-        idx += xs >= knots_v[:, j]
+    idx = np.count_nonzero(value_of(x_safe) >= knots_v[:k_bins], axis=0) - 1
     idx = np.clip(idx, 0, k_bins - 1)
 
-    rows = np.arange(xv.shape[0])
-    xk = cumw[rows, idx]
-    wk = cumw[rows, idx + 1] - xk
-    yk = cumh[rows, idx]
-    hk = cumh[rows, idx + 1] - yk
-    return inside, x_safe, xk, wk, yk, hk, deriv[rows, idx], deriv[rows, idx + 1]
+    cols = np.arange(xv.shape[0])
+    xk = cumw[idx, cols]
+    wk = cumw[idx + 1, cols] - xk
+    yk = cumh[idx, cols]
+    hk = cumh[idx + 1, cols] - yk
+    return inside, x_safe, xk, wk, yk, hk, deriv[idx, cols], deriv[idx + 1, cols]
 
 
 def _spline_arith(x, inside, x_safe, xk, wk, yk, hk, dk, dk1, inverse: bool):
@@ -281,34 +279,37 @@ def _spline_arith(x, inside, x_safe, xk, wk, yk, hk, dk, dk1, inverse: bool):
 def _spline_eval(x, cumw, cumh, deriv, bound: float, inverse: bool):
     """Monotone rational-quadratic spline on [-bound, bound], identity outside.
 
-    x is (m,); cumw/cumh are (m, K+1) knot coordinates, deriv the (m, K+1)
-    knot slopes, one row of knots per entry.  Returns (y, elementwise
-    log |dy/dx|).
+    x is (m,); cumw/cumh are knot-major (K+1, m) knot coordinates, deriv
+    the (K+1, m) knot slopes, one column of knots per entry, so that the
+    work over each entry's knots runs along rows of length m (see the
+    module docstring).  Returns (y, elementwise log |dy/dx|).
     """
     return _spline_arith(x, *_locate_bin(x, cumw, cumh, deriv, bound, inverse), inverse)
 
 
 def _raw_to_knots(w_raw, h_raw, d_raw, bound: float):
-    """Conditioner outputs -> (cumw, cumh, deriv) knot matrices.
+    """Knot-major conditioner outputs -> (cumw, cumh, deriv) knot matrices.
 
-    Widths and heights go through a min-floored softmax; the first and last
-    knots are pinned exactly to the box corners, boundary slopes exactly to 1.
+    w_raw and h_raw are (K, m) and d_raw is (K-1, m), one column per entry;
+    the three knot matrices are (K+1, m), so every reduction and broadcast
+    over an entry's knots runs along the long axis.  Widths and heights go
+    through a min-floored softmax; the first and last knots are pinned
+    exactly to the box corners, boundary slopes exactly to 1.
     """
-    k_bins = value_of(w_raw).shape[1]
-    embed = np.eye(k_bins - 1, k_bins + 1, k=1)
+    k_bins = value_of(w_raw).shape[0]
+    embed = np.eye(k_bins + 1, k_bins - 1, k=-1)
 
     def padded(inner, first, last):
-        # The K-1 inner knots go to columns 1..K-1 and the end knots are
+        # The K-1 inner knots go to rows 1..K-1 and the end knots are
         # added as constants.  Every product with the 0/1 matrix is exact,
         # so the knots equal the inner values bit for bit.
         ends = np.zeros(k_bins + 1)
         ends[0], ends[-1] = first, last
-        return inner @ embed + ends
+        return embed @ inner + ends[:, None]
 
     def cum_knots(raw, min_size):
-        rel = _softmax_rows(raw) * (1.0 - min_size * k_bins) + min_size
-        cum = rel.cumsum_cols() if isinstance(rel, Var) else np.cumsum(rel, axis=1)
-        return padded((cum * (2.0 * bound) - bound)[:, :k_bins - 1], -bound, bound)
+        rel = _softmax_cols(raw) * (1.0 - min_size * k_bins) + min_size
+        return padded((rel.cumsum(axis=0) * (2.0 * bound) - bound)[:k_bins - 1], -bound, bound)
 
     cumw = cum_knots(w_raw, _MIN_BIN_WIDTH)
     cumh = cum_knots(h_raw, _MIN_BIN_HEIGHT)
@@ -323,8 +324,8 @@ class RqsArLayer:
     """Autoregressive rational quadratic spline layer.
 
     The inverse makes one conditioner pass and then evaluates all d splines
-    at once: every entry x[r, i] gets its own row of raw knot values, so
-    the knots, the bin search and the spline run on (n*d)-row arrays and
+    at once: every entry x[r, i] gets its own column of raw knot values, so
+    the knots, the bin search and the spline run on (n*d)-column arrays and
     the tape nodes the layer adds do not depend on d.  The forward stays
     sequential, one conditioner pass and one dimension's spline at a time,
     because dimension i needs x_<i; both directions share ``_spline``.
@@ -344,12 +345,18 @@ class RqsArLayer:
         return self.cond.init_params(rng, out_bias=bias)
 
     def _spline(self, raw, x, inverse: bool):
-        """Spline each entry of the (m,) x under the knots set by its own row
-        of the (m, 3K-1) raw conditioner values; returns (y, log |dy/dx|)."""
+        """Spline each entry of the (m,) x under the knots set by its own
+        column of the knot-major (3K-1, m) raw conditioner values; returns
+        (y, log |dy/dx|)."""
         k = self.bins
-        knots = _raw_to_knots(raw[:, :k], raw[:, k:2 * k], raw[:, 2 * k:], self.bound)
+        if not isinstance(raw, Var):
+            # The forward's block is a strided view with the short axis
+            # innermost: numpy would give every result computed from it that
+            # order, and the knot reductions would run per entry.
+            raw = np.ascontiguousarray(raw)
+        knots = _raw_to_knots(raw[:k], raw[k:2 * k], raw[2 * k:], self.bound)
         located = _locate_bin(x, *knots, self.bound, inverse)
-        # On numpy inputs the raw rows and the (m, K+1) knot matrices are
+        # On numpy inputs the raw values and the (K+1, m) knot matrices are
         # the largest arrays; free them before the arithmetic's temporaries.
         del raw, knots
         return _spline_arith(x, *located, inverse)
@@ -367,7 +374,7 @@ class RqsArLayer:
         w = self.cond.weights(params)
         for i in range(self.d):
             out = self.cond.apply(w, _stack_cols(cols))
-            cols[i], ldi = self._spline(self.cond.dim_block(out, i), z[:, i], inverse=False)
+            cols[i], ldi = self._spline(self.cond.dim_block(out, i).T, z[:, i], inverse=False)
             ld = ldi + ld
         return _stack_cols(cols), ld
 

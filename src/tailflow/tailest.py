@@ -117,7 +117,11 @@ def _bootstrap_mse_curve(
     resample order (an axis-0 sum adds rows in order).
     """
     n = x.size
-    logx = np.log(np.where(x > 0.0, x, np.nan))
+    neg_logx = -np.log(np.where(x > 0.0, x, np.nan))
+    # Every finite log of a double has |log x| <= 745, so the means below
+    # are bounded and each Q(k)^2 is finite (< 1e14) whatever n1 is: only
+    # a sample with a nonpositive or infinite value needs the mask.
+    all_finite = np.isfinite(neg_logx).all()
     ks = np.arange(2, n1)
     acc = np.zeros(ks.size)
     cnt = np.zeros(ks.size, dtype=np.int64)
@@ -125,20 +129,37 @@ def _bootstrap_mse_curve(
     done = 0
     while done < reps:
         b = min(rows, reps - done)
-        logs = logx[rng.integers(0, n, size=(b, n1))]
-        logs = -np.sort(-logs, axis=1)  # descending, NaN last
+        logs = neg_logx[rng.integers(0, n, size=(b, n1))]
+        logs.sort(axis=1)
+        np.negative(logs, out=logs)  # descending, NaN last
         c1 = np.cumsum(logs, axis=1)
-        c2 = np.cumsum(logs * logs, axis=1)
+        c2 = logs * logs
+        np.cumsum(c2, axis=1, out=c2)
         s1 = c1[:, 1:-1]  # sums of the top k, k = 2 .. n1-1
         t = logs[:, 2:]  # the (k+1)-th largest
-        m1 = s1 / ks - t
-        m2 = c2[:, 1:-1] / ks - 2.0 * t * s1 / ks + t * t
-        q2 = (m2 - 2.0 * m1 * m1) ** 2
-        ok = np.isfinite(q2)
-        q2 = np.where(ok, q2, 0.0)
+        # q2 = (m2 - 2 m1 m1)^2 with m1 = s1/k - t and
+        # m2 = c2/k - 2 t s1/k + t t, in place, in the same op order
+        m1 = s1 / ks
+        m1 -= t
+        q2 = c2[:, 1:-1] / ks
+        tmp = 2.0 * t
+        tmp *= s1
+        tmp /= ks
+        q2 -= tmp
+        np.multiply(t, t, out=tmp)
+        q2 += tmp
+        np.multiply(2.0, m1, out=tmp)
+        tmp *= m1
+        q2 -= tmp
+        np.multiply(q2, q2, out=q2)
+        if all_finite:
+            cnt += b
+        else:
+            ok = np.isfinite(q2)
+            q2[~ok] = 0.0
+            cnt += ok.sum(axis=0)
         q2[0] += acc
         acc = q2.sum(axis=0)
-        cnt += ok.sum(axis=0)
         done += b
     full = np.nonzero(cnt == reps)[0]
     return ks[full], acc[full] / reps

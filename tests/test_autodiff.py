@@ -239,9 +239,17 @@ STRUCTURED_CASES = {
         + weighted_sum(t, pv["u"] @ pv["A"]) + pv["v"] @ pv["v"],
         inputs={"A": A, "v": U3, "u": np.array([0.4, -0.9])},
     ),
-    "matmul_constant_operands": dict(
-        build=lambda t, pv: weighted_sum(t, B @ pv["A"]) + weighted_sum(t, pv["A"] @ B),
-        inputs={"A": A},
+    # one matmul_const node each, constant on the right or on the left,
+    # against 2-d and 1-d Var operands and 2-d and 1-d constants
+    "matmul_const_right": dict(
+        build=lambda t, pv: weighted_sum(t, pv["A"] @ B) + weighted_sum(t, pv["v"] @ B)
+        + weighted_sum(t, pv["A"] @ U3) + pv["v"] @ U3,
+        inputs={"A": A, "v": np.array([0.4, -0.9, 1.3])},
+    ),
+    "matmul_const_left": dict(
+        build=lambda t, pv: weighted_sum(t, B @ pv["A"]) + weighted_sum(t, B @ pv["v"])
+        + weighted_sum(t, U3 @ pv["B"]) + U3 @ pv["u"],
+        inputs={"A": A, "v": np.array([0.4, -0.9]), "B": B, "u": np.array([1.1, 0.2, -0.6])},
     ),
     "matmul_tb": dict(
         build=lambda t, pv: weighted_sum(t, pv["A"] @ pv["C"].T),
@@ -296,8 +304,13 @@ STRUCTURED_CASES = {
         + weighted_sum(t, pv["X"].sum(keepdims=True)),
         inputs={"X": X},
     ),
-    "cumsum_cols": dict(
-        build=lambda t, pv: weighted_sum(t, pv["X"].cumsum_cols()),
+    "cumsum_axis0": dict(
+        build=lambda t, pv: weighted_sum(t, pv["X"].cumsum(axis=0))
+        + weighted_sum(t, pv["v"].cumsum(axis=0)),
+        inputs={"X": X, "v": np.array([1.0, -2.0, 0.5, 3.0])},
+    ),
+    "cumsum_axis1": dict(
+        build=lambda t, pv: weighted_sum(t, pv["X"].cumsum(axis=1)),
         inputs={"X": X},
     ),
     "stack_cols": dict(
@@ -335,11 +348,11 @@ STRUCTURED_CASES = {
         + weighted_sum(t, pv["X"].T.reshape(2, 3)),
         inputs={"X": X},
     ),
-    # The RQS inverse's regrouping: (n, k*d) -> (n, k, d) -> (n, d, k) ->
-    # (n*d, k), a reshape of a swapped, non-contiguous value.
+    # The RQS inverse's regrouping: (n, k*d) -> (n, k, d) -> (k, n, d) ->
+    # (k, n*d), a reshape of a swapped, non-contiguous value.
     "swapaxes": dict(
         build=lambda t, pv: weighted_sum(t, pv["Y"].swapaxes(0, 2))
-        + weighted_sum(t, pv["Y"].reshape(2, 3, 2).swapaxes(1, 2).reshape(4, 3)),
+        + weighted_sum(t, pv["Y"].reshape(2, 3, 2).swapaxes(0, 1).reshape(3, 4)),
         inputs={"Y": np.arange(12.0).reshape(2, 2, 3) / 5.0 - 1.0},
     ),
     "sample_gamma": _gamma_case(),
@@ -370,7 +383,19 @@ class TestStructuredOps:
         check_case("matmul_vector_operands")
 
     def test_matmul_constant_operands(self):
-        check_case("matmul_constant_operands")
+        check_case("matmul_const_right")
+        check_case("matmul_const_left")
+
+    def test_constant_operand_is_one_node_saving_nothing(self):
+        # no lift node for the constant, and nothing saved for backward
+        tape = ad.Tape()
+        a = tape.param(A, "A")
+        (B @ a).sum()
+        (a @ B).sum()
+        assert tape.ops == ["param", "matmul_const", "sum", "matmul_const", "sum"]
+        assert all(v.size == 0 for v in tape.values)
+        np.testing.assert_array_equal((B @ a).value, B @ A)
+        np.testing.assert_array_equal((a @ B).value, A @ B)
 
     def test_matmul_tb(self):
         check_case("matmul_tb")
@@ -417,11 +442,14 @@ class TestStructuredOps:
         check_case("swapaxes")
         y = np.arange(12.0).reshape(2, 3, 2)
         np.testing.assert_array_equal(
-            ad.Tape().lift(y).swapaxes(1, 2).reshape(4, 3).value, y.swapaxes(1, 2).reshape(4, 3)
+            ad.Tape().lift(y).swapaxes(0, 1).reshape(3, 4).value, y.swapaxes(0, 1).reshape(3, 4)
         )
 
-    def test_cumsum_cols(self):
-        check_case("cumsum_cols")
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_cumsum(self, axis):
+        check_case(f"cumsum_axis{axis}")
+        np.testing.assert_array_equal(ad.Tape().lift(X).cumsum(axis=axis).value,
+                                      np.cumsum(X, axis=axis))
 
     def test_stack_cols(self):
         check_case("stack_cols")
@@ -551,7 +579,7 @@ TESTED_OPS = {
     "add", "add_const", "sub", "rsub_const", "mul", "mul_const", "div", "div_const",
     "rdiv_const", "pow", "pow_const", "exp", "log", "log1p", "expm1", "sqrt", "tanh",
     "sigmoid", "softplus", "erfc_node", "log_erfc", "erfc_inv_node", "lgamma",
-    "maximum_const", "minimum_const", "sum", "matmul", "cumsum_cols",
+    "maximum_const", "minimum_const", "sum", "matmul", "matmul_const", "cumsum",
     "where_mask_const", "sample_gamma", "solve_tri_right",
 }
 
@@ -735,9 +763,10 @@ class TestPoisoning:
             makers = [
                 lambda: v.where_mask(mask(), bad()), lambda: v + t.lift(poison),
                 lambda: big + big, lambda: big - -big, lambda: big * 10.0,
-                lambda: big.sum(axis=0, keepdims=True) + v, lambda: big.cumsum_cols(),
+                lambda: big.sum(axis=0, keepdims=True) + v, lambda: big.cumsum(axis=1),
                 lambda: (v.abs() + 800.0).exp(), lambda: (v * 0.0).log(),
                 lambda: v / (v * 0.0), lambda: big @ big.T @ v,
+                lambda: v @ np.full((4, 4), 1e308),
             ]
             return makers[rng.integers(len(makers))]()
 
@@ -751,8 +780,9 @@ class TestPoisoning:
             lambda v, u: v.log_erfc(), lambda v, u: (v.sigmoid() * 1.8 + 0.1).erfc_inv(),
             lambda v, u: (v.abs() + 0.1).lgamma(), lambda v, u: v.maximum(-0.5),
             lambda v, u: v.minimum(2.0),
-            lambda v, u: v.sum(axis=0, keepdims=True) * u, lambda v, u: v.cumsum_cols(),
-            lambda v, u: v @ u.T @ u, lambda v, u: v.where_mask(mask(), 1.0),
+            lambda v, u: v.sum(axis=0, keepdims=True) * u, lambda v, u: v.cumsum(axis=1),
+            lambda v, u: v.cumsum(axis=0), lambda v, u: v @ u.T @ u,
+            lambda v, u: u.value @ v.T @ v, lambda v, u: v.where_mask(mask(), 1.0),
             # scipy's solve rejects non-finite operands outright
             lambda v, u: v.solve_tri_right(t.lift(tri), lower=False)
             if np.all(np.isfinite(v.value)) else v * 1.0,

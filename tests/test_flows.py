@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tailflow import autodiff as ad
 from tailflow import flows, special
@@ -103,15 +105,17 @@ class TestMaskedConditioner:
 
 
 def tiled_knots(widths, heights, derivs, n, bound=2.5):
-    """One explicit knot set, tiled to n rows for ``flows._spline_eval``."""
+    """One explicit knot set, tiled to n knot-major columns for
+    ``flows._spline_eval``."""
     cumw = np.concatenate([[-bound], -bound + np.cumsum(widths)])
     cumh = np.concatenate([[-bound], -bound + np.cumsum(heights)])
     cumw[-1] = cumh[-1] = bound
-    return tuple(np.tile(np.asarray(v, dtype=float), (n, 1)) for v in (cumw, cumh, derivs))
+    return tuple(np.tile(np.asarray(v, dtype=float)[:, None], (1, n))
+                 for v in (cumw, cumh, derivs))
 
 
 class TestSplineKnots:
-    """The spline under explicit knot rows, on the path the layers take."""
+    """The spline under explicit knot columns, on the path the layers take."""
 
     W = [0.5, 2.0, 1.0, 0.5, 1.0]
     H = [1.0, 1.0, 0.5, 1.5, 1.0]
@@ -168,54 +172,61 @@ class TestSplineKnots:
         # width and height that fill the box exactly, K+1 positive slopes.
         k, bound = 5, 2.5
         r = np.random.default_rng(0)
-        raw = r.normal(size=(64, 3 * k - 1))
-        raw[::2, 0] += w
-        raw[::2, k] += h
+        raw = r.normal(size=(64, 3 * k - 1)).T  # knot-major, one column per entry
+        raw[0, ::2] += w
+        raw[k, ::2] += h
         if dv is not None:
-            raw[::2, 2 * k] += dv
-        cumw, cumh, deriv = flows._raw_to_knots(raw[:, :k], raw[:, k:2 * k], raw[:, 2 * k:], bound)
-        assert cumw.shape == cumh.shape == deriv.shape == (64, k + 1)
+            raw[2 * k, ::2] += dv
+        cumw, cumh, deriv = flows._raw_to_knots(raw[:k], raw[k:2 * k], raw[2 * k:], bound)
+        assert cumw.shape == cumh.shape == deriv.shape == (k + 1, 64)
         for cum in (cumw, cumh):
-            assert np.all(np.diff(cum, axis=1) > 0.0)
-            assert np.all(cum[:, 0] == -bound) and np.all(cum[:, -1] == bound)
+            assert np.all(np.diff(cum, axis=0) > 0.0)
+            assert np.all(cum[0] == -bound) and np.all(cum[-1] == bound)
         assert np.all(deriv > 0.0)
-        assert np.all(deriv[:, [0, -1]] == 1.0)
+        assert np.all(deriv[[0, -1]] == 1.0)
 
 
-class TestKnotRowsColumnwise:
-    """The row max and the bin count go one column at a time; they must
-    equal the axis-1 reductions on any rows, ties, infinities and NaN
-    included."""
+class TestKnotMajorReductions:
+    """The knot-major softmax (with its column max) and the bin count reduce
+    along axis 0; each column must equal a plain per-entry computation on
+    that entry's knots alone, bit for bit, on any values, ties, infinities
+    and NaN included."""
 
     @staticmethod
-    def awkward_rows(m, k, seed):
+    def awkward_cols(k, m, seed):
         r = np.random.default_rng(seed)
-        v = np.round(r.normal(size=(m, k)), 1)  # rounding makes ties
+        v = np.round(r.normal(size=(k, m)), 1)  # rounding makes ties
         special_values = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0])
-        hit = r.random((m, k)) < 0.15
+        hit = r.random((k, m)) < 0.15
         v[hit] = r.choice(special_values, size=hit.sum())
         return v
 
-    def test_row_max_matches_axis_max(self):
+    def test_softmax_matches_per_entry_reference(self):
         for k in (1, 2, 5, 9):
-            v = self.awkward_rows(4000, k, seed=k)
+            v = self.awkward_cols(k, 2000, seed=k)
+            want = np.empty_like(v)
             with np.errstate(invalid="ignore"):
-                e = np.exp(v - np.max(v, axis=1, keepdims=True))
-                want = e / e.sum(axis=1, keepdims=True)
-                got = flows._softmax_rows(v)
+                got = flows._softmax_cols(v)
+                for j in range(v.shape[1]):
+                    e = np.exp(v[:, j] - np.max(v[:, j]))
+                    total = e[0]
+                    for term in e[1:]:  # the knots in order, one at a time
+                        total = total + term
+                    want[:, j] = e / total
             assert np.array_equal(got, want, equal_nan=True), k
 
-    def test_bin_index_matches_axis_count(self):
-        # with cumw = 0..K on every row, the left knot xk is the bin index
+    def test_bin_index_matches_per_entry_count(self):
+        # with cumw = 0..K in every column, the left knot xk is the bin index
         for k in (1, 2, 5, 9):
-            m, bound = 4000, 3.0
-            cumh = self.awkward_rows(m, k + 1, seed=10 + k)
-            cumw = np.tile(np.arange(k + 1.0), (m, 1))
+            m, bound = 2000, 3.0
+            cumh = self.awkward_cols(k + 1, m, seed=10 + k)
+            cumw = np.tile(np.arange(k + 1.0)[:, None], (1, m))
             r = np.random.default_rng(20 + k)
-            x = np.where(r.random(m) < 0.5, cumh[:, 0], r.uniform(-4.0, 4.0, m))
+            x = np.where(r.random(m) < 0.5, cumh[0], r.uniform(-4.0, 4.0, m))
             with np.errstate(invalid="ignore"):
                 _, x_safe, xk, *_ = flows._locate_bin(x, cumw, cumh, cumw, bound, inverse=True)
-            want = np.clip((x_safe[:, None] >= cumh[:, :-1]).sum(axis=1) - 1, 0, k - 1)
+                want = [min(max(sum(x_safe[j] >= cumh[i, j] for i in range(k)) - 1, 0), k - 1)
+                        for j in range(m)]
             assert np.array_equal(xk, want), k
 
 
@@ -255,10 +266,8 @@ class TestRqsArLayer:
         k = layer.bins
         z_ref, ld_ref = np.empty_like(x), 0.0
         for i in range(d):
-            block = layer.cond.dim_block(out, i)
-            knots = flows._raw_to_knots(
-                block[:, :k], block[:, k:2 * k], block[:, 2 * k:], layer.bound
-            )
+            block = layer.cond.dim_block(out, i).T  # knot-major
+            knots = flows._raw_to_knots(block[:k], block[k:2 * k], block[2 * k:], layer.bound)
             z_ref[:, i], ld_i = flows._spline_eval(x[:, i], *knots, layer.bound, inverse=True)
             ld_ref = ld_ref + ld_i
 
@@ -267,6 +276,31 @@ class TestRqsArLayer:
         for z, ld in (layer.inverse(params, x), layer.inverse(tp, tape.lift(x))):
             np.testing.assert_array_equal(ad.value_of(z), z_ref)
             np.testing.assert_allclose(ad.value_of(ld), ld_ref, rtol=0.0, atol=1e-12)
+
+    @given(d=st.sampled_from([1, 3, 20]), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(0.05, 2.0), n=st.integers(1, 40))
+    def test_tape_inverse_is_per_dimension_reference(self, d, seed, scale, n):
+        # Over random conditioner params, the one-pass inverse on the tape
+        # gives each dimension's spline bit for bit, and the log-det is the
+        # same row sum of the per-dimension log-dets.
+        layer = flows.RqsArLayer(d, "rqs")
+        r = np.random.default_rng(seed)
+        params = {key: v + scale * r.normal(size=v.shape)
+                  for key, v in layer.init_params(special.Rng(seed)).items()}
+        x = r.normal(size=(n, d)) * 2.0
+        out = layer.cond.forward(params, x)
+        k = layer.bins
+        z_ref, ld_cols = np.empty_like(x), np.empty_like(x)
+        for i in range(d):
+            block = layer.cond.dim_block(out, i).T
+            knots = flows._raw_to_knots(block[:k], block[k:2 * k], block[2 * k:], layer.bound)
+            z_ref[:, i], ld_cols[:, i] = flows._spline_eval(x[:, i], *knots, layer.bound,
+                                                            inverse=True)
+        tape = ad.Tape()
+        z, ld = layer.inverse({key: tape.param(v, key) for key, v in params.items()},
+                              tape.lift(x))
+        assert np.array_equal(z.value, z_ref)
+        assert np.array_equal(ld.value, ld_cols.sum(axis=1))
 
     def test_outside_box_identity_with_random_params(self):
         layer, params = self._perturbed()
@@ -284,6 +318,17 @@ class TestRqsArLayer:
         assert np.all(np.asarray(ld) == 0.0)
         _, ld_in = layer.inverse(params, np.array([[0.3]]))
         assert np.all(np.asarray(ld_in) != 0.0)
+
+    @pytest.mark.parametrize("d", [1, 3, 20])
+    def test_numpy_forward_is_tape_forward(self, d):
+        # the numpy forward copies each knot block to C order and the tape's
+        # stays a strided view; at the default bins both give the same bits
+        layer, params = self._perturbed(d=d, seed=6)
+        z = np.random.default_rng(d).normal(size=(30, d)) * 1.5
+        x, ld = layer.forward(params, z)
+        tape = ad.Tape()
+        xt, ldt = layer.forward({k: tape.param(v, k) for k, v in params.items()}, tape.lift(z))
+        assert np.array_equal(x, xt.value) and np.array_equal(ld, ldt.value)
 
     def test_round_trip(self):
         layer, params = self._perturbed()

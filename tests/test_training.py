@@ -102,7 +102,7 @@ class TestTapeNodeCounts:
     count the code reached when the gate was set; lower it when a change
     shrinks the tape, never raise it."""
 
-    @pytest.mark.parametrize("d,bound", [(5, 190), (20, 195)])
+    @pytest.mark.parametrize("d,bound", [(5, 187), (20, 192)])
     def test_ttf_de_loss_tape(self, d, bound):
         model = flows.build_architecture("TTF", d, seed=0)
         x = special.Rng(1).student_t(2.0, (2000, d))
@@ -126,25 +126,41 @@ class TestTapeNodeCounts:
         model = flows.build_architecture("TTF", 5, seed=0)
         tape = ad.Tape()
         flows.flow_sample_with_log_prob(tape, model, model.tape_params(tape), special.Rng(2), 100)
-        assert len(tape.ops) <= 621
+        assert len(tape.ops) <= 611
 
     def test_mtaf_elbo_sampling_tape(self):
         # the frozen Student-T base enters the tape as one block of constant draws
         model = flows.build_architecture("mTAF", 5, seed=0)
         tape = ad.Tape()
         flows.flow_sample_with_log_prob(tape, model, model.tape_params(tape), special.Rng(2), 100)
-        assert len(tape.ops) <= 602
+        assert len(tape.ops) <= 592
+
+    @pytest.mark.parametrize("direction", ["de", "elbo"])
+    def test_no_matmul_has_a_lifted_operand(self, direction):
+        # a product with a constant is one matmul_const node: no constant is
+        # lifted onto the tape only to be multiplied
+        model = flows.build_architecture("TTF", 5, seed=0)
+        tape = ad.Tape()
+        params = model.tape_params(tape)
+        if direction == "de":
+            training.de_loss(model, special.Rng(1).student_t(2.0, (200, 5)), params)
+        else:
+            flows.flow_sample_with_log_prob(tape, model, params, special.Rng(2), 100)
+        assert "matmul_const" in tape.ops
+        for op, parents in zip(tape.ops, tape.parents):
+            if op == "matmul":
+                assert all(tape.ops[p] != "lift" for p in parents)
 
 
 class TestTapeMemory:
     """Traced memory of the tape of ``TestTapeNodeCounts`` once built, and
     backward's on top of it.  Allocation sizes are deterministic for a given
     numpy, so they are gated, with headroom over what was measured when the
-    gate was set: a built tape of 8.8 MB (d=5) and 31.6 MB (d=20), and
+    gate was set: a built tape of 7.8 MB (d=5) and 27.8 MB (d=20), and
     backward overheads of 4.2 and 17.0 MB.  Lower a bound when a change
     shrinks memory, never raise it."""
 
-    @pytest.mark.parametrize("d,bound_mb", [(5, 10.0), (20, 34.0)])
+    @pytest.mark.parametrize("d,bound_mb", [(5, 9.0), (20, 30.0)])
     def test_ttf_de_tape_size(self, d, bound_mb):
         # the tape keeps only the values backward reads
         model = flows.build_architecture("TTF", d, seed=0)
