@@ -26,7 +26,11 @@ unbroadcasting.  So an intermediate that no rule reads, such as the output
 of an ``add`` or a ``getitem``, is freed as soon as its last ``Var`` goes,
 during the build rather than with the tape.  Backward keeps an adjoint only
 while it can still grow, so its memory on top of the tape is the frontier
-of live adjoints (plus the params'), not a second copy of the tape.
+of live adjoints (plus the params'), not a second copy of the tape.  The
+adjoint of ``x[key]`` is not a full zero matrix per node: backward writes
+it into one buffer per operand, allocated at the first slice or gather
+that reaches the operand, and adds every later adjoint of that operand
+into the same buffer.
 
 Domain violations never raise mid-graph: offending values propagate as NaN
 and the tape records the first offending node ("poisoning"); the training
@@ -307,7 +311,7 @@ class Var:
 
     def __getitem__(self, key):
         """Basic slices and ints, or an integer-array gather, as numpy."""
-        return self._unary("getitem", self.value[key], payload=(key, _is_gather(key), self.shape))
+        return self._unary("getitem", self.value[key], payload=(key, _is_gather(key)))
 
     @property
     def T(self):
@@ -320,7 +324,7 @@ class Var:
         return self._unary("swapaxes", self.value.swapaxes(a, b), payload=(a, b))
 
     def cumsum(self, axis: int):
-        return self._unary("cumsum", self.value.cumsum(axis=axis), payload=axis)
+        return self._unary("cumsum", _cumsum_array(self.value, axis), payload=axis)
 
     def where_mask(self, mask: np.ndarray, other):
         """mask ? self : other, with a constant boolean mask.
@@ -444,6 +448,27 @@ def sigmoid(x):
     return x.sigmoid() if _is_var(x) else sp.expit(x)
 
 
+def _cumsum_array(a: np.ndarray, axis: int) -> np.ndarray:
+    """``np.cumsum(a, axis)`` as one vector add per step along the axis.
+
+    numpy's accumulate makes one inner-loop call per line along the other
+    axes, so on a knot matrix (K, m) it loops m times over K entries; these
+    are K-1 adds of length-m rows.  Both sum sequentially, so the bits are
+    the same.
+    """
+    out = np.array(a, dtype=float)
+    v = out if axis in (0, -out.ndim) else np.moveaxis(out, axis, 0)
+    if v.ndim == 1:
+        v = v[:, None]  # rows that are arrays, so that they can be outputs
+    for prev, row in zip(v, v[1:]):
+        np.add(prev, row, out=row)
+    return out
+
+
+def cumsum(x, axis: int):
+    return x.cumsum(axis) if _is_var(x) else _cumsum_array(x, axis)
+
+
 def maximum_const(x, c):
     return x.maximum(c) if _is_var(x) else np.maximum(x, c)
 
@@ -469,8 +494,10 @@ def value_of(x) -> np.ndarray:
 #
 # Each rule maps (adjoint g of the node, node value v, parent values, payload)
 # to one adjoint per parent, in the node's output shape or the parent's;
-# backward sums away whatever broadcasting added.  A rule may read v and the
-# parent values only as ``_SAVED`` declares; the others are ``_UNSAVED``.
+# backward sums away whatever broadcasting added.  ``getitem``'s adjoint is a
+# ``_Scatter`` that backward writes into the operand's buffer.  A rule may
+# read v and the parent values only as ``_SAVED`` declares; the others are
+# ``_UNSAVED``, and a rule that reads no parent gets ``ins=()``.
 
 
 def _unbroadcast(g, shape) -> np.ndarray:
@@ -490,14 +517,38 @@ def _sum_rule(g, v, ins, pay):
     return (np.broadcast_to(g, shape),)
 
 
+class _Scatter:
+    """The adjoint of ``x[key]`` for x: ``g`` at ``key`` in zeros of x's
+    shape, left for backward to write into x's adjoint buffer."""
+
+    __slots__ = ("key", "gather", "g")
+
+    def __init__(self, key, gather: bool, g):
+        self.key = key
+        self.gather = gather
+        self.g = g
+
+    def dense(self, shape, plus=None) -> np.ndarray:
+        """The adjoint as a new array, plus ``plus`` if that is given."""
+        full = np.zeros(shape)
+        if self.gather:
+            np.add.at(full, self.key, self.g)  # a repeated index receives every adjoint
+        else:
+            full[self.key] = self.g
+        if plus is not None:
+            full += plus
+        return full
+
+    def add_into(self, buf: np.ndarray) -> None:
+        if self.gather:
+            # the repeats of one index sum among themselves first, as in dense
+            buf += self.dense(buf.shape)
+        else:
+            buf[self.key] += self.g
+
+
 def _getitem_rule(g, v, ins, pay):
-    key, gather, shape = pay
-    full = np.zeros(shape)
-    if gather:
-        np.add.at(full, key, g)  # a repeated index receives every adjoint
-    else:
-        full[key] = g
-    return (full,)
+    return (_Scatter(*pay, g),)
 
 
 def _matmul_adjoint(g, c, left: bool, shape) -> np.ndarray:
@@ -567,8 +618,8 @@ _RULES = {
     "swapaxes": lambda g, v, ins, pay: (g.swapaxes(*pay),),
     "matmul": _matmul_rule,
     "matmul_const": lambda g, v, ins, pay: (_matmul_adjoint(g, *pay),),
-    "cumsum": lambda g, v, ins, axis: (np.flip(np.flip(g, axis).cumsum(axis=axis), axis),),
-    "stack_cols": lambda g, v, ins, pay: tuple(g[:, k] for k in range(len(ins))),
+    "cumsum": lambda g, v, ins, axis: (np.flip(_cumsum_array(np.flip(g, axis), axis), axis),),
+    "stack_cols": lambda g, v, ins, pay: tuple(g[:, k] for k in range(g.shape[1])),
     "where_mask": lambda g, v, ins, pay: (g * pay, g * ~pay),
     "where_mask_const": lambda g, v, ins, pay: (g * pay,),
     "sample_gamma": lambda g, v, ins, pay: (np.sum(g * special.gamma_dsample_dshape(pay, v)),),
@@ -634,6 +685,9 @@ _SAVED = {
     "diag_embed": _READS_NOTHING,
 }
 
+# Ops whose rules read parent values; backward gives the others ``ins=()``.
+_READS_PARENTS = frozenset(op for op, (_, read) in _SAVED.items() if read)
+
 # Ops whose output entries are entries of their operands, zeros, or bounded
 # maps of them (-x, max(x, 0), |x|), so they are finite whenever their
 # operands are.  ``Tape._push`` tests only other nodes for finiteness: while
@@ -659,6 +713,18 @@ def backward(out: Var) -> dict[str, np.ndarray]:
     released as soon as its rule has run, so besides the tape only the
     frontier lives: the adjoints of nodes already reached whose rules have
     not run yet, plus those of the params.
+
+    The only arrays written in place are the buffers this sweep allocates
+    when a slice or gather adjoint (a ``_Scatter``) reaches an operand:
+    later slices add into it at their key, later gathers and dense adjoints
+    add in whole.  Nothing else can hold such a buffer until the operand's
+    own rule runs, and by then every write to it is done.  Any other
+    adjoint may be shared (``add`` hands one array to both operands,
+    ``transpose`` a view, ``sum`` a read-only broadcast), so a scatter that
+    lands on one gets a new buffer, to which the old adjoint is added.
+    Every entry gets the sum that adding each adjoint as a full array, in
+    arrival order, would give; only a -0.0 outside a slice's key keeps its
+    sign where adding a zero would make it +0.0.
     """
     tape = out.tape
     if tape.poisoned is not None:
@@ -671,6 +737,7 @@ def backward(out: Var) -> dict[str, np.ndarray]:
         tape.ops, tape.parents, tape.payloads, tape.values, tape.shapes)
     adj: list = [None] * n
     adj[out.idx] = np.asarray(1.0)
+    owned: set[int] = set()  # nodes whose adjoint is a buffer made for a scatter
 
     with np.errstate(all="ignore"):
         for i in range(n - 1, -1, -1):
@@ -678,7 +745,9 @@ def backward(out: Var) -> dict[str, np.ndarray]:
             par = parents[i]
             if g is None or not par:  # unreached, or a leaf
                 continue
-            grads = _RULES[ops[i]](g, values[i], [values[p] for p in par], payloads[i])
+            op = ops[i]
+            ins = [values[p] for p in par] if op in _READS_PARENTS else ()
+            grads = _RULES[op](g, values[i], ins, payloads[i])
             # Every write to adj[i] came from a later node, so it is final;
             # drop it now (param leaves never get here and keep theirs).  The
             # local g stays bound until the next node: freeing it before the
@@ -687,10 +756,23 @@ def backward(out: Var) -> dict[str, np.ndarray]:
             for p, gp in zip(par, grads):
                 if ops[p] == "lift":
                     continue  # constants carry zero gradient by definition
-                # Adjoints are never written in place, so views can be shared.
+                if type(gp) is _Scatter:
+                    if p in owned:
+                        gp.add_into(adj[p])
+                    else:
+                        # adj[p] may be an array shared with other adjoints,
+                        # so the scatter gets a buffer of its own
+                        adj[p] = gp.dense(shapes[p], adj[p])
+                        owned.add(p)
+                    continue
                 if gp.shape != shapes[p]:
                     gp = _unbroadcast(gp, shapes[p])
-                adj[p] = gp if adj[p] is None else adj[p] + gp
+                if adj[p] is None:
+                    adj[p] = gp
+                elif p in owned:
+                    adj[p] += gp
+                else:
+                    adj[p] = adj[p] + gp
 
     grads: dict[str, np.ndarray] = {}
     for idx, name in tape.param_nodes.items():

@@ -309,7 +309,7 @@ def _raw_to_knots(w_raw, h_raw, d_raw, bound: float):
 
     def cum_knots(raw, min_size):
         rel = _softmax_cols(raw) * (1.0 - min_size * k_bins) + min_size
-        return padded((rel.cumsum(axis=0) * (2.0 * bound) - bound)[:k_bins - 1], -bound, bound)
+        return padded((ad.cumsum(rel, 0) * (2.0 * bound) - bound)[:k_bins - 1], -bound, bound)
 
     cumw = cum_knots(w_raw, _MIN_BIN_WIDTH)
     cumh = cum_knots(h_raw, _MIN_BIN_HEIGHT)
@@ -546,19 +546,22 @@ class StudentTBase:
         tail = (e * ((nu + 1.0) * 0.5)).sum(axis=1)
         return -tail + const.sum()
 
+    def _draws(self, nu: np.ndarray, rng: special.Rng, n: int) -> np.ndarray:
+        # column j from rng.child(j) by the gamma route, as sample_node draws it
+        return np.stack(
+            [special.sample_student_t(nu[j], rng.child(j), size=n) for j in range(self.d)],
+            axis=1,
+        )
+
     def sample(self, params, rng: special.Rng, n: int) -> np.ndarray:
-        nu = value_of(self.nu(params))
-        return np.stack([rng.student_t(nu[j], n) for j in range(self.d)], axis=1)
+        """The draws of ``sample_node`` for the same ``rng``, as numpy."""
+        return self._draws(value_of(self.nu(params)), rng, n)
 
     def sample_node(self, tape: Tape, params, rng: special.Rng, n: int):
         """Reparameterized draws; a frozen nu enters the tape as constant draws."""
         nu_raw = params["base.nu_raw"]
         if not self.trainable:
-            nu = ad.softplus(value_of(nu_raw))
-            return tape.lift(np.stack(
-                [special.sample_student_t(nu[j], rng.child(j), size=n) for j in range(self.d)],
-                axis=1,
-            ))
+            return tape.lift(self._draws(ad.softplus(value_of(nu_raw)), rng, n))
         return _stack_cols([
             ad.sample_student_t_node(ad.softplus(nu_raw[j]), rng.child(j), n)
             for j in range(self.d)

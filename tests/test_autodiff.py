@@ -3,6 +3,8 @@ differences, accumulation semantics, and NaN poisoning."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import special as sp
 
 from tailflow import autodiff as ad
@@ -451,6 +453,23 @@ class TestStructuredOps:
         np.testing.assert_array_equal(ad.Tape().lift(X).cumsum(axis=axis).value,
                                       np.cumsum(X, axis=axis))
 
+    @pytest.mark.parametrize("shape,axis", [
+        ((9,), 0), ((9,), -1), ((5, 7), 0), ((5, 7), 1), ((5, 7), -1),
+        ((4, 3, 6), 0), ((4, 3, 6), 1), ((4, 3, 6), -1),
+    ])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_cumsum_is_numpys_bit_for_bit(self, shape, axis, layout):
+        # row adds sum in numpy's sequential order, on any memory layout
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+        if layout == "F":
+            a = np.asfortranarray(a)
+        elif layout == "strided":
+            a = np.repeat(a, 2, axis=0)[::-2]
+        want = np.cumsum(a, axis=axis)
+        assert ad.cumsum(a, axis).tobytes() == want.tobytes()
+        assert ad.Tape().lift(a).cumsum(axis).value.tobytes() == want.tobytes()
+
     def test_stack_cols(self):
         check_case("stack_cols")
 
@@ -636,6 +655,30 @@ class TestRuleTable:
         for op, (own, parents) in ad._SAVED.items():
             assert isinstance(own, bool) and all(k in (0, 1) for k in parents), op
 
+    def test_rules_that_read_no_parent_run_without_parents(self):
+        # backward passes ins=() to these rules, so none may use ins even
+        # for its length
+        rng = np.random.default_rng(0)
+        readers = {op for op, (_, read) in ad._SAVED.items() if read}
+        covered = set()
+        for build, inputs in _all_fd_cases():
+            tape = ad.Tape()
+            build(tape, {k: tape.param(np.asarray(v, dtype=float), k) for k, v in inputs.items()})
+            for op, par, v, pay, shape in zip(tape.ops, tape.parents, tape.values,
+                                              tape.payloads, tape.shapes):
+                if not par or op in readers:
+                    continue
+                covered.add(op)
+                g = rng.normal(size=shape)
+                got = ad._RULES[op](g, v, (), pay)
+                want = ad._RULES[op](g, v, [tape.values[p] for p in par], pay)
+                assert len(got) == len(want) == len(par), op
+                for gp, wp, p in zip(got, want, par):
+                    if isinstance(gp, ad._Scatter):
+                        gp, wp = gp.dense(tape.shapes[p]), wp.dense(tape.shapes[p])
+                    np.testing.assert_array_equal(gp, wp, err_msg=op)
+        assert covered == set(ad._RULES) - readers
+
     def test_tape_keeps_only_declared_values(self):
         tape = ad.Tape()
         x = tape.param(np.array([0.5, 2.0]), "x")
@@ -711,6 +754,97 @@ class TestBackwardSemantics:
         grads = ad.backward((x * x).sum())
         np.testing.assert_allclose(grads["x"], [2.0, 4.0])
         assert grads["w"] == 1.0
+
+
+# Uses of one (6, 5) Var y: basic slices (some overlapping), gathers that
+# repeat an index, and dense consumers whose adjoints are a read-only
+# broadcast view ("colsum"), one array reaching y twice ("twice") or one
+# array that y shares with another node w until w's rule runs ("plus_w").
+_USES = {
+    "rows": lambda y, w: y[1:4],
+    "first_rows": lambda y, w: y[:3],
+    "row": lambda y, w: y[2],
+    "col": lambda y, w: y[:, 3],
+    "strided_cols": lambda y, w: y[:, ::2],
+    "block": lambda y, w: y[2:, 1:3],
+    "gather_rows": lambda y, w: y[np.array([0, 5, 0, 2])],
+    "gather_pairs": lambda y, w: y[np.array([1, 1, 4, 1]), np.array([0, 0, 2, 0])],
+    "gather_cols": lambda y, w: y[:, [4, 4, 1]],
+    "scaled": lambda y, w: y * 0.75,
+    "colsum": lambda y, w: y.sum(axis=0),
+    "transpose": lambda y, w: y.T,
+    "twice": lambda y, w: y + y,
+    "plus_w": lambda y, w: y + w,
+    "exp": lambda y, w: y.exp(),
+}
+
+
+def _reference_backward(out):
+    """A reference sweep: every getitem adjoint a full zero matrix, every
+    adjoint sum a new array, in arrival order."""
+    tape = out.tape
+    adj = [None] * (out.idx + 1)
+    adj[out.idx] = np.asarray(1.0)
+    for i in range(out.idx, -1, -1):
+        g, par = adj[i], tape.parents[i]
+        if g is None or not par:
+            continue
+        if tape.ops[i] == "getitem":
+            key, gather = tape.payloads[i]
+            full = np.zeros(tape.shapes[par[0]])
+            if gather:
+                np.add.at(full, key, g)
+            else:
+                full[key] = g
+            grads = (full,)
+        else:
+            grads = ad._RULES[tape.ops[i]](g, tape.values[i], [tape.values[p] for p in par],
+                                           tape.payloads[i])
+        for p, gp in zip(par, grads):
+            if tape.ops[p] == "lift":
+                continue
+            if gp.shape != tape.shapes[p]:
+                gp = ad._unbroadcast(gp, tape.shapes[p])
+            adj[p] = gp if adj[p] is None else adj[p] + gp
+    return {name: adj[idx] for idx, name in tape.param_nodes.items()}
+
+
+class TestScatterAdjoints:
+    """Backward writes slice and gather adjoints into one buffer per operand;
+    the gradients are those of summing full zero matrices."""
+
+    @given(uses=st.lists(st.sampled_from(sorted(_USES)), min_size=3, max_size=10),
+           on_param=st.booleans(), seed=st.integers(0, 2**16))
+    def test_mixed_uses_match_full_matrix_sums(self, uses, on_param, seed):
+        rng = np.random.default_rng(seed)
+        tape = ad.Tape()
+        x = tape.param(rng.normal(size=(6, 5)), "x")
+        y = x if on_param else (x * 1.5).exp()
+        w = x * 2.0
+        total = None
+        for name in uses:  # pushed in the drawn order, so reached in reverse
+            u = _USES[name](y, w)
+            term = (u * rng.normal(size=u.shape)).sum()
+            total = term if total is None else total + term
+        built = len(tape.ops)
+        assert built == (2 if on_param else 4) + 3 * len(uses) + len(uses) - 1
+        want = _reference_backward(total)["x"]
+        first = ad.backward(total)["x"].copy()
+        np.testing.assert_array_equal(first, want)
+        np.testing.assert_array_equal(ad.backward(total)["x"], 2.0 * first)
+        assert len(tape.ops) == built
+
+    @pytest.mark.parametrize("use", ["slice", "dense"])
+    def test_shared_adjoint_is_not_written(self, use):
+        # y + w hands one array to y and w as their adjoints; what reaches y
+        # next must not write into the one w still holds
+        tape = ad.Tape()
+        x = tape.param(np.zeros(4), "x")
+        y, w = x * 1.0, x * 2.0
+        first = y[1:3].sum() if use == "slice" else (y * 3.0).sum()
+        out = first + ((y + w) * np.array([1.0, 2.0, 3.0, 4.0])).sum()
+        want = [3.0, 7.0, 10.0, 12.0] if use == "slice" else [6.0, 9.0, 12.0, 15.0]
+        np.testing.assert_array_equal(ad.backward(out)["x"], want)
 
 
 class TestPoisoning:

@@ -577,6 +577,18 @@ class TestBases:
         np.testing.assert_array_equal(got.value, want)
         assert len(tape.ops) == 2  # the lifted nu_raw and the lifted draws
 
+    @pytest.mark.parametrize("name", ["mTAF", "gTAF", "TTF_tBase"])
+    @pytest.mark.parametrize("nu", [0.7, 1.5, 5.0, 30.0])
+    def test_numpy_draws_equal_tape_draws(self, name, nu):
+        # one sampler for both paths: the numpy base draws what the tape
+        # draws from the same Rng, with nu frozen (mTAF) or trainable
+        model = flows.build_architecture(name, 3, seed=0)
+        model.params["base.nu_raw"] = np.full(3, flows.softplus_inv(nu))
+        tape = ad.Tape()
+        on_tape = model.base.sample_node(tape, model.tape_params(tape), special.Rng(5), 200)
+        draws = model.base.sample(model.params, special.Rng(5), 200)
+        np.testing.assert_array_equal(draws, on_tape.value)
+
     def test_trainable_nu_gradient_flows(self):
         base = flows.StudentTBase(2, trainable=True, nu_init=5.0)
         params = base.init_params(special.Rng(0))
