@@ -9,12 +9,12 @@ Submodules:
 - ``tailest``: Hill/double-bootstrap and GPD maximum likelihood.
 - ``training``: Adam, density-estimation and ELBO fitting loops.
 - ``experiments``: synthetic benchmarks, copula baseline, diagnostics.
-- ``cli``: command-line entry point.
+- ``cli``: command-line entry point, not imported with the package, so that
+  ``python -m tailflow.cli`` runs it as a fresh module.
 """
 
 from . import (
     autodiff,
-    cli,
     experiments,
     flows,
     special,
@@ -37,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "autodiff",
     "build_architecture",
-    "cli",
     "estimate_marginal_tails",
     "experiments",
     "fit_density",

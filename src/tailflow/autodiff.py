@@ -37,9 +37,9 @@ and the tape records the first offending node ("poisoning"); the training
 loop treats a poisoned tape as a diverged step.  Finding that node costs a
 finiteness test per pushed value, except for the ops in ``_ENTRY_MOVING``
 (``getitem``, ``transpose``, ``reshape``, ``swapaxes``, ``stack_cols``,
-``where_mask``, ``neg``, ``relu``, ``abs_split`` and the triangle and
-diagonal ops): their outputs are operand entries, zeros, or bounded maps of
-them, so while every node before them is finite they are finite too.
+``where_mask``, ``neg``, ``relu`` and ``abs_split``): their outputs are
+operand entries, zeros, or bounded maps of them, so while every node before
+them is finite they are finite too.
 """
 
 from __future__ import annotations
@@ -257,9 +257,6 @@ class Var:
         with np.errstate(invalid="ignore"):
             return self._unary("sqrt", np.sqrt(self.value))
 
-    def tanh(self):
-        return self._unary("tanh", np.tanh(self.value))
-
     def sigmoid(self):
         return self._unary("sigmoid", sp.expit(self.value))
 
@@ -281,9 +278,6 @@ class Var:
         else:
             out = fn(v)
         return self._unary(op, out)
-
-    def erfc(self):
-        return self._domain_guarded("erfc_node", special.erfc, ~np.isfinite(self.value), 0.0)
 
     def log_erfc(self):
         return self._domain_guarded("log_erfc", special.log_erfc, ~np.isfinite(self.value), 0.0)
@@ -338,22 +332,6 @@ class Var:
             return self._binary("where_mask", other, value, payload=mask)
         value = np.where(mask, self.value, other)
         return self._unary("where_mask_const", value, payload=mask)
-
-    def solve_tri_right(self, t: "Var", lower: bool):
-        """Solve Y @ T.T = self for Y, with T triangular: Y = self @ T^{-T}."""
-        from scipy.linalg import solve_triangular
-
-        y = solve_triangular(t.value, self.value.T, lower=lower).T
-        return self._binary("solve_tri_right", t, y, payload=lower)
-
-    def tril_strict(self):
-        return self._unary("tril_strict", np.tril(self.value, -1))
-
-    def triu_strict(self):
-        return self._unary("triu_strict", np.triu(self.value, 1))
-
-    def diag_embed(self):
-        return self._unary("diag_embed", np.diag(self.value))
 
 
 def stack_cols(cols: list[Var]) -> Var:
@@ -418,10 +396,6 @@ def sqrt(x):
 
 def absolute(x):
     return x.abs() if _is_var(x) else np.abs(x)
-
-
-def erfc(x):
-    return x.erfc() if _is_var(x) else special.erfc(x)
 
 
 def log_erfc(x):
@@ -567,17 +541,6 @@ def _matmul_rule(g, v, ins, pay):
     return _matmul_adjoint(g, b, False, a.shape), _matmul_adjoint(g, a, True, b.shape)
 
 
-def _solve_tri_right_rule(g, v, ins, lower):
-    from scipy.linalg import solve_triangular
-
-    t = ins[1]
-    gx = solve_triangular(t, g.T, lower=lower, trans="T").T
-    # d/dT of Y = X T^{-T} is -gx^T Y, restricted to the triangle the solve
-    # actually reads; the other half is never touched.
-    gt = -(gx.T @ v)
-    return gx, (np.tril(gt) if lower else np.triu(gt))
-
-
 _RULES = {
     "add": lambda g, v, ins, pay: (g, g),
     "add_const": lambda g, v, ins, pay: (g,),
@@ -598,14 +561,10 @@ _RULES = {
     "log1p": lambda g, v, ins, pay: (g / (1.0 + ins[0]),),
     "expm1": lambda g, v, ins, pay: (g * (v + 1.0),),
     "sqrt": lambda g, v, ins, pay: (0.5 * g / v,),
-    "tanh": lambda g, v, ins, pay: (g * (1.0 - v * v),),
     "sigmoid": lambda g, v, ins, pay: (g * v * (1.0 - v),),
     "relu": lambda g, v, ins, pay: (g * (ins[0] > 0.0),),
     "softplus": lambda g, v, ins, pay: (g * sp.expit(ins[0]),),
     "abs_split": lambda g, v, ins, pay: (g * pay,),
-    "erfc_node": lambda g, v, ins, pay: (
-        g * (-2.0 / np.sqrt(np.pi)) * np.exp(-ins[0] * ins[0]),
-    ),
     "log_erfc": lambda g, v, ins, pay: (g * special.dlog_erfc(ins[0]),),
     "erfc_inv_node": lambda g, v, ins, pay: (g * (-np.sqrt(np.pi) / 2.0) * np.exp(v * v),),
     "lgamma": lambda g, v, ins, pay: (g * sp.digamma(ins[0]),),
@@ -623,10 +582,6 @@ _RULES = {
     "where_mask": lambda g, v, ins, pay: (g * pay, g * ~pay),
     "where_mask_const": lambda g, v, ins, pay: (g * pay,),
     "sample_gamma": lambda g, v, ins, pay: (np.sum(g * special.gamma_dsample_dshape(pay, v)),),
-    "solve_tri_right": _solve_tri_right_rule,
-    "tril_strict": lambda g, v, ins, pay: (np.tril(g, -1),),
-    "triu_strict": lambda g, v, ins, pay: (np.triu(g, 1),),
-    "diag_embed": lambda g, v, ins, pay: (np.diag(g),),
 }
 
 
@@ -656,12 +611,10 @@ _SAVED = {
     "log1p": _FIRST,
     "expm1": _OWN,
     "sqrt": _OWN,
-    "tanh": _OWN,
     "sigmoid": _OWN,
     "relu": _FIRST,
     "softplus": _FIRST,
     "abs_split": _READS_NOTHING,
-    "erfc_node": _FIRST,
     "log_erfc": _FIRST,
     "erfc_inv_node": _OWN,
     "lgamma": _FIRST,
@@ -679,10 +632,6 @@ _SAVED = {
     "where_mask": _READS_NOTHING,
     "where_mask_const": _READS_NOTHING,
     "sample_gamma": _OWN,
-    "solve_tri_right": (True, (1,)),
-    "tril_strict": _READS_NOTHING,
-    "triu_strict": _READS_NOTHING,
-    "diag_embed": _READS_NOTHING,
 }
 
 # Ops whose rules read parent values; backward gives the others ``ins=()``.
@@ -696,7 +645,7 @@ _READS_PARENTS = frozenset(op for op, (_, read) in _SAVED.items() if read)
 # constant branch may hold NaN.
 _ENTRY_MOVING = frozenset({
     "getitem", "transpose", "reshape", "swapaxes", "stack_cols", "where_mask",
-    "neg", "relu", "abs_split", "tril_strict", "triu_strict", "diag_embed",
+    "neg", "relu", "abs_split",
 })
 
 

@@ -10,7 +10,9 @@ Config files are flat ``key = value`` text with one section per command::
 
 Flags override file values.  Every run directory gets a metadata record
 holding the resolved settings, so a run can be reproduced bit-exactly by
-pointing --config at the metadata itself.
+pointing --config at the metadata itself.  ``table`` runs nothing: it prints
+the per-cell mean (se) and run count of every metric in the results files
+of --out-dir, and writes no metadata.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import concurrent.futures
 import contextlib
 import csv
 import functools
+import glob
 import logging
 import os
 import sys
@@ -33,7 +36,7 @@ from . import flows, special, tailest, training
 
 logger = logging.getLogger(__name__)
 
-COMMANDS = ("de-synth", "vi-synth", "de-csv", "nnreg", "tail-est")
+COMMANDS = ("de-synth", "vi-synth", "de-csv", "nnreg", "tail-est", "table")
 
 CSV_FIELDS = ("flow", "d", "nu", "seed", "metric_name", "value", "diverged")
 
@@ -232,9 +235,14 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.data_path and not os.path.exists(cfg.data_path):
         raise UsageError(f"data_path: {cfg.data_path!r} does not exist")
     if cfg.command in ("de-synth", "vi-synth", "de-csv"):
-        known = ex.DE_FLOWS + ("TTF_tBase",)
+        # VI cannot train a COMET model (a normal flow on logits), nor the
+        # mixture and generalized-normal bases, whose draws carry no
+        # reparameterised gradient.
+        known = ex.VI_FLOWS + ("normal", "TTF_tBase") if cfg.command == "vi-synth" \
+            else ex.DE_FLOWS + ("TTF_tBase",)
         if cfg.flow not in known:
-            raise UsageError(f"flow: unknown flow {cfg.flow!r}; expected one of {known}")
+            raise UsageError(f"flow: {cfg.command} cannot fit flow {cfg.flow!r}; "
+                             f"expected one of {known}")
     if cfg.jobs < 1:
         raise UsageError("jobs: must be at least 1")
     if cfg.d < 1:
@@ -368,8 +376,53 @@ def _run_tail_est(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
+def _read_results(path: str) -> list[dict]:
+    """The rows of a results CSV, with d, seed, value and diverged parsed; nu
+    stays text (checked to be a number), so nan-nu rows share their cell."""
+    rows = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if tuple(header or ()) != CSV_FIELDS:
+                raise ValueError(f"header {header}, expected {list(CSV_FIELDS)}")
+            for line in reader:
+                if len(line) != len(CSV_FIELDS) or line[6] not in ("True", "False"):
+                    raise ValueError(f"line {reader.line_num}: {line}")
+                r = dict(zip(CSV_FIELDS, line))
+                float(r["nu"])
+                rows.append(dict(r, d=int(r["d"]), seed=int(r["seed"]),
+                                 value=float(r["value"]), diverged=r["diverged"] == "True"))
+    except (OSError, ValueError) as e:
+        raise UsageError(f"table: malformed results file {path!r} ({e})") from e
+    return rows
+
+
+def _print_tables(out_dir: str) -> int:
+    """For each results file and metric, one line per (flow, d, nu) cell
+    with its ``aggregate_results`` display and n; a failed seed wrote no
+    rows, so it shows as a smaller n."""
+    paths = sorted(glob.glob(os.path.join(glob.escape(out_dir), "results_*.csv")))
+    if not paths:
+        raise UsageError(f"out_dir: no results_*.csv in {out_dir!r}")
+    for path in paths:
+        rows = _read_results(path)
+        for metric in dict.fromkeys(r["metric_name"] for r in rows):
+            print(f"{os.path.basename(path)}: {metric}")
+            print(f"{'flow':<12}{'d':>4}{'nu':>8}  {'mean (se)':<20}{'n':>3}")
+            cells = ex.aggregate_results(rows, metric)
+            for flow, d, nu in sorted(cells, key=lambda k: (k[0], k[1], float(k[2]))):
+                c = cells[flow, d, nu]
+                if c["n"]:
+                    print(f"{flow:<12}{d:>4}{nu:>8}  {c['display']:<20}{c['n']:>3}")
+            print()
+    return 0
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute one command; returns the process exit code."""
+    if cfg.command == "table":
+        return _print_tables(cfg.out_dir)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_metadata(cfg, os.path.join(cfg.out_dir, f"metadata_{cfg.command}.cfg"))
     results_path = os.path.join(cfg.out_dir, f"results_{cfg.command}.csv")

@@ -518,17 +518,12 @@ _MLP_WIDTH = 50
 
 
 def _mlp_init(d: int, rng: special.Rng) -> dict:
-    def glorot(shape, key):
-        fan = shape[0] + shape[1]
-        lim = math.sqrt(6.0 / fan)
-        return rng.child(key).uniform(-lim, lim, size=shape)
-
     return {
-        "w1": glorot((d, _MLP_WIDTH), 1),
+        "w1": flows.glorot_uniform(rng.child(1), (d, _MLP_WIDTH)),
         "b1": np.zeros(_MLP_WIDTH),
-        "w2": glorot((_MLP_WIDTH, _MLP_WIDTH), 2),
+        "w2": flows.glorot_uniform(rng.child(2), (_MLP_WIDTH, _MLP_WIDTH)),
         "b2": np.zeros(_MLP_WIDTH),
-        "w3": glorot((_MLP_WIDTH, 1), 3),
+        "w3": flows.glorot_uniform(rng.child(3), (_MLP_WIDTH, 1)),
         "b3": np.zeros(1),
     }
 
@@ -772,47 +767,6 @@ def run_vi_cell(
     ]
     rows.extend(_lambda_rows(model, head))
     return rows
-
-
-def _run_table(runner: Callable, flow_names, d: int, nus, seeds, cfg_for) -> list[dict]:
-    rows: list[dict] = []
-    for flow in flow_names:
-        for nu in nus:
-            for seed in seeds:
-                try:
-                    rows.extend(runner(flow, d, nu, seed, cfg_for(seed, nu)))
-                except Exception:
-                    logger.exception(
-                        "run failed: flow=%s d=%d nu=%g seed=%d", flow, d, nu, seed
-                    )
-                    rows.append(
-                        dict(
-                            flow=flow, d=d, nu=nu, seed=seed,
-                            metric_name="nll_per_dim" if runner is run_de_cell else "ess_e",
-                            value=float("nan"), diverged=True,
-                        )
-                    )
-    return rows
-
-
-def run_de_table(
-    flow_names, d: int, nus, seeds, max_epochs: int = 2000
-) -> list[dict]:
-    """Grid of density-estimation runs; failures are recorded, never raised."""
-    return _run_table(
-        run_de_cell, flow_names, d, nus, seeds,
-        lambda seed, nu: de_train_config(seed, max_epochs),
-    )
-
-
-def run_vi_table(
-    flow_names, d: int, nus, seeds, iterations: int = 10_000
-) -> list[dict]:
-    """Grid of variational runs with importance diagnostics per cell."""
-    return _run_table(
-        run_vi_cell, flow_names, d, nus, seeds,
-        lambda seed, nu: vi_train_config(seed, nu, iterations),
-    )
 
 
 def aggregate_results(rows: list[dict], metric_name: str) -> dict:

@@ -48,7 +48,6 @@ __all__ = [
     "MaskedConditioner",
     "RqsArLayer",
     "AffineArLayer",
-    "LuLinearLayer",
     "MarginalTtfLayer",
     "StdNormalBase",
     "StudentTBase",
@@ -60,6 +59,7 @@ __all__ = [
     "flow_sample",
     "flow_sample_with_log_prob",
     "build_architecture",
+    "glorot_uniform",
     "set_frozen_tails",
     "set_frozen_nu",
     "save_model",
@@ -117,6 +117,12 @@ def _zeros_col(like, n):
 # -- masked autoregressive conditioner -----------------------------------------
 
 
+def glorot_uniform(rng: special.Rng, shape: tuple) -> np.ndarray:
+    """Glorot-uniform weights of a 2-d shape, drawn from an already-keyed rng."""
+    lim = np.sqrt(6.0 / (shape[0] + shape[1]))
+    return rng.uniform(-lim, lim, shape)
+
+
 class MaskedConditioner:
     """Two-hidden-layer masked MLP emitting n_out parameters per dimension.
 
@@ -149,9 +155,7 @@ class MaskedConditioner:
         k1, b1, k2, b2, k3, b3 = self._keys()
 
         def glorot(shape, key):
-            r = rng.child(zlib.crc32(key.encode()))
-            lim = np.sqrt(6.0 / (shape[0] + shape[1]))
-            return r.uniform(-lim, lim, shape)
+            return glorot_uniform(rng.child(zlib.crc32(key.encode())), shape)
 
         bias3 = np.zeros(d * self.n_out) if out_bias is None else np.asarray(out_bias, float)
         return {
@@ -331,12 +335,13 @@ class RqsArLayer:
     because dimension i needs x_<i; both directions share ``_spline``.
     """
 
-    def __init__(self, d: int, prefix: str, bins: int = 5, bound: float = 2.5):
+    bins = 5
+    bound = 2.5
+
+    def __init__(self, d: int, prefix: str):
         self.d = d
         self.prefix = prefix
-        self.bins = bins
-        self.bound = float(bound)
-        self.cond = MaskedConditioner(d, 3 * bins - 1, prefix + ".cond")
+        self.cond = MaskedConditioner(d, 3 * self.bins - 1, prefix + ".cond")
 
     def init_params(self, rng: special.Rng) -> dict:
         # Derivative-block biases make the initial map the exact identity.
@@ -411,55 +416,6 @@ class AffineArLayer:
         return _stack_cols(cols), ld
 
 
-class LuLinearLayer:
-    """Trainable linear map x = L U z with unit-lower L and positive diag(U)."""
-
-    def __init__(self, d: int, prefix: str):
-        self.d = d
-        self.prefix = prefix
-
-    def init_params(self, rng: special.Rng) -> dict:
-        p = self.prefix
-        return {
-            f"{p}.lower": np.zeros((self.d, self.d)),
-            f"{p}.upper": np.zeros((self.d, self.d)),
-            f"{p}.logdiag": np.zeros(self.d),
-        }
-
-    def _factors(self, params):
-        p = self.prefix
-        a, b, dg = params[f"{p}.lower"], params[f"{p}.upper"], params[f"{p}.logdiag"]
-        eye = np.eye(self.d)
-        if isinstance(a, Var):
-            lo = a.tril_strict() + eye
-            up = b.triu_strict() + ad.exp(dg).diag_embed()
-        else:
-            lo = np.tril(a, -1) + eye
-            up = np.triu(b, 1) + np.diag(np.exp(dg))
-        return lo, up, dg
-
-    def forward(self, params, z):
-        lo, up, dg = self._factors(params)
-        x = z @ (lo @ up).T
-        # log-det is row-independent; scalar broadcasts against the (n,) sums
-        return x, dg.sum()
-
-    def inverse(self, params, x):
-        lo, up, dg = self._factors(params)
-        if isinstance(x, Var) or isinstance(lo, Var):
-            t = _tape(x, lo)
-            xv = t.as_var(x)
-            z = xv.solve_tri_right(t.as_var(lo), lower=True)
-            z = z.solve_tri_right(t.as_var(up), lower=False)
-        else:
-            from scipy.linalg import solve_triangular
-
-            # z = x @ (LU)^{-T} = (x @ L^{-T}) @ U^{-T}
-            z = solve_triangular(lo, x.T, lower=True).T
-            z = solve_triangular(up, z.T, lower=False).T
-        return z, -dg.sum()
-
-
 class MarginalTtfLayer:
     """Elementwise tail transform layer; one (mu, sigma, lambda+-) per dimension."""
 
@@ -525,13 +481,14 @@ class StdNormalBase:
 class StudentTBase:
     """Independent per-dimension Student-T; nu trainable via softplus or frozen."""
 
-    def __init__(self, d: int, trainable: bool, nu_init: float = 30.0):
+    NU_INIT = 30.0
+
+    def __init__(self, d: int, trainable: bool):
         self.d = d
         self.trainable = trainable
-        self.nu_init = float(nu_init)
 
     def init_params(self, rng: special.Rng) -> dict:
-        return {"base.nu_raw": np.full(self.d, softplus_inv(self.nu_init))}
+        return {"base.nu_raw": np.full(self.d, softplus_inv(self.NU_INIT))}
 
     def nu(self, params):
         return ad.softplus(params["base.nu_raw"])
@@ -665,14 +622,13 @@ class FlowModel:
     """A base distribution plus layers in generative order, with flat params."""
 
     def __init__(self, name: str, d: int, base, layers, params: dict,
-                 frozen: set | None = None, options: dict | None = None):
+                 frozen: set | None = None):
         self.name = name
         self.d = d
         self.base = base
         self.layers = layers
         self.params = params
         self.frozen = set(frozen or ())
-        self.options = dict(options or {})
 
     def trainable_params(self) -> dict:
         return {k: v for k, v in self.params.items() if k not in self.frozen}
@@ -755,21 +711,18 @@ def _row_blocks(n: int) -> list[slice]:
 # -- architecture assembly ----------------------------------------------------------
 
 
-def build_architecture(name: str, d: int, options: dict | None = None,
-                       seed: int = 0) -> FlowModel:
+def build_architecture(name: str, d: int, seed: int = 0) -> FlowModel:
     """Assemble one of the named flow architectures.
 
-    All architectures share the RQS-then-affine autoregressive core; the
-    tail-aware ones append an elementwise tail transform, optionally with an
-    LU linear layer immediately before it.  TTFfix freezes the tail shapes
-    and mTAF freezes the base degrees of freedom (two-stage training).
+    All architectures share the RQS-then-affine autoregressive core; TTF,
+    TTFfix and TTF_tBase append the elementwise tail transform.  TTFfix
+    freezes the tail shapes and mTAF freezes the base degrees of freedom
+    (two-stage training).
     """
     if name not in ARCHITECTURES:
         raise ValueError(f"unknown architecture {name!r}; expected one of {ARCHITECTURES}")
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    opts = {"bins": 5, "bound": 2.5, "lu": False, "nu_init": 30.0}
-    opts.update(options or {})
     rng = special.Rng(seed)
 
     if name in ("normal", "TTF", "TTFfix", "COMET"):
@@ -778,21 +731,12 @@ def build_architecture(name: str, d: int, options: dict | None = None,
         base = GaussianMixtureBase(d, 5)
     elif name == "g_normal":
         base = GenNormalBase(d)
-    elif name == "mTAF":
-        base = StudentTBase(d, trainable=False, nu_init=opts["nu_init"])
-    else:  # gTAF, TTF_tBase
-        base = StudentTBase(d, trainable=True, nu_init=opts["nu_init"])
+    else:
+        base = StudentTBase(d, trainable=name != "mTAF")
 
-    layers = [
-        RqsArLayer(d, "rqs", bins=opts["bins"], bound=opts["bound"]),
-        AffineArLayer(d, "affine"),
-    ]
+    layers = [RqsArLayer(d, "rqs"), AffineArLayer(d, "affine")]
     if name in ("TTF", "TTFfix", "TTF_tBase"):
-        if opts["lu"]:
-            layers.append(LuLinearLayer(d, "lu"))
         layers.append(MarginalTtfLayer(d, "tails"))
-    elif opts["lu"]:
-        layers.append(LuLinearLayer(d, "lu"))
 
     params: dict = {}
     params.update(base.init_params(rng))
@@ -804,7 +748,7 @@ def build_architecture(name: str, d: int, options: dict | None = None,
         frozen |= {"tails.lp_raw", "tails.ln_raw"}
     if name == "mTAF":
         frozen |= {"base.nu_raw"}
-    return FlowModel(name, d, base, layers, params, frozen, opts)
+    return FlowModel(name, d, base, layers, params, frozen)
 
 
 def set_frozen_tails(model: FlowModel, lam_pos, lam_neg=None) -> None:
@@ -824,6 +768,10 @@ def set_frozen_nu(model: FlowModel, nu) -> None:
 
 _FORMAT = "tailflow-model"
 _VERSION = 1
+# Build options that older records carry, each at the one value every model
+# is now built with; "activation" was stored but never used, at any value.
+_RETIRED_OPTIONS = {"bins": RqsArLayer.bins, "bound": RqsArLayer.bound, "lu": False,
+                    "nu_init": StudentTBase.NU_INIT}
 
 
 def save_model(model: FlowModel, path: str) -> None:
@@ -833,7 +781,7 @@ def save_model(model: FlowModel, path: str) -> None:
         "version": _VERSION,
         "name": model.name,
         "d": model.d,
-        "options": model.options,
+        "options": {},
         "frozen": sorted(model.frozen),
         "params": {
             k: {
@@ -861,13 +809,19 @@ def load_model(path: str) -> FlowModel:
 
     Raises ValueError naming the key when the record's parameters do not
     fit the rebuilt architecture: a key missing or extra, or a shape (or
-    data length) that differs, or a frozen name that is no parameter.
+    data length) that differs, or a frozen name that is no parameter.  A
+    record's options may hold only retired build options at the values
+    models are built with; any other key or value raises, naming both.
     """
     with open(path, encoding="utf-8") as fh:
         rec = json.load(fh)
     if rec.get("format") != _FORMAT or rec.get("version") != _VERSION:
         raise ValueError(f"not a {_FORMAT} v{_VERSION} record: {path}")
-    model = build_architecture(rec["name"], rec["d"], rec["options"])
+    for key, value in rec.get("options", {}).items():
+        if key != "activation" and (key not in _RETIRED_OPTIONS
+                                    or value != _RETIRED_OPTIONS[key]):
+            raise ValueError(f"{path}: unsupported option {key}={value!r}")
+    model = build_architecture(rec["name"], rec["d"])
     saved = rec["params"]
     missing = sorted(set(model.params) - set(saved))
     extra = sorted(set(saved) - set(model.params))

@@ -1,4 +1,5 @@
-"""Command-line tests: pinned de-csv result rows, usage errors, output order."""
+"""Command-line tests: pinned de-csv result rows, usage errors, output order,
+the results table."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import tailflow
 from tailflow import cli
+from tailflow import experiments as ex
 
 HEADER = "flow,d,nu,seed,metric_name,value,diverged"
 
@@ -107,6 +109,78 @@ class TestUsageErrors:
         with pytest.raises(cli.UsageError, match="data_path"):
             cli.parse_config(["de-csv", "--flow", "TTF"])
 
+    @pytest.mark.parametrize("flow", ["COMET", "m_normal", "g_normal"])
+    def test_vi_synth_rejects_flows_vi_cannot_train(self, flow):
+        # COMET's flow lives on logits, and the mixture and generalized-normal
+        # bases give their parameters no reparameterised gradient
+        with pytest.raises(cli.UsageError, match=f"vi-synth cannot fit flow '{flow}'"):
+            cli.parse_config(["vi-synth", "--flow", flow])
+
+    @pytest.mark.parametrize("flow", ex.VI_FLOWS + ("normal", "TTF_tBase"))
+    def test_vi_synth_accepts_its_flows(self, flow):
+        assert cli.parse_config(["vi-synth", "--flow", flow]).flow == flow
+
+
+class TestTable:
+    @staticmethod
+    def _table(out_dir, capsys):
+        capsys.readouterr()
+        assert cli.main(["table", "--out-dir", str(out_dir)]) == 0
+        return capsys.readouterr().out
+
+    @staticmethod
+    def _line(out, metric, cell):
+        """The line of a (flow, d, nu) cell in the table of one metric."""
+        block = out.split(f"results_de-synth.csv: {metric}\n", 1)[1].split("\n\n", 1)[0]
+        return next(ln for ln in block.splitlines() if ln.split()[:3] == cell).split()
+
+    def test_de_synth_seeds_then_table(self, tmp_path, capsys):
+        argv = ["de-synth", "--flow", "normal", "--d", "2", "--nu", "30", "--seeds", "0..1",
+                "--epochs", "3", "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        out = self._table(tmp_path, capsys)
+        rows = cli._read_results(str(tmp_path / "results_de-synth.csv"))
+        assert {r["seed"] for r in rows} == {0, 1}
+        for metric in ("nll_per_dim", "true_nll_per_dim", "epochs"):
+            cell = ex.aggregate_results(rows, metric)[("normal", 2, "30.0")]
+            assert cell["n"] == 2 and np.isfinite(cell["se"])
+            assert self._line(out, metric, ["normal", "2", "30.0"]) \
+                == ["normal", "2", "30.0", *cell["display"].split(), "2"]
+        # table reads; it writes no metadata or results of its own
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "metadata_de-synth.cfg", "results_de-synth.csv"]
+
+    def test_failed_seed_shows_as_smaller_n(self, tmp_path, capsys, monkeypatch):
+        run_de_cell = ex.run_de_cell
+
+        def fail_seed_1(flow, d, nu, seed, *args):
+            if seed == 1:
+                raise FloatingPointError("diverged")
+            return run_de_cell(flow, d, nu, seed, *args)
+
+        monkeypatch.setattr(ex, "run_de_cell", fail_seed_1)
+        argv = ["de-synth", "--flow", "normal", "--d", "2", "--nu", "30", "--seeds", "0..2",
+                "--epochs", "2", "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        out = self._table(tmp_path, capsys)
+        assert self._line(out, "nll_per_dim", ["normal", "2", "30.0"])[-1] == "2"
+
+    @pytest.mark.parametrize("text", [
+        "flow,d,nu,seed,metric,value,diverged\n",
+        HEADER + "\nnormal,2,30.0,0,nll_per_dim,1.5\n",
+        HEADER + "\nnormal,two,30.0,0,nll_per_dim,1.5,False\n",
+        HEADER + "\nnormal,2,30.0,0,nll_per_dim,1.5,maybe\n",
+    ], ids=["header", "short_row", "bad_d", "bad_diverged"])
+    def test_malformed_csv_names_the_file(self, tmp_path, text):
+        (tmp_path / "results_de-synth.csv").write_text(HEADER + "\n")
+        (tmp_path / "results_bad.csv").write_text(text)
+        with pytest.raises(cli.UsageError, match="results_bad.csv"):
+            cli.run(cli.parse_config(["table", "--out-dir", str(tmp_path)]))
+
+    def test_no_results_is_a_usage_error(self, tmp_path):
+        with pytest.raises(cli.UsageError, match="no results"):
+            cli.run(cli.parse_config(["table", "--out-dir", str(tmp_path)]))
+
 
 class TestImportCost:
     @staticmethod
@@ -116,9 +190,9 @@ class TestImportCost:
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
     def test_scipy_optimize_and_linalg_not_loaded(self):
-        # together they cost ~22 MB RSS and ~260 modules; only the LU
-        # layer's solves use scipy.linalg, and import it where they call it
-        code = ("import sys, tailflow; print([m for m in ('scipy.optimize', "
+        # together they cost ~22 MB RSS and ~260 modules, and no module of
+        # the package uses either
+        code = ("import sys, tailflow, tailflow.cli; print([m for m in ('scipy.optimize', "
                 "'scipy.linalg') if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", code], env=self._env(),
                              capture_output=True, text=True, check=True)
@@ -133,3 +207,11 @@ class TestImportCost:
         out = subprocess.run([sys.executable, "-c", code], env=self._env(),
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_run_as_module_without_runpy_warning(self):
+        # the package does not import cli, so runpy finds it not yet loaded
+        out = subprocess.run([sys.executable, "-m", "tailflow.cli", "--help"],
+                             env=self._env(), capture_output=True, text=True)
+        assert out.returncode == 0
+        assert "RuntimeWarning" not in out.stderr
+        assert "table" in out.stdout

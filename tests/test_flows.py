@@ -322,7 +322,7 @@ class TestRqsArLayer:
     @pytest.mark.parametrize("d", [1, 3, 20])
     def test_numpy_forward_is_tape_forward(self, d):
         # the numpy forward copies each knot block to C order and the tape's
-        # stays a strided view; at the default bins both give the same bits
+        # stays a strided view; at bins = 5 both give the same bits
         layer, params = self._perturbed(d=d, seed=6)
         z = np.random.default_rng(d).normal(size=(30, d)) * 1.5
         x, ld = layer.forward(params, z)
@@ -415,76 +415,6 @@ class TestAffineArLayer:
         assert np.all(np.abs(x.std(axis=0) - np.exp(s)) < 0.02)
 
 
-class TestLuLinearLayer:
-    def test_identity_at_init(self):
-        layer = flows.LuLinearLayer(4, "lu")
-        params = layer.init_params(special.Rng(0))
-        z = np.random.default_rng(0).normal(size=(7, 4))
-        x, ld = layer.forward(params, z)
-        np.testing.assert_array_equal(np.asarray(x), z)
-        assert float(np.asarray(ld)) == 0.0
-
-    def _perturbed(self, d, seed=6):
-        layer = flows.LuLinearLayer(d, "lu")
-        params = layer.init_params(special.Rng(seed))
-        r = np.random.default_rng(seed)
-        for k in params:
-            params[k] = params[k] + 0.3 * r.normal(size=params[k].shape)
-        return layer, params
-
-    def test_round_trip_d50(self):
-        layer, params = self._perturbed(50)
-        z = np.random.default_rng(1).normal(size=(20, 50))
-        x, ld_f = layer.forward(params, z)
-        back, ld_i = layer.inverse(params, x)
-        np.testing.assert_allclose(back, z, atol=1e-9)
-        assert abs(float(np.asarray(ld_f)) + float(np.asarray(ld_i))) < 1e-9
-
-    def test_log_det_matches_dense_determinant_d6(self):
-        layer, params = self._perturbed(6)
-        lo = np.tril(params["lu.lower"], -1) + np.eye(6)
-        up = np.triu(params["lu.upper"], 1) + np.diag(np.exp(params["lu.logdiag"]))
-        sign, logdet = np.linalg.slogdet(lo @ up)
-        _, ld = layer.forward(params, np.zeros((1, 6)))
-        assert sign > 0
-        assert abs(float(np.asarray(ld)) - logdet) < 1e-8
-
-    def test_forward_matches_dense_matrix(self):
-        layer, params = self._perturbed(5)
-        lo = np.tril(params["lu.lower"], -1) + np.eye(5)
-        up = np.triu(params["lu.upper"], 1) + np.diag(np.exp(params["lu.logdiag"]))
-        z = np.random.default_rng(2).normal(size=(9, 5))
-        x, _ = layer.forward(params, z)
-        np.testing.assert_allclose(np.asarray(x), z @ (lo @ up).T, atol=1e-12)
-
-    def test_inverse_parameter_gradients_match_fd(self):
-        # the inverse path drives density evaluation during training
-        layer, params = self._perturbed(3)
-        x = np.random.default_rng(4).normal(size=(6, 3))
-
-        def loss_at(pv):
-            z, ld = layer.inverse(pv, x)
-            # the log-det is one scalar shared by the whole batch
-            return float(np.sum(np.asarray(z) ** 2) + 6.0 * float(np.asarray(ld)))
-
-        tape = ad.Tape()
-        tp = {k: tape.param(v, k) for k, v in params.items()}
-        z, ld = layer.inverse(tp, x)
-        grads = ad.backward((z * z).sum() + ld * 6.0)
-
-        for key in params:
-            flat = params[key].reshape(-1)
-            for i in range(flat.size):
-                h = 1e-6 * max(1.0, abs(flat[i]))
-                pp = {k: v.copy() for k, v in params.items()}
-                pm = {k: v.copy() for k, v in params.items()}
-                pp[key].reshape(-1)[i] += h
-                pm[key].reshape(-1)[i] -= h
-                fd = (loss_at(pp) - loss_at(pm)) / (2 * h)
-                g = grads[key].reshape(-1)[i]
-                assert abs(g - fd) / max(1.0, abs(g)) < 1e-4, f"{key}[{i}]"
-
-
 class TestBases:
     def test_std_normal_origin(self):
         base = flows.StdNormalBase(2)
@@ -497,23 +427,24 @@ class TestBases:
             assert flows._LOG_2PI == float(mpmath.log(2 * mpmath.pi))
 
     def test_student_t_cauchy_at_zero(self):
-        base = flows.StudentTBase(3, trainable=False, nu_init=1.0)
-        params = base.init_params(special.Rng(0))
+        base = flows.StudentTBase(3, trainable=False)
+        params = {"base.nu_raw": np.full(3, flows.softplus_inv(1.0))}
         lp = base.log_prob(params, np.zeros((1, 3)))
         assert abs(float(np.asarray(lp)[0]) - 3 * np.log(1.0 / np.pi)) < 1e-12
 
     def test_student_t_matches_scipy(self):
         from scipy import stats
 
-        base = flows.StudentTBase(2, trainable=True, nu_init=4.0)
-        params = base.init_params(special.Rng(0))
+        base = flows.StudentTBase(2, trainable=True)
+        params = {"base.nu_raw": np.full(2, flows.softplus_inv(4.0))}
         z = np.array([[0.3, -1.7], [2.0, 0.0]])
         lp = np.asarray(base.log_prob(params, z))
         want = stats.t.logpdf(z, df=4.0).sum(axis=1)
         np.testing.assert_allclose(lp, want, atol=1e-10)
 
     def test_student_t_sample_moments(self):
-        base = flows.StudentTBase(1, trainable=False, nu_init=30.0)
+        # nu starts at 30
+        base = flows.StudentTBase(1, trainable=False)
         params = base.init_params(special.Rng(0))
         draws = base.sample(params, special.Rng(11), 200_000)[:, 0]
         assert abs(np.var(draws) - 30.0 / 28.0) < 0.03
@@ -590,8 +521,8 @@ class TestBases:
         np.testing.assert_array_equal(draws, on_tape.value)
 
     def test_trainable_nu_gradient_flows(self):
-        base = flows.StudentTBase(2, trainable=True, nu_init=5.0)
-        params = base.init_params(special.Rng(0))
+        base = flows.StudentTBase(2, trainable=True)
+        params = {"base.nu_raw": np.full(2, flows.softplus_inv(5.0))}
         tape = ad.Tape()
         tp = {k: tape.param(v, k) for k, v in params.items()}
         draws = base.sample_node(tape, tp, special.Rng(1), 50)
@@ -704,11 +635,9 @@ class TestRowBlocks:
                 return f(*args)
         return run
 
-    @pytest.mark.parametrize("lu", [False, True])
     @pytest.mark.parametrize("name", ALL_ARCHS)
-    def test_blocked_equals_one_pass(self, name, lu, one_pass):
-        model = perturb(flows.build_architecture(name, 3, {"lu": lu}, seed=1),
-                        scale=0.1, seed=2)
+    def test_blocked_equals_one_pass(self, name, one_pass):
+        model = perturb(flows.build_architecture(name, 3, seed=1), scale=0.1, seed=2)
         for n in BLOCK_SIZES:
             x = special.Rng(n).student_t(2.0, 3 * n).reshape(n, 3)
             np.testing.assert_array_equal(flows.flow_log_prob(x, model),
@@ -800,14 +729,6 @@ class TestBuildArchitecture:
         lam = np.logaddexp(0, m.params["tails.lp_raw"])
         assert np.all((lam >= 0.05) & (lam <= 1.0))
 
-    def test_lu_option(self):
-        m = flows.build_architecture("gTAF", 4, options={"lu": True})
-        assert any(isinstance(l, flows.LuLinearLayer) for l in m.layers)
-        t = flows.build_architecture("TTF", 4, options={"lu": True})
-        # LU sits immediately before the tail transform
-        assert isinstance(t.layers[-2], flows.LuLinearLayer)
-        assert isinstance(t.layers[-1], flows.MarginalTtfLayer)
-
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown architecture"):
             flows.build_architecture("resnet", 3)
@@ -834,15 +755,13 @@ class TestBuildArchitecture:
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
-        model = perturb(flows.build_architecture("gTAF", 4, options={"lu": True},
-                                                 seed=11), seed=12)
+        model = perturb(flows.build_architecture("gTAF", 4, seed=11), seed=12)
         path = str(tmp_path / "model.json")
         flows.save_model(model, path)
         loaded = flows.load_model(path)
         assert loaded.name == model.name
         assert loaded.d == model.d
         assert loaded.frozen == model.frozen
-        assert loaded.options == model.options
         assert set(loaded.params) == set(model.params)
         for k in model.params:
             assert np.array_equal(loaded.params[k], model.params[k]), k
@@ -852,19 +771,49 @@ class TestSerialization:
             np.asarray(flows.flow_log_prob(x, loaded)),
         )
 
-    def test_loads_record_with_retired_activation_option(self, tmp_path):
-        # Files written while build_architecture still stored an (unused)
-        # "activation" option must keep loading.
-        model = perturb(flows.build_architecture("TTF", 3, seed=2), seed=3)
+    @staticmethod
+    def _record_with_options(tmp_path, name, options):
+        """A perturbed model and the path of its record, with the record's
+        options replaced by ``options``."""
+        model = perturb(flows.build_architecture(name, 3, seed=2), seed=3)
         path = tmp_path / "model.json"
         flows.save_model(model, str(path))
         rec = json.loads(path.read_text())
-        rec["options"]["activation"] = "relu"
+        assert rec["options"] == {}
+        rec["options"] = options
         path.write_text(json.dumps(rec))
-        loaded = flows.load_model(str(path))
+        return model, str(path)
+
+    # The options every record carried while build_architecture took them.
+    OLD_DEFAULTS = {"bins": 5, "bound": 2.5, "lu": False, "nu_init": 30.0}
+
+    @pytest.mark.parametrize("name", ALL_ARCHS)
+    def test_loads_record_with_old_default_options(self, tmp_path, name):
+        model, path = self._record_with_options(tmp_path, name, self.OLD_DEFAULTS)
+        loaded = flows.load_model(path)
         x = np.random.default_rng(4).normal(size=(5, 3))
         np.testing.assert_array_equal(flows.flow_log_prob(x, loaded),
                                       flows.flow_log_prob(x, model))
+
+    def test_loads_record_with_retired_activation_option(self, tmp_path):
+        # Files written while build_architecture still stored an (unused)
+        # "activation" option must keep loading.
+        model, path = self._record_with_options(
+            tmp_path, "TTF", dict(self.OLD_DEFAULTS, activation="relu"))
+        loaded = flows.load_model(path)
+        x = np.random.default_rng(4).normal(size=(5, 3))
+        np.testing.assert_array_equal(flows.flow_log_prob(x, loaded),
+                                      flows.flow_log_prob(x, model))
+
+    @pytest.mark.parametrize("key,value", [("lu", True), ("bins", 8), ("bound", 3.0),
+                                           ("nu_init", 5.0), ("invert", True)])
+    def test_rejects_option_it_cannot_build(self, tmp_path, key, value):
+        # a model built with another value (or an unknown option) would load
+        # as a different model, so the record is refused
+        _, path = self._record_with_options(tmp_path, "TTF",
+                                            dict(self.OLD_DEFAULTS, **{key: value}))
+        with pytest.raises(ValueError, match=rf"unsupported option {key}={value!r}"):
+            flows.load_model(path)
 
     def test_rejects_foreign_record(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -31,7 +31,7 @@ def affine_1d(b3, seed=3):
     params["affine.cond.b3"] = np.asarray(b3, dtype=float)
     return flows.FlowModel(
         name="affine1", d=1, base=flows.StdNormalBase(1),
-        layers=[layer], params=params, frozen=set(), options={},
+        layers=[layer], params=params, frozen=set(),
     )
 
 
@@ -65,7 +65,7 @@ class TestDeLoss:
         params = layer.init_params(special.Rng(3))
         model = flows.FlowModel(
             name="tiny", d=1, base=flows.StdNormalBase(1),
-            layers=[layer], params=params, frozen=set(), options={},
+            layers=[layer], params=params, frozen=set(),
         )
         batch = np.array([[0.5], [-1.2], [3.0], [0.1]])
 
@@ -150,6 +150,41 @@ class TestTapeNodeCounts:
         for op, parents in zip(tape.ops, tape.parents):
             if op == "matmul":
                 assert all(tape.ops[p] != "lift" for p in parents)
+
+
+class TestOpCoverage:
+    def test_library_pushes_every_op_but_pow_const(self, monkeypatch):
+        # Every tape op is pushed by some library path: the DE loss and its
+        # backward and the ELBO step of every architecture, on heavy data with
+        # nu < 2 so that the Student-T sampler takes its pow branch, and the
+        # regression MLP with both activations.  An op that only tests push
+        # should go.  pow_const stays: it is the constant-exponent branch of
+        # Var.__pow__, whose other branch the library uses.
+        pushed = set()
+        push = ad.Tape._push
+
+        def recording(tape, op, ins, value, payload=None):
+            pushed.add(op)
+            return push(tape, op, ins, value, payload)
+
+        monkeypatch.setattr(ad.Tape, "_push", recording)
+        d, nu = 3, 1.5
+        x = special.Rng(1).student_t(nu, (200, d))
+        with np.errstate(all="ignore"):
+            for name in flows.ARCHITECTURES:
+                model = flows.build_architecture(name, d, seed=0)
+                if "base.nu_raw" in model.params:
+                    flows.set_frozen_nu(model, np.full(d, nu))
+                ad.backward(training.de_loss(model, x, model.tape_params(ad.Tape())))
+                step = training.elbo_gradient_step(
+                    model, lambda z: experiments.vi_target_log_density(z, d, nu), 50,
+                    special.Rng(2))
+                assert step.grads is not None, name
+            data = tuple(experiments.gen_regression(d, nu, 100, special.Rng(3 + i))
+                         for i in range(3))
+            for activation in ("sigmoid", "relu"):
+                experiments.fit_mlp_regressor(activation, data, max_epochs=1)
+        assert set(ad._RULES) - pushed == {"pow_const"}
 
 
 class TestTapeMemory:
