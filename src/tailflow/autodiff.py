@@ -14,13 +14,20 @@ node: ``C`` goes in the payload, is never lifted onto the tape, and gets no
 gradient, and the node saves nothing.  Each op computes exactly what numpy
 computes (``x / c`` is a true division, not ``x * (1 / c)``), so one
 formula gives the same bits on numpy arrays and on tape variables.
-Backward looks up one rule per op in ``_RULES`` and sums each adjoint back
-to its operand's shape, undoing any broadcast.
+
+Each op is declared once, by its record in ``_OPS``: its backward rule,
+what the rule reads, whether it is entry-moving (see below), and for an
+elementwise op its numpy function.  The ``Var`` methods ``x.exp()``,
+``x.log()``, ... and the module-level ``exp``, ``log``, ``absolute``, ...,
+which take a Var or an array, are generated from those records, so the tape
+and plain numpy compute with one function, in the same ``np.errstate``.
+Backward runs one rule per node and sums each adjoint back to its operand's
+shape, undoing any broadcast.
 
 Each :class:`Var` carries its own value; the tape saves a value for
-backward only where a rule reads it, as ``_SAVED`` declares per op (the
-node's own value, as ``exp`` reads, and/or some parents' values, as ``mul``
-reads both).  Every other slot of ``Tape.values`` holds one shared
+backward only where a rule reads it, as its record declares (the node's
+own value, as ``exp`` reads, and/or some parents' values, as ``mul`` reads
+both).  Every other slot of ``Tape.values`` holds one shared
 zero-size placeholder, and ``Tape.shapes`` keeps every node's shape for
 unbroadcasting.  So an intermediate that no rule reads, such as the output
 of an ``add`` or a ``getitem``, is freed as soon as its last ``Var`` goes,
@@ -34,15 +41,19 @@ into the same buffer.
 
 Domain violations never raise mid-graph: offending values propagate as NaN
 and the tape records the first offending node ("poisoning"); the training
-loop treats a poisoned tape as a diverged step.  Finding that node costs a
-finiteness test per pushed value, except for the ops in ``_ENTRY_MOVING``
+loop treats a poisoned tape as a diverged step.  ``log_erfc`` and
+``erfc_inv``, whose ``special`` functions raise outside their domain, give
+NaN there, on a tape and on arrays alike.  Finding the first offending node
+costs a finiteness test per pushed value, except for the entry-moving ops
 (``getitem``, ``transpose``, ``reshape``, ``swapaxes``, ``stack_cols``,
-``where_mask``, ``neg``, ``relu`` and ``abs_split``): their outputs are
+``where_mask``, ``neg``, ``relu`` and ``absolute``): their outputs are
 operand entries, zeros, or bounded maps of them, so while every node before
 them is finite they are finite too.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special as sp
@@ -103,29 +114,28 @@ class Tape:
 
     def _push(self, op: str, ins: tuple, value, payload=None) -> "Var":
         """Append a node computed from the Vars ``ins``, saving the values
-        its rule reads (``_SAVED``) and nothing else.
+        that its record in ``_OPS`` says its rule reads, and nothing else.
 
         Until the tape is poisoned, the value is tested for finiteness unless
-        the op is in ``_ENTRY_MOVING``: all of ``ins`` are finite then, and
-        such an op cannot make a non-finite value from finite operands.
-        ``where_mask_const`` is tested, as its constant may be NaN.
+        the record marks the op entry-moving: all of ``ins`` are finite then,
+        and such an op cannot make a non-finite value from finite operands.
         """
         value = np.asarray(value, dtype=float)
         idx = len(self.ops)
-        own, read = _SAVED.get(op, _READS_NOTHING)
+        rec = _OPS[op]
         values = self.values
-        for k in read:
+        for k in rec.reads:
             p = ins[k].idx
             if values[p] is _UNSAVED:
                 values[p] = _compact(ins[k].value)
         self.ops.append(op)
         self.parents.append(tuple([v.idx for v in ins]))
         self.payloads.append(payload)
-        values.append(_compact(value) if own else _UNSAVED)
+        values.append(_compact(value) if rec.own else _UNSAVED)
         self.shapes.append(value.shape)
         # count_nonzero is the same test as isfinite().all() without the
         # reduction machinery, which dominates on the small arrays of VI.
-        if self.poisoned is None and op not in _ENTRY_MOVING \
+        if self.poisoned is None and not rec.moving \
                 and np.count_nonzero(np.isfinite(value)) != value.size:
             self.poisoned = idx
         return Var(self, idx, value)
@@ -172,153 +182,86 @@ class Var:
     def shape(self):
         return self.value.shape
 
-    def _unary(self, op: str, value, payload=None) -> "Var":
-        return self.tape._push(op, (self,), value, payload)
-
-    def _binary(self, op: str, other: "Var", value, payload=None) -> "Var":
-        return self.tape._push(op, (self, other), value, payload)
-
     # -- arithmetic (broadcasting) ------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Var):
-            return self._binary("add", other, self.value + other.value)
-        return self._unary("add_const", self.value + other)
+            return self.tape._push("add", (self, other), self.value + other.value)
+        return self.tape._push("add_const", (self,), self.value + other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Var):
-            return self._binary("sub", other, self.value - other.value)
-        return self._unary("add_const", self.value - other)
+            return self.tape._push("sub", (self, other), self.value - other.value)
+        return self.tape._push("add_const", (self,), self.value - other)
 
     def __rsub__(self, other):
-        return self._unary("rsub_const", other - self.value)
+        return self.tape._push("rsub_const", (self,), other - self.value)
 
     def __mul__(self, other):
         if isinstance(other, Var):
-            return self._binary("mul", other, self.value * other.value)
-        return self._unary("mul_const", self.value * other, payload=other)
+            return self.tape._push("mul", (self, other), self.value * other.value)
+        return self.tape._push("mul_const", (self,), self.value * other, payload=other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Var):
-            with np.errstate(all="ignore"):
-                return self._binary("div", other, self.value / other.value)
         with np.errstate(all="ignore"):
-            return self._unary("div_const", self.value / other, payload=other)
+            if isinstance(other, Var):
+                return self.tape._push("div", (self, other), self.value / other.value)
+            return self.tape._push("div_const", (self,), self.value / other, payload=other)
 
     def __rtruediv__(self, other):
         with np.errstate(all="ignore"):
-            return self._unary("rdiv_const", other / self.value, payload=other)
+            return self.tape._push("rdiv_const", (self,), other / self.value, payload=other)
 
     def __neg__(self):
-        return self._unary("neg", -self.value)
+        return self.tape._push("neg", (self,), -self.value)
 
     def __pow__(self, other):
-        if isinstance(other, Var):
-            with np.errstate(all="ignore"):
-                return self._binary("pow", other, self.value ** other.value)
         with np.errstate(all="ignore"):
-            return self._unary("pow_const", self.value ** other, payload=other)
+            if isinstance(other, Var):
+                return self.tape._push("pow", (self, other), self.value ** other.value)
+            return self.tape._push("pow_const", (self,), self.value ** other, payload=other)
 
     def __matmul__(self, other):
         """Matrix product of 1-d or 2-d operands, as numpy's ``@``."""
         if isinstance(other, Var):
-            return self._binary("matmul", other, self.value @ other.value)
+            return self.tape._push("matmul", (self, other), self.value @ other.value)
         other = np.asarray(other, dtype=float)
-        return self._unary("matmul_const", self.value @ other,
-                           payload=(other, False, self.shape))
+        return self.tape._push("matmul_const", (self,), self.value @ other,
+                               payload=(other, False, self.shape))
 
     def __rmatmul__(self, other):
         other = np.asarray(other, dtype=float)
-        return self._unary("matmul_const", other @ self.value, payload=(other, True, self.shape))
+        return self.tape._push("matmul_const", (self,), other @ self.value,
+                               payload=(other, True, self.shape))
 
-    # -- elementwise functions ----------------------------------------------
-
-    def exp(self):
-        with np.errstate(over="ignore", under="ignore"):
-            return self._unary("exp", np.exp(self.value))
-
-    def log(self):
-        with np.errstate(all="ignore"):
-            return self._unary("log", np.log(self.value))
-
-    def log1p(self):
-        with np.errstate(all="ignore"):
-            return self._unary("log1p", np.log1p(self.value))
-
-    def expm1(self):
-        with np.errstate(over="ignore", under="ignore"):
-            return self._unary("expm1", np.expm1(self.value))
-
-    def sqrt(self):
-        with np.errstate(invalid="ignore"):
-            return self._unary("sqrt", np.sqrt(self.value))
-
-    def sigmoid(self):
-        return self._unary("sigmoid", sp.expit(self.value))
-
-    def relu(self):
-        return self._unary("relu", np.maximum(self.value, 0.0))
-
-    def softplus(self):
-        return self._unary("softplus", np.logaddexp(0.0, self.value))
-
-    def abs(self):
-        """Absolute value with the sign split saved for backward."""
-        return self._unary("abs_split", np.abs(self.value), payload=np.sign(self.value))
-
-    def _domain_guarded(self, op: str, fn, bad: np.ndarray, safe_fill: float) -> "Var":
-        # Domain violations poison the tape (NaN sentinel) instead of raising.
-        v = self.value
-        if np.any(bad):
-            out = np.where(bad, np.nan, fn(np.where(bad, safe_fill, v)))
-        else:
-            out = fn(v)
-        return self._unary(op, out)
-
-    def log_erfc(self):
-        return self._domain_guarded("log_erfc", special.log_erfc, ~np.isfinite(self.value), 0.0)
-
-    def erfc_inv(self):
-        v = self.value
-        bad = ~np.isfinite(v) | (v <= 0.0) | (v >= 2.0)
-        return self._domain_guarded("erfc_inv_node", special.erfc_inv, bad, 1.0)
-
-    def lgamma(self):
-        with np.errstate(all="ignore"):
-            return self._unary("lgamma", sp.gammaln(self.value))
-
-    def maximum(self, const):
-        return self._unary("maximum_const", np.maximum(self.value, const), payload=const)
-
-    def minimum(self, const):
-        return self._unary("minimum_const", np.minimum(self.value, const), payload=const)
+    # x.exp(), x.maximum(c) and the other elementwise methods come from ``_OPS``.
 
     # -- reductions and structure -------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
         value = self.value.sum(axis=axis, keepdims=keepdims)
-        return self._unary("sum", value, payload=(axis, keepdims, self.shape))
+        return self.tape._push("sum", (self,), value, payload=(axis, keepdims, self.shape))
 
     def __getitem__(self, key):
         """Basic slices and ints, or an integer-array gather, as numpy."""
-        return self._unary("getitem", self.value[key], payload=(key, _is_gather(key)))
+        return self.tape._push("getitem", (self,), self.value[key], payload=(key, _is_gather(key)))
 
     @property
     def T(self):
-        return self._unary("transpose", self.value.T)
+        return self.tape._push("transpose", (self,), self.value.T)
 
     def reshape(self, *shape):
-        return self._unary("reshape", self.value.reshape(*shape), payload=self.shape)
+        return self.tape._push("reshape", (self,), self.value.reshape(*shape), payload=self.shape)
 
     def swapaxes(self, a: int, b: int):
-        return self._unary("swapaxes", self.value.swapaxes(a, b), payload=(a, b))
+        return self.tape._push("swapaxes", (self,), self.value.swapaxes(a, b), payload=(a, b))
 
     def cumsum(self, axis: int):
-        return self._unary("cumsum", _cumsum_array(self.value, axis), payload=axis)
+        return self.tape._push("cumsum", (self,), _cumsum_array(self.value, axis), payload=axis)
 
     def where_mask(self, mask: np.ndarray, other):
         """mask ? self : other, with a constant boolean mask.
@@ -329,9 +272,9 @@ class Var:
         """
         if isinstance(other, Var):
             value = np.where(mask, self.value, other.value)
-            return self._binary("where_mask", other, value, payload=mask)
+            return self.tape._push("where_mask", (self, other), value, payload=mask)
         value = np.where(mask, self.value, other)
-        return self._unary("where_mask_const", value, payload=mask)
+        return self.tape._push("where_mask_const", (self,), value, payload=mask)
 
 
 def stack_cols(cols: list[Var]) -> Var:
@@ -351,10 +294,10 @@ def sample_gamma_node(alpha: Var, rng: special.Rng, size: int) -> Var:
     a = float(alpha.value)
     if a >= 1.0:
         draws = np.asarray(special.sample_gamma(a, rng, size=size))
-        return alpha._unary("sample_gamma", draws, payload=a)
+        return alpha.tape._push("sample_gamma", (alpha,), draws, payload=a)
     boost_alpha = alpha + 1.0
     draws = np.asarray(special.sample_gamma(a + 1.0, rng, size=size))
-    boost = boost_alpha._unary("sample_gamma", draws, payload=a + 1.0)
+    boost = boost_alpha.tape._push("sample_gamma", (boost_alpha,), draws, payload=a + 1.0)
     u = alpha.tape.lift(rng.uniform(size=size))
     return boost * (u ** (1.0 / alpha))
 
@@ -367,59 +310,14 @@ def sample_student_t_node(nu: Var, rng: special.Rng, size: int, eps: float = 1e-
     return (nu.tape.lift(z)) * (nu / (2.0 * g)).sqrt()
 
 
-# -- dispatch helpers: one formula source for tape and plain numpy ------------
-
-
-def _is_var(x) -> bool:
-    return isinstance(x, Var)
-
-
-def exp(x):
-    return x.exp() if _is_var(x) else np.exp(x)
-
-
-def log(x):
-    return x.log() if _is_var(x) else np.log(x)
-
-
-def log1p(x):
-    return x.log1p() if _is_var(x) else np.log1p(x)
-
-
-def expm1(x):
-    return x.expm1() if _is_var(x) else np.expm1(x)
-
-
-def sqrt(x):
-    return x.sqrt() if _is_var(x) else np.sqrt(x)
-
-
-def absolute(x):
-    return x.abs() if _is_var(x) else np.abs(x)
-
-
-def log_erfc(x):
-    return x.log_erfc() if _is_var(x) else special.log_erfc(x)
-
-
-def erfc_inv(x):
-    return x.erfc_inv() if _is_var(x) else special.erfc_inv(x)
-
-
-def lgamma(x):
-    return x.lgamma() if _is_var(x) else sp.gammaln(x)
-
-
-def relu(x):
-    return x.relu() if _is_var(x) else np.maximum(x, 0.0)
-
-
-def softplus(x):
-    return x.softplus() if _is_var(x) else np.logaddexp(0.0, x)
-
-
-def sigmoid(x):
-    return x.sigmoid() if _is_var(x) else sp.expit(x)
+# -- op records ---------------------------------------------------------------
+#
+# Each rule maps (adjoint g of the node, node value v, parent values, payload)
+# to one adjoint per parent, in the node's output shape or the parent's;
+# backward sums away whatever broadcasting added.  ``getitem``'s adjoint is a
+# ``_Scatter`` that backward writes into the operand's buffer.  A rule may
+# read v and the parent values only as its record declares; the others are
+# ``_UNSAVED``, and a rule that reads no parent gets ``ins=()``.
 
 
 def _cumsum_array(a: np.ndarray, axis: int) -> np.ndarray:
@@ -437,41 +335,6 @@ def _cumsum_array(a: np.ndarray, axis: int) -> np.ndarray:
     for prev, row in zip(v, v[1:]):
         np.add(prev, row, out=row)
     return out
-
-
-def cumsum(x, axis: int):
-    return x.cumsum(axis) if _is_var(x) else _cumsum_array(x, axis)
-
-
-def maximum_const(x, c):
-    return x.maximum(c) if _is_var(x) else np.maximum(x, c)
-
-
-def minimum_const(x, c):
-    return x.minimum(c) if _is_var(x) else np.minimum(x, c)
-
-
-def where_mask(mask, a, b):
-    if _is_var(a):
-        return a.where_mask(mask, b)
-    if _is_var(b):
-        # mask ? const : var == ~mask ? var : const
-        return b.where_mask(~mask, a)
-    return np.where(mask, a, b)
-
-
-def value_of(x) -> np.ndarray:
-    return x.value if _is_var(x) else np.asarray(x, dtype=float)
-
-
-# -- backward rules -----------------------------------------------------------
-#
-# Each rule maps (adjoint g of the node, node value v, parent values, payload)
-# to one adjoint per parent, in the node's output shape or the parent's;
-# backward sums away whatever broadcasting added.  ``getitem``'s adjoint is a
-# ``_Scatter`` that backward writes into the operand's buffer.  A rule may
-# read v and the parent values only as ``_SAVED`` declares; the others are
-# ``_UNSAVED``, and a rule that reads no parent gets ``ins=()``.
 
 
 def _unbroadcast(g, shape) -> np.ndarray:
@@ -541,112 +404,142 @@ def _matmul_rule(g, v, ins, pay):
     return _matmul_adjoint(g, b, False, a.shape), _matmul_adjoint(g, a, True, b.shape)
 
 
-_RULES = {
-    "add": lambda g, v, ins, pay: (g, g),
-    "add_const": lambda g, v, ins, pay: (g,),
-    "sub": lambda g, v, ins, pay: (g, -g),
-    "rsub_const": lambda g, v, ins, pay: (-g,),
-    "mul": lambda g, v, ins, pay: (g * ins[1], g * ins[0]),
-    "mul_const": lambda g, v, ins, pay: (g * pay,),
-    "div": lambda g, v, ins, pay: (g / ins[1], -g * v / ins[1]),
-    "div_const": lambda g, v, ins, pay: (g / pay,),
-    "rdiv_const": lambda g, v, ins, pay: (-g * v / ins[0],),
-    "neg": lambda g, v, ins, pay: (-g,),
-    "pow": lambda g, v, ins, pay: (
-        g * ins[1] * ins[0] ** (ins[1] - 1.0), g * v * np.log(ins[0])
-    ),
-    "pow_const": lambda g, v, ins, pay: (g * pay * ins[0] ** (pay - 1.0),),
-    "exp": lambda g, v, ins, pay: (g * v,),
-    "log": lambda g, v, ins, pay: (g / ins[0],),
-    "log1p": lambda g, v, ins, pay: (g / (1.0 + ins[0]),),
-    "expm1": lambda g, v, ins, pay: (g * (v + 1.0),),
-    "sqrt": lambda g, v, ins, pay: (0.5 * g / v,),
-    "sigmoid": lambda g, v, ins, pay: (g * v * (1.0 - v),),
-    "relu": lambda g, v, ins, pay: (g * (ins[0] > 0.0),),
-    "softplus": lambda g, v, ins, pay: (g * sp.expit(ins[0]),),
-    "abs_split": lambda g, v, ins, pay: (g * pay,),
-    "log_erfc": lambda g, v, ins, pay: (g * special.dlog_erfc(ins[0]),),
-    "erfc_inv_node": lambda g, v, ins, pay: (g * (-np.sqrt(np.pi) / 2.0) * np.exp(v * v),),
-    "lgamma": lambda g, v, ins, pay: (g * sp.digamma(ins[0]),),
-    "maximum_const": lambda g, v, ins, pay: (g * (ins[0] >= pay),),
-    "minimum_const": lambda g, v, ins, pay: (g * (ins[0] <= pay),),
-    "sum": _sum_rule,
-    "getitem": _getitem_rule,
-    "transpose": lambda g, v, ins, pay: (g.T,),
-    "reshape": lambda g, v, ins, pay: (g.reshape(pay),),
-    "swapaxes": lambda g, v, ins, pay: (g.swapaxes(*pay),),
-    "matmul": _matmul_rule,
-    "matmul_const": lambda g, v, ins, pay: (_matmul_adjoint(g, *pay),),
-    "cumsum": lambda g, v, ins, axis: (np.flip(_cumsum_array(np.flip(g, axis), axis), axis),),
-    "stack_cols": lambda g, v, ins, pay: tuple(g[:, k] for k in range(g.shape[1])),
-    "where_mask": lambda g, v, ins, pay: (g * pay, g * ~pay),
-    "where_mask_const": lambda g, v, ins, pay: (g * pay,),
-    "sample_gamma": lambda g, v, ins, pay: (np.sum(g * special.gamma_dsample_dshape(pay, v)),),
+class _Op(NamedTuple):
+    """Everything the tape knows of one op."""
+
+    rule: Callable | None  # (g, v, ins, payload) -> adjoints; None for a leaf
+    own: bool = False  # the rule reads the node's own value
+    reads: tuple = ()  # positions of the parents whose values the rule reads
+    moving: bool = False  # entry-moving: finite whenever its operands are
+    # an elementwise op's numpy function, with its ``np.errstate`` and guard
+    fn: Callable | None = None
+
+
+def _quiet(fn, **errstate):
+    """``fn`` under ``np.errstate(**errstate)``."""
+    def quiet(x):
+        with np.errstate(**errstate):
+            return fn(x)
+    return quiet
+
+
+def _guarded(name: str, bad, fill: float):
+    """``special.<name>``, NaN on the lanes ``bad(x)`` marks, which it would
+    reject; those lanes get ``fill`` on the way in.  The function is looked
+    up at each call, so that a wrapper put in its place sees every call."""
+    def guarded(x):
+        fn = getattr(special, name)
+        out_of_domain = bad(x)
+        if np.any(out_of_domain):
+            return np.where(out_of_domain, np.nan, fn(np.where(out_of_domain, fill, x)))
+        return fn(x)
+    return guarded
+
+
+# One record per op.  Leaves (``lift``, ``param``) have no rule.
+_OPS = {
+    "lift": _Op(None),
+    "param": _Op(None),
+    "add": _Op(lambda g, v, ins, pay: (g, g)),
+    "add_const": _Op(lambda g, v, ins, pay: (g,)),
+    "sub": _Op(lambda g, v, ins, pay: (g, -g)),
+    "rsub_const": _Op(lambda g, v, ins, pay: (-g,)),
+    "mul": _Op(lambda g, v, ins, pay: (g * ins[1], g * ins[0]), reads=(0, 1)),
+    "mul_const": _Op(lambda g, v, ins, pay: (g * pay,)),
+    "div": _Op(lambda g, v, ins, pay: (g / ins[1], -g * v / ins[1]), own=True, reads=(1,)),
+    "div_const": _Op(lambda g, v, ins, pay: (g / pay,)),
+    "rdiv_const": _Op(lambda g, v, ins, pay: (-g * v / ins[0],), own=True, reads=(0,)),
+    "neg": _Op(lambda g, v, ins, pay: (-g,), moving=True),
+    "pow": _Op(lambda g, v, ins, pay: (g * ins[1] * ins[0] ** (ins[1] - 1.0),
+                                       g * v * np.log(ins[0])), own=True, reads=(0, 1)),
+    "pow_const": _Op(lambda g, v, ins, pay: (g * pay * ins[0] ** (pay - 1.0),), reads=(0,)),
+    "exp": _Op(lambda g, v, ins, pay: (g * v,), own=True,
+               fn=_quiet(np.exp, over="ignore", under="ignore")),
+    "log": _Op(lambda g, v, ins, pay: (g / ins[0],), reads=(0,),
+               fn=_quiet(np.log, all="ignore")),
+    "log1p": _Op(lambda g, v, ins, pay: (g / (1.0 + ins[0]),), reads=(0,),
+                 fn=_quiet(np.log1p, all="ignore")),
+    "expm1": _Op(lambda g, v, ins, pay: (g * (v + 1.0),), own=True,
+                 fn=_quiet(np.expm1, over="ignore", under="ignore")),
+    "sqrt": _Op(lambda g, v, ins, pay: (0.5 * g / v,), own=True,
+                fn=_quiet(np.sqrt, invalid="ignore")),
+    "sigmoid": _Op(lambda g, v, ins, pay: (g * v * (1.0 - v),), own=True, fn=sp.expit),
+    "relu": _Op(lambda g, v, ins, pay: (g * (ins[0] > 0.0),), reads=(0,), moving=True,
+                fn=lambda x: np.maximum(x, 0.0)),
+    "softplus": _Op(lambda g, v, ins, pay: (g * sp.expit(ins[0]),), reads=(0,),
+                    fn=lambda x: np.logaddexp(0.0, x)),
+    "absolute": _Op(lambda g, v, ins, pay: (g * np.sign(ins[0]),), reads=(0,), moving=True,
+                    fn=np.abs),
+    "log_erfc": _Op(lambda g, v, ins, pay: (g * special.dlog_erfc(ins[0]),), reads=(0,),
+                    fn=_guarded("log_erfc", lambda x: ~np.isfinite(x), 0.0)),
+    "erfc_inv": _Op(lambda g, v, ins, pay: (g * (-np.sqrt(np.pi) / 2.0) * np.exp(v * v),),
+                    own=True, fn=_guarded(
+                        "erfc_inv", lambda x: ~np.isfinite(x) | (x <= 0.0) | (x >= 2.0), 1.0)),
+    "lgamma": _Op(lambda g, v, ins, pay: (g * sp.digamma(ins[0]),), reads=(0,),
+                  fn=_quiet(sp.gammaln, all="ignore")),
+    "maximum": _Op(lambda g, v, ins, pay: (g * (ins[0] >= pay),), reads=(0,), fn=np.maximum),
+    "minimum": _Op(lambda g, v, ins, pay: (g * (ins[0] <= pay),), reads=(0,), fn=np.minimum),
+    "sum": _Op(_sum_rule),
+    "getitem": _Op(_getitem_rule, moving=True),
+    "transpose": _Op(lambda g, v, ins, pay: (g.T,), moving=True),
+    "reshape": _Op(lambda g, v, ins, pay: (g.reshape(pay),), moving=True),
+    "swapaxes": _Op(lambda g, v, ins, pay: (g.swapaxes(*pay),), moving=True),
+    "matmul": _Op(_matmul_rule, reads=(0, 1)),
+    "matmul_const": _Op(lambda g, v, ins, pay: (_matmul_adjoint(g, *pay),)),
+    "cumsum": _Op(lambda g, v, ins, axis: (
+        np.flip(_cumsum_array(np.flip(g, axis), axis), axis),)),
+    "stack_cols": _Op(lambda g, v, ins, pay: tuple(g[:, k] for k in range(g.shape[1])),
+                      moving=True),
+    "where_mask": _Op(lambda g, v, ins, pay: (g * pay, g * ~pay), moving=True),
+    "where_mask_const": _Op(lambda g, v, ins, pay: (g * pay,)),  # the constant may be NaN
+    "sample_gamma": _Op(lambda g, v, ins, pay: (
+        np.sum(g * special.gamma_dsample_dshape(pay, v)),), own=True),
 }
 
 
-# What each rule reads besides the adjoint and the payload, as (the node's
-# own value, positions of the parents whose values it reads); ``Tape._push``
-# saves exactly these.  Leaves (``lift``, ``param``) have no rule and no entry.
-_READS_NOTHING = (False, ())
-_OWN = (True, ())
-_FIRST = (False, (0,))
-_BOTH = (False, (0, 1))
+def _elementwise(op: str, fn):
+    """The ``Var`` method and the module-level function (Var or array) of an
+    elementwise op, both computing with ``fn``.  A constant second operand,
+    as ``maximum`` takes, goes in the node's payload."""
+    def method(self, const=None):
+        value = fn(self.value) if const is None else fn(self.value, const)
+        return self.tape._push(op, (self,), value, const)
 
-_SAVED = {
-    "add": _READS_NOTHING,
-    "add_const": _READS_NOTHING,
-    "sub": _READS_NOTHING,
-    "rsub_const": _READS_NOTHING,
-    "mul": _BOTH,
-    "mul_const": _READS_NOTHING,
-    "div": (True, (1,)),
-    "div_const": _READS_NOTHING,
-    "rdiv_const": (True, (0,)),
-    "neg": _READS_NOTHING,
-    "pow": (True, (0, 1)),
-    "pow_const": _FIRST,
-    "exp": _OWN,
-    "log": _FIRST,
-    "log1p": _FIRST,
-    "expm1": _OWN,
-    "sqrt": _OWN,
-    "sigmoid": _OWN,
-    "relu": _FIRST,
-    "softplus": _FIRST,
-    "abs_split": _READS_NOTHING,
-    "log_erfc": _FIRST,
-    "erfc_inv_node": _OWN,
-    "lgamma": _FIRST,
-    "maximum_const": _FIRST,
-    "minimum_const": _FIRST,
-    "sum": _READS_NOTHING,
-    "getitem": _READS_NOTHING,
-    "transpose": _READS_NOTHING,
-    "reshape": _READS_NOTHING,
-    "swapaxes": _READS_NOTHING,
-    "matmul": _BOTH,
-    "matmul_const": _READS_NOTHING,
-    "cumsum": _READS_NOTHING,
-    "stack_cols": _READS_NOTHING,
-    "where_mask": _READS_NOTHING,
-    "where_mask_const": _READS_NOTHING,
-    "sample_gamma": _OWN,
-}
+    def function(x, const=None):
+        if isinstance(x, Var):
+            return method(x, const)
+        return fn(x) if const is None else fn(x, const)
 
-# Ops whose rules read parent values; backward gives the others ``ins=()``.
-_READS_PARENTS = frozenset(op for op, (_, read) in _SAVED.items() if read)
+    method.__name__ = function.__name__ = op
+    return method, function
 
-# Ops whose output entries are entries of their operands, zeros, or bounded
-# maps of them (-x, max(x, 0), |x|), so they are finite whenever their
-# operands are.  ``Tape._push`` tests only other nodes for finiteness: while
-# the tape is unpoisoned every node on it is finite, so none of these can be
-# the first non-finite one.  ``where_mask_const`` is not here, as its
-# constant branch may hold NaN.
-_ENTRY_MOVING = frozenset({
-    "getitem", "transpose", "reshape", "swapaxes", "stack_cols", "where_mask",
-    "neg", "relu", "abs_split",
-})
+
+for _op, _rec in _OPS.items():
+    if _rec.fn is not None:
+        _method, globals()[_op] = _elementwise(_op, _rec.fn)
+        setattr(Var, _op, _method)
+Var.abs = Var.absolute
+del _op, _rec, _method
+
+
+# -- module-level forms of the structural ops: a Var method or plain numpy -----
+
+
+def cumsum(x, axis: int):
+    return x.cumsum(axis) if isinstance(x, Var) else _cumsum_array(x, axis)
+
+
+def where_mask(mask, a, b):
+    if isinstance(a, Var):
+        return a.where_mask(mask, b)
+    if isinstance(b, Var):
+        # mask ? const : var == ~mask ? var : const
+        return b.where_mask(~mask, a)
+    return np.where(mask, a, b)
+
+
+def value_of(x) -> np.ndarray:
+    return x.value if isinstance(x, Var) else np.asarray(x, dtype=float)
 
 
 def backward(out: Var) -> dict[str, np.ndarray]:
@@ -657,7 +550,8 @@ def backward(out: Var) -> dict[str, np.ndarray]:
     double after calling twice).  Raises :class:`PoisonedTapeError` if any
     node holds a non-finite value.
 
-    The sweep reads only the values the tape saved for it (``_SAVED``) and
+    The sweep runs each node's rule from its record in ``_OPS``.  It reads
+    only the values the tape saved for the rule, as the record declares, and
     never changes them, so a tape can be swept again.  A node's adjoint is
     released as soon as its rule has run, so besides the tape only the
     frontier lives: the adjoints of nodes already reached whose rules have
@@ -694,9 +588,9 @@ def backward(out: Var) -> dict[str, np.ndarray]:
             par = parents[i]
             if g is None or not par:  # unreached, or a leaf
                 continue
-            op = ops[i]
-            ins = [values[p] for p in par] if op in _READS_PARENTS else ()
-            grads = _RULES[op](g, values[i], ins, payloads[i])
+            rec = _OPS[ops[i]]
+            ins = [values[p] for p in par] if rec.reads else ()
+            grads = rec.rule(g, values[i], ins, payloads[i])
             # Every write to adj[i] came from a later node, so it is final;
             # drop it now (param leaves never get here and keep theirs).  The
             # local g stays bound until the next node: freeing it before the

@@ -653,6 +653,11 @@ def _build_for_synthetic(flow: str, d: int, nu: float, seed: int) -> flows.FlowM
 
 
 def _lambda_rows(model: flows.FlowModel, head: dict) -> list[dict]:
+    """Rows of the TTF layer's λ± per dimension: the softplus of its raw
+    parameters, not tail shapes.  The affine layer before it scales the TTF
+    input by a = exp(logscale), so the tail shape of dimension 0, whose a0
+    is a constant, is λ±·a0²; a later dimension's a varies with x_<i.
+    """
     if "tails.lp_raw" not in model.params:
         return []
     lp = np.logaddexp(0.0, model.params["tails.lp_raw"])

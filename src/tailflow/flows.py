@@ -264,7 +264,7 @@ def _spline_arith(x, inside, x_safe, xk, wk, yk, hk, dk, dk1, inverse: bool):
         a = dlt * r + hk * (sk - dk)
         b = hk * dk - dlt * r
         c = -(sk * dlt)
-        root = b + ad.sqrt(ad.maximum_const(b * b - 4.0 * a * c, 0.0))
+        root = b + ad.sqrt(ad.maximum(b * b - 4.0 * a * c, 0.0))
         th = 2.0 * sk * dlt / root
         om = 1.0 - th
         q = th * om
@@ -596,7 +596,7 @@ class GenNormalBase:
         const = ad.log(beta) - np.log(2.0) - ad.log(alpha) - ad.lgamma(1.0 / beta)
         a = ad.absolute(z - params["base.loc"]) / alpha
         # a^beta via exp(beta log a); a is floored away from 0 to keep logs finite
-        powed = ad.exp(ad.log(ad.maximum_const(a, 1e-300)) * beta)
+        powed = ad.exp(ad.log(ad.maximum(a, 1e-300)) * beta)
         return -powed.sum(axis=1) + const.sum()
 
     def sample(self, params, rng: special.Rng, n: int) -> np.ndarray:

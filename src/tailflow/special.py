@@ -150,7 +150,8 @@ def erfc_inv(p):
     # Reflect p > 1 onto (0, 1]: 2 - p is exact in floating point on [1, 2].
     hi = p > 1.0
     q = np.where(hi, 2.0 - p, p)
-    z = -sp.ndtri(q / 2.0) / _SQRT2
+    # q / 2 underflows to 0 at q = 5e-324, whose Newton step then starts at inf
+    z = -sp.ndtri(np.maximum(q / 2.0, _TINY)) / _SQRT2
     # Newton step on f(z) = log erfc(z) - log q.
     lz = log_erfc(z)
     z = z - (lz - np.log(q)) / _dlog_erfc_at(z, lz)

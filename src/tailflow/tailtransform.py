@@ -52,11 +52,11 @@ def ttf_forward(z, *, mu, sigma, lambda_pos, lambda_neg):
     s = np.where(pos, 1.0, -1.0)
     lam = ad.where_mask(pos, lambda_pos, lambda_neg)
     log_tail = ad.log_erfc(ad.absolute(z) * (1.0 / _SQRT2))
-    bracket = ad.expm1(ad.minimum_const(-lam * log_tail, _MAX_EXPONENT))
+    bracket = ad.expm1(ad.minimum(-lam * log_tail, _MAX_EXPONENT))
     x = mu + sigma * ((bracket / lam) * s)
     # scale/shape can push the saturated bracket past the float range; keep the
     # output a large finite value rather than letting inf poison downstream
-    return -ad.minimum_const(-ad.minimum_const(x, _MAX_VALUE), _MAX_VALUE)
+    return -ad.minimum(-ad.minimum(x, _MAX_VALUE), _MAX_VALUE)
 
 
 def ttf_log_deriv(z, *, mu, sigma, lambda_pos, lambda_neg):

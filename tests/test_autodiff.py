@@ -560,19 +560,22 @@ def _all_fd_cases():
 
 # What ``Tape._push`` skips when it tests node values for finiteness: ops
 # whose output entries are operand entries, zeros, or bounded maps of them.
-# Every other rule can turn finite operands into inf or NaN (overflow, a
-# domain edge, a NaN constant) or draws a fresh value, so its nodes are tested.
+# Every other op can turn finite operands into inf or NaN (overflow, a
+# domain edge, a NaN constant), takes an outside value (the leaves) or draws
+# a fresh one, so its nodes are tested.
 ENTRY_MOVING_OPS = {
     "getitem", "transpose", "reshape", "swapaxes", "stack_cols", "where_mask",
-    "neg", "relu", "abs_split",
+    "neg", "relu", "absolute",
 }
 TESTED_OPS = {
+    "lift", "param",
     "add", "add_const", "sub", "rsub_const", "mul", "mul_const", "div", "div_const",
     "rdiv_const", "pow", "pow_const", "exp", "log", "log1p", "expm1", "sqrt",
-    "sigmoid", "softplus", "log_erfc", "erfc_inv_node", "lgamma",
-    "maximum_const", "minimum_const", "sum", "matmul", "matmul_const", "cumsum",
+    "sigmoid", "softplus", "log_erfc", "erfc_inv", "lgamma",
+    "maximum", "minimum", "sum", "matmul", "matmul_const", "cumsum",
     "where_mask_const", "sample_gamma",
 }
+RULED_OPS = {op for op, rec in ad._OPS.items() if rec.rule is not None}
 
 
 class RecordingTape(ad.Tape):
@@ -593,8 +596,8 @@ class RecordingTape(ad.Tape):
 class TestRuleTable:
     def test_every_rule_is_classified_for_the_finiteness_test(self):
         assert not ENTRY_MOVING_OPS & TESTED_OPS
-        assert ENTRY_MOVING_OPS | TESTED_OPS == set(ad._RULES)
-        assert ad._ENTRY_MOVING == ENTRY_MOVING_OPS
+        assert ENTRY_MOVING_OPS | TESTED_OPS == set(ad._OPS)
+        assert {op for op, rec in ad._OPS.items() if rec.moving} == ENTRY_MOVING_OPS
 
     @pytest.mark.parametrize("seed", range(5))
     def test_entry_moving_ops_keep_extreme_finite_values_finite(self, seed):
@@ -618,20 +621,22 @@ class TestRuleTable:
             tape = ad.Tape()
             build(tape, {k: tape.param(np.asarray(v, dtype=float), k) for k, v in inputs.items()})
             covered.update(tape.ops)
-        assert set(ad._RULES) - covered == set()
+        assert RULED_OPS - covered == set()
+        assert set(ad._OPS) - RULED_OPS == {"lift", "param"}
 
     def test_every_rule_declares_what_it_reads(self):
-        # the tape saves exactly the declared values for backward, so an op
-        # without a declaration could not be differentiated
-        assert set(ad._SAVED) == set(ad._RULES)
-        for op, (own, parents) in ad._SAVED.items():
-            assert isinstance(own, bool) and all(k in (0, 1) for k in parents), op
+        # the tape saves exactly the declared values for backward; a leaf
+        # has no rule and reads nothing
+        for op, rec in ad._OPS.items():
+            assert isinstance(rec.own, bool) and all(k in (0, 1) for k in rec.reads), op
+            if rec.rule is None:
+                assert not rec.own and not rec.reads, op
 
     def test_rules_that_read_no_parent_run_without_parents(self):
         # backward passes ins=() to these rules, so none may use ins even
         # for its length
         rng = np.random.default_rng(0)
-        readers = {op for op, (_, read) in ad._SAVED.items() if read}
+        readers = {op for op, rec in ad._OPS.items() if rec.reads}
         covered = set()
         for build, inputs in _all_fd_cases():
             tape = ad.Tape()
@@ -642,14 +647,15 @@ class TestRuleTable:
                     continue
                 covered.add(op)
                 g = rng.normal(size=shape)
-                got = ad._RULES[op](g, v, (), pay)
-                want = ad._RULES[op](g, v, [tape.values[p] for p in par], pay)
+                rule = ad._OPS[op].rule
+                got = rule(g, v, (), pay)
+                want = rule(g, v, [tape.values[p] for p in par], pay)
                 assert len(got) == len(want) == len(par), op
                 for gp, wp, p in zip(got, want, par):
                     if isinstance(gp, ad._Scatter):
                         gp, wp = gp.dense(tape.shapes[p]), wp.dense(tape.shapes[p])
                     np.testing.assert_array_equal(gp, wp, err_msg=op)
-        assert covered == set(ad._RULES) - readers
+        assert covered == RULED_OPS - readers
 
     def test_tape_keeps_only_declared_values(self):
         tape = ad.Tape()
@@ -770,8 +776,8 @@ def _reference_backward(out):
                 full[key] = g
             grads = (full,)
         else:
-            grads = ad._RULES[tape.ops[i]](g, tape.values[i], [tape.values[p] for p in par],
-                                           tape.payloads[i])
+            grads = ad._OPS[tape.ops[i]].rule(g, tape.values[i], [tape.values[p] for p in par],
+                                              tape.payloads[i])
         for p, gp in zip(par, grads):
             if tape.ops[p] == "lift":
                 continue
@@ -906,6 +912,16 @@ class TestPoisoning:
         assert t.poisoned == first
 
 
+# The ops with a numpy function, whose Var methods and module-level
+# functions are generated from their records; some take a constant operand.
+ELEMENTWISE_OPS = sorted(op for op, rec in ad._OPS.items() if rec.fn is not None)
+CONSTANT_OPERAND = {"maximum", "minimum"}
+# Non-finite values, signed zeros, values outside log's and erfc_inv's
+# domains and at their edges, the smallest subnormal, and exp overflow.
+EDGE_VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 1.0, 2.0, 1.9999999999999998,
+               5e-324, 1e-300, 710.0, -750.0, 1e308, -1e308]
+
+
 class TestModuleLevelDispatch:
     """ad.log / ad.exp etc. accept both Vars and ndarrays."""
 
@@ -915,6 +931,9 @@ class TestModuleLevelDispatch:
         np.testing.assert_allclose(ad.sigmoid(x), 1.0 / (1.0 + np.exp(-x)))
         np.testing.assert_allclose(ad.softplus(x), np.logaddexp(0.0, x))
         np.testing.assert_allclose(ad.absolute(-x), x)
+        assert ad.erfc_inv(0.5) == special.erfc_inv(0.5)
+        assert ad.log_erfc(1.0) == special.log_erfc(1.0)
+        assert np.isnan(ad.erfc_inv(2.0)) and np.isnan(ad.log_erfc(np.inf))
 
     def test_var_dispatch(self):
         tape = ad.Tape()
@@ -922,6 +941,29 @@ class TestModuleLevelDispatch:
         out = ad.log(v)
         assert isinstance(out, ad.Var)
         np.testing.assert_allclose(out.value, np.log(v.value))
+        for op in ELEMENTWISE_OPS:
+            const = (0.7,) if op in CONSTANT_OPERAND else ()
+            by_function, by_method = getattr(ad, op)(v, *const), getattr(v, op)(*const)
+            assert tape.ops[by_function.idx] == tape.ops[by_method.idx] == op
+            assert by_function.value.tobytes() == by_method.value.tobytes(), op
+
+    @pytest.mark.parametrize("op", ELEMENTWISE_OPS)
+    @given(x=st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_VALUES)), min_size=1,
+                      max_size=8),
+           c=st.one_of(st.floats(), st.sampled_from(EDGE_VALUES)))
+    def test_array_path_is_the_tape_value(self, op, x, c):
+        """On arrays an op returns, without raising, the bits its node would
+        hold; a non-finite lane poisons the tape at that node."""
+        x = np.array(x)
+        const = (c,) if op in CONSTANT_OPERAND else ()
+        plain = np.asarray(getattr(ad, op)(x, *const))
+        tape = ad.Tape()
+        node = getattr(ad, op)(tape.lift(x), *const)
+        assert plain.shape == node.shape and plain.tobytes() == node.value.tobytes()
+        if not np.all(np.isfinite(x)):
+            assert tape.poisoned == 0  # the lifted input
+        else:
+            assert tape.poisoned == (None if np.all(np.isfinite(plain)) else node.idx)
 
     def test_where_mask_function_mixed(self):
         mask = np.array([True, False])

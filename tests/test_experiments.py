@@ -445,6 +445,27 @@ class TestImportanceDiagnostics:
         np.testing.assert_allclose(diag.weights, want, rtol=1e-9, atol=0.0)
         assert np.all(diag.weights[dropped] == 0.0)
 
+    def test_overflowing_draws_get_zero_weight(self):
+        # on a few of these draws the affine layer's forward overflows before
+        # the TTF layer: the draws come back non-finite, and weigh nothing
+        d, nu = 20, 1.5
+        model = flows.build_architecture("TTF_tBase", d, seed=1)
+        r = np.random.default_rng(0)
+        for k, v in model.params.items():
+            model.params[k] = v + 0.1 * r.normal(size=v.shape)
+        flows.set_frozen_nu(model, np.full(d, nu))
+
+        def target(x):
+            return E.vi_target_log_density(x, d, nu)
+
+        with np.errstate(all="ignore"):
+            x = flows.flow_sample(model, special.Rng(0), 200)
+            diag = E.compute_vi_diagnostics(model, target, 200, special.Rng(0))
+        bad = ~np.all(np.isfinite(x), axis=1)
+        assert 0 < np.sum(bad) < 200
+        assert np.all(diag.weights[bad] == 0.0) and np.all(np.isfinite(diag.weights))
+        assert np.max(diag.weights) == 1.0 and np.isfinite(diag.ess_e)
+
     @pytest.mark.parametrize("flow", list(flows.ARCHITECTURES))
     def test_blocked_draws_give_one_pass_diagnostics(self, flow, monkeypatch):
         # khat needs 100 weights, so the sizes start below one block

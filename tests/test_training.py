@@ -184,7 +184,7 @@ class TestOpCoverage:
                          for i in range(3))
             for activation in ("sigmoid", "relu"):
                 experiments.fit_mlp_regressor(activation, data, max_epochs=1)
-        assert set(ad._RULES) - pushed == {"pow_const"}
+        assert set(ad._OPS) - pushed == {"pow_const"}
 
 
 class TestTapeMemory:
