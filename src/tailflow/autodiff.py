@@ -37,7 +37,10 @@ of live adjoints (plus the params'), not a second copy of the tape.  The
 adjoint of ``x[key]`` is not a full zero matrix per node: backward writes
 it into one buffer per operand, allocated at the first slice or gather
 that reaches the operand, and adds every later adjoint of that operand
-into the same buffer.
+into the same buffer.  A run of tapes that build one graph, as the steps
+of a density fit do, can share an :class:`Arena`: each tape's large values
+are computed with ``out=`` into the arrays the tape before saved, so a
+step allocates and page-faults in only what that step adds.
 
 Domain violations never raise mid-graph: offending values propagate as NaN
 and the tape records the first offending node ("poisoning"); the training
@@ -53,6 +56,8 @@ them is finite they are finite too.
 
 from __future__ import annotations
 
+from math import prod
+from sys import getrefcount
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -99,9 +104,9 @@ class Tape:
     """
 
     __slots__ = ("ops", "parents", "payloads", "values", "shapes", "grad_store",
-                 "param_nodes", "poisoned")
+                 "param_nodes", "poisoned", "arena")
 
-    def __init__(self):
+    def __init__(self, arena: "Arena | None" = None):
         self.ops: list[str] = []
         self.parents: list[tuple] = []
         self.payloads: list = []
@@ -111,6 +116,13 @@ class Tape:
         self.grad_store: dict[int, np.ndarray] = {}
         self.param_nodes: dict[int, str] = {}
         self.poisoned: int | None = None
+        self.arena = arena
+
+    def _apply(self, op: str, ins: tuple, payload, fn, *args) -> "Var":
+        """``_push`` of ``fn(*args)``, computed into an arena array if it can."""
+        arena = self.arena
+        return self._push(op, ins, fn(*args) if arena is None else arena.compute(fn, args),
+                          payload)
 
     def _push(self, op: str, ins: tuple, value, payload=None) -> "Var":
         """Append a node computed from the Vars ``ins``, saving the values
@@ -154,6 +166,67 @@ class Tape:
         return x if isinstance(x, Var) else self.lift(x)
 
 
+# Arrays smaller than this are left to malloc, which reuses freed chunks of
+# their size without new page faults.
+_ARENA_MIN = 4096
+
+
+class Arena:
+    """Float arrays that the nodes of one tape compute into, kept for the
+    next tape of the same graph.
+
+    A node whose value has at least ``_ARENA_MIN`` entries, from array
+    operands that are all C-contiguous, computes with ``out=`` into an
+    arena array of its shape that is free: that nothing but the arena
+    refers to, no Var, tape or view.  ``keep`` then keeps the arrays the
+    tape saved and drops the rest, so the saved values of one step of a fit
+    are the arrays that the next step computes into.
+    """
+
+    __slots__ = ("arrays",)
+
+    def __init__(self):
+        self.arrays: dict[tuple, list] = {}  # shape -> arrays
+
+    def compute(self, fn, args):
+        for out in self.arrays.get(_result_shape(fn, args), ()):
+            if getrefcount(out) == 3:  # the list, ``out`` and the argument
+                return fn(*args, out=out)
+        return fn(*args)
+
+    def keep(self, tape: "Tape") -> None:
+        """Keep the arrays ``tape`` saved that own their memory; drop the rest."""
+        self.arrays = {}
+        for v in tape.values:
+            if v.size >= _ARENA_MIN and v.flags.owndata and v.flags.c_contiguous \
+                    and v.dtype == float:
+                self.arrays.setdefault(v.shape, []).append(v)
+
+
+def _result_shape(fn, args):
+    """The shape of ``fn(*args)`` if it may go in an arena array: at least
+    ``_ARENA_MIN`` entries, from array operands that are all C-contiguous,
+    so that numpy too would lay the value out in C order."""
+    arrays = [a for a in args if type(a) is np.ndarray]
+    if not all(a.flags.c_contiguous for a in arrays):
+        return None
+    shapes = [a.shape for a in arrays]
+    if fn is _sum:
+        a, axis, keepdims = args
+        if not isinstance(axis, int):
+            return None
+        axis %= a.ndim
+        shape = a.shape[:axis] + (1,) * keepdims + a.shape[axis + 1:]
+    elif fn is np.matmul:
+        shape = shapes[0][:-1] + shapes[1][1:]
+    else:  # elementwise: the one operand that broadcasting does not stretch
+        shape = shapes[0] if shapes.count(shapes[0]) == len(shapes) \
+            else np.broadcast_shapes(*shapes)
+        if shape not in shapes:
+            return None
+    return shape if prod(shape) >= _ARENA_MIN else None
+
+
 def _is_gather(key) -> bool:
     """Whether an index holds an integer array (advanced indexing)."""
     if isinstance(key, tuple):
@@ -186,38 +259,41 @@ class Var:
 
     def __add__(self, other):
         if isinstance(other, Var):
-            return self.tape._push("add", (self, other), self.value + other.value)
-        return self.tape._push("add_const", (self,), self.value + other)
+            return self.tape._apply("add", (self, other), None, np.add, self.value, other.value)
+        return self.tape._apply("add_const", (self,), None, np.add, self.value, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Var):
-            return self.tape._push("sub", (self, other), self.value - other.value)
-        return self.tape._push("add_const", (self,), self.value - other)
+            return self.tape._apply("sub", (self, other), None, np.subtract, self.value,
+                                    other.value)
+        return self.tape._apply("add_const", (self,), None, np.subtract, self.value, other)
 
     def __rsub__(self, other):
-        return self.tape._push("rsub_const", (self,), other - self.value)
+        return self.tape._apply("rsub_const", (self,), None, np.subtract, other, self.value)
 
     def __mul__(self, other):
         if isinstance(other, Var):
-            return self.tape._push("mul", (self, other), self.value * other.value)
-        return self.tape._push("mul_const", (self,), self.value * other, payload=other)
+            return self.tape._apply("mul", (self, other), None, np.multiply, self.value,
+                                    other.value)
+        return self.tape._apply("mul_const", (self,), other, np.multiply, self.value, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         with np.errstate(all="ignore"):
             if isinstance(other, Var):
-                return self.tape._push("div", (self, other), self.value / other.value)
-            return self.tape._push("div_const", (self,), self.value / other, payload=other)
+                return self.tape._apply("div", (self, other), None, np.divide, self.value,
+                                        other.value)
+            return self.tape._apply("div_const", (self,), other, np.divide, self.value, other)
 
     def __rtruediv__(self, other):
         with np.errstate(all="ignore"):
-            return self.tape._push("rdiv_const", (self,), other / self.value, payload=other)
+            return self.tape._apply("rdiv_const", (self,), other, np.divide, other, self.value)
 
     def __neg__(self):
-        return self.tape._push("neg", (self,), -self.value)
+        return self.tape._apply("neg", (self,), None, np.negative, self.value)
 
     def __pow__(self, other):
         with np.errstate(all="ignore"):
@@ -228,23 +304,24 @@ class Var:
     def __matmul__(self, other):
         """Matrix product of 1-d or 2-d operands, as numpy's ``@``."""
         if isinstance(other, Var):
-            return self.tape._push("matmul", (self, other), self.value @ other.value)
+            return self.tape._apply("matmul", (self, other), None, np.matmul, self.value,
+                                    other.value)
         other = np.asarray(other, dtype=float)
-        return self.tape._push("matmul_const", (self,), self.value @ other,
-                               payload=(other, False, self.shape))
+        return self.tape._apply("matmul_const", (self,), (other, False, self.shape), np.matmul,
+                                self.value, other)
 
     def __rmatmul__(self, other):
         other = np.asarray(other, dtype=float)
-        return self.tape._push("matmul_const", (self,), other @ self.value,
-                               payload=(other, True, self.shape))
+        return self.tape._apply("matmul_const", (self,), (other, True, self.shape), np.matmul,
+                                other, self.value)
 
     # x.exp(), x.maximum(c) and the other elementwise methods come from ``_OPS``.
 
     # -- reductions and structure -------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        value = self.value.sum(axis=axis, keepdims=keepdims)
-        return self.tape._push("sum", (self,), value, payload=(axis, keepdims, self.shape))
+        return self.tape._apply("sum", (self,), (axis, keepdims, self.shape), _sum, self.value,
+                                axis, keepdims)
 
     def __getitem__(self, key):
         """Basic slices and ints, or an integer-array gather, as numpy."""
@@ -271,10 +348,22 @@ class Var:
         substitute values without contaminating the result.
         """
         if isinstance(other, Var):
-            value = np.where(mask, self.value, other.value)
-            return self.tape._push("where_mask", (self, other), value, payload=mask)
-        value = np.where(mask, self.value, other)
-        return self.tape._push("where_mask_const", (self,), value, payload=mask)
+            return self.tape._apply("where_mask", (self, other), mask, _where, mask, self.value,
+                                    other.value)
+        return self.tape._apply("where_mask_const", (self,), mask, _where, mask, self.value, other)
+
+
+def _sum(a, axis, keepdims, out=None):
+    return a.sum(axis=axis, keepdims=keepdims, out=out)
+
+
+def _where(mask, a, b, out=None):
+    """``np.where(mask, a, b)``, into ``out`` if that is given."""
+    if out is None:
+        return np.where(mask, a, b)
+    np.copyto(out, b)
+    np.copyto(out, a, where=mask)
+    return out
 
 
 def stack_cols(cols: list[Var]) -> Var:
@@ -417,17 +506,18 @@ class _Op(NamedTuple):
 
 def _quiet(fn, **errstate):
     """``fn`` under ``np.errstate(**errstate)``."""
-    def quiet(x):
+    def quiet(x, **out):
         with np.errstate(**errstate):
-            return fn(x)
+            return fn(x, **out)
     return quiet
 
 
 def _guarded(name: str, bad, fill: float):
     """``special.<name>``, NaN on the lanes ``bad(x)`` marks, which it would
     reject; those lanes get ``fill`` on the way in.  The function is looked
-    up at each call, so that a wrapper put in its place sees every call."""
-    def guarded(x):
+    up at each call, so that a wrapper put in its place sees every call.
+    It ignores an ``out`` array: its value is always a new one."""
+    def guarded(x, out=None):
         fn = getattr(special, name)
         out_of_domain = bad(x)
         if np.any(out_of_domain):
@@ -465,9 +555,9 @@ _OPS = {
                 fn=_quiet(np.sqrt, invalid="ignore")),
     "sigmoid": _Op(lambda g, v, ins, pay: (g * v * (1.0 - v),), own=True, fn=sp.expit),
     "relu": _Op(lambda g, v, ins, pay: (g * (ins[0] > 0.0),), reads=(0,), moving=True,
-                fn=lambda x: np.maximum(x, 0.0)),
+                fn=lambda x, out=None: np.maximum(x, 0.0, out=out)),
     "softplus": _Op(lambda g, v, ins, pay: (g * sp.expit(ins[0]),), reads=(0,),
-                    fn=lambda x: np.logaddexp(0.0, x)),
+                    fn=_quiet(lambda x, **out: np.logaddexp(0.0, x, **out), invalid="ignore")),
     "absolute": _Op(lambda g, v, ins, pay: (g * np.sign(ins[0]),), reads=(0,), moving=True,
                     fn=np.abs),
     "log_erfc": _Op(lambda g, v, ins, pay: (g * special.dlog_erfc(ins[0]),), reads=(0,),
@@ -502,8 +592,9 @@ def _elementwise(op: str, fn):
     elementwise op, both computing with ``fn``.  A constant second operand,
     as ``maximum`` takes, goes in the node's payload."""
     def method(self, const=None):
-        value = fn(self.value) if const is None else fn(self.value, const)
-        return self.tape._push(op, (self,), value, const)
+        if const is None:
+            return self.tape._apply(op, (self,), None, fn, self.value)
+        return self.tape._apply(op, (self,), const, fn, self.value, const)
 
     def function(x, const=None):
         if isinstance(x, Var):

@@ -219,22 +219,34 @@ def _locate_bin(x, cumw, cumh, deriv, bound: float, inverse: bool):
     width wk, left height yk, bin height hk and the slopes dk, dk1 at the
     bin's two ends, gathered as ``knots[idx, cols]``.  Only this half reads
     the knot matrices, so a caller can drop them before the spline
-    arithmetic makes its temporaries.
+    arithmetic makes its temporaries.  The matrices come as the functions
+    that make them, as ``_raw_to_knots`` gives them: each is made when it
+    is gathered, the searched one first, and freed before the next is made.
     """
-    k_bins = value_of(cumw).shape[0] - 1
     xv = value_of(x)
     inside = (xv >= -bound) & (xv <= bound)
     x_safe = ad.where_mask(inside, x, 0.0)
-    knots_v = value_of(cumh if inverse else cumw)
-    idx = np.count_nonzero(value_of(x_safe) >= knots_v[:k_bins], axis=0) - 1
-    idx = np.clip(idx, 0, k_bins - 1)
-
     cols = np.arange(xv.shape[0])
-    xk = cumw[idx, cols]
-    wk = cumw[idx + 1, cols] - xk
-    yk = cumh[idx, cols]
-    hk = cumh[idx + 1, cols] - yk
-    return inside, x_safe, xk, wk, yk, hk, deriv[idx, cols], deriv[idx + 1, cols]
+    idx = None
+
+    def ends(make):
+        nonlocal idx
+        knots = make()
+        if idx is None:  # the searched matrix
+            k_bins = value_of(knots).shape[0] - 1
+            idx = np.count_nonzero(value_of(x_safe) >= value_of(knots)[:k_bins], axis=0) - 1
+            idx = np.clip(idx, 0, k_bins - 1)
+        return knots[idx, cols], knots[idx + 1, cols]
+
+    if inverse:
+        yk, y1 = ends(cumh)
+        hk = y1 - yk
+    xk, x1 = ends(cumw)
+    wk = x1 - xk
+    if not inverse:
+        yk, y1 = ends(cumh)
+        hk = y1 - yk
+    return inside, x_safe, xk, wk, yk, hk, *ends(deriv)
 
 
 def _spline_arith(x, inside, x_safe, xk, wk, yk, hk, dk, dk1, inverse: bool):
@@ -280,28 +292,23 @@ def _spline_arith(x, inside, x_safe, xk, wk, yk, hk, dk, dk1, inverse: bool):
     return y, ld
 
 
-def _spline_eval(x, cumw, cumh, deriv, bound: float, inverse: bool):
-    """Monotone rational-quadratic spline on [-bound, bound], identity outside.
-
-    x is (m,); cumw/cumh are knot-major (K+1, m) knot coordinates, deriv
-    the (K+1, m) knot slopes, one column of knots per entry, so that the
-    work over each entry's knots runs along rows of length m (see the
-    module docstring).  Returns (y, elementwise log |dy/dx|).
-    """
-    return _spline_arith(x, *_locate_bin(x, cumw, cumh, deriv, bound, inverse), inverse)
-
-
 def _raw_to_knots(w_raw, h_raw, d_raw, bound: float):
-    """Knot-major conditioner outputs -> (cumw, cumh, deriv) knot matrices.
+    """Knot-major conditioner outputs -> the functions that make the (cumw,
+    cumh, deriv) knot matrices, to be called cumw or cumh first.
 
     w_raw and h_raw are (K, m) and d_raw is (K-1, m), one column per entry;
     the three knot matrices are (K+1, m), so every reduction and broadcast
     over an entry's knots runs along the long axis.  Widths and heights go
     through a min-floored softmax; the first and last knots are pinned
-    exactly to the box corners, boundary slopes exactly to 1.
+    exactly to the box corners, boundary slopes exactly to 1.  The raw
+    blocks are taken out of ``rows`` as they are read, the slope block just
+    after the first matrix is made, so that the caller's raw values are
+    freed before the second is padded.
     """
     k_bins = value_of(w_raw).shape[0]
     embed = np.eye(k_bins + 1, k_bins - 1, k=-1)
+    rows = {"w": w_raw, "h": h_raw, "d": d_raw}
+    del w_raw, h_raw, d_raw
 
     def padded(inner, first, last):
         # The K-1 inner knots go to rows 1..K-1 and the end knots are
@@ -311,14 +318,20 @@ def _raw_to_knots(w_raw, h_raw, d_raw, bound: float):
         ends[0], ends[-1] = first, last
         return embed @ inner + ends[:, None]
 
-    def cum_knots(raw, min_size):
-        rel = _softmax_cols(raw) * (1.0 - min_size * k_bins) + min_size
-        return padded((ad.cumsum(rel, 0) * (2.0 * bound) - bound)[:k_bins - 1], -bound, bound)
+    def inner_knots(softmax, min_size):
+        rel = softmax * (1.0 - min_size * k_bins) + min_size
+        return (ad.cumsum(rel, 0) * (2.0 * bound) - bound)[:k_bins - 1]
 
-    cumw = cum_knots(w_raw, _MIN_BIN_WIDTH)
-    cumh = cum_knots(h_raw, _MIN_BIN_HEIGHT)
-    deriv = padded(ad.softplus(d_raw) + _MIN_DERIVATIVE, 1.0, 1.0)
-    return cumw, cumh, deriv
+    def cum_knots(key, min_size):
+        # no name holds the block or the temporaries of inner_knots, so each
+        # is freed once read, before padded makes its own
+        knots = padded(inner_knots(_softmax_cols(rows.pop(key)), min_size), -bound, bound)
+        if "d" in rows:
+            rows["slopes"] = ad.softplus(rows.pop("d"))
+        return knots
+
+    return (lambda: cum_knots("w", _MIN_BIN_WIDTH), lambda: cum_knots("h", _MIN_BIN_HEIGHT),
+            lambda: padded(rows.pop("slopes") + _MIN_DERIVATIVE, 1.0, 1.0))
 
 
 # -- autoregressive layers -------------------------------------------------------
@@ -360,10 +373,11 @@ class RqsArLayer:
             # order, and the knot reductions would run per entry.
             raw = np.ascontiguousarray(raw)
         knots = _raw_to_knots(raw[:k], raw[k:2 * k], raw[2 * k:], self.bound)
+        # The raw values and the (K+1, m) knot matrices are the largest
+        # arrays: the knot functions free raw, and each matrix, once read.
+        del raw
         located = _locate_bin(x, *knots, self.bound, inverse)
-        # On numpy inputs the raw values and the (K+1, m) knot matrices are
-        # the largest arrays; free them before the arithmetic's temporaries.
-        del raw, knots
+        del knots
         return _spline_arith(x, *located, inverse)
 
     def inverse(self, params, x):

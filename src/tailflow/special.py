@@ -73,7 +73,9 @@ class Rng:
 def _log_erfc_asymptotic(z: np.ndarray) -> np.ndarray:
     # log erfc(z) = -z^2 - log(z sqrt(pi)) + log(1 - 1/(2z^2) + 3/(4z^4) - ...)
     # Six correction terms give ~1e-16 relative accuracy for z >= 26.
-    z2 = z * z
+    # Above ~1.3e154 z^2 overflows to inf and the result is its limit, -inf.
+    with np.errstate(over="ignore"):
+        z2 = z * z
     inv = 1.0 / (2.0 * z2)
     corr = np.zeros_like(z)
     term = np.ones_like(z)

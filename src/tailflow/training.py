@@ -199,18 +199,22 @@ def _snapshot(model: flows.FlowModel) -> dict:
     return {k: v.copy() for k, v in model.trainable_params().items()}
 
 
-def _de_gradient(model: flows.FlowModel, batch: np.ndarray):
+def _de_gradient(model: flows.FlowModel, batch: np.ndarray, arena: ad.Arena):
     """(loss, parameter gradients) of one DE batch, built on a fresh tape.
 
     The gradients are None when the loss is non-finite or the tape is
-    poisoned.  The tape is dropped on return, so the training loop never
-    holds two batch tapes (or one tape through the validation pass).
+    poisoned.  The tape is dropped on return, but the arrays it saved for
+    backward stay in ``arena``, through the validation pass, and the next
+    batch's tape computes its values into them; the arena drops the arrays
+    the tape did not save.  So the loop holds at most one tape's saved
+    values between steps, and a step of the same shapes allocates little.
     """
     # NaN poisoning is the designed failure mode here; keep the console
     # clear of the float warnings it necessarily raises.
     with np.errstate(all="ignore"):
-        loss = de_loss(model, batch, model.tape_params(ad.Tape()))
+        loss = de_loss(model, batch, model.tape_params(ad.Tape(arena)))
         value = float(loss.value)
+        arena.keep(loss.tape)
         if not np.isfinite(value):
             return value, None
         try:
@@ -229,9 +233,11 @@ def fit_density(
     """Maximum-likelihood fit with early stopping on validation loss.
 
     The model is left (and returned) at the parameters of the best
-    validation epoch.  Divergence: non-finite training steps restore the
-    last good parameters and halve a retry budget of 5; an exhausted
-    budget, or a final loss above 1e5, flags the run as diverged.
+    validation epoch.  The steps share one ``ad.Arena`` (see
+    ``_de_gradient``), dropped on return.  Divergence: non-finite training
+    steps restore the last good parameters and halve a retry budget of 5;
+    an exhausted budget, or a final loss above 1e5, flags the run as
+    diverged.
     """
     rng = special.Rng(cfg.seed)
     n = train.shape[0]
@@ -243,6 +249,7 @@ def fit_density(
     stale = 0
     rows: list = []
     exhausted = False
+    arena = ad.Arena()
 
     for _epoch in range(1, cfg.max_epochs + 1):
         perm = rng.permutation(n)
@@ -254,7 +261,7 @@ def fit_density(
             ]
         losses = []
         for idx in batches:
-            loss, grads = _de_gradient(model, train[idx])
+            loss, grads = _de_gradient(model, train[idx], arena)
             if grads is None:
                 model.params.update({k: v.copy() for k, v in last_good.items()})
                 budget //= 2

@@ -1,6 +1,8 @@
 """Reverse-mode tape tests: primitive gradients against central finite
 differences, accumulation semantics, and NaN poisoning."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -1020,3 +1022,161 @@ class TestSamplingNodes:
         np.testing.assert_allclose(draws.value, plain)
         grads = ad.backward((draws * draws).sum())
         assert np.isfinite(grads["nu"])
+
+
+# Steps of the random chains that two tapes in a row build with and without
+# an arena.  Every step maps (8, 4096) values to (8, 4096) values, and its
+# intermediates have 4096 entries or more, so every routed op goes through
+# the arena; transposes and slices give non-contiguous operands, which it
+# leaves alone.  Each step is bounded, so a clean chain stays finite.
+C8 = np.full((8, 8), 0.1)
+ARENA_STEPS = [
+    lambda v, u, m: v + u, lambda v, u, m: v - u, lambda v, u, m: v * u,
+    lambda v, u, m: v / (u.abs() + 0.5), lambda v, u, m: 1.5 - v * 0.5,
+    lambda v, u, m: 2.0 / (v.abs() + 1.0), lambda v, u, m: -v, lambda v, u, m: v / 4.0,
+    lambda v, u, m: (v * 0.1).exp(), lambda v, u, m: (v.abs() + 0.1).log(),
+    lambda v, u, m: v.sigmoid(), lambda v, u, m: v.relu(), lambda v, u, m: v.softplus(),
+    lambda v, u, m: v.abs(), lambda v, u, m: v.maximum(-0.5), lambda v, u, m: v.minimum(0.5),
+    lambda v, u, m: (v.abs() + 0.1).sqrt(), lambda v, u, m: (v * 0.1).expm1(),
+    lambda v, u, m: v.sigmoid().log1p(), lambda v, u, m: (v.sigmoid() * 1.8 + 0.1).erfc_inv(),
+    lambda v, u, m: v.log_erfc(), lambda v, u, m: (v.abs() + 0.1).lgamma(),
+    lambda v, u, m: C8 @ v, lambda v, u, m: (v.T @ C8).T, lambda v, u, m: (v @ u.T * 1e-4) @ v,
+    lambda v, u, m: v.sum(axis=0, keepdims=True) * u * 0.1,
+    lambda v, u, m: v.sum(axis=1, keepdims=True) * v * 1e-3,
+    lambda v, u, m: v.where_mask(m, u), lambda v, u, m: v.where_mask(m, 0.0),
+    lambda v, u, m: v[:, ::-1] + u, lambda v, u, m: v[np.array([1, 1, 0, 7, 3, 2, 5, 4])],
+    lambda v, u, m: v.cumsum(axis=1) * 1e-3, lambda v, u, m: v.T.T * u,
+]
+
+
+class BytesTape(ad.Tape):
+    """A tape that records every node's op, shape and value bytes, without
+    keeping the value alive (which would keep it from the arena)."""
+
+    __slots__ = ("record",)
+
+    def __init__(self, arena=None):
+        super().__init__(arena)
+        self.record = []
+
+    def _push(self, op, ins, value, payload=None):
+        v = super()._push(op, ins, value, payload)
+        self.record.append((op, v.value.shape, v.value.tobytes()))
+        return v
+
+
+def arena_step(arena, x, u, mask, plan, poison_at=None):
+    """One step of a random chain on a fresh tape, as a fit makes one: the
+    arena keeps the tape's arrays once it is built, then backward runs.
+    Returns the node count, the poisoned node, each node's op, shape and
+    value bytes, the loss bytes, and the gradient or the node backward
+    raised at.  The kept arrays that only the arena refers to are filled
+    with NaN first, so that a value that does not overwrite its whole
+    array, or an array lent while in use, shows.  (The others, such as x,
+    belong to the caller.)"""
+    for arrays in arena.arrays.values() if arena is not None else ():
+        for a in arrays:
+            if sys.getrefcount(a) == 3:  # the list, ``a`` and the argument
+                a.fill(np.nan)
+    tape = BytesTape(arena)
+    pool = [tape.param(x, "x"), tape.lift(u)]
+    with np.errstate(all="ignore"):  # a poisoned chain carries inf and NaN
+        for k, (i, j, s) in enumerate(plan):
+            v, w = pool[i], pool[j]
+            pool.append((v * 0.0).log() if k == poison_at else ARENA_STEPS[s](v, w, mask))
+        loss = pool[0].sum()
+        for node in pool[1:]:
+            loss = loss + node.sum()
+    if arena is not None:
+        arena.keep(tape)
+    try:
+        grad = ad.backward(loss)["x"]
+    except ad.PoisonedTapeError as exc:
+        grad = exc.node
+    # the tape is dropped here, as a fit drops it, so the next step can
+    # compute into the arrays it saved
+    return len(tape.ops), tape.poisoned, tape.record, loss.value.tobytes(), grad
+
+
+def assert_same_step(with_arena, without):
+    *same, g1 = with_arena
+    *want, g2 = without
+    assert same == want
+    if isinstance(g2, np.ndarray):
+        assert g1.tobytes() == g2.tobytes()
+    else:
+        assert g1 == g2
+
+
+class TestArena:
+    """Two tapes in a row computed into an arena give what fresh tapes give,
+    bit for bit: node values, loss, gradients, node counts and the poisoned
+    node."""
+
+    @staticmethod
+    def data(seed, rows=8):
+        r = np.random.default_rng(seed)
+        x1, x2, u = (r.normal(size=(rows, 4096)) for _ in range(3))
+        return x1, x2, u, r.random((rows, 4096)) < 0.6
+
+    @staticmethod
+    def plan(seed):
+        """16 random steps, each on two random earlier nodes."""
+        r = np.random.default_rng(seed)
+        return [tuple(r.integers([k + 2, k + 2, len(ARENA_STEPS)])) for k in range(16)]
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_two_steps_match_fresh_tapes(self, seed):
+        x1, x2, u, mask = self.data(seed)
+        plan = self.plan(seed)
+        arena = ad.Arena()
+        first = arena_step(arena, x1, u, mask, plan)
+        g1 = first[-1].copy()
+        second = arena_step(arena, x2, u, mask, plan)
+        assert_same_step(first, arena_step(None, x1, u, mask, plan))
+        assert_same_step(second, arena_step(None, x2, u, mask, plan))
+        # the gradient the first step returned is not an arena array
+        assert first[-1].tobytes() == g1.tobytes()
+
+    def test_saved_values_reuse_the_kept_arrays(self):
+        # exp saves its value and mul both operands: the second tape's saved
+        # values are the very arrays the first tape saved
+        x1, x2, _, _ = self.data(0)
+        arena = ad.Arena()
+
+        def step(x):
+            tape = ad.Tape(arena)
+            v = tape.param(x, "x")
+            loss = ((v * 0.5).exp() * (1.5 - v)).sum()
+            arena.keep(tape)
+            ad.backward(loss)
+            return tape
+
+        step(x1)
+        kept = {id(a) for arrays in arena.arrays.values() for a in arrays}
+        saved = {id(v) for v in step(x2).values if v.size}
+        assert len(kept) == 2 and kept <= saved
+
+    @given(seed=st.integers(0, 2**32 - 1), at=st.integers(0, 15))
+    def test_poisoned_step_then_clean_step(self, seed, at):
+        x1, x2, u, mask = self.data(seed)
+        plan = self.plan(seed)
+        arena = ad.Arena()
+        poisoned = arena_step(arena, x1, u, mask, plan, poison_at=at)
+        assert poisoned[1] is not None
+        clean = arena_step(arena, x2, u, mask, plan)
+        assert_same_step(poisoned, arena_step(None, x1, u, mask, plan, poison_at=at))
+        assert_same_step(clean, arena_step(None, x2, u, mask, plan))
+
+    def test_changed_shapes_get_new_arrays(self):
+        # fewer rows on the second tape: no arena array fits, so every value
+        # is a new array, as without the arena
+        plan = [(0, 1, 2), (2, 0, 8), (3, 1, 10), (4, 2, 24), (5, 1, 26)]
+        x1, _, u, mask = self.data(0)
+        x2, _, u2, mask2 = self.data(1, rows=6)
+        arena = ad.Arena()
+        arena_step(arena, x1, u, mask, plan)
+        assert arena.arrays
+        assert_same_step(arena_step(arena, x2, u2, mask2, plan),
+                         arena_step(None, x2, u2, mask2, plan))
+        assert all(shape[0] == 6 for shape in arena.arrays)

@@ -104,14 +104,25 @@ class TestMaskedConditioner:
                 assert abs(g - fd) / max(1.0, abs(g)) < 1e-4
 
 
+def spline_eval(x, knots, bound, inverse):
+    """The spline at each entry of the (m,) x under the functions that make
+    its knot-major knots, by the two halves the layers run."""
+    return flows._spline_arith(x, *flows._locate_bin(x, *knots, bound, inverse), inverse)
+
+
+def made(*matrices):
+    """Knot matrices as the functions ``_locate_bin`` takes."""
+    return tuple((lambda m=m: m) for m in matrices)
+
+
 def tiled_knots(widths, heights, derivs, n, bound=2.5):
     """One explicit knot set, tiled to n knot-major columns for
-    ``flows._spline_eval``."""
+    ``spline_eval``."""
     cumw = np.concatenate([[-bound], -bound + np.cumsum(widths)])
     cumh = np.concatenate([[-bound], -bound + np.cumsum(heights)])
     cumw[-1] = cumh[-1] = bound
-    return tuple(np.tile(np.asarray(v, dtype=float)[:, None], (1, n))
-                 for v in (cumw, cumh, derivs))
+    return made(*(np.tile(np.asarray(v, dtype=float)[:, None], (1, n))
+                  for v in (cumw, cumh, derivs)))
 
 
 class TestSplineKnots:
@@ -124,7 +135,7 @@ class TestSplineKnots:
     def spline(self, x, inverse=False, knots=None):
         x = np.asarray(x, dtype=float)
         w, h, dv = knots or (self.W, self.H, self.D)
-        return flows._spline_eval(x, *tiled_knots(w, h, dv, x.size), 2.5, inverse=inverse)
+        return spline_eval(x, tiled_knots(w, h, dv, x.size), 2.5, inverse)
 
     def test_uniform_unit_is_identity(self):
         x = np.linspace(-2.4, 2.4, 49)
@@ -177,7 +188,8 @@ class TestSplineKnots:
         raw[k, ::2] += h
         if dv is not None:
             raw[2 * k, ::2] += dv
-        cumw, cumh, deriv = flows._raw_to_knots(raw[:k], raw[k:2 * k], raw[2 * k:], bound)
+        cumw, cumh, deriv = (make() for make in
+                             flows._raw_to_knots(raw[:k], raw[k:2 * k], raw[2 * k:], bound))
         assert cumw.shape == cumh.shape == deriv.shape == (k + 1, 64)
         for cum in (cumw, cumh):
             assert np.all(np.diff(cum, axis=0) > 0.0)
@@ -224,7 +236,8 @@ class TestKnotMajorReductions:
             r = np.random.default_rng(20 + k)
             x = np.where(r.random(m) < 0.5, cumh[0], r.uniform(-4.0, 4.0, m))
             with np.errstate(invalid="ignore"):
-                _, x_safe, xk, *_ = flows._locate_bin(x, cumw, cumh, cumw, bound, inverse=True)
+                _, x_safe, xk, *_ = flows._locate_bin(x, *made(cumw, cumh, cumw), bound,
+                                                      inverse=True)
                 want = [min(max(sum(x_safe[j] >= cumh[i, j] for i in range(k)) - 1, 0), k - 1)
                         for j in range(m)]
             assert np.array_equal(xk, want), k
@@ -268,7 +281,7 @@ class TestRqsArLayer:
         for i in range(d):
             block = layer.cond.dim_block(out, i).T  # knot-major
             knots = flows._raw_to_knots(block[:k], block[k:2 * k], block[2 * k:], layer.bound)
-            z_ref[:, i], ld_i = flows._spline_eval(x[:, i], *knots, layer.bound, inverse=True)
+            z_ref[:, i], ld_i = spline_eval(x[:, i], knots, layer.bound, True)
             ld_ref = ld_ref + ld_i
 
         tape = ad.Tape()
@@ -294,8 +307,7 @@ class TestRqsArLayer:
         for i in range(d):
             block = layer.cond.dim_block(out, i).T
             knots = flows._raw_to_knots(block[:k], block[k:2 * k], block[2 * k:], layer.bound)
-            z_ref[:, i], ld_cols[:, i] = flows._spline_eval(x[:, i], *knots, layer.bound,
-                                                            inverse=True)
+            z_ref[:, i], ld_cols[:, i] = spline_eval(x[:, i], knots, layer.bound, True)
         tape = ad.Tape()
         z, ld = layer.inverse({key: tape.param(v, key) for key, v in params.items()},
                               tape.lift(x))

@@ -5,6 +5,7 @@ evaluations of the defining integrals (adaptive quadrature oracle).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,16 @@ class TestErfc:
             got = special.log_erfc(z)
             assert got == pytest.approx(ref, rel=1e-12)
             assert abs(got - asym) < 0.01
+
+    @pytest.mark.parametrize("z", [1e200, 1e308])
+    def test_overflowing_square_is_quiet(self, z):
+        # z * z overflows above ~1.3e154; the limits hold without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert special.log_erfc(z) == -np.inf
+            assert special.erfc(z) == 5e-324
+            np.testing.assert_array_equal(special.log_erfc(np.array([30.0, z])),
+                                          [special.log_erfc(30.0), -np.inf])
 
     def test_nonfinite_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
