@@ -11,9 +11,14 @@ entries, ``x.sum(axis, keepdims)`` reduces and ``x.cumsum(axis)`` sums
 along an axis.  As ``x * c`` is one ``mul_const`` node, a matrix product
 with a constant operand, ``x @ C`` or ``C @ x``, is one ``matmul_const``
 node: ``C`` goes in the payload, is never lifted onto the tape, and gets no
-gradient, and the node saves nothing.  Each op computes exactly what numpy
-computes (``x / c`` is a true division, not ``x * (1 / c)``), so one
-formula gives the same bits on numpy arrays and on tape variables.
+gradient, and the node saves nothing.  So constants stay arrays: a model's
+frozen parameters and its non-reparameterized draws add no node to a tape,
+and ``Tape.lift`` is left for a constant that must be a Var (the base of
+``c ** x``).  Each op computes exactly what numpy computes (``x / c`` is a
+true division, not ``x * (1 / c)``), so one formula gives the same bits on
+numpy arrays and on tape variables.  ``sample_gamma`` and
+``sample_student_t`` draw numpy arrays given a float and, given a 0-d Var,
+draws on its tape, differentiable in it.
 
 Each op is declared once, by its record in ``_OPS``: its backward rule,
 what the rule reads, whether it is entry-moving (see below), and for an
@@ -162,9 +167,6 @@ class Tape:
         self.param_nodes[v.idx] = name if name is not None else f"param{v.idx}"
         return v
 
-    def as_var(self, x) -> "Var":
-        return x if isinstance(x, Var) else self.lift(x)
-
 
 # Arrays smaller than this are left to malloc, which reuses freed chunks of
 # their size without new page faults.
@@ -301,6 +303,9 @@ class Var:
                 return self.tape._push("pow", (self, other), self.value ** other.value)
             return self.tape._push("pow_const", (self,), self.value ** other, payload=other)
 
+    def __rpow__(self, other):
+        return self.tape.lift(other) ** self
+
     def __matmul__(self, other):
         """Matrix product of 1-d or 2-d operands, as numpy's ``@``."""
         if isinstance(other, Var):
@@ -371,32 +376,6 @@ def stack_cols(cols: list[Var]) -> Var:
     tape = cols[0].tape
     value = np.stack([c.value for c in cols], axis=1)
     return tape._push("stack_cols", tuple(cols), value)
-
-
-def sample_gamma_node(alpha: Var, rng: special.Rng, size: int) -> Var:
-    """Draw Gamma(alpha, 1) samples on the tape, differentiable in alpha.
-
-    For alpha < 1 the draw is composed as G_{alpha+1} * U^{1/alpha} out of
-    tape primitives; the raw node's backward uses the implicit derivative of
-    the sampler's acceptance path.
-    """
-    a = float(alpha.value)
-    if a >= 1.0:
-        draws = np.asarray(special.sample_gamma(a, rng, size=size))
-        return alpha.tape._push("sample_gamma", (alpha,), draws, payload=a)
-    boost_alpha = alpha + 1.0
-    draws = np.asarray(special.sample_gamma(a + 1.0, rng, size=size))
-    boost = boost_alpha.tape._push("sample_gamma", (boost_alpha,), draws, payload=a + 1.0)
-    u = alpha.tape.lift(rng.uniform(size=size))
-    return boost * (u ** (1.0 / alpha))
-
-
-def sample_student_t_node(nu: Var, rng: special.Rng, size: int, eps: float = 1e-24) -> Var:
-    """Student-T draws z sqrt(nu / (2 max(g, eps))) with gradient in nu."""
-    g = sample_gamma_node(nu * 0.5, rng, size)
-    g = g.maximum(eps)
-    z = rng.normal(size)
-    return (nu.tape.lift(z)) * (nu / (2.0 * g)).sqrt()
 
 
 # -- op records ---------------------------------------------------------------
@@ -631,6 +610,65 @@ def where_mask(mask, a, b):
 
 def value_of(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=float)
+
+
+# -- samplers: numpy draws, or draws on the tape of a Var parameter ------------
+
+
+_GAMMA_FLOOR = 1e-24  # keeps a Student-T draw's nu / (2 g) finite where g underflows
+
+
+def _sample_gamma_ge1(shape: float, rng: special.Rng, n: int) -> np.ndarray:
+    # Marsaglia-Tsang squeeze sampler for shape >= 1.
+    d = shape - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * d)
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        m = max(n - filled, 16)
+        x = rng.normal(m)
+        v = (1.0 + c * x) ** 3
+        u = rng.uniform(size=m)
+        ok = v > 0
+        x2 = x * x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            accept = ok & (
+                (u < 1.0 - 0.0331 * x2 * x2)
+                | (np.log(u) < 0.5 * x2 + d * (1.0 - v + np.log(np.where(ok, v, 1.0))))
+            )
+        cand = d * v[accept]
+        take = min(cand.size, n - filled)
+        out[filled : filled + take] = cand[:take]
+        filled += take
+    return out
+
+
+def sample_gamma(shape, rng: special.Rng, n: int):
+    """n Gamma(shape, 1) draws; shape is a positive float or a 0-d Var.
+
+    Draws of a Var shape are differentiable in it: a ``sample_gamma`` node's
+    adjoint is the implicit derivative that holds each draw's CDF level
+    fixed (``special.gamma_dsample_dshape``).  Below shape 1 a draw is
+    G_{shape+1} U^{1/shape}, and the derivative flows through both factors.
+    """
+    a = float(value_of(shape))
+    if not np.isfinite(a) or a <= 0.0:
+        raise ValueError("sample_gamma: shape must be positive")
+    if a < 1.0:
+        boost = sample_gamma(shape + 1.0, rng, n)
+        with np.errstate(under="ignore"):
+            return boost * rng.uniform(size=n) ** (1.0 / shape)
+    draws = _sample_gamma_ge1(a, rng, n)
+    if isinstance(shape, Var):
+        return shape.tape._push("sample_gamma", (shape,), draws, payload=a)
+    return draws
+
+
+def sample_student_t(nu, rng: special.Rng, n: int):
+    """n Student-T draws z sqrt(nu / (2 g)), g ~ Gamma(nu/2, 1) floored at
+    ``_GAMMA_FLOOR``; nu is a positive float or a 0-d Var, as in ``sample_gamma``."""
+    g = maximum(sample_gamma(nu * 0.5, rng, n), _GAMMA_FLOOR)
+    return rng.normal(n) * sqrt(nu / (2.0 * g))
 
 
 def backward(out: Var) -> dict[str, np.ndarray]:

@@ -55,8 +55,7 @@ class ExperimentConfig:
     nu: float = 2.0
     seeds: tuple[int, ...] = (0,)
     lr: float | None = None
-    batch: int | None = None         # None -> command default
-    full_pass: bool = False          # batch explicitly set to the full-pass token
+    batch: int | str | None = None   # None -> command default, "full" -> full pass
     epochs: int | None = None
     patience: int | None = None
     clip_norm: float | None = None
@@ -73,7 +72,7 @@ class ExperimentConfig:
         else:
             base = ex.de_train_config(seed)
         lr = self.lr if self.lr is not None else base.lr
-        if self.full_pass:
+        if self.batch == "full":
             batch = training.FULL_PASS
         elif self.batch is not None:
             batch = self.batch
@@ -91,7 +90,7 @@ class ExperimentConfig:
 
 _INT_KEYS = {"d", "jobs", "n"}
 _FLOAT_KEYS = {"nu", "lr", "clip_norm"}
-_BOOL_KEYS = {"trace", "full_pass"}
+_BOOL_KEYS = {"trace"}
 _STR_KEYS = {"flow", "out_dir", "data_path", "activation", "command"}
 
 # epochs/patience/batch parse as int but accept the full-pass token for batch
@@ -172,7 +171,7 @@ def read_config_file(path: str, command: str) -> dict:
 
 
 def parse_config(argv: list[str]) -> ExperimentConfig:
-    """Merge defaults, config file, environment, and flags (flags win)."""
+    """Merge defaults, config file and flags (flags win)."""
     parser = argparse.ArgumentParser(
         prog="tailflow",
         description="Heavy-tailed flow experiments",
@@ -200,9 +199,6 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     merged: dict = {}
     if ns.config:
         merged.update(read_config_file(ns.config, ns.command))
-    env_seed = os.environ.get("TAILFLOW_SEED")
-    if env_seed is not None and "seeds" not in merged:
-        merged["seeds"] = _parse_seeds(env_seed)
     for key in (
         "flow", "d", "nu", "seeds", "lr", "batch", "epochs", "patience",
         "clip_norm", "jobs", "out_dir", "trace", "data_path", "activation", "n",
@@ -215,12 +211,6 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     cfg = ExperimentConfig(command=ns.command)
     for key, val in merged.items():
         if key == "command":
-            continue
-        if key == "batch":
-            if val == "full":
-                cfg.full_pass, cfg.batch = True, None
-            else:
-                cfg.batch = val
             continue
         if not hasattr(cfg, key):
             raise UsageError(f"unknown key {key!r}")

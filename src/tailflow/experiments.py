@@ -284,37 +284,19 @@ def comet_marginal_log_pdf(m: CometMarginal, x: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(out), -np.inf, out)
 
 
-def comet_marginal_inv_cdf(m: CometMarginal, u: np.ndarray) -> np.ndarray:
-    """Quantile function: closed form in the tails, bracketed Newton in the body.
-
-    All body lanes are solved at once, each starting at the empirical
-    quantile of the body points; a step that leaves its lane's bracket
-    bisects.  A lane stops at an exact root or once its step falls below
-    1e-13 relative (at most 100 steps).  Every u must lie inside (0, 1).
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if not np.all((u > 0.0) & (u < 1.0)):
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    out = np.empty_like(u)
-    lo = u < _TAIL_MASS
-    hi = u > 1.0 - _TAIL_MASS
-    mid = ~(lo | hi)
-    if lo.any():
-        log_s = np.log(u[lo] / _TAIL_MASS)
-        out[lo] = m.t_lo - tailest.gpd_excess_at_log_survivor(log_s, m.shape_lo, m.scale_lo)
-    if hi.any():
-        log_s = np.log((1.0 - u[hi]) / _TAIL_MASS)
-        out[hi] = m.t_hi + tailest.gpd_excess_at_log_survivor(log_s, m.shape_hi, m.scale_hi)
-    if mid.any():
-        out[mid] = _body_quantile(m, u[mid])
-    return out
-
-
 def _body_quantile(m: CometMarginal, u: np.ndarray) -> np.ndarray:
+    """The marginal's quantile at body levels u, by bracketed Newton.
+
+    All lanes are solved at once, each starting at the empirical quantile
+    of the body points; a step that leaves its lane's bracket (t_lo, t_hi)
+    bisects.  A lane stops at an exact root or once its step falls below
+    1e-13 relative (at most 100 steps).  A level that rounds a hair outside
+    [0.05, 0.95], as ``comet_push``'s logistic can, lands at the junction.
+    """
     out = np.empty_like(u)
     lane = np.arange(u.size)  # lanes still running; the arrays below hold only those
     a, b = np.full(u.size, m.t_lo), np.full(u.size, m.t_hi)
-    x = np.clip(np.quantile(m.points, (u - _TAIL_MASS) / _BODY_MASS),
+    x = np.clip(np.quantile(m.points, np.clip((u - _TAIL_MASS) / _BODY_MASS, 0.0, 1.0)),
                 np.nextafter(m.t_lo, m.t_hi), np.nextafter(m.t_hi, m.t_lo))
     for _ in range(100):
         fx = comet_marginal_cdf(m, x) - u
@@ -404,7 +386,7 @@ def comet_push(u: np.ndarray, marginals: list) -> tuple[np.ndarray, np.ndarray]:
             )
             xj[hi] = m.t_hi + e
         if mid.any():
-            xj[mid] = comet_marginal_inv_cdf(m, s[mid])
+            xj[mid] = _body_quantile(m, s[mid])
         x[:, j] = xj
         fin = np.isfinite(uj)
         ld[fin] += log_s[fin] + log_1ms[fin] - comet_marginal_log_pdf(m, xj[fin])
@@ -490,7 +472,7 @@ def compute_vi_diagnostics(
     the inverse.  Samples where the flow density or target is non-finite
     contribute zero weight.
     """
-    x, logq = flows.flow_sample_with_log_prob(None, model, model.params, rng, n)
+    x, logq = flows.flow_sample_with_log_prob(model, model.params, rng, n)
     logp = np.asarray(log_norm_target(x), dtype=float)
     logw = np.where(
         np.isfinite(logq) & np.isfinite(logp) & np.all(np.isfinite(x), axis=1),
@@ -515,6 +497,7 @@ def gen_regression(d: int, nu: float, n: int, rng: special.Rng):
 
 
 _MLP_WIDTH = 50
+_MLP_LR, _MLP_BATCH, _MLP_PATIENCE = 1e-3, 100, 20  # Adam step, batch rows, patience (epochs)
 
 
 def _mlp_init(d: int, rng: special.Rng) -> dict:
@@ -540,10 +523,7 @@ def fit_mlp_regressor(
     activation: str,
     data: tuple,
     seed: int = 0,
-    lr: float = 1e-3,
-    batch_size: int = 100,
     max_epochs: int = 200,
-    patience: int = 20,
 ) -> float:
     """Train the two-hidden-layer regressor; returns best-validation test MSE.
 
@@ -562,8 +542,8 @@ def fit_mlp_regressor(
     n = xtr.shape[0]
     for _epoch in range(max_epochs):
         order = rng.permutation(n)
-        for i in range(0, n, batch_size):
-            idx = order[i: i + batch_size]
+        for i in range(0, n, _MLP_BATCH):
+            idx = order[i: i + _MLP_BATCH]
             tape = ad.Tape()
             tp = {k: tape.param(v, k) for k, v in params.items()}
             pred = _mlp_predict(tp, xtr[idx], activation)
@@ -575,7 +555,7 @@ def fit_mlp_regressor(
                 grads = ad.backward(loss)
             except ad.PoisonedTapeError:
                 continue
-            params = training.adam_step(params, grads, state, lr)
+            params = training.adam_step(params, grads, state, _MLP_LR)
         pv = _mlp_predict(params, xva, activation)
         vmse = float(np.mean((pv - yva) ** 2))
         if np.isfinite(vmse) and vmse < best:
@@ -584,7 +564,7 @@ def fit_mlp_regressor(
             stale = 0
         else:
             stale += 1
-            if stale >= patience:
+            if stale >= _MLP_PATIENCE:
                 break
     pt = _mlp_predict(best_params, xte, activation)
     return float(np.mean((pt - yte) ** 2))

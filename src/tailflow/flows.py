@@ -13,7 +13,8 @@ numpy would make one inner-loop call per entry for each of them.  Formulas
 use numpy syntax (broadcasting, ``@``, slices and gathers) and the
 elementwise functions of ``autodiff``; a tape ``Var`` follows the same
 syntax, so plain numpy arrays and tape variables flow through the same code
-path.
+path.  On a tape, frozen parameters and the draws of a base that is not
+reparameterized stay numpy arrays: constants to every op, not nodes.
 
 Without a tape, ``flow_log_prob`` and ``flow_sample_with_log_prob`` (so
 also ``flow_sample``) push at most ``_FLOW_ROWS`` rows at a time, which
@@ -99,7 +100,7 @@ def _stack_cols(cols):
     t = _tape(*cols)
     if t is None:
         return np.stack([np.asarray(c, dtype=float) for c in cols], axis=1)
-    return ad.stack_cols([t.as_var(c) for c in cols])
+    return ad.stack_cols([c if isinstance(c, Var) else t.lift(c) for c in cols])
 
 
 def _softmax_cols(m):
@@ -108,8 +109,9 @@ def _softmax_cols(m):
     return e / e.sum(axis=0, keepdims=True)
 
 
-def _zeros_col(like, n):
-    t = _tape(like)
+def _zeros_col(w, n):
+    # on the tape of the conditioner weights w, so that a forward stacks Vars only
+    t = _tape(*w)
     z = np.zeros(n)
     return t.lift(z) if t else z
 
@@ -388,9 +390,9 @@ class RqsArLayer:
 
     def forward(self, params, z):
         n = value_of(z).shape[0]
-        cols = [_zeros_col(z, n) for _ in range(self.d)]
-        ld = 0.0
         w = self.cond.weights(params)
+        cols = [_zeros_col(w, n) for _ in range(self.d)]
+        ld = 0.0
         for i in range(self.d):
             out = self.cond.apply(w, _stack_cols(cols))
             cols[i], ldi = self._spline(self.cond.dim_block(out, i).T, z[:, i], inverse=False)
@@ -418,9 +420,9 @@ class AffineArLayer:
 
     def forward(self, params, z):
         n = value_of(z).shape[0]
-        cols = [_zeros_col(z, n) for _ in range(self.d)]
-        ld = 0.0
         w = self.cond.weights(params)
+        cols = [_zeros_col(w, n) for _ in range(self.d)]
+        ld = 0.0
         for i in range(self.d):
             out = self.cond.apply(w, _stack_cols(cols))
             shift_i = out[:, i]
@@ -488,18 +490,14 @@ class StdNormalBase:
     def sample(self, params, rng: special.Rng, n: int) -> np.ndarray:
         return rng.normal((n, self.d))
 
-    def sample_node(self, tape: Tape, params, rng: special.Rng, n: int):
-        return tape.lift(self.sample(params, rng, n))
-
 
 class StudentTBase:
     """Independent per-dimension Student-T; nu trainable via softplus or frozen."""
 
     NU_INIT = 30.0
 
-    def __init__(self, d: int, trainable: bool):
+    def __init__(self, d: int):
         self.d = d
-        self.trainable = trainable
 
     def init_params(self, rng: special.Rng) -> dict:
         return {"base.nu_raw": np.full(self.d, softplus_inv(self.NU_INIT))}
@@ -517,41 +515,27 @@ class StudentTBase:
         tail = (e * ((nu + 1.0) * 0.5)).sum(axis=1)
         return -tail + const.sum()
 
-    def _draws(self, nu: np.ndarray, rng: special.Rng, n: int) -> np.ndarray:
-        # column j from rng.child(j) by the gamma route, as sample_node draws it
-        return np.stack(
-            [special.sample_student_t(nu[j], rng.child(j), size=n) for j in range(self.d)],
-            axis=1,
-        )
-
-    def sample(self, params, rng: special.Rng, n: int) -> np.ndarray:
-        """The draws of ``sample_node`` for the same ``rng``, as numpy."""
-        return self._draws(value_of(self.nu(params)), rng, n)
-
-    def sample_node(self, tape: Tape, params, rng: special.Rng, n: int):
-        """Reparameterized draws; a frozen nu enters the tape as constant draws."""
-        nu_raw = params["base.nu_raw"]
-        if not self.trainable:
-            return tape.lift(self._draws(ad.softplus(value_of(nu_raw)), rng, n))
-        return _stack_cols([
-            ad.sample_student_t_node(ad.softplus(nu_raw[j]), rng.child(j), n)
-            for j in range(self.d)
-        ])
+    def sample(self, params, rng: special.Rng, n: int):
+        """Column j from rng.child(j) by the gamma route; on a tape exactly
+        when nu is a Var (trainable), and then reparameterized in nu."""
+        nu = self.nu(params)
+        return _stack_cols([ad.sample_student_t(nu[j], rng.child(j), n) for j in range(self.d)])
 
 
 class GaussianMixtureBase:
     """Mixture of diagonal Gaussians (density-estimation base only)."""
 
-    def __init__(self, d: int, components: int = 5):
+    COMPONENTS = 5
+
+    def __init__(self, d: int):
         self.d = d
-        self.k = components
 
     def init_params(self, rng: special.Rng) -> dict:
         r = rng.child(zlib.crc32(b"base.mixture"))
         return {
-            "base.logits": np.zeros(self.k),
-            "base.means": 0.5 * r.normal((self.d, self.k)),
-            "base.logstd": np.zeros((self.d, self.k)),
+            "base.logits": np.zeros(self.COMPONENTS),
+            "base.means": 0.5 * r.normal((self.d, self.COMPONENTS)),
+            "base.logstd": np.zeros((self.d, self.COMPONENTS)),
         }
 
     def log_prob(self, params, z):
@@ -575,9 +559,6 @@ class GaussianMixtureBase:
         w /= w.sum()
         ks = np.searchsorted(np.cumsum(w), rng.uniform(size=n))
         return means[:, ks].T + rng.normal((n, self.d)) * std[:, ks].T
-
-    def sample_node(self, tape: Tape, params, rng: special.Rng, n: int):
-        return tape.lift(self.sample(params, rng, n))
 
 
 class GenNormalBase:
@@ -619,14 +600,11 @@ class GenNormalBase:
         loc = value_of(params["base.loc"])
         out = np.empty((n, self.d))
         for j in range(self.d):
-            g = special.sample_gamma(1.0 / beta[j], rng.child(j), n)
+            g = ad.sample_gamma(1.0 / beta[j], rng.child(j), n)
             mag = alpha[j] * g ** (1.0 / beta[j])
             sign = np.where(rng.child(1000 + j).uniform(size=n) < 0.5, -1.0, 1.0)
             out[:, j] = loc[j] + sign * mag
         return out
-
-    def sample_node(self, tape: Tape, params, rng: special.Rng, n: int):
-        return tape.lift(self.sample(params, rng, n))
 
 
 # -- the flow model ----------------------------------------------------------------
@@ -648,11 +626,8 @@ class FlowModel:
         return {k: v for k, v in self.params.items() if k not in self.frozen}
 
     def tape_params(self, tape: Tape) -> dict:
-        """Register trainables as params, frozen entries as constants."""
-        out = {}
-        for k, v in self.params.items():
-            out[k] = tape.lift(v) if k in self.frozen else tape.param(v, k)
-        return out
+        """Trainable entries as params of ``tape``; frozen entries stay arrays."""
+        return {k: v if k in self.frozen else tape.param(v, k) for k, v in self.params.items()}
 
     def copy_params(self) -> dict:
         return {k: v.copy() for k, v in self.params.items()}
@@ -691,20 +666,20 @@ def flow_forward(z, model: FlowModel, params: dict | None = None):
 def flow_sample(model: FlowModel, rng: special.Rng, n: int,
                 params: dict | None = None) -> np.ndarray:
     params = model.params if params is None else params
-    return flow_sample_with_log_prob(None, model, params, rng, n)[0]
+    return flow_sample_with_log_prob(model, params, rng, n)[0]
 
 
-def flow_sample_with_log_prob(tape: Tape | None, model: FlowModel, params: dict,
-                              rng: special.Rng, n: int):
+def flow_sample_with_log_prob(model: FlowModel, params: dict, rng: special.Rng, n: int):
     """Draws with their own log density, log q0(z) minus the forward log-det.
 
-    On a tape the draws are reparameterized (ELBO training); with tape=None
-    they are plain numpy and the same draws as ``flow_sample``, pushed in
-    row blocks after all of z is drawn, so the random stream is one pass's.
+    With params on a tape (ELBO training) the pass runs on that tape, and
+    the draws are reparameterized where the base's are.  Without one they
+    are plain numpy and the same draws as ``flow_sample``, pushed in row
+    blocks after all of z is drawn, so the random stream is one pass's.
     """
-    if tape is not None:
-        return _sample_pass(model.base.sample_node(tape, params, rng, n), model, params)
     z = model.base.sample(params, rng, n)
+    if _tape(*params.values()) is not None:
+        return _sample_pass(z, model, params)
     parts = [_sample_pass(z[b], model, params) for b in _row_blocks(n)]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
@@ -742,11 +717,11 @@ def build_architecture(name: str, d: int, seed: int = 0) -> FlowModel:
     if name in ("normal", "TTF", "TTFfix", "COMET"):
         base = StdNormalBase(d)
     elif name == "m_normal":
-        base = GaussianMixtureBase(d, 5)
+        base = GaussianMixtureBase(d)
     elif name == "g_normal":
         base = GenNormalBase(d)
     else:
-        base = StudentTBase(d, trainable=name != "mTAF")
+        base = StudentTBase(d)
 
     layers = [RqsArLayer(d, "rqs"), AffineArLayer(d, "affine")]
     if name in ("TTF", "TTFfix", "TTF_tBase"):

@@ -1,13 +1,11 @@
-"""Numerically stable special functions and random sampling primitives.
+"""Numerically stable special functions and the package's random stream.
 
-Everything downstream leans on two properties established here:
-
-* ``erfc`` keeps full *relative* accuracy arbitrarily far into the tail,
-  because tail probabilities get raised to negative powers later on and
-  absolute accuracy is worthless there.
-* samplers are deterministic given an :class:`Rng` and differentiable where
-  training requires it (``sample_gamma`` / ``sample_student_t`` expose a
-  pathwise derivative with respect to their shape parameter).
+Everything downstream leans on ``erfc`` keeping full *relative* accuracy
+arbitrarily far into the tail, because tail probabilities get raised to
+negative powers later on and absolute accuracy is worthless there.
+:class:`Rng` makes every draw deterministic given a seed; the samplers that
+draw from it live in ``autodiff``, since on a tape their draws are
+differentiable, and ``gamma_dsample_dshape`` here is the derivative they use.
 """
 
 from __future__ import annotations
@@ -21,10 +19,7 @@ __all__ = [
     "log_erfc",
     "dlog_erfc",
     "erfc_inv",
-    "std_normal_quantile",
-    "sample_gamma",
     "gamma_dsample_dshape",
-    "sample_student_t",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -70,19 +65,26 @@ class Rng:
         return self.gen.permutation(n)
 
 
-def _log_erfc_asymptotic(z: np.ndarray) -> np.ndarray:
-    # log erfc(z) = -z^2 - log(z sqrt(pi)) + log(1 - 1/(2z^2) + 3/(4z^4) - ...)
-    # Six correction terms give ~1e-16 relative accuracy for z >= 26.
-    # Above ~1.3e154 z^2 overflows to inf and the result is its limit, -inf.
+def _asymptotic_corr(z2: np.ndarray) -> np.ndarray:
+    """corr, given z^2, in log erfc(z) = -z^2 - log(z sqrt(pi)) + log1p(corr):
+    the six terms -1/(2z^2) + 3/(2z^2)^2 - ... of the asymptotic series.  The
+    first omitted term, 13!!/(2z^2)^7, is below 1.6e-17 beyond the tail
+    switch, so corr is good to ~1e-16 relative there, and 0 once 2z^2 overflows."""
     with np.errstate(over="ignore"):
-        z2 = z * z
-    inv = 1.0 / (2.0 * z2)
-    corr = np.zeros_like(z)
-    term = np.ones_like(z)
+        inv = 1.0 / (2.0 * z2)
+    corr = np.zeros_like(z2)
+    term = np.ones_like(z2)
     for n in range(1, 7):
         term = term * (-(2 * n - 1)) * inv
         corr = corr + term
-    return -z2 - np.log(z) - _LOG_SQRT_PI + np.log1p(corr)
+    return corr
+
+
+def _log_erfc_asymptotic(z: np.ndarray) -> np.ndarray:
+    # Above ~1.3e154 z^2 overflows to inf and the result is its limit, -inf.
+    with np.errstate(over="ignore"):
+        z2 = z * z
+    return -z2 - np.log(z) - _LOG_SQRT_PI + np.log1p(_asymptotic_corr(z2))
 
 
 def erfc(z, out=None):
@@ -133,8 +135,17 @@ def dlog_erfc(z):
 
 
 def _dlog_erfc_at(z, log_erfc_z):
-    """``dlog_erfc(z)`` from log_erfc(z) already in hand; z an array."""
-    return -_TWO_OVER_SQRT_PI * np.exp(-z * z - log_erfc_z)
+    """``dlog_erfc(z)`` from log_erfc(z) already in hand; z an array.  Beyond
+    the tail switch, where -z^2 - log erfc(z) cancels, it is the exact
+    -2z / (1 + corr) of the series that ``log_erfc`` sums there."""
+    with np.errstate(over="ignore", invalid="ignore"):  # far lanes are replaced
+        out = -_TWO_OVER_SQRT_PI * np.exp(-z * z - log_erfc_z)
+    if np.max(z, initial=-np.inf) > _TAIL_SWITCH:  # no lane mask unless it is needed
+        far = z > _TAIL_SWITCH
+        zf = np.where(far, z, _TAIL_SWITCH)
+        with np.errstate(over="ignore"):  # z^2 and 2z overflow to their limits
+            out = np.where(far, -2.0 * zf / (1.0 + _asymptotic_corr(zf * zf)), out)
+    return out
 
 
 def erfc_inv(p):
@@ -161,67 +172,6 @@ def erfc_inv(p):
     return float(z[0]) if scalar else z
 
 
-def std_normal_quantile(p):
-    """Standard normal quantile, accurate in both tails down to p = 1e-300."""
-    p = np.asarray(p, dtype=float)
-    if np.any(~np.isfinite(p)) or np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("std_normal_quantile: argument must lie in (0, 1)")
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
-    hi = p > 0.5
-    q = np.where(hi, 1.0 - p, p)
-    # Phi(z) = erfc(-z / sqrt 2) / 2, so Phi^{-1}(q) = -sqrt(2) erfc_inv(2q).
-    z = -_SQRT2 * erfc_inv(2.0 * q)
-    z = np.where(hi, -z, z)
-    return float(z[0]) if scalar else z
-
-
-def _sample_gamma_ge1(shape: float, rng: Rng, size: int) -> np.ndarray:
-    # Marsaglia-Tsang squeeze sampler for shape >= 1.
-    d = shape - 1.0 / 3.0
-    c = 1.0 / np.sqrt(9.0 * d)
-    out = np.empty(size)
-    filled = 0
-    while filled < size:
-        m = max(size - filled, 16)
-        x = rng.normal(m)
-        v = (1.0 + c * x) ** 3
-        u = rng.uniform(size=m)
-        ok = v > 0
-        x2 = x * x
-        with np.errstate(divide="ignore", invalid="ignore"):
-            accept = ok & (
-                (u < 1.0 - 0.0331 * x2 * x2)
-                | (np.log(u) < 0.5 * x2 + d * (1.0 - v + np.log(np.where(ok, v, 1.0))))
-            )
-        cand = d * v[accept]
-        take = min(cand.size, size - filled)
-        out[filled : filled + take] = cand[:take]
-        filled += take
-    return out
-
-
-def sample_gamma(shape: float, rng: Rng, size=None):
-    """Gamma(shape, 1) draws, reparameterizable in ``shape``.
-
-    The pathwise derivative of a draw with respect to ``shape`` comes from
-    :func:`gamma_dsample_dshape` (implicit differentiation of the CDF).
-    """
-    shape = float(shape)
-    if not np.isfinite(shape) or shape <= 0.0:
-        raise ValueError("sample_gamma: shape must be positive")
-    n = 1 if size is None else int(size)
-    if shape >= 1.0:
-        out = _sample_gamma_ge1(shape, rng, n)
-    else:
-        # Shape augmentation: G_a = G_{a+1} * U^{1/a}.
-        boost = _sample_gamma_ge1(shape + 1.0, rng, n)
-        u = rng.uniform(size=n)
-        with np.errstate(under="ignore"):
-            out = boost * u ** (1.0 / shape)
-    return float(out[0]) if size is None else out
-
-
 def gamma_dsample_dshape(shape: float, value):
     """d(draw)/d(shape) for a Gamma(shape, 1) draw, holding its CDF level fixed.
 
@@ -242,22 +192,3 @@ def gamma_dsample_dshape(shape: float, value):
     log_pdf = (shape - 1.0) * np.log(value) - value - sp.gammaln(shape)
     out = -dP * np.exp(-log_pdf)
     return out if out.ndim else float(out)
-
-
-def sample_student_t(nu: float, rng: Rng, eps: float = 1e-24, size=None):
-    """Student-T draws via z * sqrt(nu / (2 max(g, eps))), g ~ Gamma(nu/2, 1).
-
-    The gamma route keeps the draw differentiable in ``nu``; the clamp keeps
-    the reciprocal finite when g underflows.
-    """
-    nu = float(nu)
-    if not np.isfinite(nu) or nu <= 0.0:
-        raise ValueError("sample_student_t: nu must be positive")
-    if eps < 0.0:
-        raise ValueError("sample_student_t: eps must be nonnegative")
-    n = 1 if size is None else int(size)
-    g = np.asarray(sample_gamma(nu / 2.0, rng, size=n))
-    g = np.maximum(g, eps)
-    z = rng.normal(n)
-    out = z * np.sqrt(nu / (2.0 * g))
-    return float(out[0]) if size is None else out

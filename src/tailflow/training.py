@@ -156,9 +156,7 @@ def elbo_gradient_step(
     if M < 1:
         raise ValueError("M must be at least 1")
     try:
-        tape = ad.Tape()
-        tp = model.tape_params(tape)
-        x, logq = flows.flow_sample_with_log_prob(tape, model, tp, rng, M)
+        x, logq = flows.flow_sample_with_log_prob(model, model.tape_params(ad.Tape()), rng, M)
         xv = ad.value_of(x)
         lqv = ad.value_of(logq)
         target_vals = np.asarray(log_unnorm_target(xv), dtype=float)
@@ -179,12 +177,14 @@ def elbo_gradient_step(
         if n_good < M:
             gap = ad.where_mask(good, gap, 0.0)
         loss = gap.sum() / n_good
-        if not np.isfinite(loss.value):
+        value = float(ad.value_of(loss))
+        if not np.isfinite(value):
             return ElboStep(None, float("nan"), M)
-        grads = ad.backward(loss)
+        # with every param frozen no tape is built, and there is nothing to differentiate
+        grads = ad.backward(loss) if isinstance(loss, ad.Var) else {}
     except ad.PoisonedTapeError:
         return ElboStep(None, float("nan"), M)
-    return ElboStep(grads, -float(loss.value), M - n_good)
+    return ElboStep(grads, -value, M - n_good)
 
 
 def _write_trace(path: str, rows: list) -> None:
@@ -203,7 +203,8 @@ def _de_gradient(model: flows.FlowModel, batch: np.ndarray, arena: ad.Arena):
     """(loss, parameter gradients) of one DE batch, built on a fresh tape.
 
     The gradients are None when the loss is non-finite or the tape is
-    poisoned.  The tape is dropped on return, but the arrays it saved for
+    poisoned, and empty when every parameter is frozen, as no tape is built
+    then.  The tape is dropped on return, but the arrays it saved for
     backward stay in ``arena``, through the validation pass, and the next
     batch's tape computes its values into them; the arena drops the arrays
     the tape did not save.  So the loop holds at most one tape's saved
@@ -213,6 +214,8 @@ def _de_gradient(model: flows.FlowModel, batch: np.ndarray, arena: ad.Arena):
     # clear of the float warnings it necessarily raises.
     with np.errstate(all="ignore"):
         loss = de_loss(model, batch, model.tape_params(ad.Tape(arena)))
+        if not isinstance(loss, ad.Var):
+            return loss, {}
         value = float(loss.value)
         arena.keep(loss.tape)
         if not np.isfinite(value):

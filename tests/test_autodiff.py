@@ -203,12 +203,12 @@ def _gamma_case():
     rather than rerunning the sampler.
     """
     a0, size = 3.0, 16
-    draws = np.asarray(special.sample_gamma(a0, special.Rng(11), size=size))
+    draws = ad.sample_gamma(a0, special.Rng(11), size)
     levels = sp.gammainc(a0, draws)
     w = np.linspace(0.5, 1.5, size)
 
     def build(t, pv):
-        return (ad.sample_gamma_node(pv["a"], special.Rng(11), size) * t.lift(w)).sum()
+        return (ad.sample_gamma(pv["a"], special.Rng(11), size) * t.lift(w)).sum()
 
     def reference(vals):
         return float(np.sum(w * sp.gammaincinv(vals["a"], levels)))
@@ -981,14 +981,36 @@ class TestModuleLevelDispatch:
         np.testing.assert_allclose(ad.value_of([2.0]), [2.0])
 
 
-class TestSamplingNodes:
+class TestSamplers:
+    def test_gamma_mean(self):
+        x = ad.sample_gamma(3.0, special.Rng(0), 1_000_000)
+        assert np.mean(x) == pytest.approx(3.0, rel=0.01)
+
+    def test_gamma_small_shape_support(self):
+        x = ad.sample_gamma(0.25, special.Rng(1), 100_000)
+        assert np.all(x > 0)
+
+    def test_gamma_mean_derivative_wrt_shape(self):
+        # d E[gamma(shape)] / d shape = 1; E[draw] = shape is linear so a
+        # wide step carries no bias, and equal seeds correlate the draws.
+        h = 0.1
+        up = ad.sample_gamma(3.0 + h, special.Rng(5), 400_000)
+        dn = ad.sample_gamma(3.0 - h, special.Rng(5), 400_000)
+        d = (np.mean(up) - np.mean(dn)) / (2 * h)
+        assert d == pytest.approx(1.0, abs=0.05)
+
+    def test_gamma_domain(self):
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                ad.sample_gamma(bad, special.Rng(0), 1)
+
     def test_gamma_node_gradient_wiring(self):
         # For shape >= 1 the node's adjoint is the summed implicit derivative
         # of the acceptance path at the recorded draws.
         tape = ad.Tape()
         a = tape.param(3.0, "a")
         rng = special.Rng(11)
-        x = ad.sample_gamma_node(a, rng, 64)
+        x = ad.sample_gamma(a, rng, 64)
         grads = ad.backward(x.sum())
         expected = float(np.sum(special.gamma_dsample_dshape(3.0, x.value)))
         assert abs(grads["a"] - expected) / max(1.0, abs(expected)) < 1e-12
@@ -1000,13 +1022,14 @@ class TestSamplingNodes:
         tape = ad.Tape()
         a = tape.param(a0, "a")
         rng = special.Rng(5)
-        x = ad.sample_gamma_node(a, rng, 32)
+        x = ad.sample_gamma(a, rng, 32)
         grads = ad.backward(x.sum())
 
         replay = special.Rng(5)
-        boost = np.asarray(special.sample_gamma(a0 + 1.0, replay, size=32))
+        boost = ad.sample_gamma(a0 + 1.0, replay, 32)
         u = replay.uniform(size=32)
         np.testing.assert_allclose(x.value, boost * u ** (1.0 / a0))
+        np.testing.assert_array_equal(x.value, ad.sample_gamma(a0, special.Rng(5), 32))
         d_boost = special.gamma_dsample_dshape(a0 + 1.0, boost)
         expected = np.sum(
             u ** (1.0 / a0) * d_boost
@@ -1014,12 +1037,34 @@ class TestSamplingNodes:
         )
         assert abs(grads["a"] - expected) / max(1.0, abs(expected)) < 1e-10
 
+    def test_student_t_large_nu_is_nearly_gaussian(self):
+        x = ad.sample_student_t(1e6, special.Rng(2), 100_000)
+        assert np.var(x) == pytest.approx(1.0, rel=0.02)
+
+    def test_student_t_moderate_nu_variance(self):
+        x = ad.sample_student_t(5.0, special.Rng(3), 1_000_000)
+        assert np.var(x) == pytest.approx(5.0 / 3.0, rel=0.03)
+
+    def test_student_t_clamp_keeps_output_finite(self):
+        # at nu = 0.02 the gamma variate (shape 0.01) falls below the floor
+        # about half the time and underflows to 0 now and then; the floor
+        # keeps every draw finite
+        nu, n = 0.02, 10_000
+        g = ad.sample_gamma(nu / 2, special.Rng(4), n)
+        assert np.any(g == 0.0) and np.mean(g < ad._GAMMA_FLOOR) > 0.1
+        x = ad.sample_student_t(nu, special.Rng(4), n)
+        assert np.all(np.isfinite(x))
+
+    def test_student_t_domain(self):
+        with pytest.raises(ValueError):
+            ad.sample_student_t(0.0, special.Rng(0), 1)
+
     def test_student_t_node_matches_plain_sampler(self):
         tape = ad.Tape()
         nu = tape.param(4.0, "nu")
-        draws = ad.sample_student_t_node(nu, special.Rng(23), 128)
-        plain = special.sample_student_t(4.0, special.Rng(23), size=128)
-        np.testing.assert_allclose(draws.value, plain)
+        draws = ad.sample_student_t(nu, special.Rng(23), 128)
+        plain = ad.sample_student_t(4.0, special.Rng(23), 128)
+        np.testing.assert_array_equal(draws.value, plain)
         grads = ad.backward((draws * draws).sum())
         assert np.isfinite(grads["nu"])
 

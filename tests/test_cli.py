@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tailflow
-from tailflow import cli
+from tailflow import cli, training
 from tailflow import experiments as ex
 
 HEADER = "flow,d,nu,seed,metric_name,value,diverged"
@@ -104,6 +104,21 @@ class TestUsageErrors:
         cfg.write_text("[de-csv]\nflow = TTF\nlearning_rate = 0.1\n")
         with pytest.raises(cli.UsageError, match="learning_rate"):
             cli.parse_config(["de-csv", "--config", str(cfg), "--data", data_csv])
+
+    def test_full_pass_key_is_gone(self, tmp_path):
+        # "batch = full" is the one way to ask for full-pass steps
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[de-synth]\nfull_pass = true\nbatch = 50\n")
+        with pytest.raises(cli.UsageError, match="'full_pass'"):
+            cli.parse_config(["de-synth", "--config", str(cfg)])
+
+    def test_batch_full_gives_full_pass_steps(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[vi-synth]\nbatch = full\n")
+        parsed = cli.parse_config(["vi-synth", "--config", str(cfg)])
+        assert parsed.resolved_train_config(0).batch_size is training.FULL_PASS
+        assert cli.parse_config(["vi-synth", "--batch", "50"]).resolved_train_config(0) \
+            .batch_size == 50
 
     def test_missing_data(self):
         with pytest.raises(cli.UsageError, match="data_path"):

@@ -439,7 +439,7 @@ class TestBases:
             assert flows._LOG_2PI == float(mpmath.log(2 * mpmath.pi))
 
     def test_student_t_cauchy_at_zero(self):
-        base = flows.StudentTBase(3, trainable=False)
+        base = flows.StudentTBase(3)
         params = {"base.nu_raw": np.full(3, flows.softplus_inv(1.0))}
         lp = base.log_prob(params, np.zeros((1, 3)))
         assert abs(float(np.asarray(lp)[0]) - 3 * np.log(1.0 / np.pi)) < 1e-12
@@ -447,7 +447,7 @@ class TestBases:
     def test_student_t_matches_scipy(self):
         from scipy import stats
 
-        base = flows.StudentTBase(2, trainable=True)
+        base = flows.StudentTBase(2)
         params = {"base.nu_raw": np.full(2, flows.softplus_inv(4.0))}
         z = np.array([[0.3, -1.7], [2.0, 0.0]])
         lp = np.asarray(base.log_prob(params, z))
@@ -456,13 +456,13 @@ class TestBases:
 
     def test_student_t_sample_moments(self):
         # nu starts at 30
-        base = flows.StudentTBase(1, trainable=False)
+        base = flows.StudentTBase(1)
         params = base.init_params(special.Rng(0))
         draws = base.sample(params, special.Rng(11), 200_000)[:, 0]
         assert abs(np.var(draws) - 30.0 / 28.0) < 0.03
 
     def test_mixture_matches_brute_force(self):
-        base = flows.GaussianMixtureBase(3, 5)
+        base = flows.GaussianMixtureBase(3)
         params = base.init_params(special.Rng(2))
         r = np.random.default_rng(0)
         params["base.logits"] = r.normal(size=5)
@@ -505,20 +505,19 @@ class TestBases:
 
     @pytest.mark.parametrize("nu", [0.8, 1.5, 2.0, 3.0, 4.0, 30.0])
     def test_frozen_student_t_draws_match_tape_sampler(self, nu):
-        # a frozen base lifts plain draws; they equal the differentiable
-        # sampler's bit for bit, so freezing nu leaves the samples unchanged
-        base = flows.StudentTBase(3, trainable=False)
-        nu_raw = np.full(3, flows.softplus_inv(nu))
+        # a frozen nu stays an array on a tape, so the base draws plain numpy
+        # and adds no node; the draws equal the differentiable sampler's bit
+        # for bit, so freezing nu leaves the samples unchanged
+        model = flows.build_architecture("mTAF", 3, seed=0)
+        model.params["base.nu_raw"] = np.full(3, flows.softplus_inv(nu))
         tape = ad.Tape()
-        got = base.sample_node(tape, {"base.nu_raw": tape.lift(nu_raw)}, special.Rng(5), 200)
-        nu_var = ad.softplus(ad.Tape().param(nu_raw, "base.nu_raw"))
-        want = np.stack(
-            [ad.sample_student_t_node(nu_var[j], special.Rng(5).child(j), 200).value
-             for j in range(3)],
-            axis=1,
-        )
-        np.testing.assert_array_equal(got.value, want)
-        assert len(tape.ops) == 2  # the lifted nu_raw and the lifted draws
+        tp = model.tape_params(tape)
+        before = len(tape.ops)
+        got = model.base.sample(tp, special.Rng(5), 200)
+        assert len(tape.ops) == before
+        nu_raw = ad.Tape().param(model.params["base.nu_raw"], "base.nu_raw")
+        want = model.base.sample({"base.nu_raw": nu_raw}, special.Rng(5), 200)
+        np.testing.assert_array_equal(got, want.value)
 
     @pytest.mark.parametrize("name", ["mTAF", "gTAF", "TTF_tBase"])
     @pytest.mark.parametrize("nu", [0.7, 1.5, 5.0, 30.0])
@@ -528,16 +527,16 @@ class TestBases:
         model = flows.build_architecture(name, 3, seed=0)
         model.params["base.nu_raw"] = np.full(3, flows.softplus_inv(nu))
         tape = ad.Tape()
-        on_tape = model.base.sample_node(tape, model.tape_params(tape), special.Rng(5), 200)
+        on_tape = model.base.sample(model.tape_params(tape), special.Rng(5), 200)
         draws = model.base.sample(model.params, special.Rng(5), 200)
-        np.testing.assert_array_equal(draws, on_tape.value)
+        np.testing.assert_array_equal(draws, ad.value_of(on_tape))
 
     def test_trainable_nu_gradient_flows(self):
-        base = flows.StudentTBase(2, trainable=True)
+        base = flows.StudentTBase(2)
         params = {"base.nu_raw": np.full(2, flows.softplus_inv(5.0))}
         tape = ad.Tape()
         tp = {k: tape.param(v, k) for k, v in params.items()}
-        draws = base.sample_node(tape, tp, special.Rng(1), 50)
+        draws = base.sample(tp, special.Rng(1), 50)
         grads = ad.backward((draws * draws).sum())
         assert np.all(np.isfinite(grads["base.nu_raw"]))
         assert np.any(grads["base.nu_raw"] != 0.0)
@@ -615,7 +614,7 @@ class TestFlowModel:
         model = perturb(flows.build_architecture("TTF", 3, seed=1), scale=0.15, seed=8)
         tape = ad.Tape()
         tp = model.tape_params(tape)
-        x, logq = flows.flow_sample_with_log_prob(tape, model, tp, special.Rng(3), 200)
+        x, logq = flows.flow_sample_with_log_prob(model, tp, special.Rng(3), 200)
         recomputed = np.asarray(flows.flow_log_prob(np.asarray(x.value), model))
         np.testing.assert_allclose(np.asarray(logq.value), recomputed, atol=1e-6)
 
@@ -654,9 +653,9 @@ class TestRowBlocks:
             x = special.Rng(n).student_t(2.0, 3 * n).reshape(n, 3)
             np.testing.assert_array_equal(flows.flow_log_prob(x, model),
                                           one_pass(flows.flow_log_prob, x, model))
-            args = (None, model, model.params, special.Rng(n + 1), n)
+            args = (model, model.params, special.Rng(n + 1), n)
             got = flows.flow_sample_with_log_prob(*args)
-            args = (None, model, model.params, special.Rng(n + 1), n)
+            args = (model, model.params, special.Rng(n + 1), n)
             want = one_pass(flows.flow_sample_with_log_prob, *args)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
@@ -720,8 +719,8 @@ class TestBuildArchitecture:
     def test_mtaf_frozen_nu_gtaf_trainable(self):
         mt = flows.build_architecture("mTAF", 3)
         gt = flows.build_architecture("gTAF", 3)
-        assert isinstance(mt.base, flows.StudentTBase) and not mt.base.trainable
-        assert isinstance(gt.base, flows.StudentTBase) and gt.base.trainable
+        assert isinstance(mt.base, flows.StudentTBase)
+        assert isinstance(gt.base, flows.StudentTBase)
         assert mt.frozen == {"base.nu_raw"}
         assert gt.frozen == set()
 
