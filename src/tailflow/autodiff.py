@@ -8,10 +8,11 @@ arithmetic broadcasts between operands and against constants, ``@`` is a
 matrix product of 1-d and 2-d operands, ``x[key]`` takes basic slices, ints
 and integer-array gathers, ``x.T``, ``x.reshape`` and ``x.swapaxes`` move
 entries, ``x.sum(axis, keepdims)`` reduces and ``x.cumsum(axis)`` sums
-along an axis.  As ``x * c`` is one ``mul_const`` node, a matrix product
-with a constant operand, ``x @ C`` or ``C @ x``, is one ``matmul_const``
-node: ``C`` goes in the payload, is never lifted onto the tape, and gets no
-gradient, and the node saves nothing.  So constants stay arrays: a model's
+along an axis, and ``x ** y`` takes a Var y.  As ``x * c`` is one
+``mul_const`` node, a matrix product with a constant operand, ``x @ C`` or
+``C @ x``, is one ``matmul_const`` node: ``C`` goes in the payload, is
+never lifted onto the tape, and gets no gradient, and the node saves
+nothing.  So constants stay arrays: a model's
 frozen parameters and its non-reparameterized draws add no node to a tape,
 and ``Tape.lift`` is left for a constant that must be a Var (the base of
 ``c ** x``).  Each op computes exactly what numpy computes (``x / c`` is a
@@ -46,6 +47,11 @@ into the same buffer.  A run of tapes that build one graph, as the steps
 of a density fit do, can share an :class:`Arena`: each tape's large values
 are computed with ``out=`` into the arrays the tape before saved, so a
 step allocates and page-faults in only what that step adds.
+
+Backward adds into an adjoint in place when nothing else holds it.  From
+``_ARENA_MIN`` entries on, a gather whose key reaches each entry at most
+once scatters its adjoint by assignment, not ``np.add.at``
+(``_scatter_kind``).
 
 Domain violations never raise mid-graph: offending values propagate as NaN
 and the tape records the first offending node ("poisoning"); the training
@@ -169,7 +175,7 @@ class Tape:
 
 
 # Arrays smaller than this are left to malloc, which reuses freed chunks of
-# their size without new page faults.
+# their size without new page faults, and to the tape's plain paths.
 _ARENA_MIN = 4096
 
 
@@ -229,14 +235,20 @@ def _result_shape(fn, args):
     return shape if prod(shape) >= _ARENA_MIN else None
 
 
-def _is_gather(key) -> bool:
-    """Whether an index holds an integer array (advanced indexing)."""
-    if isinstance(key, tuple):
-        for k in key:
-            if isinstance(k, (np.ndarray, list)):
-                return True
-        return False
-    return isinstance(key, (np.ndarray, list))
+def _scatter_kind(key, shape: tuple, size: int) -> str:
+    """How the adjoint of ``x[key]`` goes back into x (of ``shape``): by
+    "slice" for basic indexing, else by "gather", or by "once" where a
+    matrix's (rows, cols) key reaches each entry at most once: cols (m,)
+    rising from 0 and, in each column, two rows that differ once wrapped.
+    That is checked only for a value of ``size`` >= ``_ARENA_MIN`` entries;
+    on smaller ones the check costs more than it saves."""
+    if not any(isinstance(k, (np.ndarray, list)) for k in (key if type(key) is tuple else (key,))):
+        return "slice"
+    rows, cols = key if type(key) is tuple and len(key) == 2 and size >= _ARENA_MIN else (0, 0)
+    once = type(rows) is type(cols) is np.ndarray and rows.dtype.kind == cols.dtype.kind == "i" \
+        and cols.ndim == 1 and rows.shape == (2, cols.size) and np.all(cols[:1] >= 0) \
+        and np.all(cols[1:] > cols[:-1]) and np.all((rows[0] - rows[1]) % shape[0])
+    return "once" if once else "gather"
 
 
 class Var:
@@ -298,10 +310,10 @@ class Var:
         return self.tape._apply("neg", (self,), None, np.negative, self.value)
 
     def __pow__(self, other):
+        if not isinstance(other, Var):
+            return NotImplemented
         with np.errstate(all="ignore"):
-            if isinstance(other, Var):
-                return self.tape._push("pow", (self, other), self.value ** other.value)
-            return self.tape._push("pow_const", (self,), self.value ** other, payload=other)
+            return self.tape._push("pow", (self, other), self.value ** other.value)
 
     def __rpow__(self, other):
         return self.tape.lift(other) ** self
@@ -330,7 +342,9 @@ class Var:
 
     def __getitem__(self, key):
         """Basic slices and ints, or an integer-array gather, as numpy."""
-        return self.tape._push("getitem", (self,), self.value[key], payload=(key, _is_gather(key)))
+        value = self.value[key]
+        return self.tape._push("getitem", (self,), value,
+                               payload=(key, _scatter_kind(key, self.shape, value.size)))
 
     @property
     def T(self):
@@ -383,9 +397,10 @@ def stack_cols(cols: list[Var]) -> Var:
 # Each rule maps (adjoint g of the node, node value v, parent values, payload)
 # to one adjoint per parent, in the node's output shape or the parent's;
 # backward sums away whatever broadcasting added.  ``getitem``'s adjoint is a
-# ``_Scatter`` that backward writes into the operand's buffer.  A rule may
-# read v and the parent values only as its record declares; the others are
-# ``_UNSAVED``, and a rule that reads no parent gets ``ins=()``.
+# ``_Scatter`` that backward writes into the operand's buffer.  An adjoint
+# that owns its data and is not g must be new: backward adds into it.  A rule
+# may read v and the parent values only as its record declares; the others
+# are ``_UNSAVED``, and a rule that reads no parent gets ``ins=()``.
 
 
 def _cumsum_array(a: np.ndarray, axis: int) -> np.ndarray:
@@ -424,28 +439,29 @@ def _sum_rule(g, v, ins, pay):
 
 class _Scatter:
     """The adjoint of ``x[key]`` for x: ``g`` at ``key`` in zeros of x's
-    shape, left for backward to write into x's adjoint buffer."""
+    shape, left for backward to write into x's adjoint buffer.  ``kind`` is
+    the key's ``_scatter_kind``."""
 
-    __slots__ = ("key", "gather", "g")
+    __slots__ = ("key", "kind", "g")
 
-    def __init__(self, key, gather: bool, g):
+    def __init__(self, key, kind: str, g):
         self.key = key
-        self.gather = gather
+        self.kind = kind
         self.g = g
 
     def dense(self, shape, plus=None) -> np.ndarray:
         """The adjoint as a new array, plus ``plus`` if that is given."""
         full = np.zeros(shape)
-        if self.gather:
+        if self.kind == "gather":
             np.add.at(full, self.key, self.g)  # a repeated index receives every adjoint
-        else:
-            full[self.key] = self.g
+        else:  # a once-only gather gives np.add.at's +0.0 for -0.0
+            full[self.key] = self.g if self.kind == "slice" else 0.0 + self.g
         if plus is not None:
             full += plus
         return full
 
     def add_into(self, buf: np.ndarray) -> None:
-        if self.gather:
+        if self.kind == "gather":
             # the repeats of one index sum among themselves first, as in dense
             buf += self.dense(buf.shape)
         else:
@@ -521,7 +537,6 @@ _OPS = {
     "neg": _Op(lambda g, v, ins, pay: (-g,), moving=True),
     "pow": _Op(lambda g, v, ins, pay: (g * ins[1] * ins[0] ** (ins[1] - 1.0),
                                        g * v * np.log(ins[0])), own=True, reads=(0, 1)),
-    "pow_const": _Op(lambda g, v, ins, pay: (g * pay * ins[0] ** (pay - 1.0),), reads=(0,)),
     "exp": _Op(lambda g, v, ins, pay: (g * v,), own=True,
                fn=_quiet(np.exp, over="ignore", under="ignore")),
     "log": _Op(lambda g, v, ins, pay: (g / ins[0],), reads=(0,),
@@ -686,17 +701,20 @@ def backward(out: Var) -> dict[str, np.ndarray]:
     frontier lives: the adjoints of nodes already reached whose rules have
     not run yet, plus those of the params.
 
-    The only arrays written in place are the buffers this sweep allocates
-    when a slice or gather adjoint (a ``_Scatter``) reaches an operand:
-    later slices add into it at their key, later gathers and dense adjoints
-    add in whole.  Nothing else can hold such a buffer until the operand's
-    own rule runs, and by then every write to it is done.  Any other
-    adjoint may be shared (``add`` hands one array to both operands,
-    ``transpose`` a view, ``sum`` a read-only broadcast), so a scatter that
-    lands on one gets a new buffer, to which the old adjoint is added.
-    Every entry gets the sum that adding each adjoint as a full array, in
-    arrival order, would give; only a -0.0 outside a slice's key keeps its
-    sign where adding a zero would make it +0.0.
+    Adjoints are written in place only where nothing else holds them: an
+    array this sweep made (the buffer allocated when a slice or gather
+    adjoint, a ``_Scatter``, first reaches an operand, or the sum of two
+    adjoints) or one a rule made for that operand alone (an array that owns
+    its data and is not g).  Slices and once-only gathers
+    (``_scatter_kind``) add into such an adjoint at their key, the rest in
+    whole.  Any other adjoint may be shared (``add`` hands g to both
+    operands, ``transpose`` a view, ``sum`` a read-only broadcast), so what
+    reaches it goes into a new array.  A gather that may repeat an
+    entry scatters by ``np.add.at``; a once-only one assigns ``0.0 + g``,
+    the same sums.  Every entry gets the sum that adding each adjoint as a
+    full array, in arrival order, would give; only a -0.0 outside a slice's
+    or once-only gather's key keeps its sign where adding a zero would make
+    it +0.0.
     """
     tape = out.tape
     if tape.poisoned is not None:
@@ -709,7 +727,7 @@ def backward(out: Var) -> dict[str, np.ndarray]:
         tape.ops, tape.parents, tape.payloads, tape.values, tape.shapes)
     adj: list = [None] * n
     adj[out.idx] = np.asarray(1.0)
-    owned: set[int] = set()  # nodes whose adjoint is a buffer made for a scatter
+    owned: set[int] = set()  # nodes whose adjoint is a buffer this sweep made
 
     with np.errstate(all="ignore"):
         for i in range(n - 1, -1, -1):
@@ -728,23 +746,24 @@ def backward(out: Var) -> dict[str, np.ndarray]:
             for p, gp in zip(par, grads):
                 if ops[p] == "lift":
                     continue  # constants carry zero gradient by definition
-                if type(gp) is _Scatter:
-                    if p in owned:
-                        gp.add_into(adj[p])
-                    else:
-                        # adj[p] may be an array shared with other adjoints,
-                        # so the scatter gets a buffer of its own
-                        adj[p] = gp.dense(shapes[p], adj[p])
-                        owned.add(p)
-                    continue
-                if gp.shape != shapes[p]:
+                scatter = type(gp) is _Scatter
+                if not scatter and gp.shape != shapes[p]:
                     gp = _unbroadcast(gp, shapes[p])
-                if adj[p] is None:
-                    adj[p] = gp
-                elif p in owned:
-                    adj[p] += gp
+                a = adj[p]
+                if p in owned:
+                    if scatter:
+                        gp.add_into(a)
+                    else:
+                        a += gp
+                elif scatter:
+                    # adj[p] may be an array shared with other adjoints, so
+                    # the scatter gets a buffer of its own
+                    adj[p] = gp.dense(shapes[p], a)
+                    owned.add(p)
                 else:
-                    adj[p] = adj[p] + gp
+                    adj[p] = gp = gp if a is None else a + gp
+                    if type(gp) is np.ndarray and gp.flags.owndata and gp is not g:
+                        owned.add(p)  # a new array, made for p alone
 
     grads: dict[str, np.ndarray] = {}
     for idx, name in tape.param_nodes.items():

@@ -96,6 +96,10 @@ def vi_target_log_density(x, d: int, nu: float):
 def gen_synthetic_de(spec: SyntheticDeSpec):
     """Sample the synthetic task and split it 40/20/40.
 
+    The Student-T columns come on purpose from numpy's ``standard_t``
+    (``special.Rng.student_t``), not ``autodiff.sample_student_t``: the
+    data are an oracle sharing no code with the model under test.
+
     Returns (train, valid, test, log_density) where log_density is the
     exact joint density of the generator, usable as an oracle.
     """
@@ -432,9 +436,13 @@ def ess_efficiency(weights: np.ndarray) -> float:
 def khat(weights: np.ndarray) -> float:
     """GPD shape of the largest importance weights above their threshold.
 
-    Uses the ceil(min(0.2 n, 3 sqrt(n))) largest weights; excesses are
-    normalized by their maximum, making the estimate exactly scale
-    invariant.  Returns NaN when the top weights are all ties.
+    Uses the ceil(min(0.2 n, 3 sqrt(n))) largest weights, PSIS's threshold
+    (Vehtari et al., arXiv:1507.02646); excesses are normalized by their
+    maximum, making the estimate exactly scale invariant.  The GPD is fitted
+    by profile maximum likelihood (``tailest._profile_fit``), not by PSIS's
+    Zhang & Stephens (2009) estimator: on VI weights they differed by
+    0.004-0.020 on average, against a spread of 0.07-0.12.  Returns NaN
+    when the top weights are all ties.
     """
     w = np.asarray(weights, dtype=float).ravel()
     n = w.size

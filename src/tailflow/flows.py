@@ -5,11 +5,13 @@ data and ``inverse`` maps data back to the base.  Autoregressive layers
 condition on the data-side variable, so the inverse (the density-estimation
 direction) is a single vectorized pass while the forward direction fills one
 dimension at a time.  The spline layer's inverse evaluates all d splines in
-one pass on knot matrices with one column per entry, (n*d) columns in all;
-its forward stays sequential.  Knot matrices are knot-major, (K+1, m) for m
-entries, so every softmax, cumulative sum, broadcast and reduction over an
-entry's knots runs along the long contiguous axis; with one row per entry,
-numpy would make one inner-loop call per entry for each of them.  Formulas
+one pass on raw knot values with one column per entry, (n*d) columns in
+all; its forward stays sequential.  They are knot-major, (K, m) for m
+entries, so every softmax, cumulative sum and reduction over an entry's
+knots runs along the long contiguous axis; with one row per entry, numpy
+would make one inner-loop call per entry for each of them.  An entry's
+spline reads only the two knots around it, so the knot arithmetic after the
+cumulative sums runs on those alone, gathered as (2, m) blocks.  Formulas
 use numpy syntax (broadcasting, ``@``, slices and gathers) and the
 elementwise functions of ``autodiff``; a tape ``Var`` follows the same
 syntax, so plain numpy arrays and tape variables flow through the same code
@@ -18,7 +20,7 @@ reparameterized stay numpy arrays: constants to every op, not nodes.
 
 Without a tape, ``flow_log_prob`` and ``flow_sample_with_log_prob`` (so
 also ``flow_sample``) push at most ``_FLOW_ROWS`` rows at a time, which
-bounds a pass's working memory: a spline pass holds knot matrices with d
+bounds a pass's working memory: a spline pass holds knot values with d
 columns per input row (10k TTF draws at d=5 traced 20.7 MB in one pass,
 2.9 MB in blocks).  Rows do not interact, so a block gives each row the
 same bits as one pass, with one exception: a 1-row matrix product takes
@@ -211,48 +213,47 @@ _MIN_DERIVATIVE = 1e-3
 _BOUNDARY_DERIV_RAW = float(softplus_inv(1.0 - _MIN_DERIVATIVE))
 
 
-def _locate_bin(x, cumw, cumh, deriv, bound: float, inverse: bool):
-    """Each entry's bin and the knot values around it.
+def _cum_sizes(raw, min_size: float):
+    """Knot-major (K, m) raw widths or heights -> a min-floored softmax down
+    each column, summed cumulatively: row j * 2 bound - bound is knot j + 1
+    (the last row, about 1, is never read, as the last knot is pinned)."""
+    k_bins = value_of(raw).shape[0]
+    return ad.cumsum(_softmax_cols(raw) * (1.0 - min_size * k_bins) + min_size, 0)
 
-    x is (m,); cumw/cumh are knot-major (K+1, m) knot coordinates and deriv
-    the (K+1, m) knot slopes, one column per entry, so the bin count is an
-    axis-0 reduction along rows of length m.  Returns the in-box mask, x
-    with out-of-box entries zeroed, and per entry the left knot xk, bin
-    width wk, left height yk, bin height hk and the slopes dk, dk1 at the
-    bin's two ends, gathered as ``knots[idx, cols]``.  Only this half reads
-    the knot matrices, so a caller can drop them before the spline
-    arithmetic makes its temporaries.  The matrices come as the functions
-    that make them, as ``_raw_to_knots`` gives them: each is made when it
-    is gathered, the searched one first, and freed before the next is made.
+
+def _locate_bin(x, cumw, cumh, d_raw, bound: float, inverse: bool):
+    """Each entry's bin and the two knots around it.
+
+    x is (m,); cumw and cumh are (K, m) from ``_cum_sizes``, K >= 2 (one bin
+    has no inner knot), and d_raw the raw (K-1, m) inner-knot slopes, one
+    column per entry.  The bin search counts the searched coordinate's inner
+    knots at or below x, as plain numbers.  Each matrix is then gathered
+    once, at rows (idx-1, idx) (row -1 wraps to the last row, so each entry
+    is reached at most once), and only these (2, m) blocks are scaled and
+    floored, with the end knots pinned to the box corners and slope 1.
+    Returns the in-box mask, x with out-of-box entries zeroed, and the x
+    knot, y knot and slope blocks.
     """
     xv = value_of(x)
     inside = (xv >= -bound) & (xv <= bound)
     x_safe = ad.where_mask(inside, x, 0.0)
-    cols = np.arange(xv.shape[0])
-    idx = None
+    k_bins = value_of(cumw).shape[0]
+    searched = value_of(cumh if inverse else cumw)[:k_bins - 1] * (2.0 * bound) - bound
+    idx = np.count_nonzero(value_of(x_safe) >= searched, axis=0)
+    rows, cols = np.stack([idx - 1, idx]), np.arange(xv.shape[0])
+    inner = ~np.stack([idx == 0, idx == k_bins - 1])  # the ends that are not pinned
 
-    def ends(make):
-        nonlocal idx
-        knots = make()
-        if idx is None:  # the searched matrix
-            k_bins = value_of(knots).shape[0] - 1
-            idx = np.count_nonzero(value_of(x_safe) >= value_of(knots)[:k_bins], axis=0) - 1
-            idx = np.clip(idx, 0, k_bins - 1)
-        return knots[idx, cols], knots[idx + 1, cols]
+    def knots(cum):
+        return ad.where_mask(inner, cum[rows, cols] * (2.0 * bound) - bound,
+                             np.array([[-bound], [bound]]))
 
-    if inverse:
-        yk, y1 = ends(cumh)
-        hk = y1 - yk
-    xk, x1 = ends(cumw)
-    wk = x1 - xk
-    if not inverse:
-        yk, y1 = ends(cumh)
-        hk = y1 - yk
-    return inside, x_safe, xk, wk, yk, hk, *ends(deriv)
+    ds = ad.where_mask(inner, ad.softplus(d_raw[rows % (k_bins - 1), cols]) + _MIN_DERIVATIVE,
+                       1.0)
+    return inside, x_safe, knots(cumw), knots(cumh), ds
 
 
-def _spline_arith(x, inside, x_safe, xk, wk, yk, hk, dk, dk1, inverse: bool):
-    """The spline at each entry of x, given its bin from ``_locate_bin``.
+def _spline_arith(x, inside, x_safe, xs, ys, ds, inverse: bool):
+    """The spline at each entry of x, given its bin's knots from ``_locate_bin``.
 
     Both directions are written relative to the identity: y is x plus terms
     that each vanish when a bin lies on the diagonal with unit slope and unit
@@ -260,6 +261,9 @@ def _spline_arith(x, inside, x_safe, xk, wk, yk, hk, dk, dk1, inverse: bool):
     deviations of the knot derivatives from it.  This is the same spline,
     but it returns x and a log-det of 0 bit for bit at the identity.
     """
+    xk, yk, dk, dk1 = xs[0], ys[0], ds[0], ds[1]
+    wk = xs[1] - xk
+    hk = ys[1] - yk
     sk = hk / wk
     ddk = dk - sk
     ddk1 = dk1 - sk
@@ -294,48 +298,6 @@ def _spline_arith(x, inside, x_safe, xk, wk, yk, hk, dk, dk1, inverse: bool):
     return y, ld
 
 
-def _raw_to_knots(w_raw, h_raw, d_raw, bound: float):
-    """Knot-major conditioner outputs -> the functions that make the (cumw,
-    cumh, deriv) knot matrices, to be called cumw or cumh first.
-
-    w_raw and h_raw are (K, m) and d_raw is (K-1, m), one column per entry;
-    the three knot matrices are (K+1, m), so every reduction and broadcast
-    over an entry's knots runs along the long axis.  Widths and heights go
-    through a min-floored softmax; the first and last knots are pinned
-    exactly to the box corners, boundary slopes exactly to 1.  The raw
-    blocks are taken out of ``rows`` as they are read, the slope block just
-    after the first matrix is made, so that the caller's raw values are
-    freed before the second is padded.
-    """
-    k_bins = value_of(w_raw).shape[0]
-    embed = np.eye(k_bins + 1, k_bins - 1, k=-1)
-    rows = {"w": w_raw, "h": h_raw, "d": d_raw}
-    del w_raw, h_raw, d_raw
-
-    def padded(inner, first, last):
-        # The K-1 inner knots go to rows 1..K-1 and the end knots are
-        # added as constants.  Every product with the 0/1 matrix is exact,
-        # so the knots equal the inner values bit for bit.
-        ends = np.zeros(k_bins + 1)
-        ends[0], ends[-1] = first, last
-        return embed @ inner + ends[:, None]
-
-    def inner_knots(softmax, min_size):
-        rel = softmax * (1.0 - min_size * k_bins) + min_size
-        return (ad.cumsum(rel, 0) * (2.0 * bound) - bound)[:k_bins - 1]
-
-    def cum_knots(key, min_size):
-        # no name holds the block or the temporaries of inner_knots, so each
-        # is freed once read, before padded makes its own
-        knots = padded(inner_knots(_softmax_cols(rows.pop(key)), min_size), -bound, bound)
-        if "d" in rows:
-            rows["slopes"] = ad.softplus(rows.pop("d"))
-        return knots
-
-    return (lambda: cum_knots("w", _MIN_BIN_WIDTH), lambda: cum_knots("h", _MIN_BIN_HEIGHT),
-            lambda: padded(rows.pop("slopes") + _MIN_DERIVATIVE, 1.0, 1.0))
-
-
 # -- autoregressive layers -------------------------------------------------------
 
 
@@ -344,10 +306,12 @@ class RqsArLayer:
 
     The inverse makes one conditioner pass and then evaluates all d splines
     at once: every entry x[r, i] gets its own column of raw knot values, so
-    the knots, the bin search and the spline run on (n*d)-column arrays and
-    the tape nodes the layer adds do not depend on d.  The forward stays
-    sequential, one conditioner pass and one dimension's spline at a time,
-    because dimension i needs x_<i; both directions share ``_spline``.
+    the cumulative sizes, the bin search and the spline run on
+    (n*d)-column arrays and the tape nodes the layer adds do not depend on
+    d; ``_locate_bin`` gathers each entry's two knots before any knot
+    arithmetic.  The forward stays sequential, one conditioner pass and one
+    dimension's spline at a time, because dimension i needs x_<i; both
+    directions share ``_spline``.
     """
 
     bins = 5
@@ -366,20 +330,18 @@ class RqsArLayer:
 
     def _spline(self, raw, x, inverse: bool):
         """Spline each entry of the (m,) x under the knots set by its own
-        column of the knot-major (3K-1, m) raw conditioner values; returns
-        (y, log |dy/dx|)."""
+        column of the knot-major (3K-1, m) raw conditioner values: K widths,
+        K heights and K-1 inner slopes.  Returns (y, log |dy/dx|)."""
         k = self.bins
         if not isinstance(raw, Var):
             # The forward's block is a strided view with the short axis
             # innermost: numpy would give every result computed from it that
             # order, and the knot reductions would run per entry.
             raw = np.ascontiguousarray(raw)
-        knots = _raw_to_knots(raw[:k], raw[k:2 * k], raw[2 * k:], self.bound)
-        # The raw values and the (K+1, m) knot matrices are the largest
-        # arrays: the knot functions free raw, and each matrix, once read.
-        del raw
-        located = _locate_bin(x, *knots, self.bound, inverse)
-        del knots
+        located = _locate_bin(x, _cum_sizes(raw[:k], _MIN_BIN_WIDTH),
+                              _cum_sizes(raw[k:2 * k], _MIN_BIN_HEIGHT), raw[2 * k:],
+                              self.bound, inverse)
+        del raw  # the largest array here, freed before the arithmetic's temporaries
         return _spline_arith(x, *located, inverse)
 
     def inverse(self, params, x):

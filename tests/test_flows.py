@@ -105,24 +105,19 @@ class TestMaskedConditioner:
 
 
 def spline_eval(x, knots, bound, inverse):
-    """The spline at each entry of the (m,) x under the functions that make
-    its knot-major knots, by the two halves the layers run."""
+    """The spline at each entry of the (m,) x under the knot-major (cumw,
+    cumh, raw slopes) that ``_locate_bin`` takes, by the two halves the
+    layers run."""
     return flows._spline_arith(x, *flows._locate_bin(x, *knots, bound, inverse), inverse)
 
 
-def made(*matrices):
-    """Knot matrices as the functions ``_locate_bin`` takes."""
-    return tuple((lambda m=m: m) for m in matrices)
-
-
 def tiled_knots(widths, heights, derivs, n, bound=2.5):
-    """One explicit knot set, tiled to n knot-major columns for
-    ``spline_eval``."""
-    cumw = np.concatenate([[-bound], -bound + np.cumsum(widths)])
-    cumh = np.concatenate([[-bound], -bound + np.cumsum(heights)])
-    cumw[-1] = cumh[-1] = bound
-    return made(*(np.tile(np.asarray(v, dtype=float)[:, None], (1, n))
-                  for v in (cumw, cumh, derivs)))
+    """One explicit knot set, as the cumulative relative sizes and raw inner
+    slopes that give it, tiled to n knot-major columns for ``spline_eval``.
+    The end slopes are pinned to 1, so derivs[0] and derivs[-1] are 1."""
+    cols = (np.cumsum(widths) / (2.0 * bound), np.cumsum(heights) / (2.0 * bound),
+            flows.softplus_inv(np.asarray(derivs[1:-1]) - flows._MIN_DERIVATIVE))
+    return tuple(np.tile(v[:, None], (1, n)) for v in cols)
 
 
 class TestSplineKnots:
@@ -171,16 +166,18 @@ class TestSplineKnots:
     @pytest.mark.parametrize(
         "w,h,dv",
         [
-            (0.0, 0.0, None),     # K-1 derivative columns still give K+1 slopes
+            (0.0, 0.0, None),     # K-1 derivative rows still give K+1 slopes
             (-1e3, 0.0, 0.0),     # very negative width logits
             (0.0, 0.0, -1e3),     # very negative slope logits
             (1e3, -1e3, 1e3),     # one bin takes all the mass
         ],
     )
-    def test_raw_to_knots_makes_valid_knots(self, w, h, dv):
-        # The layers take their knots from _raw_to_knots, so it must never
-        # make a knot set that the spline cannot use: K bins of positive
-        # width and height that fill the box exactly, K+1 positive slopes.
+    def test_raw_values_make_valid_knots(self, w, h, dv):
+        # The layers take their knots from raw conditioner values, so no raw
+        # values may make a knot set that the spline cannot use: K bins of
+        # positive width and height that fill the box exactly, K+1 positive
+        # slopes, the end ones 1.  Each column is located at the middle of
+        # each of its K bins, so every knot is gathered.
         k, bound = 5, 2.5
         r = np.random.default_rng(0)
         raw = r.normal(size=(64, 3 * k - 1)).T  # knot-major, one column per entry
@@ -188,14 +185,22 @@ class TestSplineKnots:
         raw[k, ::2] += h
         if dv is not None:
             raw[2 * k, ::2] += dv
-        cumw, cumh, deriv = (make() for make in
-                             flows._raw_to_knots(raw[:k], raw[k:2 * k], raw[2 * k:], bound))
-        assert cumw.shape == cumh.shape == deriv.shape == (k + 1, 64)
-        for cum in (cumw, cumh):
-            assert np.all(np.diff(cum, axis=0) > 0.0)
-            assert np.all(cum[0] == -bound) and np.all(cum[-1] == bound)
-        assert np.all(deriv > 0.0)
-        assert np.all(deriv[[0, -1]] == 1.0)
+        raw = np.tile(raw, (1, k))  # column b * 64 + j: entry j in bin b
+        cumw = flows._cum_sizes(raw[:k], flows._MIN_BIN_WIDTH)
+        cumh = flows._cum_sizes(raw[k:2 * k], flows._MIN_BIN_HEIGHT)
+        ends = np.full((1, raw.shape[1]), bound)
+        knots_x, knots_y = (np.concatenate([-ends, c[:k - 1] * (2.0 * bound) - bound, ends])
+                            for c in (cumw, cumh))
+        for knots in (knots_x, knots_y):
+            assert np.all(np.diff(knots, axis=0) > 0.0)
+        b = np.repeat(np.arange(k), 64)
+        cols = np.arange(raw.shape[1])
+        x = 0.5 * (knots_x[b, cols] + knots_x[b + 1, cols])
+        _, _, xs, ys, ds = flows._locate_bin(x, cumw, cumh, raw[2 * k:], bound, inverse=False)
+        for got, knots in ((xs, knots_x), (ys, knots_y)):
+            assert np.array_equal(got, np.stack([knots[b, cols], knots[b + 1, cols]]))
+        assert np.all(ds > 0.0)
+        assert np.all(ds[0, b == 0] == 1.0) and np.all(ds[1, b == k - 1] == 1.0)
 
 
 class TestKnotMajorReductions:
@@ -228,19 +233,22 @@ class TestKnotMajorReductions:
             assert np.array_equal(got, want, equal_nan=True), k
 
     def test_bin_index_matches_per_entry_count(self):
-        # with cumw = 0..K in every column, the left knot xk is the bin index
-        for k in (1, 2, 5, 9):
-            m, bound = 2000, 3.0
-            cumh = self.awkward_cols(k + 1, m, seed=10 + k)
-            cumw = np.tile(np.arange(k + 1.0)[:, None], (1, m))
+        # The x knots are 1..K-1 in every column, and the first is pinned to
+        # -bound, so the left x knot gives the bin index.  The searched y
+        # knots are the awkward values, scaled to the box as the layers do.
+        # (``_locate_bin`` needs K >= 2: one bin has no inner knot to search.)
+        for k in (2, 5, 9):
+            m, bound = 2000, 4.0
+            cumh = self.awkward_cols(k, m, seed=10 + k)
+            cumw = np.tile((np.arange(1.0, k + 1) + bound)[:, None] / (2.0 * bound), (1, m))
+            knots_y = cumh[:k - 1] * (2.0 * bound) - bound
             r = np.random.default_rng(20 + k)
-            x = np.where(r.random(m) < 0.5, cumh[0], r.uniform(-4.0, 4.0, m))
+            x = np.where(r.random(m) < 0.5, knots_y[0], r.uniform(-5.0, 5.0, m))
             with np.errstate(invalid="ignore"):
-                _, x_safe, xk, *_ = flows._locate_bin(x, *made(cumw, cumh, cumw), bound,
+                _, x_safe, xs, *_ = flows._locate_bin(x, cumw, cumh, np.zeros((k - 1, m)), bound,
                                                       inverse=True)
-                want = [min(max(sum(x_safe[j] >= cumh[i, j] for i in range(k)) - 1, 0), k - 1)
-                        for j in range(m)]
-            assert np.array_equal(xk, want), k
+                want = [sum(x_safe[j] >= knots_y[i, j] for i in range(k - 1)) for j in range(m)]
+            assert np.array_equal(np.where(xs[0] == -bound, 0.0, xs[0]), want), k
 
 
 class TestRqsArLayer:
@@ -276,12 +284,10 @@ class TestRqsArLayer:
         layer, params = self._perturbed(d=d, seed=5)
         x = np.random.default_rng(d).normal(size=(40, d)) * 1.5
         out = layer.cond.forward(params, x)
-        k = layer.bins
         z_ref, ld_ref = np.empty_like(x), 0.0
         for i in range(d):
             block = layer.cond.dim_block(out, i).T  # knot-major
-            knots = flows._raw_to_knots(block[:k], block[k:2 * k], block[2 * k:], layer.bound)
-            z_ref[:, i], ld_i = spline_eval(x[:, i], knots, layer.bound, True)
+            z_ref[:, i], ld_i = layer._spline(block, x[:, i], inverse=True)
             ld_ref = ld_ref + ld_i
 
         tape = ad.Tape()
@@ -302,12 +308,10 @@ class TestRqsArLayer:
                   for key, v in layer.init_params(special.Rng(seed)).items()}
         x = r.normal(size=(n, d)) * 2.0
         out = layer.cond.forward(params, x)
-        k = layer.bins
         z_ref, ld_cols = np.empty_like(x), np.empty_like(x)
         for i in range(d):
             block = layer.cond.dim_block(out, i).T
-            knots = flows._raw_to_knots(block[:k], block[k:2 * k], block[2 * k:], layer.bound)
-            z_ref[:, i], ld_cols[:, i] = spline_eval(x[:, i], knots, layer.bound, True)
+            z_ref[:, i], ld_cols[:, i] = layer._spline(block, x[:, i], inverse=True)
         tape = ad.Tape()
         z, ld = layer.inverse({key: tape.param(v, key) for key, v in params.items()},
                               tape.lift(x))
@@ -685,8 +689,8 @@ class TestRowBlocks:
         assert isinstance(lp, ad.Var) and lp.value.shape == (9,)
 
     def test_log_prob_memory_at_10k_rows(self):
-        # one pass over 10k rows at d=5 holds (50000, 6) knot matrices and
-        # traced 19.4 MB; blocks of _FLOW_ROWS rows trace about 2 MB
+        # one pass over 10k rows at d=5 holds (5, 50000) knot values and
+        # traced 17.1 MB; blocks of _FLOW_ROWS rows trace about 2 MB
         model = flows.build_architecture("TTF", 5, seed=0)
         x = special.Rng(2).student_t(2.0, 50_000).reshape(10_000, 5)
         flows.flow_log_prob(x[:10], model)
