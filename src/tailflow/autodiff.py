@@ -8,14 +8,13 @@ arithmetic broadcasts between operands and against constants, ``@`` is a
 matrix product of 1-d and 2-d operands, ``x[key]`` takes basic slices, ints
 and integer-array gathers, ``x.T``, ``x.reshape`` and ``x.swapaxes`` move
 entries, ``x.sum(axis, keepdims)`` reduces and ``x.cumsum(axis)`` sums
-along an axis, and ``x ** y`` takes a Var y.  As ``x * c`` is one
-``mul_const`` node, a matrix product with a constant operand, ``x @ C`` or
-``C @ x``, is one ``matmul_const`` node: ``C`` goes in the payload, is
-never lifted onto the tape, and gets no gradient, and the node saves
-nothing.  So constants stay arrays: a model's
-frozen parameters and its non-reparameterized draws add no node to a tape,
-and ``Tape.lift`` is left for a constant that must be a Var (the base of
-``c ** x``).  Each op computes exactly what numpy computes (``x / c`` is a
+along an axis.  As ``x * c`` is one ``mul_const`` node, a matrix product
+with a constant operand, ``x @ C`` or ``C @ x``, is one ``matmul_const``
+node, and a power ``c ** x`` of a constant base one ``rpow_const`` node:
+the constant goes in the payload and gets no gradient.  So constants stay
+arrays, never nodes: a model's frozen parameters and its
+non-reparameterized draws add no node to a tape, and a tape's only leaves
+are its params.  Each op computes exactly what numpy computes (``x / c`` is a
 true division, not ``x * (1 / c)``), so one formula gives the same bits on
 numpy arrays and on tape variables.  ``sample_gamma`` and
 ``sample_student_t`` draw numpy arrays given a float and, given a 0-d Var,
@@ -59,8 +58,8 @@ loop treats a poisoned tape as a diverged step.  ``log_erfc`` and
 ``erfc_inv``, whose ``special`` functions raise outside their domain, give
 NaN there, on a tape and on arrays alike.  Finding the first offending node
 costs a finiteness test per pushed value, except for the entry-moving ops
-(``getitem``, ``transpose``, ``reshape``, ``swapaxes``, ``stack_cols``,
-``where_mask``, ``neg``, ``relu`` and ``absolute``): their outputs are
+(``getitem``, ``transpose``, ``reshape``, ``swapaxes``, ``where_mask``,
+``neg``, ``relu`` and ``absolute``): their outputs are
 operand entries, zeros, or bounded maps of them, so while every node before
 them is finite they are finite too.
 """
@@ -163,10 +162,6 @@ class Tape:
             self.poisoned = idx
         return Var(self, idx, value)
 
-    def lift(self, value) -> "Var":
-        """A constant: participates in the graph with zero gradient."""
-        return self._push("lift", (), value)
-
     def param(self, value, name: str | None = None) -> "Var":
         """A leaf that accumulates gradient under backward passes."""
         v = self._push("param", (), value)
@@ -198,7 +193,7 @@ class Arena:
 
     def compute(self, fn, args):
         for out in self.arrays.get(_result_shape(fn, args), ()):
-            if getrefcount(out) == 3:  # the list, ``out`` and the argument
+            if getrefcount(out) == _FREE_REFS:
                 return fn(*args, out=out)
         return fn(*args)
 
@@ -209,6 +204,17 @@ class Arena:
             if v.size >= _ARENA_MIN and v.flags.owndata and v.flags.c_contiguous \
                     and v.dtype == float:
                 self.arrays.setdefault(v.shape, []).append(v)
+
+
+def _free_refs() -> int:
+    """What ``getrefcount`` reads, in ``Arena.compute``'s loop, of an array
+    that only the arena's list refers to.  Whether the call's argument
+    counts depends on the interpreter, so it is read, not assumed."""
+    for out in [np.empty(0)]:
+        return getrefcount(out)
+
+
+_FREE_REFS = _free_refs()
 
 
 def _result_shape(fn, args):
@@ -309,14 +315,10 @@ class Var:
     def __neg__(self):
         return self.tape._apply("neg", (self,), None, np.negative, self.value)
 
-    def __pow__(self, other):
-        if not isinstance(other, Var):
-            return NotImplemented
-        with np.errstate(all="ignore"):
-            return self.tape._push("pow", (self, other), self.value ** other.value)
-
     def __rpow__(self, other):
-        return self.tape.lift(other) ** self
+        other = np.asarray(other, dtype=float)
+        with np.errstate(all="ignore"):
+            return self.tape._apply("rpow_const", (self,), other, np.power, other, self.value)
 
     def __matmul__(self, other):
         """Matrix product of 1-d or 2-d operands, as numpy's ``@``."""
@@ -383,13 +385,6 @@ def _where(mask, a, b, out=None):
     np.copyto(out, b)
     np.copyto(out, a, where=mask)
     return out
-
-
-def stack_cols(cols: list[Var]) -> Var:
-    """Stack (n,) vectors into the columns of an (n, k) matrix."""
-    tape = cols[0].tape
-    value = np.stack([c.value for c in cols], axis=1)
-    return tape._push("stack_cols", tuple(cols), value)
 
 
 # -- op records ---------------------------------------------------------------
@@ -521,9 +516,8 @@ def _guarded(name: str, bad, fill: float):
     return guarded
 
 
-# One record per op.  Leaves (``lift``, ``param``) have no rule.
+# One record per op.  The leaf ``param`` has no rule.
 _OPS = {
-    "lift": _Op(None),
     "param": _Op(None),
     "add": _Op(lambda g, v, ins, pay: (g, g)),
     "add_const": _Op(lambda g, v, ins, pay: (g,)),
@@ -535,8 +529,7 @@ _OPS = {
     "div_const": _Op(lambda g, v, ins, pay: (g / pay,)),
     "rdiv_const": _Op(lambda g, v, ins, pay: (-g * v / ins[0],), own=True, reads=(0,)),
     "neg": _Op(lambda g, v, ins, pay: (-g,), moving=True),
-    "pow": _Op(lambda g, v, ins, pay: (g * ins[1] * ins[0] ** (ins[1] - 1.0),
-                                       g * v * np.log(ins[0])), own=True, reads=(0, 1)),
+    "rpow_const": _Op(lambda g, v, ins, pay: (g * v * np.log(pay),), own=True),
     "exp": _Op(lambda g, v, ins, pay: (g * v,), own=True,
                fn=_quiet(np.exp, over="ignore", under="ignore")),
     "log": _Op(lambda g, v, ins, pay: (g / ins[0],), reads=(0,),
@@ -572,8 +565,6 @@ _OPS = {
     "matmul_const": _Op(lambda g, v, ins, pay: (_matmul_adjoint(g, *pay),)),
     "cumsum": _Op(lambda g, v, ins, axis: (
         np.flip(_cumsum_array(np.flip(g, axis), axis), axis),)),
-    "stack_cols": _Op(lambda g, v, ins, pay: tuple(g[:, k] for k in range(g.shape[1])),
-                      moving=True),
     "where_mask": _Op(lambda g, v, ins, pay: (g * pay, g * ~pay), moving=True),
     "where_mask_const": _Op(lambda g, v, ins, pay: (g * pay,)),  # the constant may be NaN
     "sample_gamma": _Op(lambda g, v, ins, pay: (
@@ -744,8 +735,6 @@ def backward(out: Var) -> dict[str, np.ndarray]:
             # sums below measured ~8% slower in the DE fit (more page faults).
             adj[i] = None
             for p, gp in zip(par, grads):
-                if ops[p] == "lift":
-                    continue  # constants carry zero gradient by definition
                 scatter = type(gp) is _Scatter
                 if not scatter and gp.shape != shapes[p]:
                     gp = _unbroadcast(gp, shapes[p])

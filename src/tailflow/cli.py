@@ -10,9 +10,13 @@ Config files are flat ``key = value`` text with one section per command::
 
 Flags override file values.  Every run directory gets a metadata record
 holding the resolved settings, so a run can be reproduced bit-exactly by
-pointing --config at the metadata itself.  ``table`` runs nothing: it prints
-the per-cell mean (se) and run count of every metric in the results files
-of --out-dir, and writes no metadata.
+pointing --config at the metadata itself.  The last bits of a d=20 fit
+depend on the BLAS thread count, so its rows reproduce bit for bit only at
+the same count; the record notes ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` ("unset" when absent) in a
+comment line, which --config skips.  ``table`` runs nothing: it prints the
+per-cell mean (se) and run count of every metric in the results files of
+--out-dir, and writes no metadata.
 """
 
 from __future__ import annotations
@@ -250,6 +254,8 @@ def write_metadata(cfg: ExperimentConfig, path: str) -> None:
     """Self-reproducing record: feed it back through --config to re-run."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# tailflow {_build_version()} run record\n")
+        fh.write("# " + " ".join(f"{v}={os.environ.get(v, 'unset')}" for v in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")) + "\n")
         fh.write(f"[{cfg.command}]\n")
         fh.write(f"flow = {cfg.flow}\n")
         fh.write(f"d = {cfg.d}\n")

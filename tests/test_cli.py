@@ -98,6 +98,26 @@ class TestDeCsv:
         assert seeds == ["1"] * 6 + ["0"] * 6
 
 
+class TestMetadata:
+    def test_records_blas_threads_and_reads_back(self, tmp_path, monkeypatch):
+        # the thread counts go in a comment line, so --config reads the
+        # record back to the same settings
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        cfg = cli.parse_config(["de-synth", "--flow", "TTF", "--d", "20", "--seeds", "0..2",
+                                "--epochs", "7"])
+        first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+        cli.write_metadata(cfg, str(first))
+        assert first.read_text().splitlines()[1] \
+            == "# OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset MKL_NUM_THREADS=2"
+        again = cli.parse_config(["de-synth", "--config", str(first)])
+        assert (again.flow, again.d, again.seeds) == ("TTF", 20, (0, 1, 2))
+        assert again.resolved_train_config(0) == cfg.resolved_train_config(0)
+        cli.write_metadata(again, str(second))
+        assert second.read_text() == first.read_text()
+
+
 class TestUsageErrors:
     def test_unknown_config_key(self, tmp_path, data_csv):
         cfg = tmp_path / "run.cfg"

@@ -105,7 +105,7 @@ class TestViTarget:
         x = special.Rng(4).normal((20, 3))
         plain = E.vi_target_log_density(x, 3, nu)
         tape = ad.Tape()
-        var = E.vi_target_log_density(tape.lift(x), 3, nu)
+        var = E.vi_target_log_density(tape.param(x, "x"), 3, nu)
         np.testing.assert_array_equal(np.asarray(var.value), plain)
 
 

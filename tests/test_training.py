@@ -112,14 +112,16 @@ class TestTapeNodeCounts:
         training.de_loss(model, x, model.tape_params(tape))
         assert len(tape.ops) <= bound
 
+    @pytest.mark.parametrize("direction", ["de", "elbo"])
     @pytest.mark.parametrize("name", flows.ARCHITECTURES)
-    def test_de_tape_holds_no_constant_node(self, name):
-        # frozen params stay arrays on the tape, and the inverse pass lifts
-        # no constant of its own
-        model = flows.build_architecture(name, 3, seed=0)
-        tape = ad.Tape()
-        training.de_loss(model, special.Rng(1).student_t(2.0, (50, 3)), model.tape_params(tape))
-        assert "lift" not in tape.ops
+    def test_tape_holds_no_constant_node(self, name, direction):
+        # frozen params, data and draws stay arrays on the tape: its only
+        # leaves are the trainable params
+        tape = self._tape_of(name, direction, d=3)
+        leaves = [i for i, par in enumerate(tape.parents) if not par]
+        assert sorted(tape.param_nodes) == leaves
+        assert sorted(tape.param_nodes.values()) \
+            == sorted(flows.build_architecture(name, 3).trainable_params())
 
     def test_rqs_inverse_tape_does_not_grow_with_d(self):
         added = []
@@ -127,13 +129,13 @@ class TestTapeNodeCounts:
             layer = flows.RqsArLayer(d, "rqs")
             tape = ad.Tape()
             params = {k: tape.param(v, k) for k, v in layer.init_params(special.Rng(0)).items()}
-            x = tape.lift(special.Rng(1).student_t(2.0, (200, d)))
+            x = special.Rng(1).student_t(2.0, (200, d))
             before = len(tape.ops)
             layer.inverse(params, x)
             added.append(len(tape.ops) - before)
         assert added[0] == added[1]
 
-    @pytest.mark.parametrize("d,bound", [(5, 586), (20, 2146)])
+    @pytest.mark.parametrize("d,bound", [(5, 584), (20, 2144)])
     def test_ttf_elbo_sampling_tape(self, d, bound):
         model = flows.build_architecture("TTF", d, seed=0)
         tape = ad.Tape()
@@ -146,27 +148,29 @@ class TestTapeNodeCounts:
         model = flows.build_architecture("mTAF", 5, seed=0)
         tape = ad.Tape()
         flows.flow_sample_with_log_prob(model, model.tape_params(tape), special.Rng(2), 100)
-        assert len(tape.ops) <= 549
+        assert len(tape.ops) <= 547
+
+    @pytest.mark.parametrize("name,d,bound", [
+        ("gTAF", 5, 630), ("gTAF", 20, 2370), ("TTF_tBase", 5, 667), ("TTF_tBase", 20, 2407),
+    ])
+    def test_trainable_nu_elbo_sampling_tape(self, name, d, bound):
+        # a trainable Student-T base draws one tape column per dimension and
+        # writes each into its (n, d) draws with two nodes
+        model = flows.build_architecture(name, d, seed=0)
+        tape = ad.Tape()
+        flows.flow_sample_with_log_prob(model, model.tape_params(tape), special.Rng(2), 100)
+        assert len(tape.ops) <= bound
 
     @staticmethod
-    def _tape_of(name, direction):
-        model = flows.build_architecture(name, 5, seed=0)
+    def _tape_of(name, direction, d=5):
+        model = flows.build_architecture(name, d, seed=0)
         tape = ad.Tape()
         params = model.tape_params(tape)
         if direction == "de":
-            training.de_loss(model, special.Rng(1).student_t(2.0, (200, 5)), params)
+            training.de_loss(model, special.Rng(1).student_t(2.0, (200, d)), params)
         else:
             flows.flow_sample_with_log_prob(model, params, special.Rng(2), 100)
         return tape
-
-    @pytest.mark.parametrize("direction", ["de", "elbo"])
-    def test_no_matmul_has_a_lifted_operand(self, direction):
-        # a product with a constant is one matmul_const node: no constant is
-        # lifted onto the tape only to be multiplied
-        tape = self._tape_of("TTF", direction)
-        for op, parents in zip(tape.ops, tape.parents):
-            if op == "matmul":
-                assert all(tape.ops[p] != "lift" for p in parents)
 
     def test_constant_product_is_a_matmul_const_node(self):
         # in a normal flow's DE pass the data feed the affine conditioner
@@ -178,9 +182,9 @@ class TestOpCoverage:
     def test_library_pushes_every_op(self, monkeypatch):
         # Every tape op is pushed by some library path: the DE loss and its
         # backward and the ELBO step of every architecture, on heavy data with
-        # nu < 2 so that the Student-T sampler takes its pow branch, and the
-        # regression MLP with both activations.  An op that only tests push
-        # should go.
+        # nu < 2 so that the Student-T sampler takes its c ** x branch
+        # (rpow_const), and the regression MLP with both activations.  An op
+        # that only tests push should go.
         pushed = set()
         push = ad.Tape._push
 
