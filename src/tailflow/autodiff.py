@@ -42,13 +42,10 @@ of live adjoints (plus the params'), not a second copy of the tape.  The
 adjoint of ``x[key]`` is not a full zero matrix per node: backward writes
 it into one buffer per operand, allocated at the first slice or gather
 that reaches the operand, and adds every later adjoint of that operand
-into the same buffer.  A run of tapes that build one graph, as the steps
-of a density fit do, can share an :class:`Arena`: each tape's large values
-are computed with ``out=`` into the arrays the tape before saved, so a
-step allocates and page-faults in only what that step adds.
+into the same buffer.
 
 Backward adds into an adjoint in place when nothing else holds it.  From
-``_ARENA_MIN`` entries on, a gather whose key reaches each entry at most
+``_ONCE_CHECK_MIN`` entries on, a gather whose key reaches each entry at most
 once scatters its adjoint by assignment, not ``np.add.at``
 (``_scatter_kind``).
 
@@ -66,8 +63,6 @@ them is finite they are finite too.
 
 from __future__ import annotations
 
-from math import prod
-from sys import getrefcount
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -114,9 +109,9 @@ class Tape:
     """
 
     __slots__ = ("ops", "parents", "payloads", "values", "shapes", "grad_store",
-                 "param_nodes", "poisoned", "arena")
+                 "param_nodes", "poisoned")
 
-    def __init__(self, arena: "Arena | None" = None):
+    def __init__(self):
         self.ops: list[str] = []
         self.parents: list[tuple] = []
         self.payloads: list = []
@@ -126,13 +121,6 @@ class Tape:
         self.grad_store: dict[int, np.ndarray] = {}
         self.param_nodes: dict[int, str] = {}
         self.poisoned: int | None = None
-        self.arena = arena
-
-    def _apply(self, op: str, ins: tuple, payload, fn, *args) -> "Var":
-        """``_push`` of ``fn(*args)``, computed into an arena array if it can."""
-        arena = self.arena
-        return self._push(op, ins, fn(*args) if arena is None else arena.compute(fn, args),
-                          payload)
 
     def _push(self, op: str, ins: tuple, value, payload=None) -> "Var":
         """Append a node computed from the Vars ``ins``, saving the values
@@ -169,76 +157,7 @@ class Tape:
         return v
 
 
-# Arrays smaller than this are left to malloc, which reuses freed chunks of
-# their size without new page faults, and to the tape's plain paths.
-_ARENA_MIN = 4096
-
-
-class Arena:
-    """Float arrays that the nodes of one tape compute into, kept for the
-    next tape of the same graph.
-
-    A node whose value has at least ``_ARENA_MIN`` entries, from array
-    operands that are all C-contiguous, computes with ``out=`` into an
-    arena array of its shape that is free: that nothing but the arena
-    refers to, no Var, tape or view.  ``keep`` then keeps the arrays the
-    tape saved and drops the rest, so the saved values of one step of a fit
-    are the arrays that the next step computes into.
-    """
-
-    __slots__ = ("arrays",)
-
-    def __init__(self):
-        self.arrays: dict[tuple, list] = {}  # shape -> arrays
-
-    def compute(self, fn, args):
-        for out in self.arrays.get(_result_shape(fn, args), ()):
-            if getrefcount(out) == _FREE_REFS:
-                return fn(*args, out=out)
-        return fn(*args)
-
-    def keep(self, tape: "Tape") -> None:
-        """Keep the arrays ``tape`` saved that own their memory; drop the rest."""
-        self.arrays = {}
-        for v in tape.values:
-            if v.size >= _ARENA_MIN and v.flags.owndata and v.flags.c_contiguous \
-                    and v.dtype == float:
-                self.arrays.setdefault(v.shape, []).append(v)
-
-
-def _free_refs() -> int:
-    """What ``getrefcount`` reads, in ``Arena.compute``'s loop, of an array
-    that only the arena's list refers to.  Whether the call's argument
-    counts depends on the interpreter, so it is read, not assumed."""
-    for out in [np.empty(0)]:
-        return getrefcount(out)
-
-
-_FREE_REFS = _free_refs()
-
-
-def _result_shape(fn, args):
-    """The shape of ``fn(*args)`` if it may go in an arena array: at least
-    ``_ARENA_MIN`` entries, from array operands that are all C-contiguous,
-    so that numpy too would lay the value out in C order."""
-    arrays = [a for a in args if type(a) is np.ndarray]
-    if not all(a.flags.c_contiguous for a in arrays):
-        return None
-    shapes = [a.shape for a in arrays]
-    if fn is _sum:
-        a, axis, keepdims = args
-        if not isinstance(axis, int):
-            return None
-        axis %= a.ndim
-        shape = a.shape[:axis] + (1,) * keepdims + a.shape[axis + 1:]
-    elif fn is np.matmul:
-        shape = shapes[0][:-1] + shapes[1][1:]
-    else:  # elementwise: the one operand that broadcasting does not stretch
-        shape = shapes[0] if shapes.count(shapes[0]) == len(shapes) \
-            else np.broadcast_shapes(*shapes)
-        if shape not in shapes:
-            return None
-    return shape if prod(shape) >= _ARENA_MIN else None
+_ONCE_CHECK_MIN = 4096  # see ``_scatter_kind``
 
 
 def _scatter_kind(key, shape: tuple, size: int) -> str:
@@ -246,11 +165,12 @@ def _scatter_kind(key, shape: tuple, size: int) -> str:
     "slice" for basic indexing, else by "gather", or by "once" where a
     matrix's (rows, cols) key reaches each entry at most once: cols (m,)
     rising from 0 and, in each column, two rows that differ once wrapped.
-    That is checked only for a value of ``size`` >= ``_ARENA_MIN`` entries;
-    on smaller ones the check costs more than it saves."""
+    That is checked only for a value of ``size`` >= ``_ONCE_CHECK_MIN``
+    entries; on smaller ones the check costs more than it saves."""
     if not any(isinstance(k, (np.ndarray, list)) for k in (key if type(key) is tuple else (key,))):
         return "slice"
-    rows, cols = key if type(key) is tuple and len(key) == 2 and size >= _ARENA_MIN else (0, 0)
+    rows, cols = key if type(key) is tuple and len(key) == 2 and size >= _ONCE_CHECK_MIN \
+        else (0, 0)
     once = type(rows) is type(cols) is np.ndarray and rows.dtype.kind == cols.dtype.kind == "i" \
         and cols.ndim == 1 and rows.shape == (2, cols.size) and np.all(cols[:1] >= 0) \
         and np.all(cols[1:] > cols[:-1]) and np.all((rows[0] - rows[1]) % shape[0])
@@ -279,68 +199,64 @@ class Var:
 
     def __add__(self, other):
         if isinstance(other, Var):
-            return self.tape._apply("add", (self, other), None, np.add, self.value, other.value)
-        return self.tape._apply("add_const", (self,), None, np.add, self.value, other)
+            return self.tape._push("add", (self, other), self.value + other.value)
+        return self.tape._push("add_const", (self,), self.value + other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Var):
-            return self.tape._apply("sub", (self, other), None, np.subtract, self.value,
-                                    other.value)
-        return self.tape._apply("add_const", (self,), None, np.subtract, self.value, other)
+            return self.tape._push("sub", (self, other), self.value - other.value)
+        return self.tape._push("add_const", (self,), self.value - other)
 
     def __rsub__(self, other):
-        return self.tape._apply("rsub_const", (self,), None, np.subtract, other, self.value)
+        return self.tape._push("rsub_const", (self,), other - self.value)
 
     def __mul__(self, other):
         if isinstance(other, Var):
-            return self.tape._apply("mul", (self, other), None, np.multiply, self.value,
-                                    other.value)
-        return self.tape._apply("mul_const", (self,), other, np.multiply, self.value, other)
+            return self.tape._push("mul", (self, other), self.value * other.value)
+        return self.tape._push("mul_const", (self,), self.value * other, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         with np.errstate(all="ignore"):
             if isinstance(other, Var):
-                return self.tape._apply("div", (self, other), None, np.divide, self.value,
-                                        other.value)
-            return self.tape._apply("div_const", (self,), other, np.divide, self.value, other)
+                return self.tape._push("div", (self, other), self.value / other.value)
+            return self.tape._push("div_const", (self,), self.value / other, other)
 
     def __rtruediv__(self, other):
         with np.errstate(all="ignore"):
-            return self.tape._apply("rdiv_const", (self,), other, np.divide, other, self.value)
+            return self.tape._push("rdiv_const", (self,), other / self.value, other)
 
     def __neg__(self):
-        return self.tape._apply("neg", (self,), None, np.negative, self.value)
+        return self.tape._push("neg", (self,), -self.value)
 
     def __rpow__(self, other):
         other = np.asarray(other, dtype=float)
         with np.errstate(all="ignore"):
-            return self.tape._apply("rpow_const", (self,), other, np.power, other, self.value)
+            return self.tape._push("rpow_const", (self,), other ** self.value, other)
 
     def __matmul__(self, other):
         """Matrix product of 1-d or 2-d operands, as numpy's ``@``."""
         if isinstance(other, Var):
-            return self.tape._apply("matmul", (self, other), None, np.matmul, self.value,
-                                    other.value)
+            return self.tape._push("matmul", (self, other), self.value @ other.value)
         other = np.asarray(other, dtype=float)
-        return self.tape._apply("matmul_const", (self,), (other, False, self.shape), np.matmul,
-                                self.value, other)
+        return self.tape._push("matmul_const", (self,), self.value @ other,
+                               (other, False, self.shape))
 
     def __rmatmul__(self, other):
         other = np.asarray(other, dtype=float)
-        return self.tape._apply("matmul_const", (self,), (other, True, self.shape), np.matmul,
-                                other, self.value)
+        return self.tape._push("matmul_const", (self,), other @ self.value,
+                               (other, True, self.shape))
 
     # x.exp(), x.maximum(c) and the other elementwise methods come from ``_OPS``.
 
     # -- reductions and structure -------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        return self.tape._apply("sum", (self,), (axis, keepdims, self.shape), _sum, self.value,
-                                axis, keepdims)
+        return self.tape._push("sum", (self,), self.value.sum(axis=axis, keepdims=keepdims),
+                               (axis, keepdims, self.shape))
 
     def __getitem__(self, key):
         """Basic slices and ints, or an integer-array gather, as numpy."""
@@ -369,22 +285,10 @@ class Var:
         substitute values without contaminating the result.
         """
         if isinstance(other, Var):
-            return self.tape._apply("where_mask", (self, other), mask, _where, mask, self.value,
-                                    other.value)
-        return self.tape._apply("where_mask_const", (self,), mask, _where, mask, self.value, other)
-
-
-def _sum(a, axis, keepdims, out=None):
-    return a.sum(axis=axis, keepdims=keepdims, out=out)
-
-
-def _where(mask, a, b, out=None):
-    """``np.where(mask, a, b)``, into ``out`` if that is given."""
-    if out is None:
-        return np.where(mask, a, b)
-    np.copyto(out, b)
-    np.copyto(out, a, where=mask)
-    return out
+            return self.tape._push("where_mask", (self, other),
+                                   np.where(mask, self.value, other.value), mask)
+        return self.tape._push("where_mask_const", (self,), np.where(mask, self.value, other),
+                               mask)
 
 
 # -- op records ---------------------------------------------------------------
@@ -496,18 +400,17 @@ class _Op(NamedTuple):
 
 def _quiet(fn, **errstate):
     """``fn`` under ``np.errstate(**errstate)``."""
-    def quiet(x, **out):
+    def quiet(x):
         with np.errstate(**errstate):
-            return fn(x, **out)
+            return fn(x)
     return quiet
 
 
 def _guarded(name: str, bad, fill: float):
     """``special.<name>``, NaN on the lanes ``bad(x)`` marks, which it would
     reject; those lanes get ``fill`` on the way in.  The function is looked
-    up at each call, so that a wrapper put in its place sees every call.
-    It ignores an ``out`` array: its value is always a new one."""
-    def guarded(x, out=None):
+    up at each call, so that a wrapper put in its place sees every call."""
+    def guarded(x):
         fn = getattr(special, name)
         out_of_domain = bad(x)
         if np.any(out_of_domain):
@@ -542,9 +445,9 @@ _OPS = {
                 fn=_quiet(np.sqrt, invalid="ignore")),
     "sigmoid": _Op(lambda g, v, ins, pay: (g * v * (1.0 - v),), own=True, fn=sp.expit),
     "relu": _Op(lambda g, v, ins, pay: (g * (ins[0] > 0.0),), reads=(0,), moving=True,
-                fn=lambda x, out=None: np.maximum(x, 0.0, out=out)),
+                fn=lambda x: np.maximum(x, 0.0)),
     "softplus": _Op(lambda g, v, ins, pay: (g * sp.expit(ins[0]),), reads=(0,),
-                    fn=_quiet(lambda x, **out: np.logaddexp(0.0, x, **out), invalid="ignore")),
+                    fn=_quiet(lambda x: np.logaddexp(0.0, x), invalid="ignore")),
     "absolute": _Op(lambda g, v, ins, pay: (g * np.sign(ins[0]),), reads=(0,), moving=True,
                     fn=np.abs),
     "log_erfc": _Op(lambda g, v, ins, pay: (g * special.dlog_erfc(ins[0]),), reads=(0,),
@@ -577,9 +480,8 @@ def _elementwise(op: str, fn):
     elementwise op, both computing with ``fn``.  A constant second operand,
     as ``maximum`` takes, goes in the node's payload."""
     def method(self, const=None):
-        if const is None:
-            return self.tape._apply(op, (self,), None, fn, self.value)
-        return self.tape._apply(op, (self,), const, fn, self.value, const)
+        value = fn(self.value) if const is None else fn(self.value, const)
+        return self.tape._push(op, (self,), value, const)
 
     def function(x, const=None):
         if isinstance(x, Var):
@@ -732,7 +634,9 @@ def backward(out: Var) -> dict[str, np.ndarray]:
             # Every write to adj[i] came from a later node, so it is final;
             # drop it now (param leaves never get here and keep theirs).  The
             # local g stays bound until the next node: freeing it before the
-            # sums below measured ~8% slower in the DE fit (more page faults).
+            # sums below saves no page faults now that the package pins
+            # malloc's thresholds (~0 per d=20 DE fit either way), and
+            # measured no faster (median 46 against 43 ms CPU a step).
             adj[i] = None
             for p, gp in zip(par, grads):
                 scatter = type(gp) is _Scatter

@@ -237,10 +237,16 @@ def _validate(cfg: ExperimentConfig) -> None:
         if cfg.flow not in known:
             raise UsageError(f"flow: {cfg.command} cannot fit flow {cfg.flow!r}; "
                              f"expected one of {known}")
-    if cfg.jobs < 1:
-        raise UsageError("jobs: must be at least 1")
-    if cfg.d < 1:
-        raise UsageError("d: must be at least 1")
+    for key in ("jobs", "d", "epochs", "patience", "n", "batch"):
+        value = getattr(cfg, key)
+        if value not in (None, "full") and value < 1:
+            raise UsageError(f"{key}: must be at least 1, got {value}")
+    for key in ("nu", "lr", "clip_norm"):
+        value = getattr(cfg, key)
+        if value is not None and not value > 0.0:
+            raise UsageError(f"{key}: must be positive, got {value}")
+    if min(cfg.seeds) < 0:
+        raise UsageError(f"seeds: must be non-negative, got {min(cfg.seeds)}")
 
 
 def _build_version() -> str:
@@ -301,7 +307,7 @@ def _run_one_seed(cfg: ExperimentConfig, seed: int) -> list[dict]:
         return ex.run_vi_cell(cfg.flow, cfg.d, cfg.nu, seed, tc, trace_path)
     if cfg.command == "nnreg":
         mse = ex.run_nnreg(cfg.d, cfg.nu, cfg.activation, seed,
-                           n_per_split=cfg.n or 5000)
+                           n_per_split=5000 if cfg.n is None else cfg.n)
         return [dict(flow=f"mlp-{cfg.activation}", d=cfg.d, nu=cfg.nu, seed=seed,
                      metric_name="test_mse", value=mse,
                      diverged=not np.isfinite(mse) or mse > training.DIVERGENCE_LOSS)]

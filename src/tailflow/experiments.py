@@ -152,12 +152,10 @@ def _kernel_mean(m: CometMarginal, x: np.ndarray, width: float, kernel: Callable
     Queries go _KERNEL_ROWS at a time, so memory stays O(body points) rather
     than O(queries x body points); each row's mean is the same either way.
     One (rows, body points) buffer serves every block: ``kernel`` maps it in
-    place, so a block allocates nothing.  Fresh block-sized arrays lie above
-    glibc malloc's mmap threshold until some large free raises it, and are
-    mapped and unmapped block by block until then: in a process where
-    nothing had raised it, ``comet_logit`` of a 2000 x 5 test split took
-    ~208k minor page faults and 0.98-1.08 s per call that way, against 0
-    faults and 0.59-0.71 s with one buffer.
+    place, so a block allocates nothing.  With the package's malloc
+    thresholds, fresh block arrays would not page-fault either, but
+    ``comet_logit`` of a 2000 x 5 test split took 413-456 ms per call with
+    them against 396-438 ms with the one buffer.
     """
     out = np.empty(x.shape)
     buf = np.empty((min(_KERNEL_ROWS, x.size), m.points.size))

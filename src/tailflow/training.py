@@ -45,6 +45,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.lr <= 0.0:
             raise ValueError("learning rate must be positive")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be at least 1")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
         if self.batch_size is not None and self.batch_size < 1:
@@ -199,25 +201,26 @@ def _snapshot(model: flows.FlowModel) -> dict:
     return {k: v.copy() for k, v in model.trainable_params().items()}
 
 
-def _de_gradient(model: flows.FlowModel, batch: np.ndarray, arena: ad.Arena):
+def _moments(state: dict) -> dict:
+    """Adam's moments and step count in ``state``, in dicts of their own
+    (``adam_step`` replaces the arrays, never writes into them)."""
+    return {"m": dict(state["m"]), "v": dict(state["v"]), "t": state["t"]}
+
+
+def _de_gradient(model: flows.FlowModel, batch: np.ndarray):
     """(loss, parameter gradients) of one DE batch, built on a fresh tape.
 
     The gradients are None when the loss is non-finite or the tape is
     poisoned, and empty when every parameter is frozen, as no tape is built
-    then.  The tape is dropped on return, but the arrays it saved for
-    backward stay in ``arena``, through the validation pass, and the next
-    batch's tape computes its values into them; the arena drops the arrays
-    the tape did not save.  So the loop holds at most one tape's saved
-    values between steps, and a step of the same shapes allocates little.
+    then.
     """
     # NaN poisoning is the designed failure mode here; keep the console
     # clear of the float warnings it necessarily raises.
     with np.errstate(all="ignore"):
-        loss = de_loss(model, batch, model.tape_params(ad.Tape(arena)))
+        loss = de_loss(model, batch, model.tape_params(ad.Tape()))
         if not isinstance(loss, ad.Var):
             return loss, {}
         value = float(loss.value)
-        arena.keep(loss.tape)
         if not np.isfinite(value):
             return value, None
         try:
@@ -236,23 +239,24 @@ def fit_density(
     """Maximum-likelihood fit with early stopping on validation loss.
 
     The model is left (and returned) at the parameters of the best
-    validation epoch.  The steps share one ``ad.Arena`` (see
-    ``_de_gradient``), dropped on return.  Divergence: non-finite training
-    steps restore the last good parameters and halve a retry budget of 5;
-    an exhausted budget, or a final loss above 1e5, flags the run as
-    diverged.
+    validation epoch.  Divergence: a non-finite training step restores the
+    last good parameters together with Adam's moments and step count,
+    halves the learning rate for the rest of the fit, so that a full-pass
+    retry is a different step and not a replay of the failed one, and
+    halves a retry budget of 5; an exhausted budget, or a final loss above
+    1e5, flags the run as diverged.
     """
     rng = special.Rng(cfg.seed)
     n = train.shape[0]
     state = adam_init(model.trainable_params())
+    lr = cfg.lr
     budget = _RETRY_BUDGET
-    last_good = _snapshot(model)
+    last_good = _snapshot(model), _moments(state)
     best_params = _snapshot(model)
     best_valid = float("inf")
     stale = 0
     rows: list = []
     exhausted = False
-    arena = ad.Arena()
 
     for _epoch in range(1, cfg.max_epochs + 1):
         perm = rng.permutation(n)
@@ -264,18 +268,21 @@ def fit_density(
             ]
         losses = []
         for idx in batches:
-            loss, grads = _de_gradient(model, train[idx], arena)
+            loss, grads = _de_gradient(model, train[idx])
             if grads is None:
-                model.params.update({k: v.copy() for k, v in last_good.items()})
+                params, moments = last_good
+                model.params.update({k: v.copy() for k, v in params.items()})
+                state.update(_moments(moments))
+                lr *= 0.5
                 budget //= 2
                 if budget == 0:
                     exhausted = True
                     break
                 continue
             losses.append(loss / idx.size)
-            last_good = _snapshot(model)
+            last_good = _snapshot(model), _moments(state)
             model.params.update(
-                adam_step(model.trainable_params(), grads, state, cfg.lr, cfg.clip_norm)
+                adam_step(model.trainable_params(), grads, state, lr, cfg.clip_norm)
             )
         train_loss = float(np.mean(losses)) if losses else float("nan")
         with np.errstate(all="ignore"):

@@ -2,6 +2,7 @@
 the results table."""
 
 import os
+import platform
 import subprocess
 import sys
 
@@ -155,6 +156,26 @@ class TestUsageErrors:
     def test_vi_synth_accepts_its_flows(self, flow):
         assert cli.parse_config(["vi-synth", "--flow", flow]).flow == flow
 
+    @pytest.mark.parametrize("argv,key", [
+        (["nnreg", "--n", "0"], "n"),
+        (["de-synth", "--epochs", "0"], "epochs"),
+        (["de-synth", "--epochs", "-3"], "epochs"),
+        (["vi-synth", "--patience", "0"], "patience"),
+        (["vi-synth", "--nu", "-1"], "nu"),
+        (["de-synth", "--nu", "0"], "nu"),
+        (["de-synth", "--nu", "nan"], "nu"),
+        (["de-synth", "--seeds", "-1"], "seeds"),
+        (["de-synth", "--seeds", "0,-2..1"], "seeds"),
+        (["de-synth", "--jobs", "0"], "jobs"),
+        (["de-synth", "--d", "0"], "d"),
+        (["de-synth", "--batch", "0"], "batch"),
+        (["de-synth", "--lr", "-1"], "lr"),
+        (["vi-synth", "--clip-norm", "-1"], "clip_norm"),
+    ])
+    def test_bad_values_are_rejected_naming_the_key(self, argv, key):
+        with pytest.raises(cli.UsageError, match=f"^{key}: "):
+            cli.parse_config(argv)
+
 
 class TestTable:
     @staticmethod
@@ -250,3 +271,20 @@ class TestImportCost:
         assert out.returncode == 0
         assert "RuntimeWarning" not in out.stderr
         assert "table" in out.stdout
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+    def test_freed_large_arrays_are_reused_without_page_faults(self):
+        # Six rounds each write and free twenty 2 MB arrays.  Under glibc's
+        # default thresholds every round faults its 40 MB in again (~10.2k
+        # minor faults); with the thresholds the import pins, the rounds
+        # after the first reuse the freed heap.
+        code = ("import resource, numpy as np, tailflow\n"
+                "for _ in range(6):\n"
+                "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "    arrays = [np.ones(2**18) for _ in range(20)]\n"
+                "    del arrays\n"
+                "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=self._env(),
+                             capture_output=True, text=True, check=True)
+        faults = [int(f) for f in out.stdout.split()]
+        assert len(faults) == 6 and max(faults[1:]) <= 100, faults

@@ -640,6 +640,31 @@ class TestFlowModel:
             jac[:, j] = (np.asarray(zp)[0] - np.asarray(zm)[0]) / (2 * h)
         assert np.max(np.abs(np.triu(jac, 1))) < 1e-12
 
+    @pytest.mark.parametrize("name", ALL_ARCHS)
+    @pytest.mark.parametrize("d", [1, 3])
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 0.5))
+    def test_log_det_matches_central_difference_jacobian(self, name, d, seed, scale):
+        # the flow's total inverse log-det at four t(3) points against
+        # log|det| of the central-difference Jacobian of x -> z, all 2d + 1
+        # evaluations of each point in one inverse pass
+        model = perturb(flows.build_architecture(name, d, seed=1), scale=scale, seed=seed)
+        x = np.random.default_rng(seed).standard_t(3.0, size=(4, d))
+        # (4, d): the step of each coordinate, short, as an RQS knot within
+        # a step of x leaves a first-order error
+        h = 1e-6 * np.maximum(1.0, np.abs(x))
+        steps = np.eye(d)[:, None, :] * h  # (d, 4, d): step j on coordinate j
+        z, ld = flow_inverse(np.concatenate([x, (x + steps).reshape(-1, d),
+                                             (x - steps).reshape(-1, d)]), model)
+        zp, zm = np.split(z[4:], 2)
+        jac = (zp - zm).reshape(d, 4, d) / (2.0 * h.T[:, :, None])  # [j, row, i] = dz_i/dx_j
+        _, logdet = np.linalg.slogdet(jac.transpose(1, 0, 2))
+        # The Jacobian is triangular, so log|det| sums log|dz_i/dx_i|; where
+        # that derivative is tiny, the rounding of z_i dominates its
+        # difference quotient, and the bound allows for it.
+        diag = np.abs(jac[np.arange(d), :, np.arange(d)].T)
+        rounding = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(z[:4])) / (h * diag)
+        assert np.all(np.abs(ld[:4] - logdet) <= 1e-5 + rounding.sum(axis=1))
+
     def test_sample_shape_and_determinism(self):
         model = flows.build_architecture("TTF", 3, seed=5)
         a = flows.flow_sample(model, special.Rng(9), 50)
@@ -920,6 +945,30 @@ class TestSerialization:
         path.write_text(json.dumps(rec))
         with pytest.raises(ValueError, match=r"frozen name\(s\) tails\.lp are not parameters"):
             flows.load_model(str(path))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("name", None, "missing field 'name'"),
+        ("d", None, "missing field 'd'"),
+        ("params", None, "missing field 'params'"),
+        ("frozen", None, "missing field 'frozen'"),
+        ("d", "3", "field 'd' must be an integer, got '3'"),
+        ("d", 3.0, "field 'd' must be an integer, got 3.0"),
+        ("name", 7, "field 'name' must be a string, got 7"),
+        ("params", [], "field 'params' must be an object, got []"),
+        ("frozen", "tails.lp_raw", "field 'frozen' must be a list of names, got 'tails.lp_raw'"),
+        ("frozen", [1], "field 'frozen' must be a list of names, got [1]"),
+    ])
+    def test_rejects_malformed_field(self, tmp_path, field, value, message):
+        # None deletes the field
+        path, rec = self._saved_record(tmp_path)
+        if value is None:
+            del rec[field]
+        else:
+            rec[field] = value
+        path.write_text(json.dumps(rec))
+        with pytest.raises(ValueError) as exc:
+            flows.load_model(str(path))
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_failed_save_leaves_previous_file_intact(self, tmp_path, monkeypatch):
         path = tmp_path / "model.json"
