@@ -108,8 +108,7 @@ class Tape:
     else ``_UNSAVED``.
     """
 
-    __slots__ = ("ops", "parents", "payloads", "values", "shapes", "grad_store",
-                 "param_nodes", "poisoned")
+    __slots__ = ("ops", "parents", "payloads", "values", "shapes", "param_nodes", "poisoned")
 
     def __init__(self):
         self.ops: list[str] = []
@@ -117,8 +116,6 @@ class Tape:
         self.payloads: list = []
         self.values: list = []
         self.shapes: list[tuple] = []
-        # Persistent param adjoints; repeated backward calls accumulate here.
-        self.grad_store: dict[int, np.ndarray] = {}
         self.param_nodes: dict[int, str] = {}
         self.poisoned: int | None = None
 
@@ -151,7 +148,7 @@ class Tape:
         return Var(self, idx, value)
 
     def param(self, value, name: str | None = None) -> "Var":
-        """A leaf that accumulates gradient under backward passes."""
+        """A named leaf; ``backward`` returns the gradient under its name."""
         v = self._push("param", (), value)
         self.param_nodes[v.idx] = name if name is not None else f"param{v.idx}"
         return v
@@ -496,7 +493,6 @@ for _op, _rec in _OPS.items():
     if _rec.fn is not None:
         _method, globals()[_op] = _elementwise(_op, _rec.fn)
         setattr(Var, _op, _method)
-Var.abs = Var.absolute
 del _op, _rec, _method
 
 
@@ -580,12 +576,11 @@ def sample_student_t(nu, rng: special.Rng, n: int):
 
 
 def backward(out: Var) -> dict[str, np.ndarray]:
-    """Accumulate d(out)/d(param) for every param on out's tape.
+    """d(out)/d(param) for every param on out's tape.
 
-    Returns a map from parameter name to its accumulated adjoint.  Repeated
-    calls without clearing grads add another full contribution (gradients
-    double after calling twice).  Raises :class:`PoisonedTapeError` if any
-    node holds a non-finite value.
+    Returns a map from parameter name to this sweep's adjoint (zeros for a
+    param that out does not reach).  Raises :class:`PoisonedTapeError` if
+    any node holds a non-finite value.
 
     The sweep runs each node's rule from its record in ``_OPS``.  It reads
     only the values the tape saved for the rule, as the record declares, and
@@ -658,12 +653,5 @@ def backward(out: Var) -> dict[str, np.ndarray]:
                     if type(gp) is np.ndarray and gp.flags.owndata and gp is not g:
                         owned.add(p)  # a new array, made for p alone
 
-    grads: dict[str, np.ndarray] = {}
-    for idx, name in tape.param_nodes.items():
-        if idx < n and adj[idx] is not None:
-            prev = tape.grad_store.get(idx)
-            tape.grad_store[idx] = np.array(adj[idx], dtype=float) if prev is None \
-                else prev + adj[idx]
-        g = tape.grad_store.get(idx)
-        grads[name] = np.zeros(shapes[idx]) if g is None else g
-    return grads
+    return {name: np.zeros(shapes[idx]) if idx >= n or adj[idx] is None
+            else np.array(adj[idx], dtype=float) for idx, name in tape.param_nodes.items()}

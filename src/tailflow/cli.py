@@ -8,8 +8,13 @@ Config files are flat ``key = value`` text with one section per command::
     nu = 2.0
     seeds = 0..9
 
-Flags override file values.  Every run directory gets a metadata record
-holding the resolved settings, so a run can be reproduced bit-exactly by
+Flags override file values.  Each setting is declared once, as a field of
+``ExperimentConfig`` carrying the parser that reads a flag's text and a file
+value alike.  Each command reads only the settings that ``READS`` lists for
+it; any other setting, given as a flag or as a file key that applies to the
+run (one in the command's section or in no section), is a usage error.
+Every run directory gets a metadata record holding the resolved value of
+each setting the command reads, so a run can be reproduced bit-exactly by
 pointing --config at the metadata itself.  The last bits of a d=20 fit
 depend on the BLAS thread count, so its rows reproduce bit for bit only at
 the same count; the record notes ``OPENBLAS_NUM_THREADS``,
@@ -30,7 +35,7 @@ import glob
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from importlib import metadata as importlib_metadata
 
 import numpy as np
@@ -40,8 +45,6 @@ from . import flows, special, tailest, training
 
 logger = logging.getLogger(__name__)
 
-COMMANDS = ("de-synth", "vi-synth", "de-csv", "nnreg", "tail-est", "table")
-
 CSV_FIELDS = ("flow", "d", "nu", "seed", "metric_name", "value", "diverged")
 
 
@@ -49,106 +52,132 @@ class UsageError(Exception):
     """Bad configuration; the message names the offending key."""
 
 
+def _number(kind, ok, want: str):
+    """Parser of an int or float setting whose value must pass ``ok``."""
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ValueError(f"cannot parse value {raw!r}") from None
+        if not ok(value):
+            raise ValueError(f"must be {want}, got {value}")
+        return value
+    return parse
+
+
+_count = _number(int, lambda v: v >= 1, "at least 1")
+_positive = _number(float, lambda v: v > 0.0, "positive")
+
+
+def _seeds(raw: str) -> tuple[int, ...]:
+    """Comma-separated seeds and inclusive ``lo..hi`` ranges."""
+    try:
+        parts = [p.strip().partition("..") for p in raw.split(",") if p.strip()]
+        seeds = tuple(s for lo, dots, hi in parts
+                      for s in range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:
+        raise ValueError(f"cannot parse value {raw!r}") from None
+    if not seeds:
+        raise ValueError("empty list")
+    if min(seeds) < 0:
+        raise ValueError(f"must be non-negative, got {min(seeds)}")
+    return seeds
+
+
+def _batch(raw: str):
+    return "full" if raw.lower() in ("none", "full", "full-pass", "full_pass") else _count(raw)
+
+
+def _choice(table: dict):
+    """Parser of a setting whose text is one of the words in ``table``."""
+    def parse(raw: str):
+        if raw.lower() not in table:
+            raise ValueError(f"expected one of {', '.join(table)}, got {raw!r}")
+        return table[raw.lower()]
+    return parse
+
+
+_bool = _choice({**dict.fromkeys(("1", "true", "yes", "on"), True),
+                 **dict.fromkeys(("0", "false", "no", "off"), False)})
+
+
+def _existing_path(raw: str) -> str:
+    if not os.path.exists(raw):
+        raise ValueError(f"{raw!r} does not exist")
+    return raw
+
+
+def _setting(default, parse, flag: str | None = None, const: str | None = None):
+    """A CLI setting: ``parse`` turns the text of its flag or config value
+    into its value, raising ValueError.  The flag is ``--name`` with dashes
+    unless ``flag`` says otherwise; with ``const`` it takes no argument and
+    stands for that text."""
+    return field(default=default, metadata={"parse": parse, "flag": flag, "const": const})
+
+
+# The training settings and the TrainConfig fields they override.
+_TRAIN_FIELDS = {"lr": "lr", "batch": "batch_size", "epochs": "max_epochs",
+                 "patience": "patience", "clip_norm": "clip_norm"}
+
+
 @dataclass
 class ExperimentConfig:
-    """Fully resolved settings of one CLI invocation."""
+    """Fully resolved settings of one CLI invocation.
+
+    A training setting (lr, batch, epochs, patience, clip_norm) left at None
+    takes the command's default; batch "full" asks for full-pass steps.
+    ``activation`` and ``n`` are nnreg's MLP and its rows per split.
+    """
 
     command: str
-    flow: str = "TTF"
-    d: int = 5
-    nu: float = 2.0
-    seeds: tuple[int, ...] = (0,)
-    lr: float | None = None
-    batch: int | str | None = None   # None -> command default, "full" -> full pass
-    epochs: int | None = None
-    patience: int | None = None
-    clip_norm: float | None = None
-    jobs: int = 1
-    out_dir: str = "runs"
-    trace: bool = False
-    data_path: str | None = None     # de-csv / tail-est input
-    activation: str = "sigmoid"      # nnreg
-    n: int | None = None             # sample-count override where meaningful
+    flow: str = _setting("TTF", str)
+    d: int = _setting(5, _count)
+    nu: float = _setting(2.0, _positive)
+    seeds: tuple[int, ...] = _setting((0,), _seeds)
+    lr: float | None = _setting(None, _positive)
+    batch: int | str | None = _setting(None, _batch)
+    epochs: int | None = _setting(None, _count)
+    patience: int | None = _setting(None, _count)
+    clip_norm: float | None = _setting(None, _positive)
+    jobs: int = _setting(1, _count)
+    out_dir: str = _setting("runs", str)
+    trace: bool = _setting(False, _bool, const="true")
+    data_path: str | None = _setting(None, _existing_path, flag="--data")
+    activation: str = _setting("sigmoid", _choice({"sigmoid": "sigmoid", "relu": "relu"}))
+    n: int = _setting(5000, _count)
 
     def resolved_train_config(self, seed: int) -> training.TrainConfig:
-        if self.command == "vi-synth":
-            base = ex.vi_train_config(seed, self.nu)
-        else:
-            base = ex.de_train_config(seed)
-        lr = self.lr if self.lr is not None else base.lr
-        if self.batch == "full":
-            batch = training.FULL_PASS
-        elif self.batch is not None:
-            batch = self.batch
-        else:
-            batch = base.batch_size
-        return training.TrainConfig(
-            lr=lr,
-            batch_size=batch,
-            max_epochs=self.epochs if self.epochs is not None else base.max_epochs,
-            patience=self.patience if self.patience is not None else base.patience,
-            clip_norm=self.clip_norm if self.clip_norm is not None else base.clip_norm,
-            seed=seed,
-        )
+        base = ex.vi_train_config(seed, self.nu) if self.command == "vi-synth" \
+            else ex.de_train_config(seed)
+        given = {t: getattr(self, k) for k, t in _TRAIN_FIELDS.items()
+                 if getattr(self, k) is not None}
+        if given.get("batch_size") == "full":
+            given["batch_size"] = training.FULL_PASS
+        return replace(base, **given)
 
 
-_INT_KEYS = {"d", "jobs", "n"}
-_FLOAT_KEYS = {"nu", "lr", "clip_norm"}
-_BOOL_KEYS = {"trace"}
-_STR_KEYS = {"flow", "out_dir", "data_path", "activation", "command"}
+SETTINGS = {f.name: f for f in fields(ExperimentConfig) if f.metadata}
 
-# epochs/patience/batch parse as int but accept the full-pass token for batch
-_KNOWN_KEYS = (
-    _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
-    | {"seeds", "epochs", "patience", "batch"}
-)
-
-
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    out: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
-    if not out:
-        raise UsageError("seeds: empty list")
-    return tuple(out)
+_FIT = ("flow", "d", "nu", "seeds", "lr", "batch", "epochs", "patience", "clip_norm",
+        "jobs", "out_dir", "trace")
+# The settings each command reads, in the order its metadata records them.
+READS = {
+    "de-synth": _FIT,
+    "vi-synth": tuple(k for k in _FIT if k != "patience"),
+    "de-csv": tuple(k for k in _FIT if k not in ("d", "nu")) + ("data_path",),
+    "nnreg": ("d", "nu", "seeds", "jobs", "out_dir", "activation", "n"),
+    "tail-est": ("seeds", "out_dir", "data_path"),
+    "table": ("out_dir",),
+}
+COMMANDS = tuple(READS)
 
 
-def _coerce(key: str, raw: str):
-    raw = raw.strip()
-    try:
-        if key == "seeds":
-            return _parse_seeds(raw)
-        if key == "batch":
-            if raw.lower() in ("none", "full", "full-pass", "full_pass"):
-                return "full"
-            return int(raw)
-        if key in _INT_KEYS or key in ("epochs", "patience"):
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("1", "true", "yes", "on"):
-                return True
-            if raw.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return raw
-    except UsageError:
-        raise
-    except ValueError as e:
-        raise UsageError(f"{key}: cannot parse value {raw!r}") from e
+def _flag(setting) -> str:
+    return setting.metadata["flag"] or "--" + setting.name.replace("_", "-")
 
 
 def read_config_file(path: str, command: str) -> dict:
-    """Key=value pairs of the section matching the command (plus unsectioned)."""
+    """Raw text of the keys in the section matching the command (plus unsectioned)."""
     values: dict = {}
     section = None
     try:
@@ -167,68 +196,45 @@ def read_config_file(path: str, command: str) -> dict:
         if "=" not in line:
             raise UsageError(f"config line {ln}: expected key = value, got {line!r}")
         key, raw = (s.strip() for s in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in SETTINGS:
             raise UsageError(f"config line {ln}: unknown key {key!r}")
         if section in (None, command):
-            values[key] = _coerce(key, raw)
+            values[key] = raw
     return values
 
 
 def parse_config(argv: list[str]) -> ExperimentConfig:
     """Merge defaults, config file and flags (flags win)."""
-    parser = argparse.ArgumentParser(
-        prog="tailflow",
-        description="Heavy-tailed flow experiments",
-        add_help=True,
-    )
+    parser = argparse.ArgumentParser(prog="tailflow", description="Heavy-tailed flow experiments")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config")
-    parser.add_argument("--flow")
-    parser.add_argument("--d", type=int)
-    parser.add_argument("--nu", type=float)
-    parser.add_argument("--seeds")
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--batch")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--patience", type=int)
-    parser.add_argument("--clip-norm", dest="clip_norm", type=float)
-    parser.add_argument("--jobs", type=int)
-    parser.add_argument("--out-dir", dest="out_dir")
-    parser.add_argument("--trace", action="store_true", default=None)
-    parser.add_argument("--data", dest="data_path")
-    parser.add_argument("--activation", choices=("sigmoid", "relu"))
-    parser.add_argument("--n", type=int)
+    for key, setting in SETTINGS.items():
+        const = setting.metadata["const"]
+        parser.add_argument(_flag(setting), dest=key,
+                            **({"action": "store_const", "const": const} if const else {}))
     ns = parser.parse_args(argv)
 
-    merged: dict = {}
-    if ns.config:
-        merged.update(read_config_file(ns.config, ns.command))
-    for key in (
-        "flow", "d", "nu", "seeds", "lr", "batch", "epochs", "patience",
-        "clip_norm", "jobs", "out_dir", "trace", "data_path", "activation", "n",
-    ):
-        val = getattr(ns, key)
-        if val is None:
-            continue
-        merged[key] = _coerce(key, str(val)) if isinstance(val, str) else val
-
-    cfg = ExperimentConfig(command=ns.command)
-    for key, val in merged.items():
-        if key == "command":
-            continue
-        if not hasattr(cfg, key):
-            raise UsageError(f"unknown key {key!r}")
-        setattr(cfg, key, val)
+    raw = read_config_file(ns.config, ns.command) if ns.config else {}
+    raw.update((k, v) for k, v in vars(ns).items() if k in SETTINGS and v is not None)
+    values = {}
+    for key, text in raw.items():
+        if key not in READS[ns.command]:
+            raise UsageError(f"{key}: {ns.command} does not read this setting")
+        try:
+            values[key] = SETTINGS[key].metadata["parse"](text.strip())
+        except ValueError as e:
+            raise UsageError(f"{key}: {e}") from e
+    cfg = ExperimentConfig(ns.command, **values)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.command in ("de-csv", "tail-est") and not cfg.data_path:
+    """The checks that depend on the command, not on one setting alone."""
+    reads = READS[cfg.command]
+    if "data_path" in reads and cfg.data_path is None:
         raise UsageError("data_path: required for this command (--data)")
-    if cfg.data_path and not os.path.exists(cfg.data_path):
-        raise UsageError(f"data_path: {cfg.data_path!r} does not exist")
-    if cfg.command in ("de-synth", "vi-synth", "de-csv"):
+    if "flow" in reads:
         # VI cannot train a COMET model (a normal flow on logits), nor the
         # mixture and generalized-normal bases, whose draws carry no
         # reparameterised gradient.
@@ -237,16 +243,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         if cfg.flow not in known:
             raise UsageError(f"flow: {cfg.command} cannot fit flow {cfg.flow!r}; "
                              f"expected one of {known}")
-    for key in ("jobs", "d", "epochs", "patience", "n", "batch"):
-        value = getattr(cfg, key)
-        if value not in (None, "full") and value < 1:
-            raise UsageError(f"{key}: must be at least 1, got {value}")
-    for key in ("nu", "lr", "clip_norm"):
-        value = getattr(cfg, key)
-        if value is not None and not value > 0.0:
-            raise UsageError(f"{key}: must be positive, got {value}")
-    if min(cfg.seeds) < 0:
-        raise UsageError(f"seeds: must be non-negative, got {min(cfg.seeds)}")
+    if cfg.command in ("de-synth", "vi-synth") and cfg.d < 2:
+        raise UsageError(f"d: the synthetic task needs at least 2, got {cfg.d}")
+    if cfg.command == "tail-est" and len(cfg.seeds) > 1:
+        raise UsageError(f"seeds: tail-est reads one seed, got {len(cfg.seeds)}")
 
 
 def _build_version() -> str:
@@ -256,33 +256,32 @@ def _build_version() -> str:
         return "unversioned"
 
 
+def _text(value) -> str:
+    """A setting's value as its parser reads it back."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) \
+        else str(value).lower() if isinstance(value, bool) else str(value)
+
+
 def write_metadata(cfg: ExperimentConfig, path: str) -> None:
-    """Self-reproducing record: feed it back through --config to re-run."""
+    """Self-reproducing record: feed it back through --config to re-run.
+
+    It holds each setting the command reads, in ``READS`` order, at its
+    resolved value; a training setting whose value is None (no clipping)
+    is left out."""
+    values = {k: getattr(cfg, k) for k in READS[cfg.command]}
+    if "lr" in values:
+        tc = cfg.resolved_train_config(cfg.seeds[0])
+        values.update((k, getattr(tc, t)) for k, t in _TRAIN_FIELDS.items() if k in values)
+        if tc.batch_size is training.FULL_PASS:
+            values["batch"] = "full"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# tailflow {_build_version()} run record\n")
         fh.write("# " + " ".join(f"{v}={os.environ.get(v, 'unset')}" for v in (
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")) + "\n")
         fh.write(f"[{cfg.command}]\n")
-        fh.write(f"flow = {cfg.flow}\n")
-        fh.write(f"d = {cfg.d}\n")
-        fh.write(f"nu = {cfg.nu!r}\n")
-        fh.write(f"seeds = {','.join(str(s) for s in cfg.seeds)}\n")
-        tc = cfg.resolved_train_config(cfg.seeds[0])
-        fh.write(f"lr = {tc.lr!r}\n")
-        batch = "full" if tc.batch_size is training.FULL_PASS else tc.batch_size
-        fh.write(f"batch = {batch}\n")
-        fh.write(f"epochs = {tc.max_epochs}\n")
-        fh.write(f"patience = {tc.patience}\n")
-        if tc.clip_norm is not None:
-            fh.write(f"clip_norm = {tc.clip_norm!r}\n")
-        fh.write(f"jobs = {cfg.jobs}\n")
-        fh.write(f"trace = {str(cfg.trace).lower()}\n")
-        if cfg.data_path:
-            fh.write(f"data_path = {cfg.data_path}\n")
-        if cfg.command == "nnreg":
-            fh.write(f"activation = {cfg.activation}\n")
-        if cfg.n is not None:
-            fh.write(f"n = {cfg.n}\n")
+        for key, value in values.items():
+            if value is not None:
+                fh.write(f"{key} = {_text(value)}\n")
 
 
 def _append_rows(path: str, rows: list[dict], write_header: bool) -> None:
@@ -295,6 +294,11 @@ def _append_rows(path: str, rows: list[dict], write_header: bool) -> None:
 
 
 def _run_one_seed(cfg: ExperimentConfig, seed: int) -> list[dict]:
+    if cfg.command == "nnreg":
+        mse = ex.run_nnreg(cfg.d, cfg.nu, cfg.activation, seed, n_per_split=cfg.n)
+        return [dict(flow=f"mlp-{cfg.activation}", d=cfg.d, nu=cfg.nu, seed=seed,
+                     metric_name="test_mse", value=mse,
+                     diverged=not np.isfinite(mse) or mse > training.DIVERGENCE_LOSS)]
     trace_path = (
         os.path.join(cfg.out_dir, f"trace_{cfg.command}_{cfg.flow}_{seed}.csv")
         if cfg.trace
@@ -305,15 +309,7 @@ def _run_one_seed(cfg: ExperimentConfig, seed: int) -> list[dict]:
         return ex.run_de_cell(cfg.flow, cfg.d, cfg.nu, seed, tc, trace_path)
     if cfg.command == "vi-synth":
         return ex.run_vi_cell(cfg.flow, cfg.d, cfg.nu, seed, tc, trace_path)
-    if cfg.command == "nnreg":
-        mse = ex.run_nnreg(cfg.d, cfg.nu, cfg.activation, seed,
-                           n_per_split=5000 if cfg.n is None else cfg.n)
-        return [dict(flow=f"mlp-{cfg.activation}", d=cfg.d, nu=cfg.nu, seed=seed,
-                     metric_name="test_mse", value=mse,
-                     diverged=not np.isfinite(mse) or mse > training.DIVERGENCE_LOSS)]
-    if cfg.command == "de-csv":
-        return _run_de_csv_seed(cfg, seed, tc, trace_path)
-    raise UsageError(f"command {cfg.command!r} does not run per-seed jobs")
+    return _run_de_csv_seed(cfg, seed, tc, trace_path)
 
 
 def load_csv_dataset(path: str) -> np.ndarray:

@@ -82,8 +82,11 @@ def vi_target_log_density(x, d: int, nu: float):
 
     The first d-1 coordinates are iid Student-T with nu degrees of
     freedom; the last is Gaussian around coordinate d-1.  Accepts an
-    (n, d) matrix (Var or array) or a single length-d vector.
+    (n, d) matrix (Var or array) or a single length-d vector.  Raises
+    ValueError for d < 2, where the model has no Gaussian coordinate.
     """
+    if d < 2:
+        raise ValueError("synthetic task needs d >= 2")
     if ad.value_of(x).ndim == 1:
         return float(vi_target_log_density(ad.value_of(x)[None, :], d, nu)[0])
     if x.shape[1] != d:

@@ -763,7 +763,9 @@ def load_model(path: str) -> FlowModel:
 
     Raises ValueError naming the path and the field when ``name``, ``d``,
     ``params`` or ``frozen`` is missing or of another JSON type, and naming
-    the key when the record's parameters do not fit the rebuilt
+    the parameter when its entry is not an object whose ``shape`` is a list
+    of integers and whose ``data`` is strict base64 of float64 values.  It
+    names the key when the record's parameters do not fit the rebuilt
     architecture: a key missing or extra, or a shape (or data length) that
     differs, or a frozen name that is no parameter.  A record's options may
     hold only retired build options at the values models are built with;
@@ -795,10 +797,20 @@ def load_model(path: str) -> FlowModel:
                          f"for {rec['name']} at d={rec['d']}")
     params = {}
     for k, spec in saved.items():
+        if type(spec) is not dict:
+            raise ValueError(f"{path}: parameter {k} must be an object, got {spec!r:.60}")
+        shape, data = spec.get("shape"), spec.get("data")
+        if type(shape) is not list or not all(type(s) is int for s in shape):
+            raise ValueError(f"{path}: parameter {k} shape must be a list of integers, "
+                             f"got {shape!r:.60}")
+        try:
+            arr = np.frombuffer(base64.b64decode(data, validate=True), dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: parameter {k} data must be base64 of float64 values, "
+                             f"got {data!r:.60}") from None
         want = model.params[k].shape
-        arr = np.frombuffer(base64.b64decode(spec["data"]), dtype=float)
-        if tuple(spec["shape"]) != want or arr.size != model.params[k].size:
-            raise ValueError(f"{path}: parameter {k} has shape {tuple(spec['shape'])} "
+        if tuple(shape) != want or arr.size != model.params[k].size:
+            raise ValueError(f"{path}: parameter {k} has shape {tuple(shape)} "
                              f"and {arr.size} values, expected shape {want}")
         params[k] = arr.reshape(want).copy()
     unknown = sorted(set(rec["frozen"]) - set(saved))

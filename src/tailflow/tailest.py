@@ -235,17 +235,6 @@ def hill_double_bootstrap(
     return DoubleBootstrapResult(shape, k, light, fallback)
 
 
-def _gpd_profile_negloglik(theta: float, x: np.ndarray) -> float:
-    """Negative profile log likelihood of a GPD over theta = shape/scale."""
-    n = x.size
-    if theta == 0.0:
-        return n * (np.log(np.mean(x)) + 1.0)
-    lam = float(np.mean(np.log1p(theta * x)))
-    if not np.isfinite(lam) or lam / theta <= 0.0:
-        return np.inf
-    return n * (np.log(lam / theta) + lam + 1.0)
-
-
 def gpd_fit_ml(excesses: np.ndarray) -> tuple[float, float]:
     """Maximum-likelihood GPD (shape, scale) for positive threshold excesses.
 
@@ -282,8 +271,8 @@ def gpd_fit_scale(excesses: np.ndarray, shape: float) -> float:
     return shape / theta
 
 
-def _fminbound(func, lo: float, hi: float, x: np.ndarray) -> tuple[float, float]:
-    """Bounded Brent minimisation of func(theta, x) over [lo, hi]; returns (theta, value).
+def _fminbound(func, lo: float, hi: float) -> tuple[float, float]:
+    """Bounded Brent minimisation of func(theta) over [lo, hi]; returns (theta, value).
 
     The Forsythe-Malcolm-Moler fminbound (golden sections with parabolic
     steps), as scipy.optimize.minimize_scalar(method="bounded") runs it,
@@ -298,7 +287,7 @@ def _fminbound(func, lo: float, hi: float, x: np.ndarray) -> tuple[float, float]
     fulc = a + golden_mean * (b - a)
     nfc, xf = fulc, fulc
     rat = e = 0.0
-    fx = func(xf, x)
+    fx = func(xf)
     num = 1
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
@@ -328,7 +317,7 @@ def _fminbound(func, lo: float, hi: float, x: np.ndarray) -> tuple[float, float]
             e = a - xf if xf >= xm else b - xf
             rat = golden_mean * e
         u = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-        fu = func(u, x)
+        fu = func(u)
         num += 1
         if fu <= fx:
             if u >= xf:
@@ -359,9 +348,11 @@ def _fminbound(func, lo: float, hi: float, x: np.ndarray) -> tuple[float, float]
 def _profile_grid(thetas: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(negative profile log likelihood, mean log1p(theta x)) at every theta.
 
-    The same values as ``_gpd_profile_negloglik`` theta by theta: each row
-    of a contiguous log1p matrix is averaged with the same pairwise sum as
-    a 1-D mean.  Rows go in chunks of about ``_GRID_CHUNK_VALUES`` values.
+    The likelihood is a GPD's over theta = shape/scale, with the scale
+    profiled out; it is infinite where no scale is positive.  Each row of a
+    contiguous log1p matrix is averaged with the same pairwise sum as a 1-D
+    mean, so a theta's values do not depend on the grid around it.  Rows go
+    in chunks of about ``_GRID_CHUNK_VALUES`` values.
     """
     n = x.size
     lams = np.empty(thetas.size)
@@ -402,7 +393,8 @@ def _profile_fit(x: np.ndarray) -> tuple[float, float]:
     lo = thetas[max(i - 1, 0)]
     hi = thetas[min(i + 1, thetas.size - 1)]
     if lo < hi:
-        t_min, f_min = _fminbound(_gpd_profile_negloglik, lo, hi, x)
+        t_min, f_min = _fminbound(lambda t: float(_profile_grid(np.array([t]), x)[0][0]),
+                                  lo, hi)
         theta = t_min if f_min <= masked[i] else float(thetas[i])
     else:
         theta = float(thetas[i])

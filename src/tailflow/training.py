@@ -59,11 +59,9 @@ class TrainResult:
 
     ``trace`` has one row per epoch: (train loss, validation loss), both
     mean negative log likelihood per observation; the validation column
-    is NaN for VI runs.  ``best_params`` is the parameter set at the
-    minimum recorded validation loss (final parameters for VI).
+    is NaN for VI runs.
     """
 
-    best_params: dict
     trace: np.ndarray
     diverged: bool
     epochs: int
@@ -238,13 +236,13 @@ def fit_density(
 ) -> TrainResult:
     """Maximum-likelihood fit with early stopping on validation loss.
 
-    The model is left (and returned) at the parameters of the best
-    validation epoch.  Divergence: a non-finite training step restores the
-    last good parameters together with Adam's moments and step count,
-    halves the learning rate for the rest of the fit, so that a full-pass
-    retry is a different step and not a replay of the failed one, and
-    halves a retry budget of 5; an exhausted budget, or a final loss above
-    1e5, flags the run as diverged.
+    The model is left at the parameters of the best validation epoch.
+    Divergence: a non-finite training step restores the last good
+    parameters together with Adam's moments and step count, halves the
+    learning rate for the rest of the fit, so that a full-pass retry is a
+    different step and not a replay of the failed one, and halves a retry
+    budget of 5; an exhausted budget, or a final loss above 1e5, flags the
+    run as diverged.
     """
     rng = special.Rng(cfg.seed)
     n = train.shape[0]
@@ -300,7 +298,7 @@ def fit_density(
             if stale >= cfg.patience:
                 break
 
-    model.params.update({k: v.copy() for k, v in best_params.items()})
+    model.params.update(best_params)
     if trace_path is not None:
         _write_trace(trace_path, rows)
     final_train, final_valid = rows[-1] if rows else (float("nan"), float("nan"))
@@ -312,7 +310,6 @@ def fit_density(
         or final_valid > DIVERGENCE_LOSS
     )
     return TrainResult(
-        best_params=best_params,
         trace=np.asarray(rows, dtype=float).reshape(len(rows), 2),
         diverged=diverged,
         epochs=len(rows),
@@ -327,8 +324,8 @@ def fit_vi(
 ) -> TrainResult:
     """Stochastic ELBO maximisation for a fixed iteration count.
 
-    Returns the final parameters (no validation selection) and a trace
-    whose train column holds the per-iteration negative-ELBO estimate.
+    Leaves the model at its final parameters (no validation selection);
+    the trace's train column holds the per-iteration negative-ELBO estimate.
     """
     rng = special.Rng(cfg.seed)
     M = cfg.batch_size if cfg.batch_size is not FULL_PASS else 100
@@ -361,7 +358,6 @@ def fit_vi(
     final = finite[-1] if finite else float("nan")
     diverged = exhausted or not finite or final > DIVERGENCE_LOSS
     return TrainResult(
-        best_params=_snapshot(model),
         trace=np.asarray(rows, dtype=float).reshape(len(rows), 2),
         diverged=diverged,
         epochs=len(rows),

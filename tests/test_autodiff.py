@@ -116,7 +116,7 @@ UNARY_CASES = [
     ("sigmoid", lambda v: v.sigmoid(), np.array([-4.0, -1.0, 0.0, 0.5, 4.0])),
     ("relu", lambda v: v.relu(), np.array([-3.0, -0.5, 0.5, 1.0, 3.0])),
     ("softplus", lambda v: v.softplus(), np.array([-5.0, -1.0, 0.0, 1.0, 5.0])),
-    ("abs", lambda v: v.abs(), np.array([-3.0, -0.5, 0.5, 1.0, 3.0])),
+    ("abs", lambda v: v.absolute(), np.array([-3.0, -0.5, 0.5, 1.0, 3.0])),
     ("log_erfc", lambda v: v.log_erfc(), np.array([-3.0, -1.0, 0.0, 2.0, 8.0])),
     ("erfc_inv", lambda v: v.erfc_inv(), np.array([0.05, 0.5, 1.0, 1.5, 1.95])),
     ("lgamma", lambda v: v.lgamma(), np.array([0.3, 0.9, 1.5, 3.0, 6.0])),
@@ -626,7 +626,7 @@ class TestRuleTable:
             v[1:, ::2], v[np.array([2, 0, 2]), np.array([1, 1, 3])], v.T, v.reshape(2, 6),
             v.reshape(3, 2, 2).swapaxes(0, 2),
             v.where_mask(np.arange(12).reshape(3, 4) % 3 == 0, t.param(np.full((3, 4), -7.0))),
-            -v, v.relu(), v.abs(),
+            -v, v.relu(), v.absolute(),
         ]
         assert {t.ops[n.idx] for n in nodes} == ENTRY_MOVING_OPS
         assert all(np.all(np.isfinite(v)) for v in t.seen)
@@ -745,14 +745,15 @@ class TestBackwardSemantics:
         for i in range(5):
             assert grads[f"p{i}"] == 1.0
 
-    def test_backward_twice_doubles(self):
+    def test_second_backward_gives_same_gradients(self):
+        # a sweep leaves the saved values alone and returns its own gradients
         tape = ad.Tape()
         x = tape.param(3.0, "x")
         y = x * x
         first = ad.backward(y)["x"]
         second = ad.backward(y)["x"]
         assert first == 6.0
-        assert second == 12.0
+        assert second == 6.0
 
     def test_nonscalar_output_rejected(self):
         tape = ad.Tape()
@@ -760,16 +761,17 @@ class TestBackwardSemantics:
         with pytest.raises(ValueError, match="scalar"):
             ad.backward(x * 2.0)
 
-    def test_returned_grads_track_store(self):
-        # a param the output does not reach reads zeros until a sweep reaches it
+    def test_unreached_param_gets_zeros(self):
+        # each sweep returns zeros for a param its output does not reach
         tape = ad.Tape()
         x = tape.param(np.array([1.0, 2.0]), "x")
         w = tape.param(3.0, "w")
         grads = ad.backward(w * 1.0)
         np.testing.assert_array_equal(grads["x"], [0.0, 0.0])
+        assert grads["w"] == 1.0
         grads = ad.backward((x * x).sum())
         np.testing.assert_allclose(grads["x"], [2.0, 4.0])
-        assert grads["w"] == 1.0
+        assert grads["w"] == 0.0
 
 
 # Uses of one (6, 5) Var y: basic slices (some overlapping), gathers that
@@ -887,7 +889,7 @@ class TestScatterAdjoints:
         want = _reference_backward(total)["x"]
         first = ad.backward(total)["x"].copy()
         np.testing.assert_array_equal(first, want)
-        np.testing.assert_array_equal(ad.backward(total)["x"], 2.0 * first)
+        assert ad.backward(total)["x"].tobytes() == first.tobytes()
         assert len(tape.ops) == built
 
     @given(uses=st.lists(st.sampled_from(sorted(_LARGE_USES)), min_size=3, max_size=10),
@@ -914,7 +916,7 @@ class TestScatterAdjoints:
         want = _reference_backward(total)["x"]
         first = ad.backward(total)["x"].copy()
         assert first.tobytes() == want.tobytes()
-        np.testing.assert_array_equal(ad.backward(total)["x"], 2.0 * first)
+        assert ad.backward(total)["x"].tobytes() == first.tobytes()
 
     @pytest.mark.parametrize("key,kind", [
         ((np.array([[-1, 0], [0, 1]]), np.arange(2)), "once"),
@@ -1049,7 +1051,7 @@ class TestPoisoning:
                 lambda: v.where_mask(mask(), bad()), lambda: v + poison,
                 lambda: big + big, lambda: big - -big, lambda: big * 10.0,
                 lambda: big.sum(axis=0, keepdims=True) + v, lambda: big.cumsum(axis=1),
-                lambda: (v.abs() + 800.0).exp(), lambda: (v * 0.0).log(),
+                lambda: (v.absolute() + 800.0).exp(), lambda: (v * 0.0).log(),
                 lambda: v / (v * 0.0), lambda: big @ big.T @ v,
                 lambda: v @ np.full((4, 4), 1e308),
             ]
@@ -1060,10 +1062,11 @@ class TestPoisoning:
             lambda v, u: (np.abs(v.value) + 0.5) ** u, lambda v, u: v.where_mask(mask(), u),
             lambda v, u: v * 3.0, lambda v, u: 2.0 / v, lambda v, u: v / 0.5 - 1.0,
             lambda v, u: 1.5 - v * v, lambda v, u: v.sigmoid().exp(), lambda v, u: v.expm1(),
-            lambda v, u: (v.abs() + 0.1).log(), lambda v, u: v.sigmoid().log1p(),
-            lambda v, u: v.abs().sqrt(), lambda v, u: v.softplus(), lambda v, u: v.log_erfc().exp(),
+            lambda v, u: (v.absolute() + 0.1).log(), lambda v, u: v.sigmoid().log1p(),
+            lambda v, u: v.absolute().sqrt(), lambda v, u: v.softplus(),
+            lambda v, u: v.log_erfc().exp(),
             lambda v, u: v.log_erfc(), lambda v, u: (v.sigmoid() * 1.8 + 0.1).erfc_inv(),
-            lambda v, u: (v.abs() + 0.1).lgamma(), lambda v, u: v.maximum(-0.5),
+            lambda v, u: (v.absolute() + 0.1).lgamma(), lambda v, u: v.maximum(-0.5),
             lambda v, u: v.minimum(2.0),
             lambda v, u: v.sum(axis=0, keepdims=True) * u, lambda v, u: v.cumsum(axis=1),
             lambda v, u: v.cumsum(axis=0), lambda v, u: v @ u.T @ u,
@@ -1073,7 +1076,7 @@ class TestPoisoning:
             lambda v, u: v.T.T, lambda v, u: v.reshape(4, 3).reshape(3, 4),
             lambda v, u: v.reshape(3, 2, 2).swapaxes(0, 2).swapaxes(0, 2).reshape(3, 4),
             lambda v, u: ad.where_mask(np.eye(4, dtype=bool)[rng.integers(4)], u[:, 1][:, None], v),
-            lambda v, u: -v, lambda v, u: v.relu(), lambda v, u: v.abs(),
+            lambda v, u: -v, lambda v, u: v.relu(), lambda v, u: v.absolute(),
             lambda v, u: v.where_mask(mask(), -u), lambda v, u: v[0] + v,
         ]
         at = rng.integers(30)

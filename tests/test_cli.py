@@ -171,10 +171,67 @@ class TestUsageErrors:
         (["de-synth", "--batch", "0"], "batch"),
         (["de-synth", "--lr", "-1"], "lr"),
         (["vi-synth", "--clip-norm", "-1"], "clip_norm"),
+        (["de-synth", "--d", "1"], "d"),
+        (["vi-synth", "--d", "1"], "d"),
+        (["de-synth", "--patience", "0"], "patience"),
+        (["nnreg", "--activation", "tanh"], "activation"),
+        (["de-synth", "--trace", "--seeds", "3.."], "seeds"),
     ])
     def test_bad_values_are_rejected_naming_the_key(self, argv, key):
         with pytest.raises(cli.UsageError, match=f"^{key}: "):
             cli.parse_config(argv)
+
+    def test_nnreg_fits_one_dimension(self):
+        assert cli.parse_config(["nnreg", "--d", "1"]).d == 1
+
+    def test_tail_est_takes_one_seed(self, data_csv):
+        with pytest.raises(cli.UsageError, match="^seeds: tail-est reads one seed, got 4"):
+            cli.parse_config(["tail-est", "--data", data_csv, "--seeds", "0..3"])
+
+    def test_command_is_no_config_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command = de-synth\n")
+        with pytest.raises(cli.UsageError, match="unknown key 'command'"):
+            cli.parse_config(["de-synth", "--config", str(cfg)])
+
+
+RUN_COMMANDS = [c for c in cli.COMMANDS if c != "table"]
+
+
+class TestSettingsTable:
+    """Generated from ``READS`` and ``SETTINGS``, so a new setting or command
+    is covered without a new test."""
+
+    @pytest.mark.parametrize("command", RUN_COMMANDS)
+    def test_metadata_reads_back_to_the_same_record(self, tmp_path, data_csv, command):
+        # the record holds every setting the command reads, in table order,
+        # and nothing else; only an unset clip_norm (no clipping) is left out
+        argv = [command] + (["--data", data_csv] if "data_path" in cli.READS[command] else [])
+        first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+        cli.write_metadata(cli.parse_config(argv), str(first))
+        keys = [line.split(" = ")[0] for line in first.read_text().splitlines()[3:]]
+        assert keys == [k for k in cli.READS[command] if k in keys]
+        assert set(cli.READS[command]) - set(keys) <= {"clip_norm"}
+        cli.write_metadata(cli.parse_config([command, "--config", str(first)]), str(second))
+        assert second.read_text() == first.read_text()
+
+    @pytest.mark.parametrize("command,key", [
+        (c, k) for c in cli.COMMANDS for k in cli.SETTINGS if k not in cli.READS[c]])
+    def test_unread_flag_is_rejected(self, command, key):
+        setting = cli.SETTINGS[key]
+        argv = [command, cli._flag(setting)] + ([] if setting.metadata["const"] else ["1"])
+        with pytest.raises(cli.UsageError, match=f"^{key}: {command} does not read"):
+            cli.parse_config(argv)
+
+    def test_unread_config_key_is_rejected_where_it_applies(self, tmp_path):
+        # a key in another command's section does not apply to the run
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[de-synth]\nlr = 0.1\n[nnreg]\nd = 3\n")
+        assert cli.parse_config(["nnreg", "--config", str(cfg)]).d == 3
+        for text in ("lr = 0.1\n[nnreg]\nd = 3\n", "[nnreg]\nd = 3\nlr = 0.1\n"):
+            cfg.write_text(text)
+            with pytest.raises(cli.UsageError, match="^lr: nnreg does not read"):
+                cli.parse_config(["nnreg", "--config", str(cfg)])
 
 
 class TestTable:

@@ -108,6 +108,13 @@ class TestViTarget:
         var = E.vi_target_log_density(tape.param(x, "x"), 3, nu)
         np.testing.assert_array_equal(np.asarray(var.value), plain)
 
+    @pytest.mark.parametrize("x", [np.zeros((3, 1)), np.zeros(1)], ids=["matrix", "vector"])
+    def test_rejects_one_dimension(self, x):
+        # at d=1 no Student-T coordinate is left and the Gaussian gap
+        # x[:, 0] - x[:, -1] is zero: the constant -log(2 pi)/2, improper
+        with pytest.raises(ValueError, match="d >= 2"):
+            E.vi_target_log_density(x, 1, 2.0)
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCometMarginal:

@@ -957,14 +957,35 @@ class TestSerialization:
         ("params", [], "field 'params' must be an object, got []"),
         ("frozen", "tails.lp_raw", "field 'frozen' must be a list of names, got 'tails.lp_raw'"),
         ("frozen", [1], "field 'frozen' must be a list of names, got [1]"),
+        ("params/tails.lp_raw", 5, "parameter tails.lp_raw must be an object, got 5"),
+        ("params/tails.lp_raw", [3], "parameter tails.lp_raw must be an object, got [3]"),
+        ("params/tails.lp_raw/shape", None,
+         "parameter tails.lp_raw shape must be a list of integers, got None"),
+        ("params/tails.lp_raw/shape", 3,
+         "parameter tails.lp_raw shape must be a list of integers, got 3"),
+        ("params/tails.lp_raw/shape", [3.0],
+         "parameter tails.lp_raw shape must be a list of integers, got [3.0]"),
+        ("params/tails.lp_raw/data", None,
+         "parameter tails.lp_raw data must be base64 of float64 values, got None"),
+        ("params/tails.lp_raw/data", 7,
+         "parameter tails.lp_raw data must be base64 of float64 values, got 7"),
+        # not base64 (decoded leniently, "!!" is zero bytes), and 5 bytes
+        ("params/tails.lp_raw/data", "!!",
+         "parameter tails.lp_raw data must be base64 of float64 values, got '!!'"),
+        ("params/tails.lp_raw/data", "AAAAAAA=",
+         "parameter tails.lp_raw data must be base64 of float64 values, got 'AAAAAAA='"),
     ])
     def test_rejects_malformed_field(self, tmp_path, field, value, message):
-        # None deletes the field
+        # a field is a /-separated path into the record; None deletes it
         path, rec = self._saved_record(tmp_path)
+        *parents, last = field.split("/")
+        entry = rec
+        for key in parents:
+            entry = entry[key]
         if value is None:
-            del rec[field]
+            del entry[last]
         else:
-            rec[field] = value
+            entry[last] = value
         path.write_text(json.dumps(rec))
         with pytest.raises(ValueError) as exc:
             flows.load_model(str(path))

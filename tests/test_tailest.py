@@ -174,9 +174,11 @@ class TestFminbound:
             hi = lo + float(rng.uniform(1e-4, 3.0)) / np.mean(x)
             if i % 6 == 0:
                 lo, hi = hi, hi + 1e-3 / np.mean(x)
-            want = minimize_scalar(tailest._gpd_profile_negloglik, args=(x,),
-                                   bounds=(lo, hi), method="bounded")
-            got = tailest._fminbound(tailest._gpd_profile_negloglik, lo, hi, x)
+            def profile(t, x=x):
+                return float(tailest._profile_grid(np.array([t]), x)[0][0])
+
+            want = minimize_scalar(profile, bounds=(lo, hi), method="bounded")
+            got = tailest._fminbound(profile, lo, hi)
             assert got == (float(want.x), float(want.fun))
             at_end += abs(got[0] - hi) < 1e-4 / np.mean(x) or abs(got[0] - lo) < 1e-4 / np.mean(x)
         assert at_end >= 6
