@@ -125,7 +125,7 @@ class ExperimentConfig:
     """Fully resolved settings of one CLI invocation.
 
     A training setting (lr, batch, epochs, patience, clip_norm) left at None
-    takes the command's default; batch "full" asks for full-pass steps.
+    takes the command's default; batch "full" asks for full-pass DE steps.
     ``activation`` and ``n`` are nnreg's MLP and its rows per split.
     """
 
@@ -243,6 +243,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         if cfg.flow not in known:
             raise UsageError(f"flow: {cfg.command} cannot fit flow {cfg.flow!r}; "
                              f"expected one of {known}")
+    if cfg.command == "vi-synth" and cfg.batch == "full":
+        raise UsageError("batch: vi-synth draws a number of samples per step; "
+                         "it has no full pass")
     if cfg.command in ("de-synth", "vi-synth") and cfg.d < 2:
         raise UsageError(f"d: the synthetic task needs at least 2, got {cfg.d}")
     if cfg.command == "tail-est" and len(cfg.seeds) > 1:

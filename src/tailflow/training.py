@@ -1,12 +1,23 @@
-"""Training harnesses for density estimation and variational inference.
+"""Training: one Adam loop for density estimation, variational inference
+and the heavy-input regression demo.
 
-Density estimation minimises the negative log likelihood with Adam,
-full-pass or minibatched, early-stopped on a full-batch validation loss.
-Variational fits maximise a reparameterized ELBO estimate against an
-unnormalized target density.  Both survive unstable runs: a step whose
-loss comes back non-finite restores the last good parameters and burns
-retry budget instead of aborting, so diverged runs are reported rather
-than crashed.
+``fit`` runs Adam on a parameter dict, epoch by epoch, over the batches and
+the step function its caller gives it.  It has three callers:
+
+* ``fit_density`` minimises the negative log likelihood, full-pass or
+  minibatched, early-stopped on a full-batch validation loss;
+* ``fit_vi`` maximises a reparameterized ELBO estimate against an
+  unnormalized target density, one step per epoch for a fixed count;
+* ``experiments.fit_mlp_regressor`` fits the regression MLP on minibatches,
+  early-stopped on its validation MSE.
+
+Each step's loss and gradients come from ``gradient``, which gives no
+gradients for a non-finite loss or a poisoned tape.  ``fit`` answers such a
+step with one policy: it restores the last good parameters together with
+Adam's moments and step count, halves the learning rate for the rest of the
+fit, so that a full-pass retry is a different step and not a replay of the
+failed one, and halves a retry budget of 5.  An exhausted budget ends the
+fit, and diverged runs are reported rather than crashed.
 """
 
 from __future__ import annotations
@@ -51,6 +62,8 @@ class TrainConfig:
             raise ValueError("patience must be at least 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch size must be positive or the full-pass sentinel")
+        if self.clip_norm is not None and not self.clip_norm > 0.0:
+            raise ValueError("clip_norm must be positive or None")
 
 
 @dataclass
@@ -88,8 +101,11 @@ def adam_init(params: dict) -> dict:
 
 
 def clip_gradient_norm(grads: dict, max_norm: float) -> dict:
-    """Scale the whole gradient dict so its global L2 norm is at most max_norm."""
+    """Scale the whole (finite) gradient dict so its global L2 norm is at most max_norm."""
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if np.isinf(total):  # the squares overflow: take the norm of g / max|g|
+        big = max(float(np.max(np.abs(g))) for g in grads.values() if np.size(g))
+        total = big * np.sqrt(sum(float(np.sum((g / big) ** 2)) for g in grads.values()))
     if total <= max_norm or total == 0.0:
         return grads
     scale = max_norm / total
@@ -131,6 +147,24 @@ def adam_step(
     return out
 
 
+def gradient(loss) -> tuple[float, dict | None]:
+    """(value, parameter gradients) of a scalar loss built on a tape.
+
+    The gradients are None when the value is non-finite or the tape is
+    poisoned, and empty when the loss is a plain number: with every
+    parameter frozen no tape is built.
+    """
+    value = float(ad.value_of(loss))
+    if not np.isfinite(value):
+        return value, None
+    if not isinstance(loss, ad.Var):
+        return value, {}
+    try:
+        return value, ad.backward(loss)
+    except ad.PoisonedTapeError:
+        return value, None
+
+
 class ElboStep(NamedTuple):
     """One stochastic ELBO gradient; grads is None on a diverged step."""
 
@@ -155,34 +189,24 @@ def elbo_gradient_step(
     """
     if M < 1:
         raise ValueError("M must be at least 1")
-    try:
-        x, logq = flows.flow_sample_with_log_prob(model, model.tape_params(ad.Tape()), rng, M)
-        xv = ad.value_of(x)
-        lqv = ad.value_of(logq)
-        target_vals = np.asarray(log_unnorm_target(xv), dtype=float)
-        good = (
-            np.all(np.isfinite(xv), axis=1)
-            & np.isfinite(lqv)
-            & np.isfinite(target_vals)
-        )
-        n_good = int(good.sum())
-        if n_good < M:
-            logger.warning("elbo step: dropped %d of %d samples", M - n_good, M)
-        if n_good == 0:
-            return ElboStep(None, float("nan"), M)
-        if n_good < M:
-            x = ad.where_mask(good[:, None], x, 0.0)
-        lp = log_unnorm_target(x)
-        gap = logq - lp
-        if n_good < M:
-            gap = ad.where_mask(good, gap, 0.0)
-        loss = gap.sum() / n_good
-        value = float(ad.value_of(loss))
-        if not np.isfinite(value):
-            return ElboStep(None, float("nan"), M)
-        # with every param frozen no tape is built, and there is nothing to differentiate
-        grads = ad.backward(loss) if isinstance(loss, ad.Var) else {}
-    except ad.PoisonedTapeError:
+    x, logq = flows.flow_sample_with_log_prob(model, model.tape_params(ad.Tape()), rng, M)
+    xv = ad.value_of(x)
+    lqv = ad.value_of(logq)
+    target_vals = np.asarray(log_unnorm_target(xv), dtype=float)
+    good = np.all(np.isfinite(xv), axis=1) & np.isfinite(lqv) & np.isfinite(target_vals)
+    n_good = int(good.sum())
+    if n_good < M:
+        logger.warning("elbo step: dropped %d of %d samples", M - n_good, M)
+    if n_good == 0:
+        return ElboStep(None, float("nan"), M)
+    if n_good < M:
+        x = ad.where_mask(good[:, None], x, 0.0)
+    lp = log_unnorm_target(x)
+    gap = logq - lp
+    if n_good < M:
+        gap = ad.where_mask(good, gap, 0.0)
+    value, grads = gradient(gap.sum() / n_good)
+    if grads is None:
         return ElboStep(None, float("nan"), M)
     return ElboStep(grads, -value, M - n_good)
 
@@ -195,36 +219,101 @@ def _write_trace(path: str, rows: list) -> None:
             w.writerow([i, repr(tr), repr(va)])
 
 
-def _snapshot(model: flows.FlowModel) -> dict:
-    return {k: v.copy() for k, v in model.trainable_params().items()}
-
-
 def _moments(state: dict) -> dict:
     """Adam's moments and step count in ``state``, in dicts of their own
     (``adam_step`` replaces the arrays, never writes into them)."""
     return {"m": dict(state["m"]), "v": dict(state["v"]), "t": state["t"]}
 
 
-def _de_gradient(model: flows.FlowModel, batch: np.ndarray):
-    """(loss, parameter gradients) of one DE batch, built on a fresh tape.
+def shuffled_batches(n: int, cfg: TrainConfig) -> Callable:
+    """Each call gives one epoch's batches of row indices: a fresh permutation
+    of range(n) from ``Rng(cfg.seed)``, cut into ``cfg.batch_size`` rows, or
+    whole at ``FULL_PASS``."""
+    rng = special.Rng(cfg.seed)
+    size = n if cfg.batch_size is FULL_PASS else cfg.batch_size
 
-    The gradients are None when the loss is non-finite or the tape is
-    poisoned, and empty when every parameter is frozen, as no tape is built
-    then.
+    def batches() -> list:
+        perm = rng.permutation(n)
+        return [perm[i: i + size] for i in range(0, n, size)]
+
+    return batches
+
+
+def fit(
+    params: dict,
+    frozen: set,
+    step: Callable,
+    batches: Callable,
+    valid: Callable | None,
+    cfg: TrainConfig,
+    trace_path: str | None = None,
+) -> TrainResult:
+    """Adam on the ``params`` dict, in place, leaving the ``frozen`` keys alone.
+
+    Each epoch runs ``step(batch) -> (mean loss, gradients or None)`` over
+    ``batches()``, then ``valid() -> validation loss`` if given.  With
+    ``valid`` the fit stops after ``cfg.patience`` epochs without a better
+    validation loss and ends at the parameters of the best one; without, it
+    runs ``cfg.max_epochs`` epochs and keeps the last parameters.  A step
+    without gradients is handled as the module docstring says.  The run is
+    diverged if the budget ran out, or if the last epoch's loss (and its
+    validation loss, where there is one) is non-finite or above 1e5.
     """
-    # NaN poisoning is the designed failure mode here; keep the console
-    # clear of the float warnings it necessarily raises.
+    trainable = [k for k in params if k not in frozen]
+    state = adam_init({k: params[k] for k in trainable})
+    lr = cfg.lr
+    budget = _RETRY_BUDGET
+    # shallow copies suffice: adam_step replaces arrays, never writes into them
+    last_good = dict(params), _moments(state)
+    best, best_valid, stale = dict(params), float("inf"), 0
+    rows: list = []
+    exhausted = False
+    # NaN poisoning is the designed failure mode; keep the console clear of
+    # the float warnings it necessarily raises.
     with np.errstate(all="ignore"):
-        loss = de_loss(model, batch, model.tape_params(ad.Tape()))
-        if not isinstance(loss, ad.Var):
-            return loss, {}
-        value = float(loss.value)
-        if not np.isfinite(value):
-            return value, None
-        try:
-            return value, ad.backward(loss)
-        except ad.PoisonedTapeError:
-            return value, None
+        for _epoch in range(cfg.max_epochs):
+            losses = []
+            for batch in batches():
+                loss, grads = step(batch)
+                if grads is None:
+                    params.update(last_good[0])
+                    state.update(_moments(last_good[1]))
+                    lr *= 0.5
+                    budget //= 2
+                    exhausted = budget == 0
+                    if exhausted:
+                        break
+                    continue
+                losses.append(loss)
+                last_good = dict(params), _moments(state)
+                trained = {k: params[k] for k in trainable}
+                params.update(adam_step(trained, grads, state, lr, cfg.clip_norm))
+            train_loss = float(np.mean(losses)) if losses else float("nan")
+            valid_loss = valid() if valid is not None else float("nan")
+            rows.append((train_loss, valid_loss))
+            if exhausted:
+                break
+            if np.isfinite(valid_loss) and valid_loss < best_valid:
+                best, best_valid, stale = dict(params), valid_loss, 0
+            elif valid is not None:
+                stale += 1
+                if stale >= cfg.patience:
+                    break
+    if valid is not None:
+        params.update(best)
+    if trace_path is not None:
+        _write_trace(trace_path, rows)
+    final = rows[-1] if valid is not None else rows[-1][:1]
+    return TrainResult(
+        trace=np.asarray(rows, dtype=float),
+        diverged=exhausted or not all(np.isfinite(x) and x <= DIVERGENCE_LOSS for x in final),
+        epochs=len(rows),
+    )
+
+
+def _de_gradient(model: flows.FlowModel, batch: np.ndarray):
+    """``gradient`` of the summed NLL of one DE batch, on a fresh tape."""
+    return gradient(de_loss(model, batch, model.tape_params(ad.Tape())))
 
 
 def fit_density(
@@ -234,86 +323,20 @@ def fit_density(
     cfg: TrainConfig,
     trace_path: str | None = None,
 ) -> TrainResult:
-    """Maximum-likelihood fit with early stopping on validation loss.
+    """Maximum-likelihood fit with early stopping on the validation loss.
 
     The model is left at the parameters of the best validation epoch.
-    Divergence: a non-finite training step restores the last good
-    parameters together with Adam's moments and step count, halves the
-    learning rate for the rest of the fit, so that a full-pass retry is a
-    different step and not a replay of the failed one, and halves a retry
-    budget of 5; an exhausted budget, or a final loss above 1e5, flags the
-    run as diverged.
     """
-    rng = special.Rng(cfg.seed)
-    n = train.shape[0]
-    state = adam_init(model.trainable_params())
-    lr = cfg.lr
-    budget = _RETRY_BUDGET
-    last_good = _snapshot(model), _moments(state)
-    best_params = _snapshot(model)
-    best_valid = float("inf")
-    stale = 0
-    rows: list = []
-    exhausted = False
 
-    for _epoch in range(1, cfg.max_epochs + 1):
-        perm = rng.permutation(n)
-        if cfg.batch_size is FULL_PASS or cfg.batch_size >= n:
-            batches = [perm]
-        else:
-            batches = [
-                perm[i: i + cfg.batch_size] for i in range(0, n, cfg.batch_size)
-            ]
-        losses = []
-        for idx in batches:
-            loss, grads = _de_gradient(model, train[idx])
-            if grads is None:
-                params, moments = last_good
-                model.params.update({k: v.copy() for k, v in params.items()})
-                state.update(_moments(moments))
-                lr *= 0.5
-                budget //= 2
-                if budget == 0:
-                    exhausted = True
-                    break
-                continue
-            losses.append(loss / idx.size)
-            last_good = _snapshot(model), _moments(state)
-            model.params.update(
-                adam_step(model.trainable_params(), grads, state, lr, cfg.clip_norm)
-            )
-        train_loss = float(np.mean(losses)) if losses else float("nan")
-        with np.errstate(all="ignore"):
-            vl = de_loss(model, valid)
-        valid_loss = float(vl) / valid.shape[0]
-        rows.append((train_loss, valid_loss))
-        if exhausted:
-            break
-        if np.isfinite(valid_loss) and valid_loss < best_valid:
-            best_valid = valid_loss
-            best_params = _snapshot(model)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
+    def step(idx: np.ndarray):
+        loss, grads = _de_gradient(model, train[idx])
+        return loss / idx.size, grads
 
-    model.params.update(best_params)
-    if trace_path is not None:
-        _write_trace(trace_path, rows)
-    final_train, final_valid = rows[-1] if rows else (float("nan"), float("nan"))
-    diverged = (
-        exhausted
-        or not np.isfinite(final_train)
-        or not np.isfinite(final_valid)
-        or final_train > DIVERGENCE_LOSS
-        or final_valid > DIVERGENCE_LOSS
-    )
-    return TrainResult(
-        trace=np.asarray(rows, dtype=float).reshape(len(rows), 2),
-        diverged=diverged,
-        epochs=len(rows),
-    )
+    def valid_loss() -> float:
+        return float(de_loss(model, valid)) / valid.shape[0]
+
+    return fit(model.params, model.frozen, step, shuffled_batches(train.shape[0], cfg),
+               valid_loss, cfg, trace_path)
 
 
 def fit_vi(
@@ -322,43 +345,18 @@ def fit_vi(
     cfg: TrainConfig,
     trace_path: str | None = None,
 ) -> TrainResult:
-    """Stochastic ELBO maximisation for a fixed iteration count.
+    """Stochastic ELBO maximisation, one step of ``cfg.batch_size`` draws per
+    epoch for ``cfg.max_epochs`` epochs.
 
     Leaves the model at its final parameters (no validation selection);
     the trace's train column holds the per-iteration negative-ELBO estimate.
     """
+    if cfg.batch_size is FULL_PASS:
+        raise ValueError("VI draws batch_size samples per step; it has no full pass")
     rng = special.Rng(cfg.seed)
-    M = cfg.batch_size if cfg.batch_size is not FULL_PASS else 100
-    state = adam_init(model.trainable_params())
-    budget = _RETRY_BUDGET
-    last_good = _snapshot(model)
-    rows: list = []
-    exhausted = False
 
-    for _it in range(1, cfg.max_epochs + 1):
-        with np.errstate(all="ignore"):
-            step = elbo_gradient_step(model, log_unnorm_target, M, rng)
-        if step.grads is None:
-            model.params.update({k: v.copy() for k, v in last_good.items()})
-            budget //= 2
-            rows.append((float("nan"), float("nan")))
-            if budget == 0:
-                exhausted = True
-                break
-            continue
-        last_good = _snapshot(model)
-        model.params.update(
-            adam_step(model.trainable_params(), step.grads, state, cfg.lr, cfg.clip_norm)
-        )
-        rows.append((-step.elbo, float("nan")))
+    def step(_batch):
+        st = elbo_gradient_step(model, log_unnorm_target, cfg.batch_size, rng)
+        return -st.elbo, st.grads
 
-    if trace_path is not None:
-        _write_trace(trace_path, rows)
-    finite = [r[0] for r in rows if np.isfinite(r[0])]
-    final = finite[-1] if finite else float("nan")
-    diverged = exhausted or not finite or final > DIVERGENCE_LOSS
-    return TrainResult(
-        trace=np.asarray(rows, dtype=float).reshape(len(rows), 2),
-        diverged=diverged,
-        epochs=len(rows),
-    )
+    return fit(model.params, model.frozen, step, lambda: [None], None, cfg, trace_path)

@@ -1,4 +1,4 @@
-"""Command-line tests: pinned de-csv result rows, usage errors, output order,
+"""Command-line tests: pinned result rows, usage errors, output order,
 the results table."""
 
 import os
@@ -61,6 +61,35 @@ COMET,2,nan,1,epochs,3.0,False
 }
 
 
+# Rows of the other fitting commands, pinned bit for bit in the same way.
+RUNS = {
+    "nnreg_relu": (["nnreg", "--d", "3", "--nu", "2", "--n", "500", "--seeds", "0,1",
+                    "--activation", "relu"], """\
+mlp-relu,3,2.0,0,test_mse,0.9296341704455255,False
+mlp-relu,3,2.0,1,test_mse,1.0711214550255663,False
+"""),
+    "nnreg_sigmoid": (["nnreg", "--d", "3", "--nu", "2", "--n", "500", "--seeds", "0",
+                       "--activation", "sigmoid"], """\
+mlp-sigmoid,3,2.0,0,test_mse,1.2755938370866529,False
+"""),
+    "vi_synth": (["vi-synth", "--flow", "TTF", "--d", "2", "--nu", "2", "--epochs", "20",
+                  "--seeds", "0,1"], """\
+TTF,2,2.0,0,ess_e,0.14889916792025895,False
+TTF,2,2.0,0,khat,0.4070217998075076,False
+TTF,2,2.0,0,lambda_pos[0],0.4718746618255346,False
+TTF,2,2.0,0,lambda_neg[0],0.6916413121905078,False
+TTF,2,2.0,0,lambda_pos[1],0.8157563294008943,False
+TTF,2,2.0,0,lambda_neg[1],0.3578896810355145,False
+TTF,2,2.0,1,ess_e,0.22236770739703215,False
+TTF,2,2.0,1,khat,0.32997122191308914,False
+TTF,2,2.0,1,lambda_pos[0],0.8165361347850405,False
+TTF,2,2.0,1,lambda_neg[0],0.7205657102510293,False
+TTF,2,2.0,1,lambda_pos[1],0.38633507478066276,False
+TTF,2,2.0,1,lambda_neg[1],0.6218468434806692,False
+"""),
+}
+
+
 def _write_csv(path, n=1000):
     """Two heavy-tailed, dependent columns; 60% of the rows (the fit part)
     clear the 500-row minimum of the double bootstrap."""
@@ -99,6 +128,15 @@ class TestDeCsv:
         assert seeds == ["1"] * 6 + ["0"] * 6
 
 
+class TestRowsPinned:
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_rows_pinned(self, tmp_path, run):
+        argv, expected = RUNS[run]
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+        got = (tmp_path / f"results_{argv[0]}.csv").read_text()
+        assert got.replace("\r\n", "\n") == HEADER + "\n" + expected
+
+
 class TestMetadata:
     def test_records_blas_threads_and_reads_back(self, tmp_path, monkeypatch):
         # the thread counts go in a comment line, so --config reads the
@@ -135,8 +173,8 @@ class TestUsageErrors:
 
     def test_batch_full_gives_full_pass_steps(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("[vi-synth]\nbatch = full\n")
-        parsed = cli.parse_config(["vi-synth", "--config", str(cfg)])
+        cfg.write_text("[de-synth]\nbatch = full\n")
+        parsed = cli.parse_config(["de-synth", "--config", str(cfg)])
         assert parsed.resolved_train_config(0).batch_size is training.FULL_PASS
         assert cli.parse_config(["vi-synth", "--batch", "50"]).resolved_train_config(0) \
             .batch_size == 50
@@ -169,6 +207,7 @@ class TestUsageErrors:
         (["de-synth", "--jobs", "0"], "jobs"),
         (["de-synth", "--d", "0"], "d"),
         (["de-synth", "--batch", "0"], "batch"),
+        (["vi-synth", "--batch", "full"], "batch"),
         (["de-synth", "--lr", "-1"], "lr"),
         (["vi-synth", "--clip-norm", "-1"], "clip_norm"),
         (["de-synth", "--d", "1"], "d"),

@@ -45,6 +45,9 @@ class TestTrainConfig:
             training.TrainConfig(patience=0)
         with pytest.raises(ValueError, match="batch size"):
             training.TrainConfig(batch_size=0)
+        for bad in (0.0, -1.0, float("nan")):  # a negative norm would flip every gradient
+            with pytest.raises(ValueError, match="clip_norm"):
+                training.TrainConfig(clip_norm=bad)
 
     def test_full_pass_sentinel_accepted(self):
         cfg = training.TrainConfig(batch_size=training.FULL_PASS)
@@ -306,6 +309,18 @@ class TestAdam:
         np.testing.assert_allclose(state["m"]["x"], 0.1 * (g * 0.5), atol=1e-15)
         np.testing.assert_allclose(state["v"]["x"], 0.001 * (g * 0.5) ** 2, atol=1e-15)
 
+    def test_clip_survives_squares_that_overflow(self):
+        # g * g overflows to inf (silenced here, as under the fit's errstate),
+        # so the norm is taken of g / max|g|; the clipped g keeps its direction
+        g = np.array([1e160, 1.0, -3e159])
+        with np.errstate(over="ignore"):
+            out = training.clip_gradient_norm({"a": g[:2], "b": g[2:]}, 5.0)
+        got = np.concatenate([out["a"], out["b"]])
+        assert np.linalg.norm(got) == pytest.approx(5.0, rel=1e-12)
+        np.testing.assert_allclose(got, 5.0 * (g / 1e160) / np.linalg.norm(g / 1e160),
+                                   rtol=1e-12)
+        assert got[1] > 0.0
+
     def test_non_finite_gradient_skips_step(self):
         params = {"x": np.array([1.0]), "y": np.array([2.0])}
         state = training.adam_init(params)
@@ -383,6 +398,60 @@ class TestElboGradientStep:
         model.frozen = set(model.params)
         st = training.elbo_gradient_step(model, quad_target(0.5), 50, special.Rng(7))
         assert st.grads == {} and np.isfinite(st.elbo)
+
+
+class TestFit:
+    def test_failed_step_restores_params_and_adam_state_at_half_lr(self, monkeypatch,
+                                                                   tmp_path):
+        # Calls 3, 5 and 6 of a quadratic step fail.  Each failure restores
+        # the parameters and Adam's m, v and t of the last good step and halves
+        # the lr, and the retry budget runs 5 -> 2 -> 1 -> 0: the third failure
+        # ends the fit at the last good parameters.
+        updates = []  # (params, m, v, t, lr, new params) of each Adam update
+        adam_step = training.adam_step
+
+        def recording(params, grads, state, lr, clip_norm=None):
+            before = (dict(params), dict(state["m"]), dict(state["v"]), state["t"], lr)
+            out = adam_step(params, grads, state, lr, clip_norm)
+            updates.append(before + (out,))
+            return out
+
+        monkeypatch.setattr(training, "adam_step", recording)
+        params = {"x": np.array([1.0, -2.0]), "c": np.array([0.5])}
+        c = params["c"]
+        calls = []
+
+        def step(batch):
+            calls.append(batch)
+            if len(calls) in (3, 5, 6):
+                return float("nan"), None
+            r = params["x"] - params["c"]
+            return 0.5 * float(r @ r), {"x": r}
+
+        cfg = training.TrainConfig(lr=0.1, max_epochs=50)
+        path = tmp_path / "trace.csv"
+        res = training.fit(params, {"c"}, step, lambda: ["all"], None, cfg, str(path))
+
+        assert calls == ["all"] * 6 and len(updates) == 3
+        assert res.epochs == 6 and res.diverged
+        failed = [2, 4, 5]
+        assert np.all(np.isnan(res.trace[failed, 0]))
+        assert np.all(np.isfinite(np.delete(res.trace[:, 0], failed)))
+        assert np.all(np.isnan(res.trace[:, 1]))
+        lines = path.read_text().strip().split("\n")
+        np.testing.assert_array_equal([float(ln.split(",")[1]) for ln in lines[1:]],
+                                      res.trace[:, 0])
+        # the retry starts where the failed step's update did, at half its lr
+        (p1, m1, v1, t1, lr1, failed_out), (p2, m2, v2, t2, lr2, retry_out) = updates[1:]
+        np.testing.assert_array_equal(p2["x"], p1["x"])
+        np.testing.assert_array_equal(m2["x"], m1["x"])
+        np.testing.assert_array_equal(v2["x"], v1["x"])
+        assert (t1, t2) == (1, 1) and (lr1, lr2) == (0.1, 0.05)
+        np.testing.assert_allclose(retry_out["x"] - p1["x"], 0.5 * (failed_out["x"] - p1["x"]),
+                                   rtol=1e-12)
+        # two more failures: the fit ends restored to the last good parameters
+        np.testing.assert_array_equal(params["x"], p1["x"])
+        assert params["c"] is c and set(params) == {"x", "c"}
 
 
 class TestFitDensity:
@@ -528,6 +597,11 @@ class TestFitVi:
         training.fit_vi(model, quad_target(0.5), cfg)
         np.testing.assert_array_equal(model.params["tails.lp_raw"], lp)
         np.testing.assert_array_equal(model.params["tails.ln_raw"], ln)
+
+    def test_full_pass_rejected(self):
+        cfg = training.TrainConfig(batch_size=training.FULL_PASS)
+        with pytest.raises(ValueError, match="full pass"):
+            training.fit_vi(affine_1d([0.5, 0.1]), quad_target(0.5), cfg)
 
     def test_hostile_target_exhausts_retry_budget(self):
         def hostile(x):
