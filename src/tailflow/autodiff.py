@@ -32,17 +32,20 @@ shape, undoing any broadcast.
 Each :class:`Var` carries its own value; the tape saves a value for
 backward only where a rule reads it, as its record declares (the node's
 own value, as ``exp`` reads, and/or some parents' values, as ``mul`` reads
-both).  Every other slot of ``Tape.values`` holds one shared
-zero-size placeholder, and ``Tape.shapes`` keeps every node's shape for
-unbroadcasting.  So an intermediate that no rule reads, such as the output
+both).  A rule does not save what it can recompute, bit for bit, from
+values it reads anyway: ``x / y`` and ``c / x`` recompute their quotients
+from their operands, and ``relu`` takes its mask from its own output, which
+the next matrix product saves.  Every other slot of ``Tape.values`` holds
+one shared zero-size placeholder, and ``Tape.shapes`` keeps every node's
+shape for unbroadcasting.  So an intermediate that no rule reads, such as the output
 of an ``add`` or a ``getitem``, is freed as soon as its last ``Var`` goes,
-during the build rather than with the tape.  Backward keeps an adjoint only
-while it can still grow, so its memory on top of the tape is the frontier
-of live adjoints (plus the params'), not a second copy of the tape.  The
-adjoint of ``x[key]`` is not a full zero matrix per node: backward writes
-it into one buffer per operand, allocated at the first slice or gather
-that reaches the operand, and adds every later adjoint of that operand
-into the same buffer.
+during the build rather than with the tape.  Backward consumes the tape:
+it frees each saved value once the rules that read it have run, and keeps
+an adjoint only while it can still grow, so its memory shrinks with the
+tape as it sweeps.  The adjoint of ``x[key]`` is not a full zero matrix per
+node: backward writes it into one buffer per operand, allocated at the
+first slice or gather that reaches the operand, and adds every later
+adjoint of that operand into the same buffer.
 
 Backward adds into an adjoint in place when nothing else holds it.  From
 ``_ONCE_CHECK_MIN`` entries on, a gather whose key reaches each entry at most
@@ -101,14 +104,16 @@ def _compact(value: np.ndarray) -> np.ndarray:
 
 
 class Tape:
-    """Append-only computation record supporting one-sweep backward passes.
+    """Append-only computation record, consumed by one backward sweep.
 
     ``ops``, ``parents``, ``payloads``, ``values`` and ``shapes`` hold one
-    entry per node; ``values[i]`` is the node's value if a rule reads it,
-    else ``_UNSAVED``.
+    entry per node; ``values[i]`` is the node's value if a rule reads it and
+    no sweep has passed the node, else ``_UNSAVED``.  ``spent`` counts the
+    nodes pushed before the last sweep, whose values it may have freed.
     """
 
-    __slots__ = ("ops", "parents", "payloads", "values", "shapes", "param_nodes", "poisoned")
+    __slots__ = ("ops", "parents", "payloads", "values", "shapes", "param_nodes", "poisoned",
+                 "spent")
 
     def __init__(self):
         self.ops: list[str] = []
@@ -118,6 +123,7 @@ class Tape:
         self.shapes: list[tuple] = []
         self.param_nodes: dict[int, str] = {}
         self.poisoned: int | None = None
+        self.spent = 0
 
     def _push(self, op: str, ins: tuple, value, payload=None) -> "Var":
         """Append a node computed from the Vars ``ins``, saving the values
@@ -425,9 +431,10 @@ _OPS = {
     "rsub_const": _Op(lambda g, v, ins, pay: (-g,)),
     "mul": _Op(lambda g, v, ins, pay: (g * ins[1], g * ins[0]), reads=(0, 1)),
     "mul_const": _Op(lambda g, v, ins, pay: (g * pay,)),
-    "div": _Op(lambda g, v, ins, pay: (g / ins[1], -g * v / ins[1]), own=True, reads=(1,)),
+    "div": _Op(lambda g, v, ins, pay: (g / ins[1], -g * (ins[0] / ins[1]) / ins[1]),
+               reads=(0, 1)),
     "div_const": _Op(lambda g, v, ins, pay: (g / pay,)),
-    "rdiv_const": _Op(lambda g, v, ins, pay: (-g * v / ins[0],), own=True, reads=(0,)),
+    "rdiv_const": _Op(lambda g, v, ins, pay: (-g * (pay / ins[0]) / ins[0],), reads=(0,)),
     "neg": _Op(lambda g, v, ins, pay: (-g,), moving=True),
     "rpow_const": _Op(lambda g, v, ins, pay: (g * v * np.log(pay),), own=True),
     "exp": _Op(lambda g, v, ins, pay: (g * v,), own=True,
@@ -441,7 +448,8 @@ _OPS = {
     "sqrt": _Op(lambda g, v, ins, pay: (0.5 * g / v,), own=True,
                 fn=_quiet(np.sqrt, invalid="ignore")),
     "sigmoid": _Op(lambda g, v, ins, pay: (g * v * (1.0 - v),), own=True, fn=sp.expit),
-    "relu": _Op(lambda g, v, ins, pay: (g * (ins[0] > 0.0),), reads=(0,), moving=True,
+    # v > 0 is x > 0, NaN included, and a matmul saves the output anyway
+    "relu": _Op(lambda g, v, ins, pay: (g * (v > 0.0),), own=True, moving=True,
                 fn=lambda x: np.maximum(x, 0.0)),
     "softplus": _Op(lambda g, v, ins, pay: (g * sp.expit(ins[0]),), reads=(0,),
                     fn=_quiet(lambda x: np.logaddexp(0.0, x), invalid="ignore")),
@@ -580,14 +588,18 @@ def backward(out: Var) -> dict[str, np.ndarray]:
 
     Returns a map from parameter name to this sweep's adjoint (zeros for a
     param that out does not reach).  Raises :class:`PoisonedTapeError` if
-    any node holds a non-finite value.
+    any node holds a non-finite value, and RuntimeError on reaching a node
+    pushed before an earlier sweep.
 
     The sweep runs each node's rule from its record in ``_OPS``.  It reads
-    only the values the tape saved for the rule, as the record declares, and
-    never changes them, so a tape can be swept again.  A node's adjoint is
-    released as soon as its rule has run, so besides the tape only the
-    frontier lives: the adjoints of nodes already reached whose rules have
-    not run yet, plus those of the params.
+    only the values the tape saved for the rule, as the record declares.  A
+    node's value and adjoint are freed as soon as its rule has run (an
+    unreached node's value at once): every rule that reads them, its own and
+    those of the later nodes, has run by then.  So what lives is the part of
+    the tape not yet swept, the frontier of adjoints of nodes reached whose
+    rules have not run yet, and the params' adjoints.  The tape is spent: a
+    later sweep raises once it reaches a node pushed before this sweep,
+    whose values may be gone.  Nodes pushed later save their operands afresh.
 
     Adjoints are written in place only where nothing else holds them: an
     array this sweep made (the buffer allocated when a slice or gather
@@ -613,6 +625,7 @@ def backward(out: Var) -> dict[str, np.ndarray]:
     n = out.idx + 1
     ops, parents, payloads, values, shapes = (
         tape.ops, tape.parents, tape.payloads, tape.values, tape.shapes)
+    spent, tape.spent = tape.spent, len(ops)
     adj: list = [None] * n
     adj[out.idx] = np.asarray(1.0)
     owned: set[int] = set()  # nodes whose adjoint is a buffer this sweep made
@@ -622,16 +635,22 @@ def backward(out: Var) -> dict[str, np.ndarray]:
             g = adj[i]
             par = parents[i]
             if g is None or not par:  # unreached, or a leaf
+                values[i] = _UNSAVED
                 continue
+            if i < spent:
+                raise RuntimeError(f"backward: node {i} ({ops[i]!r}) was swept before, "
+                                   "and its saved values may be freed")
             rec = _OPS[ops[i]]
             ins = [values[p] for p in par] if rec.reads else ()
             grads = rec.rule(g, values[i], ins, payloads[i])
-            # Every write to adj[i] came from a later node, so it is final;
-            # drop it now (param leaves never get here and keep theirs).  The
+            # Every rule that reads values[i] has run, and every write to
+            # adj[i] came from a later node, so it is final; drop both now
+            # (param leaves never get here and keep their adjoints).  The
             # local g stays bound until the next node: freeing it before the
             # sums below saves no page faults now that the package pins
             # malloc's thresholds (~0 per d=20 DE fit either way), and
             # measured no faster (median 46 against 43 ms CPU a step).
+            values[i] = _UNSAVED
             adj[i] = None
             for p, gp in zip(par, grads):
                 scatter = type(gp) is _Scatter

@@ -47,6 +47,10 @@ _KERNEL_ROWS = 32
 # -- synthetic generator --------------------------------------------------------------
 
 
+# The synthetic task's train and validation shares; the test split is the rest.
+_TRAIN_FRACTION, _VALID_FRACTION = 0.4, 0.2
+
+
 @dataclass
 class SyntheticDeSpec:
     """Settings of the synthetic heavy-tailed estimation task."""
@@ -55,7 +59,6 @@ class SyntheticDeSpec:
     nu: float
     n: int = 5000
     seed: int = 0
-    fractions: tuple[float, float, float] = (0.4, 0.2, 0.4)
 
     def __post_init__(self) -> None:
         if self.d < 2:
@@ -64,8 +67,6 @@ class SyntheticDeSpec:
             raise ValueError("degrees of freedom must be positive")
         if self.n < 10:
             raise ValueError("sample count too small to split")
-        if min(self.fractions) <= 0.0 or not math.isclose(sum(self.fractions), 1.0):
-            raise ValueError("split fractions must be positive and sum to 1")
 
 
 def _log_student_t(z, nu: float):
@@ -110,8 +111,8 @@ def gen_synthetic_de(spec: SyntheticDeSpec):
     x = np.empty((spec.n, spec.d))
     x[:, : spec.d - 1] = rng.student_t(spec.nu, size=(spec.n, spec.d - 1))
     x[:, spec.d - 1] = x[:, spec.d - 2] + rng.normal(size=spec.n)
-    n_train = int(round(spec.fractions[0] * spec.n))
-    n_valid = int(round(spec.fractions[1] * spec.n))
+    n_train = int(round(_TRAIN_FRACTION * spec.n))
+    n_valid = int(round(_VALID_FRACTION * spec.n))
 
     def log_density(pts):
         return vi_target_log_density(pts, spec.d, spec.nu)

@@ -583,9 +583,6 @@ class FlowModel:
         self.params = params
         self.frozen = set(frozen or ())
 
-    def trainable_params(self) -> dict:
-        return {k: v for k, v in self.params.items() if k not in self.frozen}
-
     def tape_params(self, tape: Tape) -> dict:
         """Trainable entries as params of ``tape``; frozen entries stay arrays."""
         return {k: v if k in self.frozen else tape.param(v, k) for k, v in self.params.items()}

@@ -12,12 +12,13 @@ the step function its caller gives it.  It has three callers:
   early-stopped on its validation MSE.
 
 Each step's loss and gradients come from ``gradient``, which gives no
-gradients for a non-finite loss or a poisoned tape.  ``fit`` answers such a
-step with one policy: it restores the last good parameters together with
-Adam's moments and step count, halves the learning rate for the rest of the
-fit, so that a full-pass retry is a different step and not a replay of the
-failed one, and halves a retry budget of 5.  An exhausted budget ends the
-fit, and diverged runs are reported rather than crashed.
+gradients for a non-finite loss, a poisoned tape or a non-finite gradient.
+``fit`` answers such a step with one policy: it restores the last good
+parameters together with Adam's moments and step count, halves the learning
+rate for the rest of the fit, so that a full-pass retry is a different step
+and not a replay of the failed one, and halves a retry budget of 5.  An
+exhausted budget ends the fit, and diverged runs are reported rather than
+crashed.
 """
 
 from __future__ import annotations
@@ -96,7 +97,6 @@ def adam_init(params: dict) -> dict:
         "m": {k: np.zeros_like(v) for k, v in params.items()},
         "v": {k: np.zeros_like(v) for k, v in params.items()},
         "t": 0,
-        "skipped": 0,
     }
 
 
@@ -119,16 +119,12 @@ def adam_step(
     lr: float,
     clip_norm: float | None = None,
 ) -> dict:
-    """One Adam update; returns new parameter arrays, mutating state.
+    """One Adam update on finite gradients; returns new parameter arrays,
+    mutating state.
 
-    A non-finite gradient anywhere skips the step entirely and bumps the
-    divergence counter.  Clipping happens before the moment update so a
-    pathological batch cannot contaminate the running moments.
+    Clipping happens before the moment update so a pathological batch cannot
+    contaminate the running moments.
     """
-    for g in grads.values():
-        if not np.all(np.isfinite(g)):
-            state["skipped"] += 1
-            return {k: v for k, v in params.items()}
     if clip_norm is not None:
         grads = clip_gradient_norm(grads, clip_norm)
     state["t"] += 1
@@ -150,9 +146,9 @@ def adam_step(
 def gradient(loss) -> tuple[float, dict | None]:
     """(value, parameter gradients) of a scalar loss built on a tape.
 
-    The gradients are None when the value is non-finite or the tape is
-    poisoned, and empty when the loss is a plain number: with every
-    parameter frozen no tape is built.
+    The gradients are None when the value or any gradient is non-finite or
+    the tape is poisoned, and empty when the loss is a plain number: with
+    every parameter frozen no tape is built.
     """
     value = float(ad.value_of(loss))
     if not np.isfinite(value):
@@ -160,9 +156,10 @@ def gradient(loss) -> tuple[float, dict | None]:
     if not isinstance(loss, ad.Var):
         return value, {}
     try:
-        return value, ad.backward(loss)
+        grads = ad.backward(loss)
     except ad.PoisonedTapeError:
         return value, None
+    return value, grads if all(np.isfinite(g).all() for g in grads.values()) else None
 
 
 class ElboStep(NamedTuple):

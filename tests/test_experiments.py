@@ -31,10 +31,6 @@ class TestSyntheticGenerator:
         assert te.shape == (2000, 3)
         assert callable(logd)
 
-    def test_fraction_validation(self):
-        with pytest.raises(ValueError, match="fractions"):
-            E.SyntheticDeSpec(2, 1.0, fractions=(0.5, 0.4, 0.3))
-
     def test_last_column_is_unit_noise_around_previous(self):
         x = full_sample(4, 2.0, seed=1)
         ks = stats.kstest(x[:, 3] - x[:, 2], "norm").statistic
