@@ -7,12 +7,12 @@ and a :class:`Var` follows the subset of numpy semantics the package uses:
 arithmetic broadcasts between operands and against constants, ``@`` is a
 matrix product of 1-d and 2-d operands, ``x[key]`` takes basic slices, ints
 and integer-array gathers, ``x.T``, ``x.reshape`` and ``x.swapaxes`` move
-entries, ``x.sum(axis, keepdims)`` reduces and ``x.cumsum(axis)`` sums
-along an axis.  As ``x * c`` is one ``mul_const`` node, a matrix product
-with a constant operand, ``x @ C`` or ``C @ x``, is one ``matmul_const``
-node, and a power ``c ** x`` of a constant base one ``rpow_const`` node:
-the constant goes in the payload and gets no gradient.  So constants stay
-arrays, never nodes: a model's frozen parameters and its
+entries, ``x.sum(axis, keepdims)`` reduces over one int axis or all, and
+``x.cumsum(axis)`` sums along an axis.  As ``x * c`` is one ``mul_const``
+node, a matrix product with a constant operand, ``x @ C`` or ``C @ x``, is
+one ``matmul_const`` node, and a power ``c ** x`` of a constant base one
+``rpow_const`` node: the constant goes in the payload and gets no gradient.
+So constants stay arrays, never nodes: a model's frozen parameters and its
 non-reparameterized draws add no node to a tape, and a tape's only leaves
 are its params.  Each op computes exactly what numpy computes (``x / c`` is a
 true division, not ``x * (1 / c)``), so one formula gives the same bits on
@@ -334,8 +334,8 @@ def _unbroadcast(g, shape) -> np.ndarray:
 
 def _sum_rule(g, v, ins, pay):
     axis, keepdims, shape = pay
-    if axis is not None and not keepdims:
-        g = np.expand_dims(g, axis)
+    if axis is not None and not keepdims:  # put the summed axis back, by indexing
+        g = g[(slice(None),) * (axis % len(shape)) + (None,)]
     return (np.broadcast_to(g, shape),)
 
 

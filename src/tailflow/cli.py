@@ -22,6 +22,12 @@ the same count; the record notes ``OPENBLAS_NUM_THREADS``,
 comment line, which --config skips.  ``table`` runs nothing: it prints the
 per-cell mean (se) and run count of every metric in the results files of
 --out-dir, and writes no metadata.
+
+``de-csv`` differs from ``de-synth`` only in data prep and tail protocol: it
+permutes the CSV's rows, splits them 40/20/40, standardises them by the mean
+and std of train+valid, and estimates the two-stage tails from train+valid,
+where ``de-synth`` gives the true ones; both fit through
+``experiments.fit_de_cell``.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import contextlib
 import csv
 import functools
 import glob
+import itertools
 import logging
 import os
 import sys
@@ -41,7 +48,7 @@ from importlib import metadata as importlib_metadata
 import numpy as np
 
 from . import experiments as ex
-from . import flows, special, tailest, training
+from . import special, tailest, training
 
 logger = logging.getLogger(__name__)
 
@@ -316,50 +323,43 @@ def _run_one_seed(cfg: ExperimentConfig, seed: int) -> list[dict]:
 
 
 def load_csv_dataset(path: str) -> np.ndarray:
-    """Headered numeric CSV, one observation per row."""
+    """Headered numeric CSV, one observation per row, as an (n, d) matrix."""
     try:
-        data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
+        data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float, ndmin=2)
     except OSError as e:
         raise UsageError(f"data_path: cannot read {path!r} ({e})") from e
-    if data.ndim == 1:
-        data = data[:, None]
     if data.size == 0 or not np.all(np.isfinite(data)):
         raise UsageError(f"data_path: {path!r} must be all-numeric with no gaps")
     return data
 
 
+def _split_rows(n: int) -> tuple[int, int, int]:
+    """Train, validation and test rows of de-csv's 40/20/40 split of n rows."""
+    n_tr, n_va = int(0.4 * n), int(0.2 * n)
+    return n_tr, n_va, n - n_tr - n_va
+
+
+def _min_csv_rows(cfg: ExperimentConfig) -> int:
+    """The fewest CSV rows the command can fit.  tail-est runs the double
+    bootstrap on all of them; de-csv needs every split nonempty, and as many
+    train+valid rows as the flow's tail estimate needs."""
+    if cfg.command == "tail-est":
+        return tailest.MIN_BOOTSTRAP_ROWS
+    fit_rows = {"TTFfix": tailest.MIN_BOOTSTRAP_ROWS, "mTAF": tailest.MIN_BOOTSTRAP_ROWS,
+                "COMET": ex.COMET_MIN_ROWS}.get(cfg.flow, 0)
+    return next(n for n in itertools.count(1)
+                if min(_split_rows(n)) >= 1 and sum(_split_rows(n)[:2]) >= fit_rows)
+
+
 def _run_de_csv_seed(cfg, seed, tc, trace_path) -> list[dict]:
     data = load_csv_dataset(cfg.data_path)
-    rng = special.Rng(seed)
-    order = rng.permutation(data.shape[0])
-    data = data[order]
-    n = data.shape[0]
-    n_tr, n_va = int(0.4 * n), int(0.2 * n)
-    train, valid, test = (
-        data[:n_tr], data[n_tr: n_tr + n_va], data[n_tr + n_va:],
-    )
-    d = data.shape[1]
-    # standardize with train+valid statistics only
-    fit_part = np.concatenate([train, valid])
+    data = data[special.Rng(seed).permutation(data.shape[0])]
+    n_tr, n_va, _ = _split_rows(data.shape[0])
+    fit_part = data[:n_tr + n_va]  # standardize with train+valid statistics only
     mean, std = fit_part.mean(axis=0), fit_part.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    train, valid, test = ((s - mean) / std for s in (train, valid, test))
-    model = flows.build_architecture(cfg.flow, d, seed=seed)
-    if cfg.flow in ("TTFfix", "mTAF"):
-        est = tailest.estimate_marginal_tails(np.concatenate([train, valid]), rng.child(7))
-        lam = est.shape
-        if cfg.flow == "TTFfix":
-            flows.set_frozen_tails(model, lam)
-        else:
-            nu_est = np.where(lam > tailest.LIGHT_TAIL_SHAPE, 1.0 / lam, 30.0)
-            flows.set_frozen_nu(model, nu_est)
-    result, nll = ex.fit_de_on_splits(model, train, valid, test, tc, trace_path)
-    head = dict(flow=cfg.flow, d=d, nu=float("nan"), seed=seed,
-                diverged=result.diverged)
-    rows = [dict(head, metric_name="nll_per_dim", value=nll),
-            dict(head, metric_name="epochs", value=float(result.epochs))]
-    rows.extend(ex._lambda_rows(model, head))
-    return rows
+    data = (data - mean) / np.where(std > 0, std, 1.0)
+    train, valid, test = np.split(data, [n_tr, n_tr + n_va])
+    return ex.fit_de_cell(cfg.flow, train, valid, test, seed, tc, trace_path)
 
 
 def _run_tail_est(cfg: ExperimentConfig) -> list[dict]:
@@ -424,6 +424,12 @@ def run(cfg: ExperimentConfig) -> int:
     """Execute one command; returns the process exit code."""
     if cfg.command == "table":
         return _print_tables(cfg.out_dir)
+    if cfg.data_path is not None:
+        rows, need = load_csv_dataset(cfg.data_path).shape[0], _min_csv_rows(cfg)
+        if rows < need:
+            flow = f" --flow {cfg.flow}" if cfg.command == "de-csv" else ""
+            raise UsageError(f"data_path: {cfg.data_path!r} has {rows} rows; "
+                             f"{cfg.command}{flow} needs at least {need}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_metadata(cfg, os.path.join(cfg.out_dir, f"metadata_{cfg.command}.cfg"))
     results_path = os.path.join(cfg.out_dir, f"results_{cfg.command}.csv")

@@ -42,6 +42,8 @@ _BODY_MASS = 1.0 - 2.0 * _TAIL_MASS
 # (query - body point) values, which bounds the body's working memory
 # (0.7 MB for a 2700-point body; 8 and 16 rows measured slower).
 _KERNEL_ROWS = 32
+# The fewest samples a COMET marginal is fit on.
+COMET_MIN_ROWS = 100
 
 
 # -- synthetic generator --------------------------------------------------------------
@@ -204,8 +206,8 @@ def comet_marginal_fit(
     """
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     n = x.size
-    if n < 100:
-        raise ValueError(f"marginal fit needs n >= 100, got {n}")
+    if n < COMET_MIN_ROWS:
+        raise ValueError(f"marginal fit needs n >= {COMET_MIN_ROWS}, got {n}")
     t_lo, t_hi = np.quantile(x, [_TAIL_MASS, 1.0 - _TAIL_MASS])
     body = x[(x >= t_lo) & (x <= t_hi)]
     sd = float(np.std(body))
@@ -591,38 +593,14 @@ def true_tail_shape(nu: float) -> float:
 
 
 def de_train_config(seed: int, max_epochs: int = 2000) -> training.TrainConfig:
-    return training.TrainConfig(
-        lr=5e-3,
-        batch_size=training.FULL_PASS,
-        max_epochs=max_epochs,
-        patience=100,
-        clip_norm=None,
-        seed=seed,
-    )
+    return training.TrainConfig(lr=5e-3, batch_size=training.FULL_PASS,
+                                max_epochs=max_epochs, patience=100, clip_norm=None, seed=seed)
 
 
-def vi_train_config(
-    seed: int, nu: float, iterations: int = 10_000
-) -> training.TrainConfig:
+def vi_train_config(seed: int, nu: float, iterations: int = 10_000) -> training.TrainConfig:
     # Gradient clipping is only needed at the heaviest target.
-    return training.TrainConfig(
-        lr=1e-3,
-        batch_size=100,
-        max_epochs=iterations,
-        patience=1,
-        clip_norm=5.0 if nu <= 0.5 else None,
-        seed=seed,
-    )
-
-
-def _build_for_synthetic(flow: str, d: int, nu: float, seed: int) -> flows.FlowModel:
-    """Architecture plus the fixed-true tail protocol of the synthetic study."""
-    model = flows.build_architecture(flow, d, seed=seed)
-    if flow == "TTFfix":
-        flows.set_frozen_tails(model, np.full(d, true_tail_shape(nu)))
-    elif flow == "mTAF":
-        flows.set_frozen_nu(model, np.full(d, nu))
-    return model
+    return training.TrainConfig(lr=1e-3, batch_size=100, max_epochs=iterations, patience=1,
+                                clip_norm=5.0 if nu <= 0.5 else None, seed=seed)
 
 
 def _lambda_rows(model: flows.FlowModel, head: dict) -> list[dict]:
@@ -635,11 +613,8 @@ def _lambda_rows(model: flows.FlowModel, head: dict) -> list[dict]:
         return []
     lp = np.logaddexp(0.0, model.params["tails.lp_raw"])
     ln = np.logaddexp(0.0, model.params["tails.ln_raw"])
-    rows = []
-    for j in range(model.d):
-        rows.append(dict(head, metric_name=f"lambda_pos[{j}]", value=float(lp[j])))
-        rows.append(dict(head, metric_name=f"lambda_neg[{j}]", value=float(ln[j])))
-    return rows
+    return [dict(head, metric_name=f"lambda_{side}[{j}]", value=float(lam[j]))
+            for j in range(model.d) for side, lam in (("pos", lp), ("neg", ln))]
 
 
 def _require_comet_support(u: np.ndarray, marginals: list) -> None:
@@ -658,93 +633,85 @@ def _require_comet_support(u: np.ndarray, marginals: list) -> None:
                 )
 
 
-def fit_de_on_splits(
-    model: flows.FlowModel,
-    train: np.ndarray,
-    valid: np.ndarray,
-    test: np.ndarray,
-    cfg: training.TrainConfig,
-    trace_path: str | None = None,
-    comet_tail_shape: float | None = None,
-) -> tuple[training.TrainResult, float]:
-    """Fit a built model on train/valid; returns (result, test NLL per dimension).
+def _two_stage_model(flow: str, d: int, seed: int, nu: float | None,
+                     fit_data: np.ndarray | None = None) -> flows.FlowModel:
+    """``flow``'s architecture, with TTFfix's and mTAF's tails frozen under
+    ``fit_de_cell``'s tail protocol for ``nu`` (estimated from ``fit_data``)."""
+    model = flows.build_architecture(flow, d, seed=seed)
+    if flow not in ("TTFfix", "mTAF"):
+        return model
+    if nu is not None:
+        lam, nus = np.full(d, true_tail_shape(nu)), np.full(d, nu)
+    else:
+        lam = tailest.estimate_marginal_tails(fit_data, special.Rng(seed).child(7)).shape
+        nus = np.where(lam > tailest.LIGHT_TAIL_SHAPE, 1.0 / lam, 30.0)
+    if flow == "TTFfix":
+        flows.set_frozen_tails(model, lam)
+    else:
+        flows.set_frozen_nu(model, nus)
+    return model
 
-    A COMET model trains on the logits of marginals fit to train+valid, with
-    both tail shapes pinned to ``comet_tail_shape`` when given (ML-fit
-    otherwise); its test density carries the marginal Jacobian back to data
-    space.  An ML-fit tail with negative shape ends at a finite point; test
-    rows beyond it have no COMET density, so they raise ``ValueError``
-    rather than a NaN NLL.
+
+def fit_de_cell(flow: str, train: np.ndarray, valid: np.ndarray, test: np.ndarray, seed: int,
+                cfg: training.TrainConfig, trace_path: str | None = None,
+                nu: float | None = None) -> list[dict]:
+    """Build ``flow``, fit it on train/valid and return its rows: test
+    ``nll_per_dim``, ``epochs`` and the TTF layer's λ± (schema flow, d, nu,
+    seed, metric_name, value, diverged; ``d`` from the data, ``nu`` NaN when
+    not given).  The two-stage tails follow one of two protocols.  With
+    ``nu`` (oracle) they are the true ones: TTFfix frozen at 1/ν, mTAF at ν,
+    COMET's GPD shapes pinned at 1/ν.  With ``nu=None`` (estimated, as mTAF
+    is published) they come from train+valid: TTFfix at the Hill shapes λ̂ of
+    ``tailest.estimate_marginal_tails`` (``Rng(seed).child(7)``), mTAF at
+    ν̂ = 1/λ̂ (30 where a marginal is flagged light), COMET's shapes by ML.
+
+    COMET trains on the logits of marginals fit to train+valid; its test
+    density carries the marginal Jacobian back to data space.  Test rows
+    beyond the finite end of an ML-fit tail with negative shape have no
+    COMET density, so they raise ``ValueError`` rather than a NaN NLL.
     """
+    d = train.shape[1]
+    fit_data = np.concatenate([train, valid])
+    model = _two_stage_model(flow, d, seed, nu, fit_data)
     jac_te = 0.0
-    if model.name == "COMET":
-        fit_data = np.concatenate([train, valid], axis=0)
-        marg = [
-            comet_marginal_fit(fit_data[:, j], tail_shape=comet_tail_shape)
-            for j in range(model.d)
-        ]
+    if flow == "COMET":
+        shape = None if nu is None else true_tail_shape(nu)
+        marg = [comet_marginal_fit(fit_data[:, j], tail_shape=shape) for j in range(d)]
         test, jac_te = comet_logit(test, marg)
         _require_comet_support(test, marg)
         train, _ = comet_logit(train, marg)
         valid, _ = comet_logit(valid, marg)
     result = training.fit_density(model, train, valid, cfg, trace_path=trace_path)
-    test_lp = flows.flow_log_prob(test, model) + jac_te
-    return result, float(-np.mean(test_lp)) / model.d
+    nll = float(-np.mean(flows.flow_log_prob(test, model) + jac_te)) / d
+    head = dict(flow=flow, d=d, nu=float("nan") if nu is None else nu, seed=seed,
+                diverged=result.diverged)
+    return [dict(head, metric_name="nll_per_dim", value=nll),
+            dict(head, metric_name="epochs", value=float(result.epochs)),
+            *_lambda_rows(model, head)]
 
 
-def run_de_cell(
-    flow: str,
-    d: int,
-    nu: float,
-    seed: int,
-    cfg: training.TrainConfig | None = None,
-    trace_path: str | None = None,
-) -> list[dict]:
-    """Train one flow on one synthetic draw; returns result rows.
-
-    Row schema: flow, d, nu, seed, metric_name, value, diverged.
-    """
-    spec = SyntheticDeSpec(d=d, nu=nu, seed=seed)
-    train, valid, test, log_density = gen_synthetic_de(spec)
-    cfg = cfg if cfg is not None else de_train_config(seed)
-    model = _build_for_synthetic(flow, d, nu, seed)
-    result, nll = fit_de_on_splits(
-        model, train, valid, test, cfg, trace_path, comet_tail_shape=true_tail_shape(nu)
-    )
-    true_nll = float(-np.mean(log_density(test))) / d
-    head = dict(flow=flow, d=d, nu=nu, seed=seed, diverged=result.diverged)
-    rows = [
-        dict(head, metric_name="nll_per_dim", value=nll),
-        dict(head, metric_name="true_nll_per_dim", value=true_nll),
-        dict(head, metric_name="epochs", value=float(result.epochs)),
-    ]
-    rows.extend(_lambda_rows(model, head))
+def run_de_cell(flow: str, d: int, nu: float, seed: int, cfg: training.TrainConfig,
+                trace_path: str | None = None) -> list[dict]:
+    """``fit_de_cell`` on one synthetic draw under the oracle tail protocol,
+    with the generator's own ``true_nll_per_dim`` as the second row."""
+    train, valid, test, log_density = gen_synthetic_de(SyntheticDeSpec(d=d, nu=nu, seed=seed))
+    rows = fit_de_cell(flow, train, valid, test, seed, cfg, trace_path, nu=nu)
+    rows.insert(1, dict(rows[0], metric_name="true_nll_per_dim",
+                        value=float(-np.mean(log_density(test))) / d))
     return rows
 
 
-def run_vi_cell(
-    flow: str,
-    d: int,
-    nu: float,
-    seed: int,
-    cfg: training.TrainConfig | None = None,
-    trace_path: str | None = None,
-) -> list[dict]:
-    """Fit one variational flow against the synthetic target; returns rows."""
-    cfg = cfg if cfg is not None else vi_train_config(seed, nu)
+def run_vi_cell(flow: str, d: int, nu: float, seed: int, cfg: training.TrainConfig,
+                trace_path: str | None = None) -> list[dict]:
+    """Fit one variational flow, its two-stage tails frozen at the true ones,
+    against the synthetic target; returns rows."""
     target = lambda x: vi_target_log_density(x, d, nu)
-    model = _build_for_synthetic(flow, d, nu, seed)
+    model = _two_stage_model(flow, d, seed, nu)
     result = training.fit_vi(model, target, cfg, trace_path=trace_path)
-    diag = compute_vi_diagnostics(
-        model, target, _VI_DIAG_DRAWS, special.Rng(seed).child(991)
-    )
+    diag = compute_vi_diagnostics(model, target, _VI_DIAG_DRAWS, special.Rng(seed).child(991))
     head = dict(flow=flow, d=d, nu=nu, seed=seed, diverged=result.diverged)
-    rows = [
-        dict(head, metric_name="ess_e", value=diag.ess_e),
-        dict(head, metric_name="khat", value=diag.k_hat),
-    ]
-    rows.extend(_lambda_rows(model, head))
-    return rows
+    return [dict(head, metric_name="ess_e", value=diag.ess_e),
+            dict(head, metric_name="khat", value=diag.k_hat), *_lambda_rows(model, head)]
 
 
 def aggregate_results(rows: list[dict], metric_name: str) -> dict:

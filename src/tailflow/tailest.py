@@ -30,6 +30,8 @@ from . import special
 
 # Shape assigned to dimensions flagged light tailed (degree of freedom 1000).
 LIGHT_TAIL_SHAPE = 1e-3
+# The fewest samples the double bootstrap runs on.
+MIN_BOOTSTRAP_ROWS = 500
 
 _BOOTSTRAP_REPS = 500
 # Resampled values per block of the bootstrap (about 0.2 MB per temporary).
@@ -207,8 +209,8 @@ def hill_double_bootstrap(
     """
     x = np.asarray(samples, dtype=float).ravel()
     n = x.size
-    if n < 500:
-        raise ValueError(f"double bootstrap needs n >= 500, got {n}")
+    if n < MIN_BOOTSTRAP_ROWS:
+        raise ValueError(f"double bootstrap needs n >= {MIN_BOOTSTRAP_ROWS}, got {n}")
     if rng is None:
         rng = special.Rng(0)
     n1 = int(n ** _SUBSAMPLE_EXPONENT)
@@ -463,8 +465,8 @@ def estimate_marginal_tails(
     if x.ndim != 2:
         raise ValueError("expected an n x d data matrix")
     n, d = x.shape
-    if n < 500:
-        raise ValueError(f"double bootstrap needs n >= 500, got {n}")
+    if n < MIN_BOOTSTRAP_ROWS:
+        raise ValueError(f"double bootstrap needs n >= {MIN_BOOTSTRAP_ROWS}, got {n}")
     if rng is None:
         rng = special.Rng(0)
     shapes = np.empty(d)

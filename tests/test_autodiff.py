@@ -315,6 +315,12 @@ STRUCTURED_CASES = {
         + weighted_sum(t, pv["X"].sum(keepdims=True)),
         inputs={"X": X},
     ),
+    "sum_negative_axis": dict(
+        build=lambda t, pv: weighted_sum(t, pv["X"].sum(axis=-1))
+        + weighted_sum(t, pv["X"].sum(axis=-2))
+        + weighted_sum(t, pv["X"].sum(axis=-1, keepdims=True)),
+        inputs={"X": X},
+    ),
     "cumsum_axis0": dict(
         build=lambda t, pv: weighted_sum(t, pv["X"].cumsum(axis=0))
         + weighted_sum(t, pv["v"].cumsum(axis=0)),
@@ -472,6 +478,9 @@ class TestStructuredOps:
 
     def test_rowsum_colsum(self):
         check_case("rowsum_colsum")
+
+    def test_sum_negative_axis(self):
+        check_case("sum_negative_axis")
 
     def test_where_mask_var_branches(self):
         mask = np.array([True, False, True])

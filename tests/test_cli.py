@@ -5,12 +5,13 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import tailflow
-from tailflow import cli, training
+from tailflow import cli, special, training
 from tailflow import experiments as ex
 
 HEADER = "flow,d,nu,seed,metric_name,value,diverged"
@@ -126,6 +127,65 @@ class TestDeCsv:
         assert parallel == serial
         seeds = [line.split(",")[3] for line in serial.splitlines()[1:]]
         assert seeds == ["1"] * 6 + ["0"] * 6
+
+
+class TestDeCsvFit:
+    @pytest.mark.parametrize("flow", ["TTFfix", "mTAF", "COMET"])
+    def test_rows_are_the_shared_fit_with_estimated_tails(self, tmp_path, flow):
+        # de-csv on one synthetic draw: its data prep, done here by hand,
+        # then the de-synth fit with tails estimated from train+valid
+        tr, va, te, _ = ex.gen_synthetic_de(ex.SyntheticDeSpec(2, 2.0, seed=0))
+        path = tmp_path / "draw.csv"
+        np.savetxt(path, np.vstack([tr, va, te]), delimiter=",", header="a,b",
+                   comments="", fmt="%.17g")
+        got = _de_csv(tmp_path, str(path), "--flow", flow)
+        expected = tmp_path / "expected.csv"
+        draw = np.loadtxt(path, delimiter=",", skiprows=1)
+        n_tr, n_va = int(0.4 * len(draw)), int(0.2 * len(draw))
+        for seed in (0, 1):
+            data = draw[special.Rng(seed).permutation(len(draw))]
+            fit = data[:n_tr + n_va]
+            z = (data - fit.mean(axis=0)) / fit.std(axis=0)
+            cfg = replace(ex.de_train_config(seed), max_epochs=3)
+            rows = ex.fit_de_cell(flow, z[:n_tr], z[n_tr:n_tr + n_va], z[n_tr + n_va:],
+                                  seed, cfg)
+            cli._append_rows(str(expected), rows, write_header=seed == 0)
+        assert got == expected.read_text()
+
+
+class TestCsvData:
+    def test_one_row_is_one_observation(self, tmp_path):
+        path = tmp_path / "one_row.csv"
+        path.write_text("a,b\n1.5,2.5\n")
+        data = cli.load_csv_dataset(str(path))
+        assert data.shape == (1, 2)
+        np.testing.assert_array_equal(data, [[1.5, 2.5]])
+
+    def test_one_column_stays_a_column(self, tmp_path):
+        path = tmp_path / "one_column.csv"
+        path.write_text("a\n1.5\n2.5\n3\n")
+        assert cli.load_csv_dataset(str(path)).shape == (3, 1)
+
+    @pytest.mark.parametrize("argv,need", [
+        (["tail-est"], 500),  # the double bootstrap on every row
+        (["de-csv", "--flow", "TTFfix"], 835),  # ... on the 501 train+valid rows
+        (["de-csv", "--flow", "mTAF"], 835),
+        (["de-csv", "--flow", "COMET"], 168),  # 100 train+valid rows per marginal
+        (["de-csv", "--flow", "TTF"], 5),  # every split nonempty
+    ], ids=["tail-est", "TTFfix", "mTAF", "COMET", "TTF"])
+    @pytest.mark.parametrize("short", [0, 1], ids=["at_minimum", "one_below"])
+    def test_row_minimum(self, tmp_path, capsys, argv, need, short):
+        data, out_dir = tmp_path / "data.csv", tmp_path / "out"
+        _write_csv(data, n=need - short)
+        epochs = ["--epochs", "1"] if argv[0] == "de-csv" else []
+        code = cli.main(argv + epochs + ["--data", str(data), "--out-dir", str(out_dir)])
+        if not short:
+            assert code == 0
+            return
+        assert code == 2 and not out_dir.exists()
+        assert capsys.readouterr().err.strip() == (
+            f"usage error: data_path: {str(data)!r} has {need - 1} rows; "
+            f"{' '.join(argv)} needs at least {need}")
 
 
 class TestRowsPinned:

@@ -257,13 +257,12 @@ class TestCometMarginal:
         marginals = [
             E.comet_marginal_fit(np.concatenate([train, valid])[:, j]) for j in range(2)
         ]
-        model = flows.build_architecture("COMET", 2, seed=0)
         cfg = training.TrainConfig(max_epochs=1)
         u, _ = E.comet_logit(test, marginals)  # the logit itself does not raise
         assert u[3, 0] == np.inf and np.isfinite(np.delete(u, 3, axis=0)).all()
         with pytest.raises(ValueError, match=r"dimension 0: 1 test rows .* upper tail's "
                                              r"endpoint 1\.0\d+ \(GPD shape -0\.\d+\)"):
-            E.fit_de_on_splits(model, train, valid, test, cfg)
+            E.fit_de_cell("COMET", train, valid, test, 0, cfg)
 
     def test_log_det_beyond_bounded_tail_is_minus_inf(self):
         # both tails of uniform data are bounded (negative GPD shapes); rows
@@ -555,6 +554,14 @@ class TestTablePlumbing:
                 "flow", "d", "nu", "seed", "metric_name", "value", "diverged"
             }
             assert r["flow"] == "normal" and r["d"] == 2 and r["seed"] == 0
+
+    @pytest.mark.parametrize("flow", ["TTF", "TTFfix", "mTAF", "COMET"])
+    def test_de_cell_is_the_shared_fit_with_true_tails(self, flow):
+        tr, va, te, log_density = E.gen_synthetic_de(E.SyntheticDeSpec(2, 2.0, seed=0))
+        rows = E.fit_de_cell(flow, tr, va, te, 0, self.CHEAP, nu=2.0)
+        true_nll = dict(rows[0], metric_name="true_nll_per_dim",
+                        value=float(-np.mean(log_density(te))) / 2)
+        assert E.run_de_cell(flow, 2, 2.0, 0, self.CHEAP) == [rows[0], true_nll, *rows[1:]]
 
     def test_ttf_cells_report_learned_lambdas(self):
         rows = E.run_de_cell("TTF", 2, 2.0, 0, self.CHEAP)

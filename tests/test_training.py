@@ -503,11 +503,10 @@ class TestFitDensity:
         tr, va, te, _ = experiments.gen_synthetic_de(
             experiments.SyntheticDeSpec(5, 2.0, n=5000, seed=0)
         )
-        model = experiments._build_for_synthetic("TTF", 5, 2.0, 0)
         cfg = training.TrainConfig(lr=5e-3, max_epochs=600, patience=100, seed=0)
-        res = training.fit_density(model, tr, va, cfg)
-        nll_per_dim = float(training.de_loss(model, te)) / te.shape[0] / 5
-        assert not res.diverged
+        rows = experiments.fit_de_cell("TTF", tr, va, te, 0, cfg, nu=2.0)
+        nll_per_dim = rows[0]["value"]
+        assert not rows[0]["diverged"]
         assert nll_per_dim < 2.0
 
     def test_same_seed_reproduces_trace(self):
@@ -612,7 +611,7 @@ class TestFitVi:
 
     def test_near_gaussian_target_reaches_high_ess(self):
         target = lambda x: experiments.vi_target_log_density(x, 5, 30.0)
-        model = experiments._build_for_synthetic("TTFfix", 5, 30.0, 0)
+        model = experiments._two_stage_model("TTFfix", 5, 0, 30.0)
         cfg = experiments.vi_train_config(0, 30.0, iterations=2000)
         res = training.fit_vi(model, target, cfg)
         diag = experiments.compute_vi_diagnostics(
@@ -622,7 +621,7 @@ class TestFitVi:
         assert diag.ess_e >= 0.7
 
     def test_frozen_tail_parameters_never_move(self):
-        model = experiments._build_for_synthetic("TTFfix", 2, 2.0, 0)
+        model = experiments._two_stage_model("TTFfix", 2, 0, 2.0)
         lp = model.params["tails.lp_raw"].copy()
         ln = model.params["tails.ln_raw"].copy()
         step = training.elbo_gradient_step(model, quad_target(0.5), 50, special.Rng(1))
