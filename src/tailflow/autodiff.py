@@ -92,6 +92,7 @@ class PoisonedTapeError(RuntimeError):
 # Stands in, on the tape, for every value that no backward rule reads.
 _UNSAVED = np.empty(0)
 _UNSAVED.flags.writeable = False
+_FLOAT = np.dtype(float)  # numpy's one float64 dtype object: a pushed value of it is kept as is
 
 
 def _compact(value: np.ndarray) -> np.ndarray:
@@ -133,23 +134,25 @@ class Tape:
         the record marks the op entry-moving: all of ``ins`` are finite then,
         and such an op cannot make a non-finite value from finite operands.
         """
-        value = np.asarray(value, dtype=float)
-        idx = len(self.ops)
-        rec = _OPS[op]
+        if type(value) is not np.ndarray or value.dtype is not _FLOAT:
+            value = np.asarray(value, dtype=float)
+        own, reads, moving = _PUSH_FLAGS[op]
         values = self.values
-        for k in rec.reads:
-            p = ins[k].idx
-            if values[p] is _UNSAVED:
-                values[p] = _compact(ins[k].value)
+        for k in reads:
+            v = ins[k]
+            if values[v.idx] is _UNSAVED:
+                values[v.idx] = _compact(v.value)
+        idx = len(self.ops)
         self.ops.append(op)
-        self.parents.append(tuple([v.idx for v in ins]))
+        self.parents.append((ins[0].idx,) if len(ins) == 1 else tuple([v.idx for v in ins]))
         self.payloads.append(payload)
-        values.append(_compact(value) if rec.own else _UNSAVED)
+        values.append(_compact(value) if own else _UNSAVED)
         self.shapes.append(value.shape)
-        # count_nonzero is the same test as isfinite().all() without the
-        # reduction machinery, which dominates on the small arrays of VI.
-        if self.poisoned is None and not rec.moving \
-                and np.count_nonzero(np.isfinite(value)) != value.size:
+        # A zero byte in isfinite's mask is a non-finite entry: the same test
+        # as isfinite().all(), without the reduction machinery or
+        # count_nonzero's Python wrapper, which dominate on the small arrays
+        # of VI.
+        if self.poisoned is None and not moving and 0 in np.isfinite(value).tobytes():
             self.poisoned = idx
         return Var(self, idx, value)
 
@@ -161,6 +164,7 @@ class Tape:
 
 
 _ONCE_CHECK_MIN = 4096  # see ``_scatter_kind``
+_BASIC_KEYS = frozenset({int, slice, type(None)})  # the key types of most slices, tested first
 
 
 def _scatter_kind(key, shape: tuple, size: int) -> str:
@@ -168,15 +172,22 @@ def _scatter_kind(key, shape: tuple, size: int) -> str:
     "slice" for basic indexing, else by "gather", or by "once" where a
     matrix's (rows, cols) key reaches each entry at most once: cols (m,)
     rising from 0 and, in each column, two rows that differ once wrapped.
+    As both are valid indices, in [-K, K) for K = shape[0], they differ by
+    less than 2K, so they are the same row wrapped only where they differ by
+    0 or K: two comparisons, where a modulo is a slow integer division.
     That is checked only for a value of ``size`` >= ``_ONCE_CHECK_MIN``
     entries; on smaller ones the check costs more than it saves."""
-    if not any(isinstance(k, (np.ndarray, list)) for k in (key if type(key) is tuple else (key,))):
+    keys = key if type(key) is tuple else (key,)
+    if _BASIC_KEYS.issuperset(map(type, keys)) \
+            or not any(isinstance(k, (np.ndarray, list)) for k in keys):
         return "slice"
-    rows, cols = key if type(key) is tuple and len(key) == 2 and size >= _ONCE_CHECK_MIN \
-        else (0, 0)
+    rows, cols = key if len(keys) == 2 and size >= _ONCE_CHECK_MIN else (0, 0)
     once = type(rows) is type(cols) is np.ndarray and rows.dtype.kind == cols.dtype.kind == "i" \
         and cols.ndim == 1 and rows.shape == (2, cols.size) and np.all(cols[:1] >= 0) \
-        and np.all(cols[1:] > cols[:-1]) and np.all((rows[0] - rows[1]) % shape[0])
+        and np.all(cols[1:] > cols[:-1])
+    if once:
+        apart = np.abs(rows[0] - rows[1])
+        once = not ((apart == 0) | (apart == shape[0])).any()
     return "once" if once else "gather"
 
 
@@ -201,14 +212,14 @@ class Var:
     # -- arithmetic (broadcasting) ------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Var):
+        if type(other) is Var:
             return self.tape._push("add", (self, other), self.value + other.value)
         return self.tape._push("add_const", (self,), self.value + other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Var):
+        if type(other) is Var:
             return self.tape._push("sub", (self, other), self.value - other.value)
         return self.tape._push("add_const", (self,), self.value - other)
 
@@ -216,7 +227,7 @@ class Var:
         return self.tape._push("rsub_const", (self,), other - self.value)
 
     def __mul__(self, other):
-        if isinstance(other, Var):
+        if type(other) is Var:
             return self.tape._push("mul", (self, other), self.value * other.value)
         return self.tape._push("mul_const", (self,), self.value * other, other)
 
@@ -224,7 +235,7 @@ class Var:
 
     def __truediv__(self, other):
         with np.errstate(all="ignore"):
-            if isinstance(other, Var):
+            if type(other) is Var:
                 return self.tape._push("div", (self, other), self.value / other.value)
             return self.tape._push("div_const", (self,), self.value / other, other)
 
@@ -242,7 +253,7 @@ class Var:
 
     def __matmul__(self, other):
         """Matrix product of 1-d or 2-d operands, as numpy's ``@``."""
-        if isinstance(other, Var):
+        if type(other) is Var:
             return self.tape._push("matmul", (self, other), self.value @ other.value)
         other = np.asarray(other, dtype=float)
         return self.tape._push("matmul_const", (self,), self.value @ other,
@@ -287,7 +298,7 @@ class Var:
         branch only on its own lanes, so the inactive branch can hold safe
         substitute values without contaminating the result.
         """
-        if isinstance(other, Var):
+        if type(other) is Var:
             return self.tape._push("where_mask", (self, other),
                                    np.where(mask, self.value, other.value), mask)
         return self.tape._push("where_mask_const", (self,), np.where(mask, self.value, other),
@@ -326,17 +337,26 @@ def _unbroadcast(g, shape) -> np.ndarray:
     """Sum an adjoint over the axes that broadcasting added or stretched;
     backward calls it only when the shapes differ."""
     lead = g.ndim - len(shape)
-    if lead > 0:
-        g = g.sum(axis=tuple(range(lead)))
+    if lead > 0:  # np.add.reduce is ndarray.sum without its Python wrapper
+        g = np.add.reduce(g, axis=tuple(range(lead)))
     stretched = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    return g.sum(axis=stretched, keepdims=True) if stretched else g
+    return np.add.reduce(g, axis=stretched, keepdims=True) if stretched else g
 
 
 def _sum_rule(g, v, ins, pay):
     axis, keepdims, shape = pay
     if axis is not None and not keepdims:  # put the summed axis back, by indexing
         g = g[(slice(None),) * (axis % len(shape)) + (None,)]
-    return (np.broadcast_to(g, shape),)
+    full = np.empty(shape)  # g stretched over the summed axes, as a new array:
+    full[...] = g  # a fraction of np.broadcast_to's cost on the small arrays of VI
+    return (full,)
+
+
+def _cumsum_rule(g, v, ins, axis):
+    # the sums of g from each entry to the end of the axis, as a cumsum of g
+    # reversed along it, reversed back
+    rev = (slice(None),) * (axis % g.ndim) + (slice(None, None, -1),)
+    return (_cumsum_array(g[rev], axis)[rev],)
 
 
 class _Scatter:
@@ -471,13 +491,16 @@ _OPS = {
     "swapaxes": _Op(lambda g, v, ins, pay: (g.swapaxes(*pay),), moving=True),
     "matmul": _Op(_matmul_rule, reads=(0, 1)),
     "matmul_const": _Op(lambda g, v, ins, pay: (_matmul_adjoint(g, *pay),)),
-    "cumsum": _Op(lambda g, v, ins, axis: (
-        np.flip(_cumsum_array(np.flip(g, axis), axis), axis),)),
+    "cumsum": _Op(_cumsum_rule),
     "where_mask": _Op(lambda g, v, ins, pay: (g * pay, g * ~pay), moving=True),
     "where_mask_const": _Op(lambda g, v, ins, pay: (g * pay,)),  # the constant may be NaN
     "sample_gamma": _Op(lambda g, v, ins, pay: (
         np.sum(g * special.gamma_dsample_dshape(pay, v)),), own=True),
 }
+# The fields of each record that ``Tape._push`` and ``backward`` read for
+# every node, as plain tuples, which unpack faster than a record.
+_PUSH_FLAGS = {op: (rec.own, rec.reads, rec.moving) for op, rec in _OPS.items()}
+_RULES = {op: (rec.rule, rec.reads) for op, rec in _OPS.items()}
 
 
 def _elementwise(op: str, fn):
@@ -640,9 +663,8 @@ def backward(out: Var) -> dict[str, np.ndarray]:
             if i < spent:
                 raise RuntimeError(f"backward: node {i} ({ops[i]!r}) was swept before, "
                                    "and its saved values may be freed")
-            rec = _OPS[ops[i]]
-            ins = [values[p] for p in par] if rec.reads else ()
-            grads = rec.rule(g, values[i], ins, payloads[i])
+            rule, reads = _RULES[ops[i]]
+            grads = rule(g, values[i], [values[p] for p in par] if reads else (), payloads[i])
             # Every rule that reads values[i] has run, and every write to
             # adj[i] came from a later node, so it is final; drop both now
             # (param leaves never get here and keep their adjoints).  The
@@ -669,7 +691,7 @@ def backward(out: Var) -> dict[str, np.ndarray]:
                     owned.add(p)
                 else:
                     adj[p] = gp = gp if a is None else a + gp
-                    if type(gp) is np.ndarray and gp.flags.owndata and gp is not g:
+                    if type(gp) is np.ndarray and gp.base is None and gp is not g:
                         owned.add(p)  # a new array, made for p alone
 
     return {name: np.zeros(shapes[idx]) if idx >= n or adj[idx] is None

@@ -303,7 +303,7 @@ def _append_rows(path: str, rows: list[dict], write_header: bool) -> None:
             writer.writerow({k: r.get(k, "") for k in CSV_FIELDS})
 
 
-def _run_one_seed(cfg: ExperimentConfig, seed: int) -> list[dict]:
+def _run_one_seed(cfg: ExperimentConfig, seed: int, data: np.ndarray | None) -> list[dict]:
     if cfg.command == "nnreg":
         mse = ex.run_nnreg(cfg.d, cfg.nu, cfg.activation, seed, n_per_split=cfg.n)
         return [dict(flow=f"mlp-{cfg.activation}", d=cfg.d, nu=cfg.nu, seed=seed,
@@ -319,7 +319,7 @@ def _run_one_seed(cfg: ExperimentConfig, seed: int) -> list[dict]:
         return ex.run_de_cell(cfg.flow, cfg.d, cfg.nu, seed, tc, trace_path)
     if cfg.command == "vi-synth":
         return ex.run_vi_cell(cfg.flow, cfg.d, cfg.nu, seed, tc, trace_path)
-    return _run_de_csv_seed(cfg, seed, tc, trace_path)
+    return _run_de_csv_seed(cfg, seed, tc, trace_path, data)
 
 
 def load_csv_dataset(path: str) -> np.ndarray:
@@ -333,12 +333,6 @@ def load_csv_dataset(path: str) -> np.ndarray:
     return data
 
 
-def _split_rows(n: int) -> tuple[int, int, int]:
-    """Train, validation and test rows of de-csv's 40/20/40 split of n rows."""
-    n_tr, n_va = int(0.4 * n), int(0.2 * n)
-    return n_tr, n_va, n - n_tr - n_va
-
-
 def _min_csv_rows(cfg: ExperimentConfig) -> int:
     """The fewest CSV rows the command can fit.  tail-est runs the double
     bootstrap on all of them; de-csv needs every split nonempty, and as many
@@ -348,13 +342,12 @@ def _min_csv_rows(cfg: ExperimentConfig) -> int:
     fit_rows = {"TTFfix": tailest.MIN_BOOTSTRAP_ROWS, "mTAF": tailest.MIN_BOOTSTRAP_ROWS,
                 "COMET": ex.COMET_MIN_ROWS}.get(cfg.flow, 0)
     return next(n for n in itertools.count(1)
-                if min(_split_rows(n)) >= 1 and sum(_split_rows(n)[:2]) >= fit_rows)
+                if min(ex.split_sizes(n)) >= 1 and sum(ex.split_sizes(n)[:2]) >= fit_rows)
 
 
-def _run_de_csv_seed(cfg, seed, tc, trace_path) -> list[dict]:
-    data = load_csv_dataset(cfg.data_path)
+def _run_de_csv_seed(cfg, seed, tc, trace_path, data) -> list[dict]:
     data = data[special.Rng(seed).permutation(data.shape[0])]
-    n_tr, n_va, _ = _split_rows(data.shape[0])
+    n_tr, n_va, _ = ex.split_sizes(data.shape[0])
     fit_part = data[:n_tr + n_va]  # standardize with train+valid statistics only
     mean, std = fit_part.mean(axis=0), fit_part.std(axis=0)
     data = (data - mean) / np.where(std > 0, std, 1.0)
@@ -362,8 +355,7 @@ def _run_de_csv_seed(cfg, seed, tc, trace_path) -> list[dict]:
     return ex.fit_de_cell(cfg.flow, train, valid, test, seed, tc, trace_path)
 
 
-def _run_tail_est(cfg: ExperimentConfig) -> list[dict]:
-    data = load_csv_dataset(cfg.data_path)
+def _run_tail_est(cfg: ExperimentConfig, data: np.ndarray) -> list[dict]:
     rng = special.Rng(cfg.seeds[0])
     est = tailest.estimate_marginal_tails(data, rng)
     head = dict(flow="tail-est", d=data.shape[1], nu=float("nan"),
@@ -424,11 +416,12 @@ def run(cfg: ExperimentConfig) -> int:
     """Execute one command; returns the process exit code."""
     if cfg.command == "table":
         return _print_tables(cfg.out_dir)
-    if cfg.data_path is not None:
-        rows, need = load_csv_dataset(cfg.data_path).shape[0], _min_csv_rows(cfg)
-        if rows < need:
+    data = None
+    if cfg.data_path is not None:  # parsed once, here; every seed fits this array
+        data, need = load_csv_dataset(cfg.data_path), _min_csv_rows(cfg)
+        if data.shape[0] < need:
             flow = f" --flow {cfg.flow}" if cfg.command == "de-csv" else ""
-            raise UsageError(f"data_path: {cfg.data_path!r} has {rows} rows; "
+            raise UsageError(f"data_path: {cfg.data_path!r} has {data.shape[0]} rows; "
                              f"{cfg.command}{flow} needs at least {need}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_metadata(cfg, os.path.join(cfg.out_dir, f"metadata_{cfg.command}.cfg"))
@@ -436,7 +429,7 @@ def run(cfg: ExperimentConfig) -> int:
     header_needed = not os.path.exists(results_path)
 
     if cfg.command == "tail-est":
-        rows = _run_tail_est(cfg)
+        rows = _run_tail_est(cfg, data)
         _append_rows(results_path, rows, header_needed)
         return 0
 
@@ -445,12 +438,12 @@ def run(cfg: ExperimentConfig) -> int:
         # rows go out in seed order whatever the job count, so the results
         # file does not depend on which worker finishes first
         if cfg.jobs == 1:
-            runs = [functools.partial(_run_one_seed, cfg, s) for s in cfg.seeds]
+            runs = [functools.partial(_run_one_seed, cfg, s, data) for s in cfg.seeds]
         else:
             pool = stack.enter_context(
                 concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs)
             )
-            runs = [pool.submit(_run_one_seed, cfg, s).result for s in cfg.seeds]
+            runs = [pool.submit(_run_one_seed, cfg, s, data).result for s in cfg.seeds]
         for seed, get_rows in zip(cfg.seeds, runs):
             try:
                 rows = get_rows()

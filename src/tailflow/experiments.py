@@ -49,8 +49,15 @@ COMET_MIN_ROWS = 100
 # -- synthetic generator --------------------------------------------------------------
 
 
-# The synthetic task's train and validation shares; the test split is the rest.
+# The train and validation shares of a DE split; the test split is the rest.
 _TRAIN_FRACTION, _VALID_FRACTION = 0.4, 0.2
+
+
+def split_sizes(n: int) -> tuple[int, int, int]:
+    """Train, validation and test rows of the 40/20/40 split of n rows, the
+    first two shares truncated; ``gen_synthetic_de`` and ``de-csv`` split so."""
+    n_train, n_valid = int(_TRAIN_FRACTION * n), int(_VALID_FRACTION * n)
+    return n_train, n_valid, n - n_train - n_valid
 
 
 @dataclass
@@ -113,8 +120,7 @@ def gen_synthetic_de(spec: SyntheticDeSpec):
     x = np.empty((spec.n, spec.d))
     x[:, : spec.d - 1] = rng.student_t(spec.nu, size=(spec.n, spec.d - 1))
     x[:, spec.d - 1] = x[:, spec.d - 2] + rng.normal(size=spec.n)
-    n_train = int(round(_TRAIN_FRACTION * spec.n))
-    n_valid = int(round(_VALID_FRACTION * spec.n))
+    n_train, n_valid, _ = split_sizes(spec.n)
 
     def log_density(pts):
         return vi_target_log_density(pts, spec.d, spec.nu)

@@ -248,16 +248,18 @@ def _locate_bin(x, cumw, cumh, d_raw, bound: float, inverse: bool):
     x_safe = ad.where_mask(inside, x, 0.0)
     k_bins = value_of(cumw).shape[0]
     searched = value_of(cumh if inverse else cumw)[:k_bins - 1] * (2.0 * bound) - bound
-    idx = np.count_nonzero(value_of(x_safe) >= searched, axis=0)
-    rows, cols = np.stack([idx - 1, idx]), np.arange(xv.shape[0])
-    inner = ~np.stack([idx == 0, idx == k_bins - 1])  # the ends that are not pinned
+    idx = np.add.reduce(value_of(x_safe) >= searched, axis=0)
+    rows, cols = idx + np.array([[-1], [0]]), np.arange(xv.shape[0])
+    inner = idx != np.array([[0], [k_bins - 1]])  # the ends that are not pinned
 
     def knots(cum):
         return ad.where_mask(inner, cum[rows, cols] * (2.0 * bound) - bound,
                              np.array([[-bound], [bound]]))
 
-    ds = ad.where_mask(inner, ad.softplus(d_raw[rows % (k_bins - 1), cols]) + _MIN_DERIVATIVE,
-                       1.0)
+    # d_raw has K-1 rows: row idx is row idx-(K-1) counted from the end, and
+    # idx = K-1, one past its last row, wraps to row 0, as idx % (K-1) would
+    ds = ad.where_mask(inner, ad.softplus(d_raw[idx + np.array([[-1], [1 - k_bins]]), cols])
+                       + _MIN_DERIVATIVE, 1.0)
     return inside, x_safe, knots(cumw), knots(cumh), ds
 
 

@@ -123,7 +123,12 @@ def adam_step(
     mutating state.
 
     Clipping happens before the moment update so a pathological batch cannot
-    contaminate the running moments.
+    contaminate the running moments.  The update runs once over the entries
+    of every parameter with a gradient (of the parameter's shape, as
+    ``gradient`` gives), laid end to end; each op is elementwise, so every
+    entry gets the bits of a per-array update.  The new moments are views of
+    the joined ones; each new parameter is its old array minus its part of
+    the joined step, an array of its own.
     """
     if clip_norm is not None:
         grads = clip_gradient_norm(grads, clip_norm)
@@ -131,15 +136,25 @@ def adam_step(
     t = state["t"]
     c1 = 1.0 - _ADAM_BETA1 ** t
     c2 = 1.0 - _ADAM_BETA2 ** t
-    out = {}
-    for k, p in params.items():
-        g = grads.get(k)
-        if g is None:
-            out[k] = p
-            continue
-        m = state["m"][k] = _ADAM_BETA1 * state["m"][k] + (1.0 - _ADAM_BETA1) * g
-        v = state["v"][k] = _ADAM_BETA2 * state["v"][k] + (1.0 - _ADAM_BETA2) * (g * g)
-        out[k] = p - lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
+    out = dict(params)
+    keys = [k for k in params if grads.get(k) is not None]
+    if not keys:
+        return out
+
+    def joined(arrays: dict) -> np.ndarray:
+        return np.concatenate([arrays[k].ravel() for k in keys])
+
+    g = joined(grads)
+    m = _ADAM_BETA1 * joined(state["m"]) + (1.0 - _ADAM_BETA1) * g
+    v = _ADAM_BETA2 * joined(state["v"]) + (1.0 - _ADAM_BETA2) * (g * g)
+    step = lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
+    end = 0
+    for k in keys:
+        p = params[k]
+        start, end = end, end + p.size
+        state["m"][k] = m[start:end].reshape(p.shape)
+        state["v"][k] = v[start:end].reshape(p.shape)
+        out[k] = p - step[start:end].reshape(p.shape)
     return out
 
 

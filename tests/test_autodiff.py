@@ -71,11 +71,24 @@ class TestLeaves:
         assert list(grads) == ["x"] and grads["x"] == 2.0
         assert tape.ops == ["param", "mul_const"]
 
-    def test_param_identity_gradient_is_one(self):
+    @pytest.mark.parametrize("value", [
+        7.5, 3, True, np.int64(-2), np.bool_(False), np.float32(1.5), np.float64(2.5),
+        np.array([1.0, -2.0], dtype=">f8"), np.arange(3),
+    ], ids=["float", "int", "bool", "np.int64", "np.bool_", "np.float32", "np.float64",
+            "big-endian", "int-array"])
+    def test_param_identity_gradient_is_one(self, value):
+        # every value is stored as a native float64 array, the leaf's and
+        # those computed from it
         tape = ad.Tape()
-        x = tape.param(7.5, "x")
-        grads = ad.backward(x * 1.0)
-        assert grads["x"] == 1.0
+        x = tape.param(value, "x")
+        y = x * 1.0
+        want = np.asarray(value, dtype=float)
+        for v in (x.value, y.value):
+            assert type(v) is np.ndarray and v.dtype == np.float64 and v.dtype.isnative
+            assert v.tobytes() == want.tobytes()
+        grads = ad.backward(y.sum())
+        assert tape.poisoned is None
+        np.testing.assert_array_equal(grads["x"], np.ones(want.shape))
 
     def test_param_square_gradient(self):
         tape = ad.Tape()
@@ -985,11 +998,21 @@ class TestScatterAdjoints:
 
 
 class TestPoisoning:
-    def test_domain_violation_poisons_instead_of_raising(self):
+    @pytest.mark.parametrize("make", [
+        lambda x: x.log(),  # NaN, recorded silently
+        lambda x: x * float("nan"),  # a 0-d NaN constant, of each type
+        lambda x: x * np.float64("nan"),
+        lambda x: x * np.float32("nan"),
+        lambda x: x * np.array(np.nan),
+    ], ids=["log", "float", "np.float64", "np.float32", "0-d array"])
+    def test_domain_violation_poisons_instead_of_raising(self, make):
         tape = ad.Tape()
         x = tape.param(-1.0, "x")
-        y = x.log()  # NaN, recorded silently
+        y = make(x)
         assert tape.poisoned == y.idx
+        with pytest.raises(ad.PoisonedTapeError) as exc:
+            ad.backward(y + x)
+        assert (exc.value.node, exc.value.op) == (y.idx, tape.ops[y.idx])
 
     def test_backward_reports_first_offending_node(self):
         tape = ad.Tape()

@@ -153,6 +153,31 @@ class TestDeCsvFit:
         assert got == expected.read_text()
 
 
+class TestDeCsvSplit:
+    def test_csv_is_parsed_once(self, tmp_path, data_csv, monkeypatch):
+        # the row-minimum check's array is the one every seed fits
+        parsed = []
+        genfromtxt = np.genfromtxt
+        monkeypatch.setattr(np, "genfromtxt",
+                            lambda path, *a, **k: parsed.append(path) or genfromtxt(path, *a, **k))
+        got = _de_csv(tmp_path, data_csv, "--flow", "TTF")
+        assert parsed == [data_csv]
+        assert got.replace("\r\n", "\n") == HEADER + "\n" + EXPECTED["TTF"]
+
+    def test_split_is_de_synths_at_every_n(self, tmp_path, data_csv, monkeypatch):
+        # de-csv splits a CSV of n rows as gen_synthetic_de splits n draws,
+        # both truncating 0.4 n and 0.2 n (at n=1003: 401, 200 and 402 rows)
+        sizes = []
+        monkeypatch.setattr(ex, "fit_de_cell", lambda flow, train, valid, test, *rest:
+                            sizes.append((len(train), len(valid), len(test))) or [])
+        cfg = cli.parse_config(["de-csv", "--data", data_csv, "--out-dir", str(tmp_path)])
+        for n in range(10, 1504):
+            tr, va, te, _ = ex.gen_synthetic_de(ex.SyntheticDeSpec(2, 2.0, n=n, seed=0))
+            cli._run_de_csv_seed(cfg, 0, None, None, np.vstack([tr, va, te]))
+            assert sizes[-1] == (len(tr), len(va), len(te)) == ex.split_sizes(n), n
+        assert ex.split_sizes(1003) == (401, 200, 402)
+
+
 class TestCsvData:
     def test_one_row_is_one_observation(self, tmp_path):
         path = tmp_path / "one_row.csv"

@@ -1,6 +1,7 @@
 """Training harness tests: objectives, Adam semantics, run control,
 divergence handling, and small variational fits with analytic optima."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -343,6 +344,42 @@ class TestAdam:
         np.testing.assert_array_equal(out["frozen"], params["frozen"])
         assert out["x"][0] != params["x"][0]
 
+    @pytest.mark.parametrize("clip_norm", [None, 0.5])
+    def test_joined_update_is_the_per_array_formula_bit_for_bit(self, clip_norm):
+        # mixed shapes, a 0-d entry and a key without a gradient: each
+        # parameter and moment gets the bits of Adam run on its array alone
+        b1, b2, eps = training._ADAM_BETA1, training._ADAM_BETA2, training._ADAM_EPS
+
+        def per_array(params, grads, state, lr):
+            if clip_norm is not None:
+                grads = training.clip_gradient_norm(grads, clip_norm)
+            state["t"] += 1
+            c1, c2 = 1.0 - b1 ** state["t"], 1.0 - b2 ** state["t"]
+            out = dict(params)
+            for k, g in grads.items():
+                m = state["m"][k] = b1 * state["m"][k] + (1.0 - b1) * g
+                v = state["v"][k] = b2 * state["v"][k] + (1.0 - b2) * (g * g)
+                out[k] = params[k] - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            return out
+
+        rng = np.random.default_rng(0)
+        shapes = {"w": (3, 4), "s": (), "frozen": (2,), "b": (4,), "row": (1, 5)}
+        params = {k: np.asarray(rng.normal(size=s)) for k, s in shapes.items()}
+        state = training.adam_init(params)
+        ref, ref_state = dict(params), {"m": dict(state["m"]), "v": dict(state["v"]), "t": 0}
+        for _ in range(4):
+            grads = {k: np.asarray(rng.normal(size=s) * 10.0 ** rng.uniform(-3, 3))
+                     for k, s in shapes.items() if k != "frozen"}
+            params = training.adam_step(params, grads, state, 0.01, clip_norm)
+            ref = per_array(ref, grads, ref_state, 0.01)
+            assert state["t"] == ref_state["t"]
+            for k in grads:
+                for got, want in ((params, ref), (state["m"], ref_state["m"]),
+                                  (state["v"], ref_state["v"])):
+                    assert np.shape(got[k]) == shapes[k]
+                    assert np.asarray(got[k]).tobytes() == np.asarray(want[k]).tobytes(), k
+            assert params["frozen"] is ref["frozen"]
+
 
 class TestElboGradientStep:
     def test_gradient_mean_zero_at_optimum(self):
@@ -362,6 +399,25 @@ class TestElboGradientStep:
             var = np.maximum(sqs[k] / reps - mean**2, 0.0)
             se = np.sqrt(var / reps)
             assert np.all(np.abs(mean) <= 3 * se + 1e-12), k
+
+    def test_gradients_of_twenty_ttf_steps_pinned(self):
+        # sha256 of the gradients of 20 d=5 TTF ELBO steps (M=100), Adam
+        # moving the parameters in between: any change to the tape's values,
+        # gradients or draws, or to Adam's bits, shows here
+        model = flows.build_architecture("TTF", 5, seed=0)
+        trained = [k for k in model.params if k not in model.frozen]
+        state = training.adam_init({k: model.params[k] for k in trained})
+        rng, digest = special.Rng(0), hashlib.sha256()
+        with np.errstate(all="ignore"):
+            for _ in range(20):
+                st = training.elbo_gradient_step(
+                    model, lambda x: experiments.vi_target_log_density(x, 5, 2.0), 100, rng)
+                for k in sorted(st.grads):
+                    digest.update(k.encode() + st.grads[k].tobytes())
+                model.params.update(training.adam_step(
+                    {k: model.params[k] for k in trained}, st.grads, state, 5e-3))
+        assert digest.hexdigest() == \
+            "b36a5c3a83d4352834a786a0f8306ca7d52789aadd2f91278e6274a60cf728cf"
 
     def test_sample_count_validated(self):
         model = flows.build_architecture("normal", 2, seed=0)
