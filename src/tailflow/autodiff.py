@@ -22,10 +22,10 @@ draws on its tape, differentiable in it.
 
 Each op is declared once, by its record in ``_OPS``: its backward rule,
 what the rule reads, whether it is entry-moving (see below), and for an
-elementwise op its numpy function.  The ``Var`` methods ``x.exp()``,
-``x.log()``, ... and the module-level ``exp``, ``log``, ``absolute``, ...,
-which take a Var or an array, are generated from those records, so the tape
-and plain numpy compute with one function, in the same ``np.errstate``.
+elementwise op its numpy function.  The module-level ``exp``, ``log``,
+``absolute``, ..., which take a Var or an array, are generated from those
+records, so the tape and plain numpy compute with one function, in the same
+``np.errstate``; a Var has no method of its own for them.
 Backward runs one rule per node and sums each adjoint back to its operand's
 shape, undoing any broadcast.
 
@@ -263,8 +263,6 @@ class Var:
         other = np.asarray(other, dtype=float)
         return self.tape._push("matmul_const", (self,), other @ self.value,
                                (other, True, self.shape))
-
-    # x.exp(), x.maximum(c) and the other elementwise methods come from ``_OPS``.
 
     # -- reductions and structure -------------------------------------------
 
@@ -504,27 +502,23 @@ _RULES = {op: (rec.rule, rec.reads) for op, rec in _OPS.items()}
 
 
 def _elementwise(op: str, fn):
-    """The ``Var`` method and the module-level function (Var or array) of an
-    elementwise op, both computing with ``fn``.  A constant second operand,
-    as ``maximum`` takes, goes in the node's payload."""
-    def method(self, const=None):
-        value = fn(self.value) if const is None else fn(self.value, const)
-        return self.tape._push(op, (self,), value, const)
-
+    """The module-level function of an elementwise op: ``fn`` of a Var's
+    value, pushed as a node of its tape, or ``fn`` of an array.  A constant
+    second operand, as ``maximum`` takes, goes in the node's payload."""
     def function(x, const=None):
         if isinstance(x, Var):
-            return method(x, const)
+            value = fn(x.value) if const is None else fn(x.value, const)
+            return x.tape._push(op, (x,), value, const)
         return fn(x) if const is None else fn(x, const)
 
-    method.__name__ = function.__name__ = op
-    return method, function
+    function.__name__ = op
+    return function
 
 
 for _op, _rec in _OPS.items():
     if _rec.fn is not None:
-        _method, globals()[_op] = _elementwise(_op, _rec.fn)
-        setattr(Var, _op, _method)
-del _op, _rec, _method
+        globals()[_op] = _elementwise(_op, _rec.fn)
+del _op, _rec
 
 
 # -- module-level forms of the structural ops: a Var method or plain numpy -----

@@ -326,7 +326,7 @@ def load_csv_dataset(path: str) -> np.ndarray:
     """Headered numeric CSV, one observation per row, as an (n, d) matrix."""
     try:
         data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float, ndmin=2)
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: rows of different lengths
         raise UsageError(f"data_path: cannot read {path!r} ({e})") from e
     if data.size == 0 or not np.all(np.isfinite(data)):
         raise UsageError(f"data_path: {path!r} must be all-numeric with no gaps")

@@ -617,8 +617,8 @@ def _lambda_rows(model: flows.FlowModel, head: dict) -> list[dict]:
     """
     if "tails.lp_raw" not in model.params:
         return []
-    lp = np.logaddexp(0.0, model.params["tails.lp_raw"])
-    ln = np.logaddexp(0.0, model.params["tails.ln_raw"])
+    lp = ad.softplus(model.params["tails.lp_raw"])
+    ln = ad.softplus(model.params["tails.ln_raw"])
     return [dict(head, metric_name=f"lambda_{side}[{j}]", value=float(lam[j]))
             for j in range(model.d) for side, lam in (("pos", lp), ("neg", ln))]
 

@@ -18,8 +18,10 @@ cumulative sums runs on those alone, gathered as (2, m) blocks.  Formulas
 use numpy syntax (broadcasting, ``@``, slices and gathers) and the
 elementwise functions of ``autodiff``; a tape ``Var`` follows the same
 syntax, so plain numpy arrays and tape variables flow through the same code
-path.  On a tape, frozen parameters and the draws of a base that is not
-reparameterized stay numpy arrays: constants to every op, not nodes.
+path, and a numpy ``flow_log_prob`` or ``flow_sample_with_log_prob`` holds
+the tape's values bit for bit.  On a tape, frozen parameters and the draws
+of a base that is not reparameterized stay numpy arrays: constants to every
+op, not nodes.
 
 Without a tape, ``flow_log_prob`` and ``flow_sample_with_log_prob`` (so
 also ``flow_sample``) push at most ``_FLOW_ROWS`` rows at a time, which
@@ -558,8 +560,7 @@ class GenNormalBase:
         return -powed.sum(axis=1) + const.sum()
 
     def sample(self, params, rng: special.Rng, n: int) -> np.ndarray:
-        beta = value_of(ad.softplus(params["base.shape_raw"])) + self.SHAPE_FLOOR
-        alpha = value_of(ad.softplus(params["base.scale_raw"]))
+        beta, alpha = map(value_of, self._beta_alpha(params))
         loc = value_of(params["base.loc"])
         out = np.empty((n, self.d))
         for j in range(self.d):
@@ -623,10 +624,8 @@ def flow_forward(z, model: FlowModel, params: dict | None = None):
     return cur, acc
 
 
-def flow_sample(model: FlowModel, rng: special.Rng, n: int,
-                params: dict | None = None) -> np.ndarray:
-    params = model.params if params is None else params
-    return flow_sample_with_log_prob(model, params, rng, n)[0]
+def flow_sample(model: FlowModel, rng: special.Rng, n: int) -> np.ndarray:
+    return flow_sample_with_log_prob(model, model.params, rng, n)[0]
 
 
 def flow_sample_with_log_prob(model: FlowModel, params: dict, rng: special.Rng, n: int):

@@ -191,9 +191,7 @@ def _smoothed_argmin(grid: np.ndarray, mse: np.ndarray) -> tuple[int, int, int]:
     return best, k_at, nbins
 
 
-def hill_double_bootstrap(
-    samples: np.ndarray, rng: special.Rng | None = None
-) -> DoubleBootstrapResult:
+def hill_double_bootstrap(samples: np.ndarray, rng: special.Rng) -> DoubleBootstrapResult:
     """Hill estimate at a bootstrap-selected order-statistic count.
 
     Two bootstrap MSE curves at subsample sizes n1 = floor(n^0.955) and
@@ -211,8 +209,6 @@ def hill_double_bootstrap(
     n = x.size
     if n < MIN_BOOTSTRAP_ROWS:
         raise ValueError(f"double bootstrap needs n >= {MIN_BOOTSTRAP_ROWS}, got {n}")
-    if rng is None:
-        rng = special.Rng(0)
     n1 = int(n ** _SUBSAMPLE_EXPONENT)
     n2 = int(n1 * n1 / n)
     g1, mse1 = _bootstrap_mse_curve(x, n1, rng)
@@ -452,9 +448,7 @@ def gpd_excess_at_log_survivor(log_s: np.ndarray, shape: float, scale: float) ->
     return scale * (np.expm1(-shape * log_s) / shape)
 
 
-def estimate_marginal_tails(
-    data: np.ndarray, rng: special.Rng | None = None
-) -> TailEstimate:
+def estimate_marginal_tails(data: np.ndarray, rng: special.Rng) -> TailEstimate:
     """Per-dimension double-bootstrap tail shapes of |x - median|.
 
     Pooling both tails around the median enforces a common shape for
@@ -467,8 +461,6 @@ def estimate_marginal_tails(
     n, d = x.shape
     if n < MIN_BOOTSTRAP_ROWS:
         raise ValueError(f"double bootstrap needs n >= {MIN_BOOTSTRAP_ROWS}, got {n}")
-    if rng is None:
-        rng = special.Rng(0)
     shapes = np.empty(d)
     ks = np.empty(d, dtype=int)
     light = np.empty(d, dtype=bool)

@@ -56,7 +56,7 @@ def ttf_forward(z, *, mu, sigma, lambda_pos, lambda_neg):
     x = mu + sigma * ((bracket / lam) * s)
     # scale/shape can push the saturated bracket past the float range; keep the
     # output a large finite value rather than letting inf poison downstream
-    return -ad.minimum(-ad.minimum(x, _MAX_VALUE), _MAX_VALUE)
+    return ad.maximum(ad.minimum(x, _MAX_VALUE), -_MAX_VALUE)
 
 
 def ttf_log_deriv(z, *, mu, sigma, lambda_pos, lambda_neg):
@@ -77,15 +77,16 @@ def _stable_inverse_branch(log_p, stable):
 
     Seeds with w0 = [eta - log eta]^(1/2) / sqrt 2, eta = 2L + log(2/pi),
     then Newton-polishes in log space to machine precision; the seed alone
-    carries O(1e-3) error right where the branch takes over.  On the tape
-    the solved root enters through one implicit Newton step, which is affine
-    in L and carries the exact implicit-function derivative dw/dL =
+    carries O(1e-3) error right where the branch takes over.  The solved
+    root enters through one more, implicit Newton step, on arrays and on the
+    tape alike, so both give the same bits: the step is affine in L, and on
+    the tape it carries the exact implicit-function derivative dw/dL =
     -1 / dlogerfc(w).
 
     The Newton runs only on the deep-tail lanes, where ``stable`` is set.
     The other lanes of the result hold 0, for the caller's ``where_mask``
-    to drop; on the tape their implicit step has slope 0 and constant 0, so
-    the step adds the same nodes whatever the number of deep-tail lanes.
+    to drop; their implicit step has slope 0 and constant 0, so the step
+    adds the same nodes whatever the number of deep-tail lanes.
     """
     l_num = -value_of(log_p)[stable]
     eta = 2.0 * l_num + _LOG_2_OVER_PI
@@ -93,15 +94,12 @@ def _stable_inverse_branch(log_p, stable):
     for _ in range(3):
         log_erfc_w = special.log_erfc(w)
         w = w - (log_erfc_w + l_num) / special._dlog_erfc_at(w, log_erfc_w)
-    root = np.zeros(stable.shape)
-    if not isinstance(log_p, ad.Var):
-        root[stable] = w
-        return root * _SQRT2
     log_erfc_w = special.log_erfc(w)
     inv_deriv = 1.0 / special._dlog_erfc_at(w, log_erfc_w)
     # w_new = w - (log_erfc(w) + L) / dlogerfc(w), constants frozen at the root
     slope = np.zeros(stable.shape)
     slope[stable] = -inv_deriv
+    root = np.zeros(stable.shape)
     root[stable] = w - log_erfc_w * inv_deriv
     w_var = (-log_p) * slope + root
     return w_var * _SQRT2
@@ -126,19 +124,9 @@ def ttf_inverse_with_log_deriv(x, *, mu, sigma, lambda_pos, lambda_neg):
     log_p = -log_y / lam
     stable = value_of(log_p) < _LOG_INV_BRANCH_EPS
 
-    any_stable = bool(np.any(stable))
-    any_direct = bool(np.any(~stable))
-    if any_direct:
-        p_direct = ad.exp(ad.where_mask(~stable, log_p, -1.0))
-        z_direct = ad.erfc_inv(p_direct) * _SQRT2
-    if any_stable:
-        z_stable = _stable_inverse_branch(log_p, stable)
-    if any_stable and any_direct:
-        z_abs = ad.where_mask(stable, z_stable, z_direct)
-    elif any_stable:
-        z_abs = z_stable
-    else:
-        z_abs = z_direct
+    z_abs = ad.erfc_inv(ad.exp(ad.where_mask(~stable, log_p, -1.0))) * _SQRT2
+    if stable.any():
+        z_abs = ad.where_mask(stable, _stable_inverse_branch(log_p, stable), z_abs)
     z = z_abs * s
     ld = -ad.log(sigma) - _HALF_LOG_2_OVER_PI + (z * z) * 0.5 - (1.0 + 1.0 / lam) * log_y
     return z, ld

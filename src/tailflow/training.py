@@ -85,10 +85,7 @@ def de_loss(model: flows.FlowModel, batch: np.ndarray, params: dict | None = Non
     """Negative log likelihood summed over the batch; Var under a tape."""
     if batch.shape[0] == 0:
         raise ValueError("batch must be nonempty")
-    lp = flows.flow_log_prob(batch, model, params)
-    if isinstance(lp, ad.Var):
-        return -lp.sum()
-    return -float(np.sum(lp))
+    return -flows.flow_log_prob(batch, model, params).sum()
 
 
 def adam_init(params: dict) -> dict:

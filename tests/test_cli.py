@@ -300,10 +300,43 @@ class TestUsageErrors:
         (["de-synth", "--patience", "0"], "patience"),
         (["nnreg", "--activation", "tanh"], "activation"),
         (["de-synth", "--trace", "--seeds", "3.."], "seeds"),
+        (["de-synth", "--d", "five"], "d"),
+        (["de-synth", "--lr", "fast"], "lr"),
+        (["de-synth", "--seeds", " , "], "seeds"),
+        (["de-csv", "--data", os.path.join("no", "such", "data.csv")], "data_path"),
     ])
-    def test_bad_values_are_rejected_naming_the_key(self, argv, key):
-        with pytest.raises(cli.UsageError, match=f"^{key}: "):
-            cli.parse_config(argv)
+    def test_bad_values_are_rejected_naming_the_key(self, capsys, argv, key):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: {key}: ")
+
+    @pytest.mark.parametrize("text,message", [
+        (None, "config: cannot read"),
+        ("[de-synth]\nd = 3\n[fit]\n", "config line 3: unknown section 'fit'"),
+        ("[de-synth]\nd 3\n", "config line 2: expected key = value, got 'd 3'"),
+    ], ids=["unreadable", "unknown_section", "no_equals"])
+    def test_bad_config_file_is_rejected_naming_the_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "run.cfg"
+        if text is not None:
+            path.write_text(text)
+        assert cli.main(["de-synth", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: {message}")
+
+    @pytest.mark.parametrize("text,message", [
+        (None, "cannot read"),  # a directory
+        ("a,b\n1.0\n2.0,3.0\n", "cannot read"),
+        ("a,b\n1.0,x\n2.0,3.0\n", "must be all-numeric with no gaps"),
+        ("a,b\n1.0,\n2.0,3.0\n", "must be all-numeric with no gaps"),
+    ], ids=["unreadable", "ragged", "non_numeric", "gap"])
+    def test_bad_csv_is_rejected_before_any_output(self, tmp_path, capsys, text, message):
+        path, out_dir = tmp_path / "data.csv", tmp_path / "out"
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
+        assert cli.main(["tail-est", "--data", str(path), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: data_path: ") and message in err
+        assert not out_dir.exists()
 
     def test_nnreg_fits_one_dimension(self):
         assert cli.parse_config(["nnreg", "--d", "1"]).d == 1
@@ -401,6 +434,17 @@ class TestTable:
         assert cli.main(argv) == 0
         out = self._table(tmp_path, capsys)
         assert self._line(out, "nll_per_dim", ["normal", "2", "30.0"])[-1] == "2"
+
+    def test_every_seed_failing_exits_1(self, tmp_path, caplog, monkeypatch):
+        def fail(*args):
+            raise FloatingPointError("diverged")
+
+        monkeypatch.setattr(ex, "run_de_cell", fail)
+        argv = ["de-synth", "--flow", "normal", "--d", "2", "--seeds", "0..1",
+                "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 1
+        assert "all 2 seeds failed" in caplog.text
+        assert not (tmp_path / "results_de-synth.csv").exists()
 
     @pytest.mark.parametrize("text", [
         "flow,d,nu,seed,metric,value,diverged\n",

@@ -700,6 +700,34 @@ class TestFlowModel:
         np.testing.assert_allclose(got, want, atol=1e-8)
 
 
+class TestArrayTapeParity:
+    """Arrays and tape variables take one code path through every layer and
+    base, so a numpy pass holds the tape's values bit for bit."""
+
+    @pytest.mark.parametrize("name", ALL_ARCHS)
+    @pytest.mark.parametrize("d", [1, 3])
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 0.5),
+           nu=st.floats(0.5, 3.0), mag=st.floats(0.0, 4.0), n=st.integers(2, 12))
+    def test_numpy_pass_is_the_tape_pass(self, name, d, seed, scale, nu, mag, n):
+        # t(nu) rows scaled by 10^mag: a TTF lane takes the deep-tail
+        # inverse once (lambda |t| + 1)^(-1/lambda) < 1e-6, beyond |t| ~ 20
+        # at lambda = 0.05 and ~1e6 at lambda = 1.  A flow without the tail
+        # layer hands such rows to its affine conditioner, which overflows:
+        # both paths must then hold the same non-finite values.
+        model = perturb(flows.build_architecture(name, d, seed=1), scale=scale, seed=seed)
+        x = np.random.default_rng(seed).standard_t(nu, size=(n, d)) * 10.0 ** mag
+        with np.errstate(all="ignore"):
+            on_tape = flows.flow_log_prob(x, model, model.tape_params(ad.Tape()))
+            plain = flows.flow_log_prob(x, model)
+            draws, log_q = flows.flow_sample_with_log_prob(
+                model, model.params, special.Rng(seed), n)
+            tape_draws, tape_log_q = flows.flow_sample_with_log_prob(
+                model, model.tape_params(ad.Tape()), special.Rng(seed), n)
+        np.testing.assert_array_equal(plain, on_tape.value)
+        np.testing.assert_array_equal(draws, tape_draws.value)
+        np.testing.assert_array_equal(log_q, tape_log_q.value)
+
+
 R = flows._FLOW_ROWS
 BLOCK_SIZES = [1, 2, R - 1, R, R + 1, 2 * R + 1]
 

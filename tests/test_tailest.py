@@ -76,7 +76,7 @@ class TestHillDoubleBootstrap:
 
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError, match="n >= 500"):
-            tailest.hill_double_bootstrap(pareto_sample(0, 499))
+            tailest.hill_double_bootstrap(pareto_sample(0, 499), special.Rng(0))
 
     # (seed, nu, dim) -> (shape, k, light_tailed, fallback) on the synthetic
     # task at d=5, n=5000, as `estimate_marginal_tails` sees each dimension;
@@ -314,9 +314,9 @@ class TestEstimateMarginalTails:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n x d"):
-            tailest.estimate_marginal_tails(np.ones(1000))
+            tailest.estimate_marginal_tails(np.ones(1000), special.Rng(0))
         with pytest.raises(ValueError, match="n >= 500"):
-            tailest.estimate_marginal_tails(np.ones((100, 2)))
+            tailest.estimate_marginal_tails(np.ones((100, 2)), special.Rng(0))
 
     def test_tail_estimate_invariants(self):
         with pytest.raises(ValueError, match="nonnegative"):
