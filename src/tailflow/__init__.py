@@ -43,39 +43,16 @@ from . import (
     tailtransform,
     training,
 )
-from .flows import build_architecture, flow_log_prob, flow_sample, load_model, save_model
-from .tailest import (
-    TailEstimate,
-    estimate_marginal_tails,
-    gpd_fit_ml,
-    gpd_fit_scale,
-    hill_estimator,
-)
-from .training import TrainConfig, TrainResult, fit_density, fit_vi
 
 __version__ = "0.1.0"
 
 __all__ = [
     "autodiff",
-    "build_architecture",
-    "estimate_marginal_tails",
     "experiments",
-    "fit_density",
-    "fit_vi",
-    "flow_log_prob",
-    "flow_sample",
     "flows",
-    "gpd_fit_ml",
-    "gpd_fit_scale",
-    "hill_estimator",
-    "load_model",
-    "save_model",
     "special",
-    "TailEstimate",
     "tailest",
     "tailtransform",
-    "TrainConfig",
     "training",
-    "TrainResult",
     "__version__",
 ]

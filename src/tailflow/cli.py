@@ -38,7 +38,6 @@ import contextlib
 import csv
 import functools
 import glob
-import itertools
 import logging
 import os
 import sys
@@ -48,7 +47,7 @@ from importlib import metadata as importlib_metadata
 import numpy as np
 
 from . import experiments as ex
-from . import special, tailest, training
+from . import flows, special, tailest, training
 
 logger = logging.getLogger(__name__)
 
@@ -242,11 +241,12 @@ def _validate(cfg: ExperimentConfig) -> None:
     if "data_path" in reads and cfg.data_path is None:
         raise UsageError("data_path: required for this command (--data)")
     if "flow" in reads:
-        # VI cannot train a COMET model (a normal flow on logits), nor the
-        # mixture and generalized-normal bases, whose draws carry no
-        # reparameterised gradient.
-        known = ex.VI_FLOWS + ("normal", "TTF_tBase") if cfg.command == "vi-synth" \
-            else ex.DE_FLOWS + ("TTF_tBase",)
+        # the command's table, then the other architectures it can fit
+        vi = cfg.command == "vi-synth"
+        table = ex.VI_FLOWS if vi else ex.DE_FLOWS
+        known = table + tuple(
+            name for name, (base, _, _) in flows.ARCHITECTURE_TABLE.items()
+            if name not in table and (base.reparameterized or not vi))
         if cfg.flow not in known:
             raise UsageError(f"flow: {cfg.command} cannot fit flow {cfg.flow!r}; "
                              f"expected one of {known}")
@@ -333,18 +333,6 @@ def load_csv_dataset(path: str) -> np.ndarray:
     return data
 
 
-def _min_csv_rows(cfg: ExperimentConfig) -> int:
-    """The fewest CSV rows the command can fit.  tail-est runs the double
-    bootstrap on all of them; de-csv needs every split nonempty, and as many
-    train+valid rows as the flow's tail estimate needs."""
-    if cfg.command == "tail-est":
-        return tailest.MIN_BOOTSTRAP_ROWS
-    fit_rows = {"TTFfix": tailest.MIN_BOOTSTRAP_ROWS, "mTAF": tailest.MIN_BOOTSTRAP_ROWS,
-                "COMET": ex.COMET_MIN_ROWS}.get(cfg.flow, 0)
-    return next(n for n in itertools.count(1)
-                if min(ex.split_sizes(n)) >= 1 and sum(ex.split_sizes(n)[:2]) >= fit_rows)
-
-
 def _run_de_csv_seed(cfg, seed, tc, trace_path, data) -> list[dict]:
     data = data[special.Rng(seed).permutation(data.shape[0])]
     n_tr, n_va, _ = ex.split_sizes(data.shape[0])
@@ -418,7 +406,9 @@ def run(cfg: ExperimentConfig) -> int:
         return _print_tables(cfg.out_dir)
     data = None
     if cfg.data_path is not None:  # parsed once, here; every seed fits this array
-        data, need = load_csv_dataset(cfg.data_path), _min_csv_rows(cfg)
+        data = load_csv_dataset(cfg.data_path)
+        need = tailest.MIN_BOOTSTRAP_ROWS if cfg.command == "tail-est" \
+            else ex.min_de_rows(cfg.flow)
         if data.shape[0] < need:
             flow = f" --flow {cfg.flow}" if cfg.command == "de-csv" else ""
             raise UsageError(f"data_path: {cfg.data_path!r} has {data.shape[0]} rows; "

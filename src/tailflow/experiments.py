@@ -8,15 +8,17 @@ variational-inference target, where it is available in normalized form;
 that makes importance-weight diagnostics (effective-sample-size
 efficiency and the Pareto shape of the largest weights) exact.
 
-The copula-style baseline transforms each marginal through a fitted cdf
-(kernel-density body, generalized Pareto tails spliced at the 5% and
-95% empirical quantiles) followed by a logit, and trains an ordinary
-flow on the transformed data; its likelihoods are reported back in data
-space through the accumulated Jacobian terms.
+The copula-style baseline, COMET, transforms each marginal through a
+fitted cdf (kernel-density body, generalized Pareto tails spliced at the
+5% and 95% empirical quantiles) followed by a logit, and trains the
+``normal`` flow on the transformed data; its likelihoods are reported
+back in data space through the accumulated Jacobian terms, and its draws
+are ``comet_push`` of the flow's.  It is a protocol, not an architecture.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -91,16 +93,14 @@ def vi_target_log_density(x, d: int, nu: float):
     """Normalized log density of the synthetic model.
 
     The first d-1 coordinates are iid Student-T with nu degrees of
-    freedom; the last is Gaussian around coordinate d-1.  Accepts an
-    (n, d) matrix (Var or array) or a single length-d vector.  Raises
-    ValueError for d < 2, where the model has no Gaussian coordinate.
+    freedom; the last is Gaussian around coordinate d-1.  Takes an (n, d)
+    matrix (Var or array).  Raises ValueError for d < 2, where the model
+    has no Gaussian coordinate, and for any other shape of x.
     """
     if d < 2:
         raise ValueError("synthetic task needs d >= 2")
-    if ad.value_of(x).ndim == 1:
-        return float(vi_target_log_density(ad.value_of(x)[None, :], d, nu)[0])
-    if x.shape[1] != d:
-        raise ValueError(f"expected {d} columns, got {x.shape[1]}")
+    if len(x.shape) != 2 or x.shape[1] != d:
+        raise ValueError(f"expected an (n, {d}) matrix, got shape {x.shape}")
     gap = x[:, d - 1] - x[:, d - 2]
     return _log_student_t(x[:, :d - 1], nu).sum(axis=1) + (gap * gap) * (-0.5) \
         - 0.5 * _LOG_2PI
@@ -639,12 +639,16 @@ def _require_comet_support(u: np.ndarray, marginals: list) -> None:
                 )
 
 
+# The architectures whose tails two-stage fitting freezes: TTFfix and mTAF.
+_TWO_STAGE = tuple(name for name, (_, _, frozen) in flows.ARCHITECTURE_TABLE.items() if frozen)
+
+
 def _two_stage_model(flow: str, d: int, seed: int, nu: float | None,
                      fit_data: np.ndarray | None = None) -> flows.FlowModel:
     """``flow``'s architecture, with TTFfix's and mTAF's tails frozen under
     ``fit_de_cell``'s tail protocol for ``nu`` (estimated from ``fit_data``)."""
     model = flows.build_architecture(flow, d, seed=seed)
-    if flow not in ("TTFfix", "mTAF"):
+    if flow not in _TWO_STAGE:
         return model
     if nu is not None:
         lam, nus = np.full(d, true_tail_shape(nu)), np.full(d, nu)
@@ -656,6 +660,16 @@ def _two_stage_model(flow: str, d: int, seed: int, nu: float | None,
     else:
         flows.set_frozen_nu(model, nus)
     return model
+
+
+def min_de_rows(flow: str) -> int:
+    """The fewest rows whose 40/20/40 split ``fit_de_cell`` fits ``flow`` on
+    with estimated tails: every split nonempty, and train+valid rows enough
+    for the tail estimate (TTFfix, mTAF) or marginal fit (COMET)."""
+    fit_rows = tailest.MIN_BOOTSTRAP_ROWS if flow in _TWO_STAGE \
+        else COMET_MIN_ROWS if flow == "COMET" else 0
+    return next(n for n in itertools.count(1)
+                if min(split_sizes(n)) >= 1 and sum(split_sizes(n)[:2]) >= fit_rows)
 
 
 def fit_de_cell(flow: str, train: np.ndarray, valid: np.ndarray, test: np.ndarray, seed: int,
@@ -671,14 +685,15 @@ def fit_de_cell(flow: str, train: np.ndarray, valid: np.ndarray, test: np.ndarra
     ``tailest.estimate_marginal_tails`` (``Rng(seed).child(7)``), mTAF at
     ν̂ = 1/λ̂ (30 where a marginal is flagged light), COMET's shapes by ML.
 
-    COMET trains on the logits of marginals fit to train+valid; its test
-    density carries the marginal Jacobian back to data space.  Test rows
-    beyond the finite end of an ML-fit tail with negative shape have no
-    COMET density, so they raise ``ValueError`` rather than a NaN NLL.
+    COMET is a data protocol, not an architecture: it fits the ``normal``
+    flow on the logits of marginals fit to train+valid, and its test density
+    carries the marginal Jacobian back to data space.  Test rows beyond the
+    finite end of an ML-fit tail with negative shape have no COMET density,
+    so they raise ``ValueError`` rather than a NaN NLL.
     """
     d = train.shape[1]
     fit_data = np.concatenate([train, valid])
-    model = _two_stage_model(flow, d, seed, nu, fit_data)
+    model = _two_stage_model("normal" if flow == "COMET" else flow, d, seed, nu, fit_data)
     jac_te = 0.0
     if flow == "COMET":
         shape = None if nu is None else true_tail_shape(nu)

@@ -31,7 +31,10 @@ columns per input row (10k TTF draws at d=5 traced 20.7 MB in one pass,
 same bits as one pass, with one exception: a 1-row matrix product takes
 numpy's matrix-vector path, which rounds differently (1-row passes moved
 TTF draws at d=20 by up to 4e-11).  Blocks are therefore evenly sized, and
-never one row unless the whole input is.
+never one row unless the whole input is.  Both run under
+``np.errstate(all="ignore")``: a diverged flow's non-finite values are its
+result, which callers check, not a warning.  COMET is no architecture: it
+fits ``normal`` on marginal logits (``experiments.fit_de_cell``).
 
 Parameters live in one flat name -> array dict owned by the model; layer
 objects hold only structure (masks, sizes, key prefixes).  Positivity is
@@ -51,34 +54,6 @@ from . import autodiff as ad
 from . import special
 from . import tailtransform as tt
 from .autodiff import Tape, Var, value_of
-
-__all__ = [
-    "MaskedConditioner",
-    "RqsArLayer",
-    "AffineArLayer",
-    "MarginalTtfLayer",
-    "StdNormalBase",
-    "StudentTBase",
-    "GaussianMixtureBase",
-    "GenNormalBase",
-    "FlowModel",
-    "flow_log_prob",
-    "flow_forward",
-    "flow_sample",
-    "flow_sample_with_log_prob",
-    "build_architecture",
-    "glorot_uniform",
-    "set_frozen_tails",
-    "set_frozen_nu",
-    "save_model",
-    "load_model",
-    "softplus_inv",
-    "ARCHITECTURES",
-]
-
-ARCHITECTURES = (
-    "normal", "m_normal", "g_normal", "mTAF", "gTAF", "TTF", "TTFfix", "TTF_tBase", "COMET",
-)
 
 # log(2 pi), correctly rounded; np.log(2 * np.pi) is 1 ulp low.
 _LOG_2PI = 1.8378770664093456
@@ -440,6 +415,8 @@ class MarginalTtfLayer:
 
 
 class StdNormalBase:
+    reparameterized = True  # every base says if ELBO gradients reach its params
+
     def __init__(self, d: int):
         self.d = d
 
@@ -457,6 +434,7 @@ class StudentTBase:
     """Independent per-dimension Student-T; nu trainable via softplus or frozen."""
 
     NU_INIT = 30.0
+    reparameterized = True
 
     def __init__(self, d: int):
         self.d = d
@@ -491,6 +469,7 @@ class GaussianMixtureBase:
     """Mixture of diagonal Gaussians (density-estimation base only)."""
 
     COMPONENTS = 5
+    reparameterized = False  # the component draw is discrete
 
     def __init__(self, d: int):
         self.d = d
@@ -534,6 +513,7 @@ class GenNormalBase:
     """
 
     SHAPE_FLOOR = 0.1
+    reparameterized = False  # the gamma draws are numpy, off the tape
 
     def __init__(self, d: int):
         self.d = d
@@ -600,10 +580,11 @@ def flow_log_prob(x, model: FlowModel, params: dict | None = None):
     Without a tape the pass runs in row blocks (see the module docstring).
     """
     params = model.params if params is None else params
-    if _tape(x, *params.values()) is None:
-        return np.concatenate([_log_prob_pass(x[b], model, params)
-                               for b in _row_blocks(len(x))])
-    return _log_prob_pass(x, model, params)
+    with np.errstate(all="ignore"):
+        if _tape(x, *params.values()) is None:
+            return np.concatenate([_log_prob_pass(x[b], model, params)
+                                   for b in _row_blocks(len(x))])
+        return _log_prob_pass(x, model, params)
 
 
 def _log_prob_pass(x, model: FlowModel, params: dict):
@@ -636,10 +617,11 @@ def flow_sample_with_log_prob(model: FlowModel, params: dict, rng: special.Rng, 
     are plain numpy and the same draws as ``flow_sample``, pushed in row
     blocks after all of z is drawn, so the random stream is one pass's.
     """
-    z = model.base.sample(params, rng, n)
-    if _tape(*params.values()) is not None:
-        return _sample_pass(z, model, params)
-    parts = [_sample_pass(z[b], model, params) for b in _row_blocks(n)]
+    with np.errstate(all="ignore"):
+        z = model.base.sample(params, rng, n)
+        if _tape(*params.values()) is not None:
+            return _sample_pass(z, model, params)
+        parts = [_sample_pass(z[b], model, params) for b in _row_blocks(n)]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
@@ -659,52 +641,45 @@ def _row_blocks(n: int) -> list[slice]:
 # -- architecture assembly ----------------------------------------------------------
 
 
-def build_architecture(name: str, d: int, seed: int = 0) -> FlowModel:
-    """Assemble one of the named flow architectures.
+# Each architecture's base class, whether the TTF layer ends its RQS-then-
+# affine core, and the parameters that two-stage fitting freezes.
+ARCHITECTURE_TABLE = {
+    "normal": (StdNormalBase, False, ()),
+    "m_normal": (GaussianMixtureBase, False, ()),
+    "g_normal": (GenNormalBase, False, ()),
+    "mTAF": (StudentTBase, False, ("base.nu_raw",)),
+    "gTAF": (StudentTBase, False, ()),
+    "TTF": (StdNormalBase, True, ()),
+    "TTFfix": (StdNormalBase, True, ("tails.lp_raw", "tails.ln_raw")),
+    "TTF_tBase": (StudentTBase, True, ()),
+}
+ARCHITECTURES = tuple(ARCHITECTURE_TABLE)
 
-    All architectures share the RQS-then-affine autoregressive core; TTF,
-    TTFfix and TTF_tBase append the elementwise tail transform.  TTFfix
-    freezes the tail shapes and mTAF freezes the base degrees of freedom
-    (two-stage training).
-    """
-    if name not in ARCHITECTURES:
+
+def build_architecture(name: str, d: int, seed: int = 0) -> FlowModel:
+    """Assemble the architecture ``name`` of ``ARCHITECTURE_TABLE`` at
+    dimension d; the base's parameters are drawn first, then the layers'."""
+    if name not in ARCHITECTURE_TABLE:
         raise ValueError(f"unknown architecture {name!r}; expected one of {ARCHITECTURES}")
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    rng = special.Rng(seed)
-
-    if name in ("normal", "TTF", "TTFfix", "COMET"):
-        base = StdNormalBase(d)
-    elif name == "m_normal":
-        base = GaussianMixtureBase(d)
-    elif name == "g_normal":
-        base = GenNormalBase(d)
-    else:
-        base = StudentTBase(d)
-
+    base_class, tails, frozen = ARCHITECTURE_TABLE[name]
+    base = base_class(d)
     layers = [RqsArLayer(d, "rqs"), AffineArLayer(d, "affine")]
-    if name in ("TTF", "TTFfix", "TTF_tBase"):
+    if tails:
         layers.append(MarginalTtfLayer(d, "tails"))
-
-    params: dict = {}
-    params.update(base.init_params(rng))
+    rng = special.Rng(seed)
+    params = base.init_params(rng)
     for layer in layers:
         params.update(layer.init_params(rng))
-
-    frozen = set()
-    if name == "TTFfix":
-        frozen |= {"tails.lp_raw", "tails.ln_raw"}
-    if name == "mTAF":
-        frozen |= {"base.nu_raw"}
     return FlowModel(name, d, base, layers, params, frozen)
 
 
-def set_frozen_tails(model: FlowModel, lam_pos, lam_neg=None) -> None:
-    """Write estimated tail shapes into the tail layer (two-stage fitting)."""
-    lam_pos = np.asarray(lam_pos, dtype=float)
-    lam_neg = lam_pos if lam_neg is None else np.asarray(lam_neg, dtype=float)
-    model.params["tails.lp_raw"] = softplus_inv(lam_pos)
-    model.params["tails.ln_raw"] = softplus_inv(lam_neg)
+def set_frozen_tails(model: FlowModel, lam) -> None:
+    """Write estimated tail shapes, one per dimension for both tails, into
+    the tail layer (two-stage fitting)."""
+    raw = softplus_inv(np.asarray(lam, dtype=float))
+    model.params["tails.lp_raw"], model.params["tails.ln_raw"] = raw, raw.copy()
 
 
 def set_frozen_nu(model: FlowModel, nu) -> None:

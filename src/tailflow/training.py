@@ -359,7 +359,12 @@ def fit_vi(
 
     Leaves the model at its final parameters (no validation selection);
     the trace's train column holds the per-iteration negative-ELBO estimate.
+    Raises ValueError for a base whose draws are not reparameterized: the
+    gradient would miss the base parameters' path through the draws.
     """
+    if not model.base.reparameterized:
+        raise ValueError(f"VI needs reparameterized base draws; {model.name}'s "
+                         f"{type(model.base).__name__} does not give them")
     if cfg.batch_size is FULL_PASS:
         raise ValueError("VI draws batch_size samples per step; it has no full pass")
     rng = special.Rng(cfg.seed)

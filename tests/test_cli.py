@@ -270,14 +270,29 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("flow", ["COMET", "m_normal", "g_normal"])
     def test_vi_synth_rejects_flows_vi_cannot_train(self, flow):
-        # COMET's flow lives on logits, and the mixture and generalized-normal
-        # bases give their parameters no reparameterised gradient
+        # COMET is a density-estimation protocol, and the mixture and
+        # generalized-normal bases give their parameters no reparameterised
+        # gradient
         with pytest.raises(cli.UsageError, match=f"vi-synth cannot fit flow '{flow}'"):
             cli.parse_config(["vi-synth", "--flow", flow])
 
     @pytest.mark.parametrize("flow", ex.VI_FLOWS + ("normal", "TTF_tBase"))
     def test_vi_synth_accepts_its_flows(self, flow):
         assert cli.parse_config(["vi-synth", "--flow", flow]).flow == flow
+
+    @pytest.mark.parametrize("flow", ex.DE_FLOWS + ("TTF_tBase",))
+    def test_de_synth_accepts_its_flows(self, flow):
+        assert cli.parse_config(["de-synth", "--flow", flow]).flow == flow
+
+    @pytest.mark.parametrize("command,known", [
+        ("vi-synth", "('mTAF', 'gTAF', 'TTF', 'TTFfix', 'normal', 'TTF_tBase')"),
+        ("de-synth", "('normal', 'm_normal', 'g_normal', 'mTAF', 'gTAF', 'COMET', 'TTF', "
+                     "'TTFfix', 'TTF_tBase')"),
+    ])
+    def test_unknown_flow_message_lists_the_flows(self, capsys, command, known):
+        assert cli.main([command, "--flow", "resnet"]) == 2
+        assert capsys.readouterr().err == (f"usage error: flow: {command} cannot fit flow "
+                                           f"'resnet'; expected one of {known}\n")
 
     @pytest.mark.parametrize("argv,key", [
         (["nnreg", "--n", "0"], "n"),

@@ -50,6 +50,15 @@ class TestSyntheticGenerator:
             logd(pts), E.vi_target_log_density(pts, 3, 2.0)
         )
 
+    @pytest.mark.parametrize("spec,message", [
+        (dict(d=1, nu=2.0), "d >= 2"),
+        (dict(d=2, nu=0.0), "must be positive"),
+        (dict(d=2, nu=2.0, n=9), "too small to split"),
+    ], ids=["d", "nu", "n"])
+    def test_spec_validation(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            E.SyntheticDeSpec(**spec)
+
     def test_deterministic(self):
         a = full_sample(3, 1.0, seed=5, n=1000)
         b = full_sample(3, 1.0, seed=5, n=1000)
@@ -110,6 +119,11 @@ class TestViTarget:
         # x[:, 0] - x[:, -1] is zero: the constant -log(2 pi)/2, improper
         with pytest.raises(ValueError, match="d >= 2"):
             E.vi_target_log_density(x, 1, 2.0)
+
+    @pytest.mark.parametrize("x", [np.zeros((3, 2)), np.zeros(3)], ids=["columns", "vector"])
+    def test_rejects_other_shapes(self, x):
+        with pytest.raises(ValueError, match=r"expected an \(n, 3\) matrix"):
+            E.vi_target_log_density(x, 3, 2.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -176,6 +190,11 @@ class TestCometMarginal:
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError, match="n >= 100"):
             E.comet_marginal_fit(np.linspace(0.0, 1.0, 99))
+        # a body of zeros has no spread: the bandwidth falls back to 1e-3,
+        # and the kernel cdf is still flat across the junctions
+        x = np.concatenate([np.zeros(300), special.Rng(0).normal(20)])
+        with pytest.raises(ValueError, match="degenerate body"):
+            E.comet_marginal_fit(x)
 
     @pytest.mark.parametrize("rows", [1, E._KERNEL_ROWS - 1, E._KERNEL_ROWS, E._KERNEL_ROWS + 1])
     def test_kernel_blocks_match_single_rows(self, t2_marginal, rows):
@@ -370,6 +389,8 @@ class TestImportanceDiagnostics:
         w = np.full(500, 2.5)
         assert E.ess_efficiency(w) == 1.0
         assert np.isnan(E.khat(w))
+        # the top 68 of 500 tie above the threshold: no GPD fits their excesses
+        assert np.isnan(E.khat(np.concatenate([np.full(432, 0.5), np.ones(68)])))
 
     def test_single_spike(self):
         w = np.zeros(1000)
@@ -410,6 +431,13 @@ class TestImportanceDiagnostics:
         assert np.isnan(diag.k_hat)
         assert diag.n == 5000
         assert np.all(diag.weights == diag.weights[0])
+
+    def test_target_without_mass_gives_nan_diagnostics(self):
+        model = flows.build_architecture("normal", 2, seed=0)
+        diag = E.compute_vi_diagnostics(model, lambda x: np.full(len(x), -np.inf), 200,
+                                        special.Rng(9))
+        assert diag.n == 200 and np.all(diag.weights == 0.0)
+        assert np.isnan(diag.ess_e) and np.isnan(diag.k_hat)
 
     def test_ess_efficiency_never_exceeds_one(self):
         # Rounding in the two sums gave 1 + 2^-52; Cauchy-Schwarz bounds it by 1.

@@ -69,6 +69,8 @@ class TestErfc:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
                 special.erfc(bad)
+            with pytest.raises(ValueError, match="log_erfc: non-finite"):
+                special.log_erfc(bad)
             buf = np.array([[0.5, bad]])
             with pytest.raises(ValueError, match="non-finite"):
                 special.erfc(buf, out=buf)

@@ -198,6 +198,9 @@ class TestGpdFitScale:
     def test_shape_zero_is_mean_excess(self):
         x = np.array([0.5, 1.0, 3.0])
         assert tailest.gpd_fit_scale(x, 0.0) == np.mean(x)
+        # the bisection searches theta = shape/scale > 0, where a negative
+        # shape has no root: the fit falls back to the mean excess
+        assert tailest.gpd_fit_scale(x, -0.6) == np.mean(x)
 
 
 class TestGpdLogDensity:

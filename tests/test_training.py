@@ -324,6 +324,8 @@ class TestAdam:
         training.adam_step(params, {"x": g.copy()}, state, 0.01, clip_norm=5.0)
         np.testing.assert_allclose(state["m"]["x"], 0.1 * (g * 0.5), atol=1e-15)
         np.testing.assert_allclose(state["v"]["x"], 0.001 * (g * 0.5) ** 2, atol=1e-15)
+        kept = {"x": g}
+        assert training.clip_gradient_norm(kept, 10.0) is kept  # at the bound
 
     def test_clip_survives_squares_that_overflow(self):
         # g * g overflows to inf (silenced here, as under the fit's errstate),
@@ -725,6 +727,13 @@ class TestFitVi:
         cfg = training.TrainConfig(batch_size=training.FULL_PASS)
         with pytest.raises(ValueError, match="full pass"):
             training.fit_vi(affine_1d([0.5, 0.1]), quad_target(0.5), cfg)
+
+    @pytest.mark.parametrize("name", ["m_normal", "g_normal"])
+    def test_base_without_reparameterized_draws_rejected(self, name):
+        # the gradient would miss the base parameters' path through the draws
+        cfg = training.TrainConfig(lr=1e-3, batch_size=20, max_epochs=2, patience=1)
+        with pytest.raises(ValueError, match=f"VI needs reparameterized base draws; {name}'s"):
+            training.fit_vi(flows.build_architecture(name, 2), quad_target(0.5), cfg)
 
     def test_hostile_target_exhausts_retry_budget(self):
         def hostile(x):
