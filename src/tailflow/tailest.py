@@ -247,26 +247,42 @@ def gpd_fit_ml(excesses: np.ndarray) -> tuple[float, float]:
 
 
 def gpd_fit_scale(excesses: np.ndarray, shape: float) -> float:
-    """Maximum-likelihood GPD scale for threshold excesses at a fixed shape.
+    """Maximum-likelihood GPD scale for positive threshold excesses x at a
+    fixed shape.
 
-    Solves mean(log1p(theta x)) = shape for theta = shape/scale; the
-    left side is increasing in theta so bisection is safe.  Falls back to
-    the mean excess (the exponential's scale) when no root is bracketed.
+    Solves the score equation (1 + shape) mean(x / (scale + shape x)) = 1
+    by bisection on the scale.  For shape > -1 its left side falls strictly
+    from above 1, as the scale falls to max(0, -shape max x), to 0 as the
+    scale grows, so the root is unique.  Shape 0 gives the mean excess.
+    Raises ValueError for shape <= -1, where the likelihood grows without
+    bound as the support's end falls to max x: there is no interior ML scale.
     """
+    x = np.asarray(excesses, dtype=float).ravel()
+    if not (x.size and np.all(x > 0.0) and np.all(np.isfinite(x))):
+        raise ValueError("GPD scale fit needs finite positive excesses")
+    if shape <= -1.0:
+        raise ValueError(f"GPD shape {shape} <= -1 has no interior ML scale")
     if shape == 0.0:
-        return float(np.mean(excesses))
-    lo, hi = 1e-12, 1e12
-    f = lambda t: float(np.mean(np.log1p(t * excesses))) - shape
-    if f(lo) > 0.0 or f(hi) < 0.0:
-        return float(np.mean(excesses))
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if f(mid) > 0.0:
-            hi = mid
-        else:
+        return float(np.mean(x))
+
+    def score(scale: float) -> float:
+        den = scale + shape * x
+        if np.any(den <= 0.0):  # the support ends before max x: too small
+            return math.inf
+        return (1.0 + shape) * float(np.mean(x / den)) - 1.0
+
+    lo = max(0.0, -shape * float(np.max(x)))
+    hi = max(2.0 * lo, float(np.mean(x)))
+    while score(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if score(mid) > 0.0:
             lo = mid
-    theta = math.sqrt(lo * hi)
-    return shape / theta
+        else:
+            hi = mid
 
 
 def _fminbound(func, lo: float, hi: float) -> tuple[float, float]:

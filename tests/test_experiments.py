@@ -2,12 +2,16 @@
 importance diagnostics, the regression demo, and table plumbing."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy import special as sp
 
 from tailflow import autodiff as ad
 from tailflow import experiments as E
@@ -126,6 +130,24 @@ class TestViTarget:
             E.vi_target_log_density(x, 3, 2.0)
 
 
+def assert_kernel_matches_rows(m, x):
+    """``_body_kernel`` at x, with and without the cdf, equals the per-row
+    formulas bit for bit: each query alone, unsorted, with no fill."""
+    width = m.bandwidth * E._SQRT2
+    cdf, pdf = [], []
+    for xi in x:
+        z = (xi - m.points) / width
+        cdf.append(0.5 * np.mean(special.erfc(-z)))
+        z = (xi - m.points) / m.bandwidth
+        pdf.append(np.mean(np.exp(-0.5 * z * z)) / (m.bandwidth * E._SQRT_2PI))
+    got_cdf, got_pdf = E._body_kernel(m, x)
+    np.testing.assert_array_equal(got_cdf, cdf)
+    np.testing.assert_array_equal(got_pdf, pdf)
+    no_cdf, got_pdf = E._body_kernel(m, x, cdf=False)
+    assert no_cdf is None
+    np.testing.assert_array_equal(got_pdf, pdf)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCometMarginal:
     @pytest.fixture(scope="class")
@@ -136,7 +158,7 @@ class TestCometMarginal:
     def test_uniform_data_median(self):
         data = special.Rng(31).uniform(size=10_000)
         m = E.comet_marginal_fit(data)
-        assert abs(E.comet_marginal_cdf(m, np.array([0.5]))[0] - 0.5) < 0.02
+        assert abs(E.comet_marginal(m, np.array([0.5]))[0][0] - 0.5) < 0.02
 
     def test_round_trip(self, t2_marginal):
         # both tails, the body and the median, through the logit and back
@@ -152,7 +174,7 @@ class TestCometMarginal:
         u = np.array([1e-20, 1e-12, 1e-6, 0.01])
         x, _ = E.comet_push(np.log(u / (1.0 - u))[:, None], [m])
         assert np.all(np.isfinite(x))
-        np.testing.assert_allclose(E.comet_marginal_cdf(m, x[:, 0]), u, rtol=1e-12)
+        np.testing.assert_allclose(E.comet_marginal(m, x[:, 0])[0], u, rtol=1e-12)
 
     def test_heavy_tail_shape_recovered(self, t2_marginal):
         _, m = t2_marginal
@@ -164,11 +186,11 @@ class TestCometMarginal:
         _, m = t2_marginal
         eps = 1e-9
         for t in (m.t_lo, m.t_hi):
-            lo = E.comet_marginal_cdf(m, np.array([t - eps]))[0]
-            hi = E.comet_marginal_cdf(m, np.array([t + eps]))[0]
+            lo = E.comet_marginal(m, np.array([t - eps]))[0][0]
+            hi = E.comet_marginal(m, np.array([t + eps]))[0][0]
             assert abs(hi - lo) < 1e-6
         grid = np.linspace(-30.0, 30.0, 4001)
-        c = E.comet_marginal_cdf(m, grid)
+        c = E.comet_marginal(m, grid)[0]
         assert np.all(np.diff(c) > 0)
         assert c[0] > 0.0 and c[-1] < 1.0
 
@@ -177,9 +199,9 @@ class TestCometMarginal:
         pts = np.array([-8.0, -1.0, 0.3, 2.0, 9.0])
         h = 1e-5
         fd = (
-            E.comet_marginal_cdf(m, pts + h) - E.comet_marginal_cdf(m, pts - h)
+            E.comet_marginal(m, pts + h)[0] - E.comet_marginal(m, pts - h)[0]
         ) / (2 * h)
-        pdf = np.exp(E.comet_marginal_log_pdf(m, pts))
+        pdf = np.exp(E.comet_marginal(m, pts, cdf=False)[1])
         np.testing.assert_allclose(pdf, fd, rtol=1e-6)
 
     def test_pinned_tail_shape(self, t2_marginal):
@@ -200,21 +222,56 @@ class TestCometMarginal:
     def test_kernel_blocks_match_single_rows(self, t2_marginal, rows):
         # each query's kernel mean is the same bits whichever block it lands
         # in.  The body spans ~44 bandwidths, so at a junction the farthest
-        # body points are more than 26 kernel widths away and erfc's
-        # asymptotic branch runs in place too.
+        # body points lie past every fill edge, and erfc's asymptotic branch
+        # runs in place too.
         _, m = t2_marginal
         x = special.Rng(37).normal(rows) * 2.0
         x[:2] = [m.t_lo, m.t_hi][:rows]
         width = m.bandwidth * E._SQRT2
-        assert np.max((m.points - x[:, None]) / width) > 26.0
-        cdf, pdf = [], []
-        for xi in x:
-            z = (xi - m.points) / width
-            cdf.append(0.5 * np.mean(special.erfc(-z)))
-            z = (xi - m.points) / m.bandwidth
-            pdf.append(np.mean(np.exp(-0.5 * z * z)) / (m.bandwidth * E._SQRT_2PI))
-        np.testing.assert_array_equal(E._kernel_cdf(m, x), cdf)
-        np.testing.assert_array_equal(E._kernel_pdf(m, x), pdf)
+        assert np.max((m.points - x[:, None]) / width) > E._ERFC_TINY
+        assert_kernel_matches_rows(m, x)
+
+    @given(
+        nu=st.floats(0.3, 30.0),
+        seed=st.integers(0, 2**16),
+        rows=st.sampled_from([1, E._KERNEL_ROWS - 1, E._KERNEL_ROWS, E._KERNEL_ROWS + 1]),
+        levels=st.lists(st.floats(0.0, 1.0), min_size=E._KERNEL_ROWS + 1,
+                        max_size=E._KERNEL_ROWS + 1),
+        tie=st.booleans(),
+    )
+    def test_kernel_matches_per_row_formulas(self, nu, seed, rows, levels, tie):
+        # unsorted body queries, junctions and ties included, on a random
+        # marginal: sorting, blocking and the fills leave every bit alone
+        m = E.comet_marginal_fit(special.Rng(seed).student_t(nu, 400))
+        x = m.t_lo + np.array(levels[:rows]) * (m.t_hi - m.t_lo)
+        x[1:3] = [m.t_lo, m.t_hi][:rows - 1]
+        if tie:
+            x[-1] = x[0]
+        assert_kernel_matches_rows(m, x)
+
+    def test_kernel_skips_erfc_where_its_value_is_known(self, t2_marginal, monkeypatch):
+        # at t_hi every argument is <= 0, so only the left fill can apply;
+        # at t_lo every one is >= 0, so only the right fill can
+        _, m = t2_marginal
+        width = m.bandwidth * E._SQRT2
+        sizes = []
+        erfc = special.erfc
+
+        def counting(z, out=None):
+            sizes.append(z.size)
+            return erfc(z, out=out)
+
+        monkeypatch.setattr(special, "erfc", counting)
+        for x, keep in ((m.t_hi, lambda z: z > E._ERFC_TWO), (m.t_lo, lambda z: z < E._ERFC_TINY)):
+            sizes.clear()
+            E._body_kernel(m, np.array([x]))
+            assert sizes == [np.sum(keep((m.points - x) / width))] and sizes[0] < m.points.size
+
+    def test_kernel_rejects_nan_query(self, t2_marginal):
+        _, m = t2_marginal
+        for cdf in (True, False):
+            with pytest.raises(ValueError, match="NaN query"):
+                E._body_kernel(m, np.array([0.0, np.nan, 1.0]), cdf)
 
     def test_body_quantile_newton_steps(self, t2_marginal, monkeypatch):
         # one kernel-cdf row per lane per Newton step; quadratic Newton from
@@ -223,17 +280,18 @@ class TestCometMarginal:
         _, m = t2_marginal
         u = special.Rng(39).uniform(size=200) * E._BODY_MASS + E._TAIL_MASS
         rows = []
-        kernel_cdf = E._kernel_cdf
+        body_kernel = E._body_kernel
 
-        def counting(mm, x):
-            rows.append(x.size)
-            return kernel_cdf(mm, x)
+        def counting(mm, x, cdf=True):
+            if cdf:
+                rows.append(x.size)
+            return body_kernel(mm, x, cdf)
 
-        monkeypatch.setattr(E, "_kernel_cdf", counting)
+        monkeypatch.setattr(E, "_body_kernel", counting)
         x = E._body_quantile(m, u)
         monkeypatch.undo()
-        assert sum(rows) / u.size <= 6.0
-        np.testing.assert_allclose(E.comet_marginal_cdf(m, x), u, rtol=0, atol=1e-15)
+        assert u.size <= sum(rows) <= 6 * u.size  # each lane takes a step
+        np.testing.assert_allclose(E.comet_marginal(m, x)[0], u, rtol=0, atol=1e-15)
 
     def test_body_lanes_independent_of_batch(self, t2_marginal):
         # each lane gives the same bits alone as in a batch, junctions
@@ -254,8 +312,8 @@ class TestCometMarginal:
     def test_logit_never_forms_the_whole_kernel_matrix(self):
         # the (queries x body points) kernel matrix is never formed whole:
         # the whole matrix for this split would take 2000 x 2700 doubles
-        # (43 MB), and erfc makes three more of its size; one buffer of
-        # _KERNEL_ROWS rows serves every block
+        # (43 MB), and erfc makes three more of its size; two buffers of
+        # _KERNEL_ROWS rows serve every block
         train, valid, test, _ = E.gen_synthetic_de(E.SyntheticDeSpec(d=5, nu=2.0, seed=0))
         fit = np.concatenate([train, valid])
         marginals = [E.comet_marginal_fit(fit[:, j]) for j in range(5)]
@@ -303,6 +361,28 @@ class TestCometMarginal:
         np.testing.assert_array_equal(ld[~beyond], ld_inside)
 
 
+class TestKernelFillPremises:
+    # the values _body_kernel writes instead of computing; should scipy
+    # break one, move the constant, not the test
+    def test_erfc_is_two_at_and_below_the_left_edge(self):
+        z = np.concatenate([np.linspace(-100.0, E._ERFC_TWO, 1_000_001),
+                            -np.logspace(2.0, 300.0, 10_001)])
+        assert np.all(sp.erfc(z) == 2.0) and np.all(special.erfc(z) == 2.0)
+
+    def test_erfc_is_tiny_at_and_above_the_right_edge(self):
+        z = np.concatenate([np.linspace(E._ERFC_TINY, 1000.0, 1_000_001),
+                            np.logspace(3.0, 300.0, 10_001)])
+        assert np.all(special.erfc(z) == special._TINY)
+
+    def test_gaussian_is_zero_beyond_its_edge(self):
+        # the kernel's own form: square, halve, exp; q^2 overflows past 1e154
+        q = np.concatenate([np.linspace(E._GAUSS_ZERO, 1000.0, 1_000_001),
+                            np.logspace(3.0, 300.0, 10_001)])
+        q = np.concatenate([q, -q])
+        with np.errstate(over="ignore"):
+            assert np.all(np.exp(np.square(q) * -0.5) == 0.0)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCometPush:
     @pytest.fixture(scope="class")
@@ -333,6 +413,23 @@ class TestCometPush:
         ])
         back, _ = E.comet_push(E.comet_logit(x, marginals)[0], marginals)
         assert np.max(np.abs(back - x) / (1.0 + np.abs(x))) <= 1e-11
+
+    def test_outputs_pinned(self):
+        # sha256 of comet_logit's (u, log-det) of a test split and comet_push's
+        # (x, log-det) of its first 100 rows, at nu = 0.5 and 2 on marginals
+        # with ML tails: any change to the kernel's bits, the tails' or the
+        # Newton loop's shows here
+        digest = hashlib.sha256()
+        for nu in (0.5, 2.0):
+            train, valid, test, _ = E.gen_synthetic_de(E.SyntheticDeSpec(5, nu, n=2000, seed=0))
+            fit = np.concatenate([train, valid])
+            marginals = [E.comet_marginal_fit(fit[:, j]) for j in range(5)]
+            u, ld = E.comet_logit(test, marginals)
+            x, ld_push = E.comet_push(u[:100], marginals)
+            for a in (u, ld, x, ld_push):
+                digest.update(a.tobytes())
+        assert digest.hexdigest() == \
+            "78ea2ab60b5d3d33acc7be644aec1ba72b792fbc9db827afae34527702e57df5"
 
     def test_nan_rejected(self, marginals):
         u = np.zeros((3, 2))
@@ -484,9 +581,8 @@ class TestImportanceDiagnostics:
         def target(x):
             return E.vi_target_log_density(x, d, nu)
 
-        with np.errstate(all="ignore"):
-            x = flows.flow_sample(model, special.Rng(0), 200)
-            diag = E.compute_vi_diagnostics(model, target, 200, special.Rng(0))
+        x = flows.flow_sample(model, special.Rng(0), 200)
+        diag = E.compute_vi_diagnostics(model, target, 200, special.Rng(0))
         bad = ~np.all(np.isfinite(x), axis=1)
         assert 0 < np.sum(bad) < 200
         assert np.all(diag.weights[bad] == 0.0) and np.all(np.isfinite(diag.weights))

@@ -190,17 +190,55 @@ class TestGpdFitScale:
         assert abs(tailest.gpd_fit_scale(x, 0.5) - 1.7) < 0.03
 
     def test_matches_ml_scale_at_ml_shape(self):
-        # the profile likelihood's scale at its optimum solves the same equation
+        # at the joint ML optimum the fixed-shape ML scale is the joint one,
+        # up to gpd_fit_ml's tolerance on its profile optimum (3e-8 here)
         x = gpd_sample(9, 5000, 0.5, 1.0)
         shape, scale = tailest.gpd_fit_ml(x)
-        assert abs(tailest.gpd_fit_scale(x, shape) - scale) < 1e-9 * scale
+        assert abs(tailest.gpd_fit_scale(x, shape) - scale) < 1e-6 * scale
+
+    @pytest.mark.parametrize("shape", [-0.9, -0.6, -0.3, 0.3, 0.5, 0.7, 2.0])
+    def test_maximizes_likelihood_at_fixed_shape(self, shape):
+        # the scale is the bounded numeric maximum of the summed log density;
+        # for a negative shape its support covers every excess
+        from scipy.optimize import minimize_scalar
+
+        x = gpd_sample(11, 300, shape, 1.3)
+        got = tailest.gpd_fit_scale(x, shape)
+        lo = max(0.0, -shape * np.max(x)) * (1.0 + 1e-12)
+        want = minimize_scalar(lambda s: -np.sum(tailest.gpd_log_density(x, shape, s)),
+                               bounds=(lo, 20.0), method="bounded",
+                               options={"xatol": 1e-12}).x
+        assert abs(got - want) < 1e-7 * want
+        assert np.all(1.0 + shape * x / got > 0.0)
+
+    @pytest.mark.parametrize("shape", [0.3, 0.5, 0.7])
+    def test_matches_scipy_fit_at_fixed_shape(self, shape):
+        # scipy's fit is a Nelder-Mead search, good to ~1e-4 relative; at a
+        # negative shape it returned a scale whose support excludes the data
+        from scipy.stats import genpareto
+
+        x = gpd_sample(13, 300, shape, 1.3)
+        want = genpareto.fit(x, fc=shape, floc=0.0)[2]
+        assert abs(tailest.gpd_fit_scale(x, shape) - want) < 1e-4 * want
 
     def test_shape_zero_is_mean_excess(self):
         x = np.array([0.5, 1.0, 3.0])
         assert tailest.gpd_fit_scale(x, 0.0) == np.mean(x)
-        # the bisection searches theta = shape/scale > 0, where a negative
-        # shape has no root: the fit falls back to the mean excess
-        assert tailest.gpd_fit_scale(x, -0.6) == np.mean(x)
+        # a negative shape solves the score equation too, with the support's
+        # end 3 / 0.6 * scale beyond the largest excess
+        scale = tailest.gpd_fit_scale(x, -0.6)
+        assert scale > 0.6 * 3.0
+        assert abs(0.4 * np.mean(x / (scale - 0.6 * x)) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("shape", [-1.0, -1.5])
+    def test_shape_at_or_below_minus_one_rejected(self, shape):
+        with pytest.raises(ValueError, match="no interior ML scale"):
+            tailest.gpd_fit_scale(np.array([0.5, 1.0, 3.0]), shape)
+
+    @pytest.mark.parametrize("x", [[], [0.0, 1.0], [1.0, np.inf], [1.0, np.nan]])
+    def test_bad_excesses_rejected(self, x):
+        with pytest.raises(ValueError, match="finite positive excesses"):
+            tailest.gpd_fit_scale(np.array(x), 0.5)
 
 
 class TestGpdLogDensity:
