@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.special as sp
 from scipy.special import expit, gammaln
 
 from . import autodiff as ad
@@ -51,9 +52,6 @@ _KERNEL_ROWS = 16
 # special.erfc raises to _TINY).  Tests pin both premises.
 _ERFC_TWO = -6.0
 _ERFC_TINY = 28.0
-# ... and exp(-q^2 / 2) is exactly 0 for |q| >= _GAUSS_ZERO (exp(-745.2) is
-# below half the smallest subnormal).
-_GAUSS_ZERO = 39.0
 # The fewest samples a COMET marginal is fit on.
 COMET_MIN_ROWS = 100
 
@@ -175,22 +173,24 @@ def _body_kernel(m: CometMarginal, x: np.ndarray,
     Over the body points p they are 0.5 mean erfc((p - x_i) / (h sqrt 2))
     and mean exp(-((p - x_i) / h)^2 / 2) / (h sqrt(2 pi)).  Sorted queries go
     _KERNEL_ROWS at a time, so memory stays O(body points); a row's mean has
-    the same bits in any block.  A block forms p - x_i once: IEEE subtraction
-    and division are sign-symmetric, so (p - x_i) / width has the bits of
-    -(x_i - p) / width.  With p and the queries sorted, an argument grows
-    along its row and shrinks down its column, so the first row bounds the
-    leading columns where all arguments are <= _ERFC_TWO (-_GAUSS_ZERO) and
-    the last row the trailing ones where all are >= _ERFC_TINY (_GAUSS_ZERO).
-    Those get the kernel's exact value (2 or _TINY; 0), and only the columns
-    between are computed, erfc on a contiguous copy in the second buffer.
-    Over the body lanes of a 2000 x 5 test split, alternated with the former
-    separate cdf and density passes without fills, the fastest call took 396
-    against 432 ms at nu = 2 and 418 against 562 ms at nu = 0.5.  A NaN query
-    raises ValueError: it would sort last and void the fills.
+    the same bits in any block, and each query reads its row back through
+    np.searchsorted, since equal queries give equal rows.  (np.argsort would
+    fault in ~128 KB of numpy code that nothing else in a COMET fit runs.)
+    A block forms p - x_i once: IEEE subtraction and division are
+    sign-symmetric, so (p - x_i) / width has the bits of -(x_i - p) / width.
+    With p and the queries sorted, an argument grows along its row and
+    shrinks down its column, so the first row bounds the leading columns
+    where all arguments are <= _ERFC_TWO and the last row the trailing ones
+    where all are >= _ERFC_TINY.  Those get erfc's exact value (2 or _TINY),
+    and erfc runs only on the columns between, on a contiguous copy in the
+    second buffer.  Over the body lanes of a 2000 x 5 test split this took
+    368-390 ms against 444-479 ms for the former separate cdf and density
+    passes at nu = 2, and 439-450 against 559-624 ms at nu = 0.5 (CPU time
+    scaled by the benchmark's reference kernel; 3 alternated runs).  A NaN
+    query raises ValueError: it would sort last and void the fills.
     """
     x = np.asarray(x, dtype=float)
-    order = np.argsort(x)
-    xs = x[order]
+    xs = np.sort(x)
     if xs.size and np.isnan(xs[-1]):
         raise ValueError("body kernel: NaN query")
     n, h, w = xs.size, m.bandwidth, m.bandwidth * _SQRT2
@@ -202,29 +202,30 @@ def _body_kernel(m: CometMarginal, x: np.ndarray,
         diff, q = buf[:rows], aux[:rows]
         np.subtract(m.points, xb, out=diff)
         np.divide(diff, h, out=q)
-        lo = np.searchsorted(q[0], -_GAUSS_ZERO, side="right")
-        hi = np.searchsorted(q[-1], _GAUSS_ZERO)
-        q[:, :lo] = q[:, hi:] = 0.0
         # exp(-q^2 / 2), the same bits as np.exp(-0.5 * q * q): halving is
         # exact unless q^2 underflows or overflows, where both give 1 or 0
-        mid = q[:, lo:hi]
-        np.square(mid, out=mid)
-        mid *= -0.5
-        np.exp(mid, out=mid)
+        np.square(q, out=q)
+        q *= -0.5
+        np.exp(q, out=q)
         np.mean(q, axis=1, out=g[s:s + rows])
         if cdf:
             lo = np.searchsorted(diff[0] / w, _ERFC_TWO, side="right")
             hi = np.searchsorted(diff[-1] / w, _ERFC_TINY)
             z = aux.reshape(-1)[:rows * (hi - lo)].reshape(rows, hi - lo)
             np.divide(diff[:, lo:hi], w, out=z)
-            special.erfc(z, out=z)
+            # special.erfc is scipy's erfc up to special._TAIL_SWITCH: a block
+            # whose largest argument (first row, last column) stays there
+            # skips the wrapper's finiteness and asymptotic-branch passes
+            if hi == lo or z[0, -1] <= special._TAIL_SWITCH:
+                sp.erfc(z, out=z)
+            else:
+                special.erfc(z, out=z)
             diff[:, :lo] = 2.0
             diff[:, lo:hi] = z
             diff[:, hi:] = special._TINY
             np.mean(diff, axis=1, out=k[s:s + rows])
-    k[order] = 0.5 * k
-    g[order] = g / (h * _SQRT_2PI)
-    return (k if cdf else None), g
+    at = np.searchsorted(xs, x)  # each query's sorted row; tied rows agree
+    return (0.5 * k[at] if cdf else None), g[at] / (h * _SQRT_2PI)
 
 
 def comet_marginal_fit(

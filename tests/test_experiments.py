@@ -4,6 +4,7 @@ importance diagnostics, the regression demo, and table plumbing."""
 import dataclasses
 import hashlib
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -250,22 +251,37 @@ class TestCometMarginal:
         assert_kernel_matches_rows(m, x)
 
     def test_kernel_skips_erfc_where_its_value_is_known(self, t2_marginal, monkeypatch):
-        # at t_hi every argument is <= 0, so only the left fill can apply;
-        # at t_lo every one is >= 0, so only the right fill can
+        # at t_hi every argument is <= 0, so only the left fill can apply and
+        # scipy's erfc runs unwrapped; at t_lo every one is >= 0, so only the
+        # right fill can, and arguments past special._TAIL_SWITCH take the wrapper
         _, m = t2_marginal
         width = m.bandwidth * E._SQRT2
-        sizes = []
-        erfc = special.erfc
+        calls = []
 
-        def counting(z, out=None):
-            sizes.append(z.size)
-            return erfc(z, out=out)
+        def counting(name, erfc):
+            def wrapped(z, out=None):
+                calls.append((name, z.size))
+                return erfc(z, out=out)
+            return wrapped
 
-        monkeypatch.setattr(special, "erfc", counting)
-        for x, keep in ((m.t_hi, lambda z: z > E._ERFC_TWO), (m.t_lo, lambda z: z < E._ERFC_TINY)):
-            sizes.clear()
+        monkeypatch.setattr(special, "erfc", counting("wrapper", special.erfc))
+        monkeypatch.setattr(E, "sp", types.SimpleNamespace(erfc=counting("scipy", sp.erfc)))
+        for x, name, keep in ((m.t_hi, "scipy", lambda z: z > E._ERFC_TWO),
+                              (m.t_lo, "wrapper", lambda z: z < E._ERFC_TINY)):
+            calls.clear()
             E._body_kernel(m, np.array([x]))
-            assert sizes == [np.sum(keep((m.points - x) / width))] and sizes[0] < m.points.size
+            computed = np.sum(keep((m.points - x) / width))
+            assert calls == [(name, computed)] and computed < m.points.size
+
+    def test_kernel_keeps_the_erfc_tail_past_the_switch(self):
+        # a query 27 times h sqrt 2 below a tight body: every argument lies
+        # past special._TAIL_SWITCH, where scipy's erfc underflows to zero
+        # and only the wrapper's asymptotic branch keeps the mean
+        cluster = 1.0 + special.Rng(5).normal(1900) * 0.01
+        m = E.comet_marginal_fit(np.concatenate([np.zeros(100), cluster]))
+        x = np.array([np.min(cluster) - 27.0 * m.bandwidth * E._SQRT2])
+        assert E._body_kernel(m, x)[0][0] > 0.0
+        assert_kernel_matches_rows(m, x)
 
     def test_kernel_rejects_nan_query(self, t2_marginal):
         _, m = t2_marginal
@@ -362,8 +378,9 @@ class TestCometMarginal:
 
 
 class TestKernelFillPremises:
-    # the values _body_kernel writes instead of computing; should scipy
-    # break one, move the constant, not the test
+    # what _body_kernel's shortcuts rest on: the values it writes instead of
+    # computing, and where special.erfc is scipy's; should scipy break one,
+    # move the constant, not the test
     def test_erfc_is_two_at_and_below_the_left_edge(self):
         z = np.concatenate([np.linspace(-100.0, E._ERFC_TWO, 1_000_001),
                             -np.logspace(2.0, 300.0, 10_001)])
@@ -374,13 +391,10 @@ class TestKernelFillPremises:
                             np.logspace(3.0, 300.0, 10_001)])
         assert np.all(special.erfc(z) == special._TINY)
 
-    def test_gaussian_is_zero_beyond_its_edge(self):
-        # the kernel's own form: square, halve, exp; q^2 overflows past 1e154
-        q = np.concatenate([np.linspace(E._GAUSS_ZERO, 1000.0, 1_000_001),
-                            np.logspace(3.0, 300.0, 10_001)])
-        q = np.concatenate([q, -q])
-        with np.errstate(over="ignore"):
-            assert np.all(np.exp(np.square(q) * -0.5) == 0.0)
+    def test_erfc_is_scipys_up_to_the_tail_switch(self):
+        z = np.concatenate([np.linspace(-100.0, special._TAIL_SWITCH, 1_000_001),
+                            -np.logspace(2.0, 300.0, 10_001)])
+        assert np.array_equal(special.erfc(z), sp.erfc(z))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

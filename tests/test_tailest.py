@@ -190,11 +190,22 @@ class TestGpdFitScale:
         assert abs(tailest.gpd_fit_scale(x, 0.5) - 1.7) < 0.03
 
     def test_matches_ml_scale_at_ml_shape(self):
-        # at the joint ML optimum the fixed-shape ML scale is the joint one,
-        # up to gpd_fit_ml's tolerance on its profile optimum (3e-8 here)
+        # at the joint ML optimum the fixed-shape ML scale is the joint one.
+        # gpd_fit_ml stops within 1e-5 of the optimum in theta = shape/scale,
+        # so the optimum is refined from there: with Grimshaw's shape(theta) =
+        # mean(log1p(theta x)), the profile likelihood in theta is stationary
+        # where 1/theta = (1 + 1/shape) mean(x / (1 + theta x))
+        from scipy.optimize import brentq
+
         x = gpd_sample(9, 5000, 0.5, 1.0)
         shape, scale = tailest.gpd_fit_ml(x)
-        assert abs(tailest.gpd_fit_scale(x, shape) - scale) < 1e-6 * scale
+        theta = brentq(lambda t: (1.0 + 1.0 / np.mean(np.log1p(t * x)))
+                       * np.mean(x / (1.0 + t * x)) - 1.0 / t,
+                       0.5 * shape / scale, 2.0 * shape / scale, xtol=1e-300, rtol=1e-15)
+        assert abs(theta - shape / scale) < 1e-5
+        shape = np.mean(np.log1p(theta * x))
+        scale = shape / theta
+        assert abs(tailest.gpd_fit_scale(x, shape) - scale) < 1e-9 * scale
 
     @pytest.mark.parametrize("shape", [-0.9, -0.6, -0.3, 0.3, 0.5, 0.7, 2.0])
     def test_maximizes_likelihood_at_fixed_shape(self, shape):
