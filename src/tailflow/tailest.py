@@ -6,7 +6,13 @@ consistent for the tail index of a regularly varying distribution but
 needs k chosen well.  The double bootstrap of Danielsson et al. picks k
 by matching the bootstrap mean squared error of an auxiliary statistic
 Q(k) = M2(k) - 2*M1(k)^2 across two subsample sizes, where M1 is the
-Hill statistic and M2 the second moment of the log spacings.  For
+Hill statistic and M2 the second moment of the log spacings.  With S1
+and C2 the sum and the sum of squares of the k largest logs, a = S1/k
+and t the (k+1)-th largest log, M1 = a - t and M2 = C2/k - 2*t*a + t^2, so
+
+    Q = (C2/k - a^2) - (a - t)^2,
+
+the variance of the top-k logs minus M1^2, which is how it is computed.  For
 threshold excesses we also fit a generalized Pareto by profile maximum
 likelihood over theta = shape/scale (Grimshaw's reduction).
 
@@ -34,11 +40,12 @@ LIGHT_TAIL_SHAPE = 1e-3
 MIN_BOOTSTRAP_ROWS = 500
 
 _BOOTSTRAP_REPS = 500
-# Resampled values per block of the bootstrap (about 0.2 MB per temporary).
-# No block size page-faults with the package's malloc thresholds, but larger
-# temporaries fall out of cache and smaller blocks add loop overhead: the
-# n=5000, d=5 ``estimate_marginal_tails`` took a median 345-367 ms at 25k
-# values, 359-416 at 100k, 400-456 at 400k and 372-415 at 12k.
+# Resampled values per block of the bootstrap (0.2 MB per real temporary,
+# 0.4 MB for the complex buffer of running sums).  No block size page-faults
+# with the package's malloc thresholds, but larger temporaries fall out of
+# cache and smaller blocks add loop overhead: the n=5000, d=5
+# ``estimate_marginal_tails`` took a median 310 ms at 25k values, 311 at 50k,
+# 358 at 100k and 331 at 12.5k (8 alternated runs, CPU time, one BLAS thread).
 _BOOTSTRAP_BLOCK_VALUES = 25_000
 _SUBSAMPLE_EXPONENT = 0.955
 _FALLBACK_EXPONENT = 0.6
@@ -115,48 +122,46 @@ def _bootstrap_mse_curve(
     values that would reach them.
 
     Resamples are drawn and reduced in blocks of about
-    ``_BOOTSTRAP_BLOCK_VALUES`` values, so memory is bounded by about ten
-    temporaries of that size whatever ``n1`` and ``reps`` are.  The curve
-    does not depend on the block size: the index stream is drawn value by
-    value, and each resample's Q(k)^2 is added to the running sum in
-    resample order (an axis-0 sum adds rows in order).
+    ``_BOOTSTRAP_BLOCK_VALUES`` values, so memory is bounded by about eight
+    temporaries of that size whatever ``n1`` and ``reps`` are.  One complex
+    accumulate carries both running sums: the descending logs go in the
+    real part and their squares in the imaginary part, so one cumsum gives
+    S1(k) + i*C2(k) with the bits of two real cumsums (a complex add is two
+    float adds).  The curve does not depend on the block size: the index
+    stream is drawn value by value, and each resample's Q(k)^2 is added to
+    the running sum in resample order (an axis-0 sum adds rows in order).
     """
     n = x.size
     neg_logx = -np.log(np.where(x > 0.0, x, np.nan))
     # Every finite log of a double has |log x| <= 745, so the means below
     # are bounded and each Q(k)^2 is finite (< 1e14) whatever n1 is: only
-    # a sample with a nonpositive or infinite value needs the mask.
+    # a sample with a nonpositive value (or an infinite one, which
+    # ``hill_double_bootstrap`` rejects) needs the mask.
     all_finite = np.isfinite(neg_logx).all()
     ks = np.arange(2, n1)
     acc = np.zeros(ks.size)
     cnt = np.zeros(ks.size, dtype=np.int64)
     rows = max(1, _BOOTSTRAP_BLOCK_VALUES // n1)
+    z = np.empty((rows, n1), dtype=complex)
     done = 0
     while done < reps:
         b = min(rows, reps - done)
-        logs = neg_logx[rng.integers(0, n, size=(b, n1))]
-        logs.sort(axis=1)
-        np.negative(logs, out=logs)  # descending, NaN last
-        c1 = np.cumsum(logs, axis=1)
-        c2 = logs * logs
-        np.cumsum(c2, axis=1, out=c2)
-        s1 = c1[:, 1:-1]  # sums of the top k, k = 2 .. n1-1
-        t = logs[:, 2:]  # the (k+1)-th largest
-        # q2 = (m2 - 2 m1 m1)^2 with m1 = s1/k - t and
-        # m2 = c2/k - 2 t s1/k + t t, in place, in the same op order
-        m1 = s1 / ks
-        m1 -= t
-        q2 = c2[:, 1:-1] / ks
-        tmp = 2.0 * t
-        tmp *= s1
-        tmp /= ks
+        neg = neg_logx[rng.integers(0, n, size=(b, n1))]
+        neg.sort(axis=1)  # -log ascending: logs descending, NaN last
+        zb = z[:b]
+        np.negative(neg, out=zb.real)
+        np.multiply(neg, neg, out=zb.imag)
+        np.cumsum(zb, axis=1, out=zb)  # S1(k) + i C2(k), k = 1 .. n1
+        # a = S1/k over the top k, t the (k+1)-th largest log, k = 2 .. n1-1;
+        # q2 = ((C2/k - a a) - (a - t)^2)^2, with a - t = a + neg
+        a = zb.real[:, 1:-1] / ks
+        q2 = zb.imag[:, 1:-1] / ks
+        tmp = a * a
         q2 -= tmp
-        np.multiply(t, t, out=tmp)
-        q2 += tmp
-        np.multiply(2.0, m1, out=tmp)
-        tmp *= m1
+        np.add(a, neg[:, 2:], out=tmp)
+        tmp *= tmp
         q2 -= tmp
-        np.multiply(q2, q2, out=q2)
+        q2 *= q2
         if all_finite:
             cnt += b
         else:
@@ -203,12 +208,15 @@ def hill_double_bootstrap(samples: np.ndarray, rng: special.Rng) -> DoubleBootst
     A k* outside [2, n) falls back to floor(n^0.6) with the fallback
     flag set.  The light_tailed flag fires when the smoothed n1 curve
     has its minimum in the left half of the log-k grid or the resulting
-    shape estimate is below 0.02.
+    shape estimate is below 0.02.  Samples must be finite; nonpositive
+    ones poison only the k values whose window reaches them.
     """
     x = np.asarray(samples, dtype=float).ravel()
     n = x.size
     if n < MIN_BOOTSTRAP_ROWS:
         raise ValueError(f"double bootstrap needs n >= {MIN_BOOTSTRAP_ROWS}, got {n}")
+    if not np.isfinite(x).all():
+        raise ValueError("double bootstrap needs finite samples")
     n1 = int(n ** _SUBSAMPLE_EXPONENT)
     n2 = int(n1 * n1 / n)
     g1, mse1 = _bootstrap_mse_curve(x, n1, rng)
@@ -469,7 +477,8 @@ def estimate_marginal_tails(data: np.ndarray, rng: special.Rng) -> TailEstimate:
 
     Pooling both tails around the median enforces a common shape for
     the lower and upper tail of each marginal.  Light-tailed dimensions
-    get the 1/1000 convention.
+    get the 1/1000 convention.  A ValueError names the dimensions holding
+    non-finite samples before any bootstrap runs.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
@@ -477,6 +486,9 @@ def estimate_marginal_tails(data: np.ndarray, rng: special.Rng) -> TailEstimate:
     n, d = x.shape
     if n < MIN_BOOTSTRAP_ROWS:
         raise ValueError(f"double bootstrap needs n >= {MIN_BOOTSTRAP_ROWS}, got {n}")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
+    if bad.size:
+        raise ValueError(f"non-finite samples in dimension(s) {bad.tolist()}")
     shapes = np.empty(d)
     ks = np.empty(d, dtype=int)
     light = np.empty(d, dtype=bool)

@@ -2,9 +2,12 @@
 profile-likelihood GPD fits, and per-dimension marginal tail estimation."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tailflow import experiments, special, tailest
 
@@ -78,6 +81,22 @@ class TestHillDoubleBootstrap:
         with pytest.raises(ValueError, match="n >= 500"):
             tailest.hill_double_bootstrap(pareto_sample(0, 499), special.Rng(0))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_sample_rejected_before_resampling(self, bad):
+        x = np.abs(special.Rng(13).student_t(2.0, 1000))
+        x[17] = bad
+        rng = special.Rng(3)
+        state = rng.gen.bit_generator.state
+        with pytest.raises(ValueError, match="finite samples"):
+            tailest.hill_double_bootstrap(x, rng)
+        assert rng.gen.bit_generator.state == state
+
+    def test_nonpositive_finite_draws_accepted(self):
+        x = np.abs(special.Rng(13).student_t(2.0, 1000))
+        x[:10] = [0.0, -1.0] * 5
+        res = tailest.hill_double_bootstrap(x, special.Rng(3))
+        assert 2 <= res.k < 990 and res.shape > 0.0
+
     # (seed, nu, dim) -> (shape, k, light_tailed, fallback) on the synthetic
     # task at d=5, n=5000, as `estimate_marginal_tails` sees each dimension;
     # recorded before the bootstrap was streamed in small blocks.
@@ -86,6 +105,13 @@ class TestHillDoubleBootstrap:
         (1, 30.0, 0): (0.042050742358273, 3, True, False),
         (0, 30.0, 1): (0.1524698807598619, 165, True, True),
         (3, 30.0, 0): (0.15314844030740915, 107, False, False),
+        # the benchmark's tail weight, recorded before Q(k) was evaluated as
+        # (C2/k - a^2) - (a - t)^2
+        (0, 2.0, 0): (0.5761111183312513, 368, False, False),
+        (0, 2.0, 1): (0.5657682767406523, 617, False, False),
+        (0, 2.0, 2): (0.4302448929263747, 3, True, False),
+        (0, 2.0, 3): (0.5305667017162261, 527, False, False),
+        (0, 2.0, 4): (0.4788704556013359, 901, False, False),
     }
 
     @pytest.mark.parametrize("seed,nu,dim", sorted(PINNED))
@@ -113,7 +139,48 @@ class TestHillDoubleBootstrap:
         assert peak / 1e6 <= 16.0
 
 
+def reference_mse_curve(x, n1, rng, reps):
+    """Q(k)^2 averaged over resamples, from the definitions: each resample
+    is sorted, and M1(k), M2(k) are the mean and mean square of the log
+    spacings of its k largest values over the (k+1)-th largest.  The grid
+    ends where some resample's (k+1)-th largest value is nonpositive."""
+    draws = x[rng.integers(0, x.size, size=(reps, n1))]
+    y = np.sort(draws, axis=1)[:, ::-1]
+    positive = int(np.min(np.sum(y > 0.0, axis=1)))
+    logs = np.log(y[:, :positive])
+    ks = np.arange(2, min(positive, n1))
+    mse = np.empty(ks.size)
+    for j, k in enumerate(ks):
+        spacings = logs[:, :k] - logs[:, k:k + 1]
+        m1 = np.mean(spacings, axis=1)
+        m2 = np.mean(spacings * spacings, axis=1)
+        mse[j] = np.mean((m2 - 2.0 * m1 * m1) ** 2)
+    return ks, mse
+
+
 class TestBootstrapMseCurve:
+    @given(
+        n=st.integers(500, 1500),
+        reps=st.integers(8, 24),
+        rows=st.integers(1, 24),
+        seed=st.integers(0, 2**16),
+        nonpositive=st.floats(0.0, 0.05),
+        ties=st.floats(0.0, 0.2),
+    )
+    def test_matches_reference(self, n, reps, rows, seed, nonpositive, ties):
+        g = np.random.default_rng(seed)
+        x = pareto_sample(seed, n)
+        m = int(ties * n)
+        x[g.choice(n, m, replace=False)] = x[g.choice(n, m)]
+        m = int(nonpositive * n)
+        x[g.choice(n, m, replace=False)] = -g.integers(0, 2, m)
+        n1 = int(n ** tailest._SUBSAMPLE_EXPONENT)
+        with mock.patch.object(tailest, "_BOOTSTRAP_BLOCK_VALUES", rows * n1):
+            k, mse = tailest._bootstrap_mse_curve(x, n1, special.Rng(seed), reps)
+        k_ref, mse_ref = reference_mse_curve(x, n1, special.Rng(seed), reps)
+        np.testing.assert_array_equal(k, k_ref)
+        np.testing.assert_allclose(mse, mse_ref, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("rows", [1, 7, 500])
     def test_independent_of_block_size(self, rows, monkeypatch):
         # ~2% nonpositive values exercise the NaN-poisoned k as well
@@ -363,6 +430,14 @@ class TestEstimateMarginalTails:
         b = tailest.estimate_marginal_tails(data, special.Rng(5))
         np.testing.assert_array_equal(a.shape, b.shape)
         np.testing.assert_array_equal(a.k, b.k)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_dimension_named_before_bootstrap(self, bad, monkeypatch):
+        data = special.Rng(14).student_t(2.0, (1000, 4))
+        data[5, 1] = data[9, 3] = bad
+        monkeypatch.setattr(tailest, "hill_double_bootstrap", None)
+        with pytest.raises(ValueError, match=r"non-finite samples in dimension\(s\) \[1, 3\]"):
+            tailest.estimate_marginal_tails(data, special.Rng(0))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n x d"):
