@@ -72,7 +72,7 @@ def _number(kind, ok, want: str):
 
 
 _count = _number(int, lambda v: v >= 1, "at least 1")
-_positive = _number(float, lambda v: v > 0.0, "positive")
+_positive = _number(float, lambda v: 0.0 < v < np.inf, "positive and finite")
 
 
 def _seeds(raw: str) -> tuple[int, ...]:

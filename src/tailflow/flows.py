@@ -38,14 +38,13 @@ fits ``normal`` on marginal logits (``experiments.fit_de_cell``).
 
 Parameters live in one flat name -> array dict owned by the model; layer
 objects hold only structure (masks, sizes, key prefixes).  Positivity is
-enforced by softplus everywhere a parameter must stay positive.
+enforced by softplus everywhere a parameter must stay positive.  Models are
+not persisted: an experiment cell computes every row it reports before it
+ends.
 """
 
 from __future__ import annotations
 
-import base64
-import json
-import os
 import zlib
 
 import numpy as np
@@ -685,110 +684,3 @@ def set_frozen_tails(model: FlowModel, lam) -> None:
 def set_frozen_nu(model: FlowModel, nu) -> None:
     """Write estimated degrees of freedom into a Student-T base."""
     model.params["base.nu_raw"] = softplus_inv(np.asarray(nu, dtype=float))
-
-
-# -- serialization --------------------------------------------------------------------
-
-_FORMAT = "tailflow-model"
-_VERSION = 1
-# Build options that older records carry, each at the one value every model
-# is now built with; "activation" was stored but never used, at any value.
-_RETIRED_OPTIONS = {"bins": RqsArLayer.bins, "bound": RqsArLayer.bound, "lu": False,
-                    "nu_init": StudentTBase.NU_INIT}
-# The fields every record holds besides format, version and options: their
-# JSON types, as Python types, and what those are called.
-_FIELDS = {"name": (str, "a string"), "d": (int, "an integer"), "params": (dict, "an object"),
-           "frozen": (list, "a list of names")}
-
-
-def save_model(model: FlowModel, path: str) -> None:
-    """Flat, versioned, self-describing record; bit-exact float64 round trip."""
-    rec = {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "name": model.name,
-        "d": model.d,
-        "options": {},
-        "frozen": sorted(model.frozen),
-        "params": {
-            k: {
-                "shape": list(v.shape),
-                "data": base64.b64encode(np.ascontiguousarray(v, dtype=float).tobytes()).decode(),
-            }
-            for k, v in model.params.items()
-        },
-    }
-    # Write a sibling file and rename it over the target, so a save that
-    # fails part-way leaves any previous file at ``path`` intact.
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(rec, fh, indent=1)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def load_model(path: str) -> FlowModel:
-    """Rebuild a model written by ``save_model``.
-
-    Raises ValueError naming the path and the field when ``name``, ``d``,
-    ``params`` or ``frozen`` is missing or of another JSON type, and naming
-    the parameter when its entry is not an object whose ``shape`` is a list
-    of integers and whose ``data`` is strict base64 of float64 values.  It
-    names the key when the record's parameters do not fit the rebuilt
-    architecture: a key missing or extra, or a shape (or data length) that
-    differs, or a frozen name that is no parameter.  A record's options may
-    hold only retired build options at the values models are built with;
-    any other key or value raises, naming both.
-    """
-    with open(path, encoding="utf-8") as fh:
-        rec = json.load(fh)
-    if not isinstance(rec, dict) or rec.get("format") != _FORMAT \
-            or rec.get("version") != _VERSION:
-        raise ValueError(f"not a {_FORMAT} v{_VERSION} record: {path}")
-    for key, (kind, what) in _FIELDS.items():
-        if key not in rec:
-            raise ValueError(f"{path}: missing field {key!r}")
-        value = rec[key]
-        if type(value) is not kind or kind is list and not all(type(v) is str for v in value):
-            raise ValueError(f"{path}: field {key!r} must be {what}, got {value!r:.60}")
-    for key, value in rec.get("options", {}).items():
-        if key != "activation" and (key not in _RETIRED_OPTIONS
-                                    or value != _RETIRED_OPTIONS[key]):
-            raise ValueError(f"{path}: unsupported option {key}={value!r}")
-    model = build_architecture(rec["name"], rec["d"])
-    saved = rec["params"]
-    missing = sorted(set(model.params) - set(saved))
-    extra = sorted(set(saved) - set(model.params))
-    if missing:
-        raise ValueError(f"{path}: missing parameter(s) {', '.join(missing)}")
-    if extra:
-        raise ValueError(f"{path}: unexpected parameter(s) {', '.join(extra)} "
-                         f"for {rec['name']} at d={rec['d']}")
-    params = {}
-    for k, spec in saved.items():
-        if type(spec) is not dict:
-            raise ValueError(f"{path}: parameter {k} must be an object, got {spec!r:.60}")
-        shape, data = spec.get("shape"), spec.get("data")
-        if type(shape) is not list or not all(type(s) is int for s in shape):
-            raise ValueError(f"{path}: parameter {k} shape must be a list of integers, "
-                             f"got {shape!r:.60}")
-        try:
-            arr = np.frombuffer(base64.b64decode(data, validate=True), dtype=float)
-        except (TypeError, ValueError):
-            raise ValueError(f"{path}: parameter {k} data must be base64 of float64 values, "
-                             f"got {data!r:.60}") from None
-        want = model.params[k].shape
-        if tuple(shape) != want or arr.size != model.params[k].size:
-            raise ValueError(f"{path}: parameter {k} has shape {tuple(shape)} "
-                             f"and {arr.size} values, expected shape {want}")
-        params[k] = arr.reshape(want).copy()
-    unknown = sorted(set(rec["frozen"]) - set(saved))
-    if unknown:
-        raise ValueError(f"{path}: frozen name(s) {', '.join(unknown)} are not parameters")
-    model.frozen = set(rec["frozen"])
-    model.params = params
-    return model

@@ -55,8 +55,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.lr <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError("learning rate must be positive and finite")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
         if self.patience < 1:

@@ -302,6 +302,7 @@ class TestUsageErrors:
         (["vi-synth", "--nu", "-1"], "nu"),
         (["de-synth", "--nu", "0"], "nu"),
         (["de-synth", "--nu", "nan"], "nu"),
+        (["de-synth", "--nu", "inf"], "nu"),
         (["de-synth", "--seeds", "-1"], "seeds"),
         (["de-synth", "--seeds", "0,-2..1"], "seeds"),
         (["de-synth", "--jobs", "0"], "jobs"),
@@ -310,6 +311,8 @@ class TestUsageErrors:
         (["vi-synth", "--batch", "full"], "batch"),
         (["de-synth", "--lr", "-1"], "lr"),
         (["vi-synth", "--clip-norm", "-1"], "clip_norm"),
+        (["vi-synth", "--lr", "inf"], "lr"),
+        (["vi-synth", "--clip-norm", "inf"], "clip_norm"),
         (["de-synth", "--d", "1"], "d"),
         (["vi-synth", "--d", "1"], "d"),
         (["de-synth", "--patience", "0"], "patience"),

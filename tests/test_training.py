@@ -40,6 +40,9 @@ class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="learning rate"):
             training.TrainConfig(lr=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning rate"):
+                training.TrainConfig(lr=bad)
         with pytest.raises(ValueError, match="max_epochs"):
             training.TrainConfig(max_epochs=0)
         with pytest.raises(ValueError, match="patience"):
