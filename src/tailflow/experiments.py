@@ -82,8 +82,8 @@ class SyntheticDeSpec:
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError("synthetic task needs d >= 2")
-        if self.nu <= 0.0:
-            raise ValueError("degrees of freedom must be positive")
+        if not 0.0 < self.nu < math.inf:
+            raise ValueError("degrees of freedom must be positive and finite")
         if self.n < 10:
             raise ValueError("sample count too small to split")
 

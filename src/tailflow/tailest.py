@@ -79,8 +79,8 @@ class TailEstimate:
         self.shape = np.asarray(self.shape, dtype=float)
         self.k = np.asarray(self.k, dtype=int)
         self.light_tailed = np.asarray(self.light_tailed, dtype=bool)
-        if np.any(self.shape < 0.0):
-            raise ValueError("tail shapes must be nonnegative")
+        if not np.all((self.shape >= 0.0) & (self.shape < np.inf)):
+            raise ValueError("tail shapes must be nonnegative and finite")
 
     @property
     def dim(self) -> int:
@@ -429,11 +429,17 @@ def _profile_fit(x: np.ndarray) -> tuple[float, float]:
     return lam, lam / theta if lam != 0.0 else xbar
 
 
+def _check_gpd(shape: float, scale: float) -> None:
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
+    if not math.isfinite(shape):
+        raise ValueError("shape must be finite")
+
+
 def gpd_log_density(x: np.ndarray, shape: float, scale: float) -> np.ndarray:
     """Log density of the GPD with location 0; shape 0 is the exponential."""
     x = np.asarray(x, dtype=float)
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
+    _check_gpd(shape, scale)
     if shape == 0.0:
         return -x / scale - np.log(scale)
     arg = 1.0 + shape * x / scale
@@ -447,8 +453,7 @@ def gpd_log_survivor(e: np.ndarray, shape: float, scale: float) -> np.ndarray:
     Returns -inf beyond the bounded support of a negative shape.
     """
     e = np.asarray(e, dtype=float)
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
+    _check_gpd(shape, scale)
     if shape == 0.0:
         return -e / scale
     t = shape * e / scale
@@ -463,9 +468,8 @@ def gpd_excess_at_log_survivor(log_s: np.ndarray, shape: float, scale: float) ->
     expm1 keeps the small-shape limit -scale * log_s accurate.
     """
     log_s = np.asarray(log_s, dtype=float)
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    if np.any(log_s > 0.0):
+    _check_gpd(shape, scale)
+    if not np.all(log_s <= 0.0):
         raise ValueError("log survivor must be nonpositive")
     if shape == 0.0:
         return -scale * log_s

@@ -63,8 +63,8 @@ class TrainConfig:
             raise ValueError("patience must be at least 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch size must be positive or the full-pass sentinel")
-        if self.clip_norm is not None and not self.clip_norm > 0.0:
-            raise ValueError("clip_norm must be positive or None")
+        if self.clip_norm is not None and not 0.0 < self.clip_norm < np.inf:
+            raise ValueError("clip_norm must be positive and finite, or None")
 
 
 @dataclass

@@ -313,6 +313,8 @@ class TestUsageErrors:
         (["vi-synth", "--clip-norm", "-1"], "clip_norm"),
         (["vi-synth", "--lr", "inf"], "lr"),
         (["vi-synth", "--clip-norm", "inf"], "clip_norm"),
+        (["vi-synth", "--lr", "nan"], "lr"),
+        (["vi-synth", "--clip-norm", "nan"], "clip_norm"),
         (["de-synth", "--d", "1"], "d"),
         (["vi-synth", "--d", "1"], "d"),
         (["de-synth", "--patience", "0"], "patience"),

@@ -59,7 +59,9 @@ class TestSyntheticGenerator:
         (dict(d=1, nu=2.0), "d >= 2"),
         (dict(d=2, nu=0.0), "must be positive"),
         (dict(d=2, nu=2.0, n=9), "too small to split"),
-    ], ids=["d", "nu", "n"])
+        (dict(d=2, nu=float("inf")), "positive and finite"),
+        (dict(d=2, nu=float("nan")), "positive and finite"),
+    ], ids=["d", "nu", "n", "nu_inf", "nu_nan"])
     def test_spec_validation(self, spec, message):
         with pytest.raises(ValueError, match=message):
             E.SyntheticDeSpec(**spec)

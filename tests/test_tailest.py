@@ -398,6 +398,31 @@ class TestGpdSurvivor:
             tailest.gpd_excess_at_log_survivor(np.array([-1.0]), 1.0, 0.0)
         with pytest.raises(ValueError, match="scale"):
             tailest.gpd_log_survivor(np.array([1.0]), 0.5, 0.0)
+        with pytest.raises(ValueError, match="nonpositive"):
+            tailest.gpd_excess_at_log_survivor(np.array([-1.0, np.nan]), 1.0, 1.0)
+
+
+class TestGpdParameters:
+    """Every GPD function refuses a parameter that no fit can return."""
+
+    FUNCTIONS = {
+        "log_density": lambda shape, scale: tailest.gpd_log_density(np.array([1.0]), shape, scale),
+        "log_survivor": lambda shape, scale: tailest.gpd_log_survivor(np.array([1.0]), shape, scale),
+        "excess": lambda shape, scale: tailest.gpd_excess_at_log_survivor(
+            np.array([-1.0]), shape, scale),
+    }
+
+    @pytest.mark.parametrize("fn", FUNCTIONS)
+    @pytest.mark.parametrize("scale", [-1.0, np.inf, np.nan])
+    def test_bad_scale_rejected(self, fn, scale):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            self.FUNCTIONS[fn](0.5, scale)
+
+    @pytest.mark.parametrize("fn", FUNCTIONS)
+    @pytest.mark.parametrize("shape", [np.inf, np.nan])
+    def test_non_finite_shape_rejected(self, fn, shape):
+        with pytest.raises(ValueError, match="shape must be finite"):
+            self.FUNCTIONS[fn](shape, 1.0)
 
 
 class TestEstimateMarginalTails:
@@ -449,6 +474,14 @@ class TestEstimateMarginalTails:
         with pytest.raises(ValueError, match="nonnegative"):
             tailest.TailEstimate(
                 shape=np.array([-0.1]), k=np.array([5]), light_tailed=np.array([False])
+            )
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_shape_rejected(self, bad):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            tailest.TailEstimate(
+                shape=np.array([0.5, bad]), k=np.array([5, 5]),
+                light_tailed=np.array([False, False])
             )
 
 

@@ -49,7 +49,7 @@ class TestTrainConfig:
             training.TrainConfig(patience=0)
         with pytest.raises(ValueError, match="batch size"):
             training.TrainConfig(batch_size=0)
-        for bad in (0.0, -1.0, float("nan")):  # a negative norm would flip every gradient
+        for bad in (0.0, -1.0, float("nan"), float("inf")):  # a negative norm would flip every gradient
             with pytest.raises(ValueError, match="clip_norm"):
                 training.TrainConfig(clip_norm=bad)
 
