@@ -256,8 +256,7 @@ def comet_marginal_fit(
             return tail_shape, tailest.gpd_fit_scale(exc, tail_shape), False
         if exc.size >= 30:
             try:
-                lam, sig = tailest.gpd_fit_ml(exc)
-                return lam, sig, False
+                return (*tailest.gpd_fit_ml(exc), False)
             except (tailest.GpdFitError, ValueError):
                 pass
         mean = float(np.mean(exc)) if exc.size else 1.0
@@ -284,25 +283,41 @@ def comet_marginal_fit(
     return m
 
 
-def comet_marginal(m: CometMarginal, x: np.ndarray,
-                   cdf: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
-    """The marginal's cdf (None unless ``cdf``) and log density at x, from
-    one kernel pass over the body lanes."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    f, lp = np.empty_like(x), np.empty_like(x)
-    lo, hi = x < m.t_lo, x > m.t_hi
-    for tail, e, shape, scale in ((lo, m.t_lo - x[lo], m.shape_lo, m.scale_lo),
-                                  (hi, x[hi] - m.t_hi, m.shape_hi, m.scale_hi)):
-        f[tail] = _TAIL_MASS * np.exp(tailest.gpd_log_survivor(e, shape, scale))
-        lp[tail] = math.log(_TAIL_MASS) + tailest.gpd_log_density(e, shape, scale)
-    f[hi] = 1.0 - f[hi]
-    mid = ~(lo | hi)
-    k, g = _body_kernel(m, x[mid], cdf)
-    if cdf:
-        f[mid] = _TAIL_MASS + _BODY_MASS * (k - m.k_lo) / (m.k_hi - m.k_lo)
+def _body_cdf(m: CometMarginal, x: np.ndarray,
+              cdf: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+    """The marginal's cdf (None unless ``cdf``) and log density at body
+    points x: the kernel's, rescaled to carry mass 0.90 up from 0.05 at t_lo."""
+    k, g = _body_kernel(m, x, cdf)
     with np.errstate(divide="ignore"):
-        lp[mid] = math.log(_BODY_MASS) + np.log(g) - math.log(m.k_hi - m.k_lo)
-    return (f if cdf else None), np.where(np.isnan(lp), -np.inf, lp)
+        lp = math.log(_BODY_MASS) + np.log(g) - math.log(m.k_hi - m.k_lo)
+    if cdf:
+        k = _TAIL_MASS + _BODY_MASS * (k - m.k_lo) / (m.k_hi - m.k_lo)
+    return k, lp
+
+
+def comet_marginal(m: CometMarginal, x: np.ndarray, cdf: bool = True
+                   ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
+    """The marginal's log cdf and log survivor (both None unless ``cdf``) and
+    log density at x, with one kernel pass over the body lanes.  A tail's near
+    side is log 0.05 + the GPD log survivor, its far side log1p(-exp(near))."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    log_cdf, log_sf, lp = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    lo, hi = x < m.t_lo, x > m.t_hi
+    for tail, e, shape, scale, near, far in (
+            (lo, m.t_lo - x[lo], m.shape_lo, m.scale_lo, log_cdf, log_sf),
+            (hi, x[hi] - m.t_hi, m.shape_hi, m.scale_hi, log_sf, log_cdf)):
+        lp[tail] = math.log(_TAIL_MASS) + tailest.gpd_log_density(e, shape, scale)
+        if cdf:
+            near[tail] = math.log(_TAIL_MASS) + tailest.gpd_log_survivor(e, shape, scale)
+            far[tail] = np.log1p(-np.exp(near[tail]))
+    mid = ~(lo | hi)
+    f, lp[mid] = _body_cdf(m, x[mid], cdf)
+    lp = np.where(np.isnan(lp), -np.inf, lp)
+    if not cdf:
+        return None, None, lp
+    log_cdf[mid] = np.log(f)
+    log_sf[mid] = np.log(1.0 - f)
+    return log_cdf, log_sf, lp
 
 
 def _body_quantile(m: CometMarginal, u: np.ndarray) -> np.ndarray:
@@ -320,7 +335,7 @@ def _body_quantile(m: CometMarginal, u: np.ndarray) -> np.ndarray:
     x = np.clip(np.quantile(m.points, np.clip((u - _TAIL_MASS) / _BODY_MASS, 0.0, 1.0)),
                 np.nextafter(m.t_lo, m.t_hi), np.nextafter(m.t_hi, m.t_lo))
     for _ in range(100):
-        f, lp = comet_marginal(m, x)
+        f, lp = _body_cdf(m, x)
         fx = f - u
         # an exact root moves neither edge, so its zero step ends the lane
         b = np.where(fx > 0.0, x, b)
@@ -339,31 +354,17 @@ def _body_quantile(m: CometMarginal, u: np.ndarray) -> np.ndarray:
 
 
 def comet_logit(x: np.ndarray, marginals: list) -> tuple[np.ndarray, np.ndarray]:
-    """Map data to the flow scale: u_j = logit(F_j(x_j)).
+    """Map data to the flow scale: u_j = log F_j(x_j) - log(1 - F_j(x_j)).
 
     Returns (u, log_det) with log_det the per-row log Jacobian of the
-    map, accumulated over dimensions.  Tail lanes use log-survivor forms
-    so extreme observations cannot round the cdf to 0 or 1.
+    map, accumulated over dimensions.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     u = np.empty_like(x)
     ld = np.zeros(n)
     for j, m in enumerate(marginals):
-        xj = x[:, j]
-        cdf, log_pdf = comet_marginal(m, xj)
-        log_f = np.log(np.clip(cdf, 1e-300, None))
-        log_1mf = np.log(np.clip(1.0 - cdf, 1e-300, None))
-        lo = xj < m.t_lo
-        hi = xj > m.t_hi
-        if lo.any():
-            ls = tailest.gpd_log_survivor(m.t_lo - xj[lo], m.shape_lo, m.scale_lo)
-            log_f[lo] = math.log(_TAIL_MASS) + ls
-            log_1mf[lo] = np.log1p(-np.exp(log_f[lo]))
-        if hi.any():
-            ls = tailest.gpd_log_survivor(xj[hi] - m.t_hi, m.shape_hi, m.scale_hi)
-            log_1mf[hi] = math.log(_TAIL_MASS) + ls
-            log_f[hi] = np.log1p(-np.exp(log_1mf[hi]))
+        log_f, log_1mf, log_pdf = comet_marginal(m, x[:, j])
         u[:, j] = log_f - log_1mf
         # d u / d x = pdf / (F (1-F)).  Beyond a bounded tail u is +-inf and
         # the density is 0, so the log-det is -inf there by construction.
@@ -411,7 +412,7 @@ def comet_push(u: np.ndarray, marginals: list) -> tuple[np.ndarray, np.ndarray]:
             xj[mid] = _body_quantile(m, s[mid])
         x[:, j] = xj
         fin = np.isfinite(uj)
-        ld[fin] += log_s[fin] + log_1ms[fin] - comet_marginal(m, xj[fin], cdf=False)[1]
+        ld[fin] += log_s[fin] + log_1ms[fin] - comet_marginal(m, xj[fin], cdf=False)[2]
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, see the docstring
             ld[uj == np.inf] += _tail_log_det_limit(m.shape_hi, m.scale_hi)
             ld[uj == -np.inf] += _tail_log_det_limit(m.shape_lo, m.scale_lo)
@@ -457,7 +458,7 @@ def khat(weights: np.ndarray) -> float:
     Uses the ceil(min(0.2 n, 3 sqrt(n))) largest weights, PSIS's threshold
     (Vehtari et al., arXiv:1507.02646); excesses are normalized by their
     maximum, making the estimate exactly scale invariant.  The GPD is fitted
-    by profile maximum likelihood (``tailest._profile_fit``), not by PSIS's
+    by profile maximum likelihood (``tailest.gpd_fit_ml``), not by PSIS's
     Zhang & Stephens (2009) estimator: on VI weights they differed by
     0.004-0.020 on average, against a spread of 0.07-0.12.  Returns NaN
     when the top weights are all ties.
@@ -478,10 +479,9 @@ def khat(weights: np.ndarray) -> float:
     if exc.size < 5:
         return float("nan")
     try:
-        shape, _ = tailest._profile_fit(exc)
-    except (tailest.GpdFitError, ValueError):
+        return tailest.gpd_fit_ml(exc)[0]
+    except tailest.GpdFitError:  # equal excesses, or no feasible shape
         return float("nan")
-    return shape
 
 
 def compute_vi_diagnostics(

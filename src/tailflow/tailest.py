@@ -88,11 +88,7 @@ class TailEstimate:
 
 
 class GpdFitError(RuntimeError):
-    """Profile-likelihood failure; carries the evaluated (theta, loglik) trace."""
-
-    def __init__(self, message: str, trace: np.ndarray | None = None):
-        super().__init__(message)
-        self.trace = trace
+    """The GPD profile likelihood has no usable optimum for a sample."""
 
 
 def hill_estimator(samples: np.ndarray, k: int) -> float:
@@ -241,19 +237,6 @@ def hill_double_bootstrap(samples: np.ndarray, rng: special.Rng) -> DoubleBootst
     return DoubleBootstrapResult(shape, k, light, fallback)
 
 
-def gpd_fit_ml(excesses: np.ndarray) -> tuple[float, float]:
-    """Maximum-likelihood GPD (shape, scale) for positive threshold excesses.
-
-    Profiles over theta = shape/scale on a dense grid spanning
-    (-1/max(x), 0) and several decades of positive values, then refines
-    the best bracket; the shape is constrained to (-0.5, 10).
-    """
-    x = np.asarray(excesses, dtype=float).ravel()
-    if x.size < 30:
-        raise ValueError(f"GPD fit needs at least 30 excesses, got {x.size}")
-    return _profile_fit(x)
-
-
 def gpd_fit_scale(excesses: np.ndarray, shape: float) -> float:
     """Maximum-likelihood GPD scale for positive threshold excesses x at a
     fixed shape.
@@ -391,8 +374,15 @@ def _profile_grid(thetas: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.nda
     return nll, lams
 
 
-def _profile_fit(x: np.ndarray) -> tuple[float, float]:
-    """Grid-plus-refine profile maximum likelihood; no sample-count gate."""
+def gpd_fit_ml(excesses: np.ndarray) -> tuple[float, float]:
+    """Maximum-likelihood GPD (shape, scale) for positive threshold excesses.
+
+    Profiles over theta = shape/scale on a dense grid spanning
+    (-1/max(x), 0) and several decades of positive values, then refines
+    the best bracket; the shape is constrained to (-0.5, 10).  There is no
+    sample-count gate: each caller decides how many excesses are enough.
+    """
+    x = np.asarray(excesses, dtype=float).ravel()
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
         raise ValueError("excesses must be strictly positive and finite")
     xmax = float(np.max(x))
@@ -406,10 +396,7 @@ def _profile_fit(x: np.ndarray) -> tuple[float, float]:
     nll, lams = _profile_grid(thetas, x)
     feasible = np.isfinite(nll) & (lams > _SHAPE_LO) & (lams < _SHAPE_HI)
     if not feasible.any():
-        raise GpdFitError(
-            "no feasible point in the shape window",
-            trace=np.column_stack([thetas, -nll]),
-        )
+        raise GpdFitError("no feasible point in the shape window")
     masked = np.where(feasible, nll, np.inf)
     i = int(np.argmin(masked))
     lo = thetas[max(i - 1, 0)]

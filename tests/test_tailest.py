@@ -219,8 +219,6 @@ class TestGpdFitMl:
             tailest.gpd_fit_ml(np.full(100, 2.0))
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least 30"):
-            tailest.gpd_fit_ml(np.linspace(0.1, 1.0, 29))
         with pytest.raises(ValueError, match="strictly positive"):
             tailest.gpd_fit_ml(np.linspace(-0.5, 1.0, 50))
 
