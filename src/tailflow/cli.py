@@ -344,8 +344,10 @@ def _run_de_csv_seed(cfg, seed, tc, trace_path, data) -> list[dict]:
 
 
 def _run_tail_est(cfg: ExperimentConfig, data: np.ndarray) -> list[dict]:
-    rng = special.Rng(cfg.seeds[0])
-    est = tailest.estimate_marginal_tails(data, rng)
+    try:
+        est = tailest.estimate_marginal_tails(data, special.Rng(cfg.seeds[0]))
+    except ValueError as e:  # a column the estimator cannot read
+        raise UsageError(f"data_path: {cfg.data_path!r}: {e}") from e
     head = dict(flow="tail-est", d=data.shape[1], nu=float("nan"),
                 seed=cfg.seeds[0], diverged=False)
     rows = []
@@ -413,14 +415,15 @@ def run(cfg: ExperimentConfig) -> int:
             flow = f" --flow {cfg.flow}" if cfg.command == "de-csv" else ""
             raise UsageError(f"data_path: {cfg.data_path!r} has {data.shape[0]} rows; "
                              f"{cfg.command}{flow} needs at least {need}")
+    # a refused estimate writes nothing, as a refused CSV does
+    tail_rows = _run_tail_est(cfg, data) if cfg.command == "tail-est" else None
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_metadata(cfg, os.path.join(cfg.out_dir, f"metadata_{cfg.command}.cfg"))
     results_path = os.path.join(cfg.out_dir, f"results_{cfg.command}.csv")
     header_needed = not os.path.exists(results_path)
 
-    if cfg.command == "tail-est":
-        rows = _run_tail_est(cfg, data)
-        _append_rows(results_path, rows, header_needed)
+    if tail_rows is not None:
+        _append_rows(results_path, tail_rows, header_needed)
         return 0
 
     failures = 0

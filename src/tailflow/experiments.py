@@ -236,12 +236,15 @@ def comet_marginal_fit(
     ``tail_shape`` pins both tail shapes, and each scale is then the ML
     scale at that shape (``tailest.gpd_fit_scale``); without it the shapes
     and scales come from the joint ML fit ``gpd_fit_ml``, falling back to
-    exponential tails with a warning when the fit is infeasible.
+    exponential tails with a warning when a tail has fewer than 30 excesses
+    or the fit is infeasible.  Samples must be finite.
     """
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     n = x.size
     if n < COMET_MIN_ROWS:
         raise ValueError(f"marginal fit needs n >= {COMET_MIN_ROWS}, got {n}")
+    if not np.isfinite(x).all():
+        raise ValueError("marginal fit needs finite samples")
     t_lo, t_hi = np.quantile(x, [_TAIL_MASS, 1.0 - _TAIL_MASS])
     body = x[(x >= t_lo) & (x <= t_hi)]
     sd = float(np.std(body))
@@ -257,7 +260,7 @@ def comet_marginal_fit(
         if exc.size >= 30:
             try:
                 return (*tailest.gpd_fit_ml(exc), False)
-            except (tailest.GpdFitError, ValueError):
+            except tailest.GpdFitError:
                 pass
         mean = float(np.mean(exc)) if exc.size else 1.0
         logger.warning("marginal tail fit fell back to an exponential tail")
@@ -291,7 +294,10 @@ def _body_cdf(m: CometMarginal, x: np.ndarray,
     with np.errstate(divide="ignore"):
         lp = math.log(_BODY_MASS) + np.log(g) - math.log(m.k_hi - m.k_lo)
     if cdf:
-        k = _TAIL_MASS + _BODY_MASS * (k - m.k_lo) / (m.k_hi - m.k_lo)
+        # at t_hi, 0.05 + 0.90 r can round one ulp above the 0.95 that the
+        # upper tail starts from; the cap keeps the cdf monotone there
+        k = np.minimum(_TAIL_MASS + _BODY_MASS * (k - m.k_lo) / (m.k_hi - m.k_lo),
+                       1.0 - _TAIL_MASS)
     return k, lp
 
 
@@ -354,7 +360,8 @@ def _body_quantile(m: CometMarginal, u: np.ndarray) -> np.ndarray:
 
 
 def comet_logit(x: np.ndarray, marginals: list) -> tuple[np.ndarray, np.ndarray]:
-    """Map data to the flow scale: u_j = log F_j(x_j) - log(1 - F_j(x_j)).
+    """Map data to the flow scale: u_j = log F_j(x_j) - log(1 - F_j(x_j)), the
+    log cdf minus the log survivor of ``comet_marginal``.
 
     Returns (u, log_det) with log_det the per-row log Jacobian of the
     map, accumulated over dimensions.

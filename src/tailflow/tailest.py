@@ -12,9 +12,14 @@ and t the (k+1)-th largest log, M1 = a - t and M2 = C2/k - 2*t*a + t^2, so
 
     Q = (C2/k - a^2) - (a - t)^2,
 
-the variance of the top-k logs minus M1^2, which is how it is computed.  For
-threshold excesses we also fit a generalized Pareto by profile maximum
-likelihood over theta = shape/scale (Grimshaw's reduction).
+the variance of the top-k logs minus M1^2, which is how it is computed.
+
+The generalized Pareto (GPD) toolkit is the one the package uses for
+threshold excesses: ``gpd_fit_ml`` is its one maximum-likelihood fit (by
+profile likelihood over theta = shape/scale, Grimshaw's reduction), which
+COMET's tails and the importance-weight k-hat both call, each with its own
+minimum excess count; ``gpd_fit_scale`` is the ML scale at a fixed shape;
+and the log density, log survivor and its inverse evaluate a fitted tail.
 
 Light-tail detection: a genuine power tail places the bootstrap MSE
 minimum at an order-statistic count growing like a power of n, in the
@@ -251,6 +256,8 @@ def gpd_fit_scale(excesses: np.ndarray, shape: float) -> float:
     x = np.asarray(excesses, dtype=float).ravel()
     if not (x.size and np.all(x > 0.0) and np.all(np.isfinite(x))):
         raise ValueError("GPD scale fit needs finite positive excesses")
+    if not math.isfinite(shape):
+        raise ValueError("shape must be finite")
     if shape <= -1.0:
         raise ValueError(f"GPD shape {shape} <= -1 has no interior ML scale")
     if shape == 0.0:
@@ -429,9 +436,10 @@ def gpd_log_density(x: np.ndarray, shape: float, scale: float) -> np.ndarray:
     _check_gpd(shape, scale)
     if shape == 0.0:
         return -x / scale - np.log(scale)
-    arg = 1.0 + shape * x / scale
-    out = np.where(arg > 0.0, arg, np.nan)
-    return (-1.0 / shape - 1.0) * np.log(out) - np.log(scale)
+    t = shape * x / scale
+    # log1p keeps a small shape accurate; NaN beyond a bounded support
+    t = np.where(t > -1.0, t, np.nan)
+    return (-1.0 / shape - 1.0) * np.log1p(t) - np.log(scale)
 
 
 def gpd_log_survivor(e: np.ndarray, shape: float, scale: float) -> np.ndarray:
@@ -469,7 +477,8 @@ def estimate_marginal_tails(data: np.ndarray, rng: special.Rng) -> TailEstimate:
     Pooling both tails around the median enforces a common shape for
     the lower and upper tail of each marginal.  Light-tailed dimensions
     get the 1/1000 convention.  A ValueError names the dimensions holding
-    non-finite samples before any bootstrap runs.
+    non-finite samples before any bootstrap runs, and a dimension whose
+    Hill window reaches values equal to its median.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
@@ -485,7 +494,12 @@ def estimate_marginal_tails(data: np.ndarray, rng: special.Rng) -> TailEstimate:
     light = np.empty(d, dtype=bool)
     for j in range(d):
         centered = np.abs(x[:, j] - np.median(x[:, j]))
-        res = hill_double_bootstrap(centered, rng.child(j))
+        try:
+            res = hill_double_bootstrap(centered, rng.child(j))
+        except ValueError:  # the Hill window reached values equal to the median
+            ties = int(np.count_nonzero(centered == 0.0))
+            raise ValueError(f"dimension {j}: {ties} of {n} values equal its median, "
+                             "too many for a Hill estimate") from None
         light[j] = res.light_tailed
         ks[j] = res.k
         shapes[j] = LIGHT_TAIL_SHAPE if res.light_tailed else max(res.shape, 0.0)

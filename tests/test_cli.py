@@ -358,6 +358,17 @@ class TestUsageErrors:
         assert err.startswith("usage error: data_path: ") and message in err
         assert not out_dir.exists()
 
+    def test_degenerate_column_is_a_usage_error(self, tmp_path, capsys):
+        path, out_dir = tmp_path / "data.csv", tmp_path / "out"
+        data = np.random.default_rng(3).normal(size=(600, 2))
+        data[:, 1] = 1.5
+        np.savetxt(path, data, delimiter=",", header="a,b", comments="", fmt="%.17g")
+        assert cli.main(["tail-est", "--data", str(path), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: data_path: {str(path)!r}: dimension 1: "
+                              "600 of 600 values equal its median")
+        assert "Traceback" not in err and not out_dir.exists()
+
     def test_nnreg_fits_one_dimension(self):
         assert cli.parse_config(["nnreg", "--d", "1"]).d == 1
 

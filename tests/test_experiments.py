@@ -221,6 +221,48 @@ class TestCometMarginal:
         with pytest.raises(ValueError, match="degenerate body"):
             E.comet_marginal_fit(x)
 
+    def test_few_excesses_fall_back_to_exponential_tails(self):
+        # 500 samples leave about 25 excesses per tail, below the 30 that
+        # COMET asks of an ML fit (gpd_fit_ml itself has no such gate)
+        x = np.sort(special.Rng(47).student_t(2.0, 500))
+        m = E.comet_marginal_fit(x)
+        t_lo, t_hi = np.quantile(x, [E._TAIL_MASS, 1.0 - E._TAIL_MASS])
+        lo, hi = t_lo - x[x < t_lo], x[x > t_hi] - t_hi
+        assert 20 <= lo.size < 30 and 20 <= hi.size < 30
+        assert m.tail_fallback and m.shape_lo == 0.0 and m.shape_hi == 0.0
+        assert m.scale_lo == np.mean(lo) and m.scale_hi == np.mean(hi)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("tail_shape", [None, 0.5], ids=["ml", "pinned"])
+    def test_non_finite_samples_rejected(self, bad, tail_shape):
+        x = special.Rng(49).student_t(2.0, 1000)
+        x[17] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="needs finite samples"):
+                E.comet_marginal_fit(x, tail_shape=tail_shape)
+
+    @given(
+        nu=st.floats(0.3, 30.0),
+        seed=st.integers(0, 2**16),
+        levels=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+        powers=st.lists(st.floats(-3.0, 8.0), min_size=8, max_size=8),
+    )
+    def test_log_cdf_and_survivor_are_complementary_and_monotone(self, nu, seed, levels,
+                                                                 powers):
+        # both deep tails (bounded ones past their ends too), each junction
+        # and its neighbours one ulp away, and the body
+        m = E.comet_marginal_fit(special.Rng(seed).student_t(nu, 1000))
+        reach = 10.0 ** np.array(powers)
+        x = np.sort(np.concatenate([
+            m.t_lo - m.scale_lo * reach[:4], m.t_hi + m.scale_hi * reach[4:],
+            [np.nextafter(t, to) for t in (m.t_lo, m.t_hi) for to in (-np.inf, np.inf)],
+            [m.t_lo, m.t_hi], m.t_lo + np.array(levels) * (m.t_hi - m.t_lo),
+        ]))
+        log_cdf, log_sf, _ = E.comet_marginal(m, x)
+        assert np.max(np.abs(np.logaddexp(log_cdf, log_sf))) <= 1e-15
+        assert np.all(log_cdf[1:] >= log_cdf[:-1]) and np.all(log_sf[1:] <= log_sf[:-1])
+
     @pytest.mark.parametrize("rows", [1, E._KERNEL_ROWS - 1, E._KERNEL_ROWS, E._KERNEL_ROWS + 1])
     def test_kernel_blocks_match_single_rows(self, t2_marginal, rows):
         # each query's kernel mean is the same bits whichever block it lands
@@ -445,7 +487,7 @@ class TestCometPush:
             for a in (u, ld, x, ld_push):
                 digest.update(a.tobytes())
         assert digest.hexdigest() == \
-            "78ea2ab60b5d3d33acc7be644aec1ba72b792fbc9db827afae34527702e57df5"
+            "13967ecf1aa07bd9dbc4655e88c017bfa4f031d19d494f57181e2fb5026b16bb"
 
     def test_nan_rejected(self, marginals):
         u = np.zeros((3, 2))

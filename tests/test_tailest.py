@@ -1,12 +1,13 @@
 """Tail-index estimation tests: Hill estimator, double-bootstrap k selection,
 profile-likelihood GPD fits, and per-dimension marginal tail estimation."""
 
+import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tailflow import experiments, special, tailest
@@ -409,6 +410,9 @@ class TestGpdParameters:
         "excess": lambda shape, scale: tailest.gpd_excess_at_log_survivor(
             np.array([-1.0]), shape, scale),
     }
+    # the scale fit takes only a shape
+    SHAPE_FUNCTIONS = dict(FUNCTIONS, fit_scale=lambda shape, scale: tailest.gpd_fit_scale(
+        np.array([1.0, 2.0]), shape))
 
     @pytest.mark.parametrize("fn", FUNCTIONS)
     @pytest.mark.parametrize("scale", [-1.0, np.inf, np.nan])
@@ -416,11 +420,53 @@ class TestGpdParameters:
         with pytest.raises(ValueError, match="scale must be positive and finite"):
             self.FUNCTIONS[fn](0.5, scale)
 
-    @pytest.mark.parametrize("fn", FUNCTIONS)
+    @pytest.mark.parametrize("fn", SHAPE_FUNCTIONS)
     @pytest.mark.parametrize("shape", [np.inf, np.nan])
     def test_non_finite_shape_rejected(self, fn, shape):
         with pytest.raises(ValueError, match="shape must be finite"):
-            self.FUNCTIONS[fn](shape, 1.0)
+            self.SHAPE_FUNCTIONS[fn](shape, 1.0)
+
+
+@st.composite
+def gpd_cases(draw):
+    """(shape, scale, excess): shape 0 or +-1e-14 .. 3, scale 1e-3 .. 1e3, and
+    an excess inside the support."""
+    shape = draw(st.one_of(st.just(0.0), st.builds(
+        lambda sign, power: sign * 10.0 ** power,
+        st.sampled_from([-1.0, 1.0]), st.floats(-14.0, math.log10(3.0)))))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    if shape < 0.0:
+        # the support ends at scale / -shape.  Near it the rounding of
+        # t = shape x / scale grows by 1 / (1 + t) in log1p(t) (4e-13 at
+        # 0.99999 of the way), so the excess stops at 0.99 of the way.
+        x = draw(st.floats(0.0, 0.99)) * scale / -shape
+    else:
+        x = scale * 10.0 ** draw(st.floats(-6.0, 3.0))
+    return shape, scale, x
+
+
+class TestGpdAgainstMpmath:
+    @given(case=gpd_cases())
+    @example(case=(1e-12, 1.0, 1.0))  # np.log(1 + 1e-12) is 8.9e-5 relative off
+    def test_density_survivor_and_inverse(self, case):
+        mpmath = pytest.importorskip("mpmath")
+        shape, scale, x = case
+        with mpmath.workdps(40):
+            xi, sigma, e = map(mpmath.mpf, case)
+            if shape == 0.0:
+                log_s = -e / sigma
+                log_pdf = log_s - mpmath.log(sigma)
+            else:
+                lg = mpmath.log1p(xi * e / sigma)
+                log_s = -lg / xi
+                log_pdf = -(1 / xi + 1) * lg - mpmath.log(sigma)
+            log_s, log_pdf = float(log_s), float(log_pdf)
+        got_pdf = tailest.gpd_log_density(np.array([x]), shape, scale)[0]
+        got_s = tailest.gpd_log_survivor(np.array([x]), shape, scale)[0]
+        assert abs(got_pdf - log_pdf) <= 1e-14 * (1.0 + abs(log_pdf))
+        assert abs(got_s - log_s) <= 1e-14 * (1.0 + abs(log_s))
+        back = tailest.gpd_excess_at_log_survivor(np.array([got_s]), shape, scale)[0]
+        assert abs(back - x) <= 1e-14 * x
 
 
 class TestEstimateMarginalTails:
@@ -436,6 +482,16 @@ class TestEstimateMarginalTails:
         assert est.dim == 5
         assert not est.light_tailed.any()
         np.testing.assert_allclose(est.shape, 1.0, atol=0.25)
+
+    @pytest.mark.parametrize("tied", [5000, 4850], ids=["constant", "97pct_at_median"])
+    def test_degenerate_column_named(self, tied):
+        # the Hill window reaches values equal to the median, whose
+        # centred value 0 has no log
+        data = special.Rng(17).normal((5000, 3))
+        data[:tied, 1] = 0.0
+        with pytest.raises(ValueError, match=rf"^dimension 1: {tied} of 5000 values equal "
+                                             "its median, too many for a Hill estimate$"):
+            tailest.estimate_marginal_tails(data, special.Rng(22))
 
     def test_gaussian_all_light(self):
         data = special.Rng(17).normal((5000, 3))
